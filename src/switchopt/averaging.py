@@ -32,6 +32,7 @@ from .dynamics import (
     check_assumptions,
     simulate,
 )
+from .expr import DomainError
 from .graph import Network, lambda2, laplacian
 from .problem import Problem, total_cost
 
@@ -194,7 +195,10 @@ def simulate_averaged(
 
     for k in range(n_steps):
         theta = pair - x
-        dx, dtheta, dlam, dnu = model.drift(x, theta, lam, nu, 0, L_override=L_pi)
+        try:
+            dx, dtheta, dlam, dnu = model.drift(x, theta, lam, nu, 0, L_override=L_pi)
+        except DomainError as exc:
+            raise model.domain_failure(x, k * h, "averaged", exc) from exc
         gamma, roots = _diffusion_blocks(x, wsq)
         if reconstruct_check_every and (k % reconstruct_check_every == 0):
             resid = math.sqrt(
@@ -217,9 +221,15 @@ def simulate_averaged(
             clamp_count += int(np.count_nonzero(crossed))
             lam_new = np.where(crossed, cfg.lambda_floor, lam_new)
         nu_new = nu + h * dnu
-        if not (np.isfinite(x_new).all() and np.isfinite(pair_new).all()):
+        if not (
+            np.isfinite(x_new).all()
+            and np.isfinite(pair_new).all()
+            and np.isfinite(lam_new).all()
+            and np.isfinite(nu_new).all()
+        ):
             raise IntegrationError(
-                f"nonfinite averaged state at t={(k + 1) * h:.6g}"
+                f"nonfinite state at t={(k + 1) * h:.6g} (averaged): "
+                "step size too large for this problem's stiffness"
             )
         x, pair, lam, nu = x_new, pair_new, lam_new, nu_new
         if (k + 1) % cfg.output_stride == 0:

@@ -264,6 +264,7 @@ def cmd_simulate(args) -> int:
     _write_text(out_dir / f"{base}.multipliers.csv",
                 _multipliers_csv(scn, mode, traj, lam_names, nu_names))
 
+    final = traj.final_state
     meta = {
         "scenario_hash": scn.hash,
         "root_seed": root_seed,
@@ -272,8 +273,8 @@ def cmd_simulate(args) -> int:
         "warnings": traj.warnings,
         "assumptions": dynamics.check_assumptions(problem, network, pi).as_dict(),
         "final": {
-            "t": float(traj.times[-1]),
-            "x": [[float(v) for v in row] for row in traj.x[-1]],
+            "t": final.t,
+            "x": [[float(v) for v in row] for row in final.x],
         },
     }
 
@@ -285,9 +286,16 @@ def cmd_simulate(args) -> int:
         eta = cfg.eta_vector(problem.r)
         metrics = analysis.convergence_metrics(traj, eq, problem, eta, omega)
         _write_text(out_dir / f"{base}.metrics.csv", _metrics_csv(scn, mode, metrics))
-        meta["final"]["opt_error"] = float(metrics["opt_error"][-1])
-        meta["final"]["consensus_error"] = float(metrics["consensus_error"][-1])
-        meta["final"]["cost_gap"] = float(metrics["cost_gap"][-1])
+        if traj.times[-1] != final.t:
+            # the horizon is not a multiple of the output stride: the last
+            # sample is not the final state, so evaluate the final state alone
+            last = dynamics.Trajectory(
+                times=np.array([final.t]), x=final.x[None], theta=final.theta[None],
+                lam=final.lam[None], nu=final.nu[None], clamp_count=final.clamp_count,
+            )
+            metrics = analysis.convergence_metrics(last, eq, problem, eta, omega)
+        for key in ("opt_error", "consensus_error", "cost_gap"):
+            meta["final"][key] = float(metrics[key][-1])
         meta["certificate_residuals"] = {
             k: float(v) for k, v in cert.residuals.items()
         }
@@ -322,12 +330,16 @@ def cmd_compare(args) -> int:
     init = scn.build_init(problem)
     seed = args.seed if args.seed is not None else scn.root_seed()
 
-    report = averaging.weak_convergence_experiment(
-        problem, network, gen, alphas, args.ensemble, horizon, seed, init,
-        cfg=dynamics.IntegratorConfig(
-            h=cfg.h, horizon=horizon, eta=cfg.eta, lambda_floor=cfg.lambda_floor
-        ),
-    )
+    try:
+        report = averaging.weak_convergence_experiment(
+            problem, network, gen, alphas, args.ensemble, horizon, seed, init,
+            cfg=dynamics.IntegratorConfig(
+                h=cfg.h, horizon=horizon, eta=cfg.eta, lambda_floor=cfg.lambda_floor
+            ),
+        )
+    except dynamics.IntegrationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     report["scenario_hash"] = scn.hash
     report["root_seed"] = seed
     for entry in report["per_alpha"]:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import StationaryDist, SwitchPath
+from .expr import DomainError
 from .graph import Network, lambda2, laplacian
 from .problem import KktCertificate, Problem
 
@@ -209,16 +210,15 @@ class _Model:
                 f"{problem.n_agents} agents"
             )
         self.problem = problem
+        self.kernel = problem.kernel
         self.network = network
         self.N = problem.n_agents
         self.n = problem.n
         self.c = network.coupling
         self.L = [laplacian(g) for g in network.graphs]
         self.R = [network.receive_coeffs(m) for m in range(network.n_modes)]
-        self.gmap = [(i, e) for i, _, e in problem.ineq_index()]
-        self.hmap = [(i, e) for i, _, e in problem.eq_index()]
-        self.r = len(self.gmap)
-        self.s = len(self.hmap)
+        self.r = problem.r
+        self.s = problem.s
         self.eta = np.asarray(eta, dtype=float).reshape(-1)
         if self.eta.shape != (self.r,):
             raise ValueError(f"eta must have length {self.r}")
@@ -231,26 +231,30 @@ class _Model:
         """
         L = self.L[mode] if L_override is None else L_override
         Lx = L @ x
-        points = [tuple(row) for row in x.tolist()]
-        grad_terms = np.zeros((self.N, self.n))
-        for i in range(self.N):
-            _, g = self.problem.agents[i].f.value_and_grad(points[i])
-            grad_terms[i] = g
-        gvals = np.zeros(self.r)
-        for k, (i, e) in enumerate(self.gmap):
-            v, g = e.value_and_grad(points[i])
-            gvals[k] = v
-            grad_terms[i] += lam[k] * np.asarray(g)
-        hvals = np.zeros(self.s)
-        for k, (i, e) in enumerate(self.hmap):
-            v, g = e.value_and_grad(points[i])
-            hvals[k] = v
-            grad_terms[i] += nu[k] * np.asarray(g)
-        dx = -self.c * Lx - theta - grad_terms
+        grad_terms, gvals, hvals = self.kernel(x.tolist(), lam.tolist(), nu.tolist())
+        dx = -self.c * Lx - theta - np.array(grad_terms)
         dtheta = self.c * Lx
-        dlam = lam / (1.0 + self.eta * lam) * gvals
-        dnu = hvals
+        dlam = lam / (1.0 + self.eta * lam) * np.array(gvals, dtype=float)
+        dnu = np.array(hvals, dtype=float)
         return dx, dtheta, dlam, dnu
+
+    def domain_failure(self, x, t, where, exc):
+        """IntegrationError naming the first expression that left its domain
+        at the agent points ``x``, found by re-walking the expression trees
+        in the kernel's order (cold path, after the kernel raised ``exc``)."""
+        p = self.problem
+        labelled = [(i, "cost", a.f) for i, a in enumerate(p.agents)]
+        labelled += [(i, f"inequality {j + 1}", e) for i, j, e in p.ineq_index()]
+        labelled += [(i, f"equality {j + 1}", e) for i, j, e in p.eq_index()]
+        rows = x.tolist()
+        detail = str(exc)
+        for i, label, e in labelled:
+            try:
+                e.value_and_grad(rows[i])
+            except DomainError as err:
+                detail = f"agent {i + 1} {label} {str(e)!r}: {err}"
+                break
+        return IntegrationError(f"expression left its domain at t={t:.6g} ({where}): {detail}")
 
     def noise_term(self, x, mode, W):
         """c * M_mode(x) applied to the channel increments W (N x N),
@@ -265,7 +269,10 @@ class _Model:
         module docstring.
         """
         theta = pair - x
-        dx, dtheta, dlam, dnu = self.drift(x, theta, lam, nu, mode)
+        try:
+            dx, dtheta, dlam, dnu = self.drift(x, theta, lam, nu, mode)
+        except DomainError as exc:
+            raise self.domain_failure(x, t, f"mode {mode}", exc) from exc
         noise = self.noise_term(x, mode, W)
         x_new = x + (h * dx + noise)
         pair_new = pair + h * (dx + dtheta)
@@ -522,11 +529,6 @@ def simulate(
     )
     for failed in report.failures():
         warnings.append(f"assumption {failed.name} failed: {failed.detail}")
-    if warnings and cfg.strict:
-        raise IntegrationError("; ".join(warnings))
-    for w in warnings:
-        _warnings.warn(w, RuntimeWarning, stacklevel=2)
-
     h = cfg.h
     n_steps = int(round(cfg.horizon / h))
     if abs(n_steps * h - cfg.horizon) > 1e-9 * max(1.0, cfg.horizon):
@@ -534,6 +536,11 @@ def simulate(
             f"horizon {cfg.horizon} is not a multiple of h={h}; "
             f"running {n_steps} steps to t={n_steps * h:.6g}"
         )
+    if warnings and cfg.strict:
+        raise IntegrationError("; ".join(warnings))
+    for w in warnings:
+        _warnings.warn(w, RuntimeWarning, stacklevel=2)
+
     rng = np.random.default_rng(cfg.seed)
     N = model.N
 

@@ -7,6 +7,12 @@ arithmetic: every node propagates a value together with one tangent per
 coordinate, seeded with the canonical basis.  This is exact differentiation,
 not finite differencing.
 
+The tree walk (``Expr.value_and_grad``) is the reference evaluator.  For the
+integrator's hot loop the same pass can also be unrolled into generated
+straight-line code (``Expr.emit`` into an ``Emitter``), which computes
+bit-identical values, gradients and domain errors without the per-node
+calls and tuple building.
+
 Grammar (infix, whitespace insensitive)::
 
     expr   :=  term  (('+' | '-') term)*
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+import textwrap
 from dataclasses import dataclass
 
 __all__ = [
@@ -59,6 +66,9 @@ class DomainError(ExprError):
 # ---------------------------------------------------------------------------
 # AST nodes.  Each node evaluates to (value, tangents) where tangents is a
 # tuple with one entry per coordinate, or None when only the value is needed.
+# ``_emit`` writes the same forward pass as straight-line Python statements
+# into an Emitter and returns the code of its (value, tangents): the same
+# float operations in the same order, the same domain checks and messages.
 # ---------------------------------------------------------------------------
 
 
@@ -74,6 +84,9 @@ class Const(_Node):
     def _eval(self, xs, seeds):
         return self.value, (None if seeds is None else _ZEROS[len(xs)])
 
+    def _emit(self, em, xs):
+        return _lit(self.value), ("0.0",) * len(xs)
+
     def _render(self, prec):
         s = repr(self.value)
         return f"({s})" if self.value < 0 and prec > _P_ADD else s
@@ -85,6 +98,11 @@ class Var(_Node):
 
     def _eval(self, xs, seeds):
         return xs[self.index], (None if seeds is None else seeds[self.index])
+
+    def _emit(self, em, xs):
+        return xs[self.index], tuple(
+            "1.0" if k == self.index else "0.0" for k in range(len(xs))
+        )
 
     def _render(self, prec):
         return f"x{self.index + 1}"
@@ -101,6 +119,11 @@ class Add(_Node):
         if seeds is None:
             return a + b, None
         return a + b, tuple(u + v for u, v in zip(ta, tb))
+
+    def _emit(self, em, xs):
+        a, ta = self.lhs._emit(em, xs)
+        b, tb = self.rhs._emit(em, xs)
+        return em.temp(f"{a} + {b}"), tuple(em.temp(f"{u} + {v}") for u, v in zip(ta, tb))
 
     def _render(self, prec):
         # right operand one level tighter so tree shape survives reparsing
@@ -120,6 +143,11 @@ class Sub(_Node):
             return a - b, None
         return a - b, tuple(u - v for u, v in zip(ta, tb))
 
+    def _emit(self, em, xs):
+        a, ta = self.lhs._emit(em, xs)
+        b, tb = self.rhs._emit(em, xs)
+        return em.temp(f"{a} - {b}"), tuple(em.temp(f"{u} - {v}") for u, v in zip(ta, tb))
+
     def _render(self, prec):
         # right operand needs one level more to keep a - (b - c) unambiguous
         s = f"{self.lhs._render(_P_ADD)} - {self.rhs._render(_P_ADD + 1)}"
@@ -137,6 +165,12 @@ class Mul(_Node):
         if seeds is None:
             return a * b, None
         return a * b, tuple(a * v + b * u for u, v in zip(ta, tb))
+
+    def _emit(self, em, xs):
+        a, ta = self.lhs._emit(em, xs)
+        b, tb = self.rhs._emit(em, xs)
+        val = em.temp(f"{a} * {b}")
+        return val, tuple(em.temp(f"{a} * {v} + {b} * {u}") for u, v in zip(ta, tb))
 
     def _render(self, prec):
         s = f"{self.lhs._render(_P_MUL)}*{self.rhs._render(_P_MUL + 1)}"
@@ -158,6 +192,13 @@ class Div(_Node):
             return val, None
         return val, tuple((u - val * v) / b for u, v in zip(ta, tb))
 
+    def _emit(self, em, xs):
+        a, ta = self.lhs._emit(em, xs)
+        b, tb = self.rhs._emit(em, xs)
+        em.line(f"if {b} == 0.0: raise DomainError('division by zero')")
+        val = em.temp(f"{a} / {b}")
+        return val, tuple(em.temp(f"({u} - {val} * {v}) / {b}") for u, v in zip(ta, tb))
+
     def _render(self, prec):
         s = f"{self.lhs._render(_P_MUL)}/{self.rhs._render(_P_MUL + 1)}"
         return f"({s})" if prec > _P_MUL else s
@@ -172,6 +213,10 @@ class Neg(_Node):
         if seeds is None:
             return -a, None
         return -a, tuple(-u for u in ta)
+
+    def _emit(self, em, xs):
+        a, ta = self.operand._emit(em, xs)
+        return em.temp(f"-{a}"), tuple(em.temp(f"-{u}") for u in ta)
 
     def _render(self, prec):
         s = f"-{self.operand._render(_P_NEG)}"
@@ -199,6 +244,30 @@ class Pow(_Node):
         dcoef = 0.0 if k == 0.0 else k * a ** (k - 1.0)
         return val, tuple(dcoef * u for u in ta)
 
+    def _emit(self, em, xs):
+        # The exponent is a literal, so the tests on k alone are decided here;
+        # the tests on the base are emitted in the order _eval makes them.
+        a, ta = self.base._emit(em, xs)
+        k = self.exponent
+        try:
+            integral = k == int(k)
+        except (OverflowError, ValueError):
+            # an infinite exponent: _eval raises here on every call, so does this
+            em.line(f"int({_lit(k)})")
+            return a, ta
+        if not integral:
+            em.line(f"if {a} < 0.0: raise DomainError("
+                    f"f'negative base {{{a}!r}} with fractional exponent {k!r}')")
+        if k < 0.0:
+            em.line(f"if {a} == 0.0: raise DomainError("
+                    f"'zero base with negative exponent {k!r}')")
+        val = em.temp(f"{a} ** {_lit(k)}")
+        if k < 1.0 and k != 0.0:
+            em.line(f"if {a} == 0.0: raise DomainError("
+                    f"'derivative of x^{k!r} undefined at 0')")
+        dcoef = "0.0" if k == 0.0 else em.temp(f"{_lit(k)} * {a} ** {_lit(k - 1.0)}")
+        return val, tuple(em.temp(f"{dcoef} * {u}") for u in ta)
+
     def _render(self, prec):
         s = f"{self.base._render(_P_POW + 1)}^{self.exponent!r}"
         return f"({s})" if prec > _P_POW else s
@@ -218,6 +287,12 @@ class Exp(_Node):
             return val, None
         return val, tuple(val * u for u in ta)
 
+    def _emit(self, em, xs):
+        a, ta = self.operand._emit(em, xs)
+        val = em.fresh()
+        em.line(f"try:\n    {val} = exp({a})\nexcept OverflowError:\n    {val} = inf")
+        return val, tuple(em.temp(f"{val} * {u}") for u in ta)
+
     def _render(self, prec):
         return f"exp({self.operand._render(0)})"
 
@@ -235,12 +310,60 @@ class Ln(_Node):
             return val, None
         return val, tuple(u / a for u in ta)
 
+    def _emit(self, em, xs):
+        a, ta = self.operand._emit(em, xs)
+        em.line(f"if {a} <= 0.0: raise DomainError(f'ln of nonpositive value {{{a}!r}}')")
+        val = em.temp(f"log({a})")
+        return val, tuple(em.temp(f"{u} / {a}") for u in ta)
+
     def _render(self, prec):
         return f"ln({self.operand._render(0)})"
 
 
 # rendering precedence levels
 _P_ADD, _P_MUL, _P_NEG, _P_POW = 1, 2, 3, 4
+
+
+def _lit(v):
+    """Python source of a float literal; ``inf`` and ``nan`` are names bound
+    in the namespace of the compiled code."""
+    return f"({float(v)!r})"
+
+
+class Emitter:
+    """Straight-line Python statements compiled into one function.
+
+    Code is generated only from AST fields (float literals through ``repr``
+    and variable indices) and from the names chosen by the caller, never
+    from expression source text.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self._count = 0
+
+    def fresh(self) -> str:
+        self._count += 1
+        return f"v{self._count}"
+
+    def line(self, code: str):
+        self.lines.append(code)
+
+    def temp(self, code: str) -> str:
+        """Assign ``code`` to a fresh local and return its name."""
+        name = self.fresh()
+        self.lines.append(f"{name} = {code}")
+        return name
+
+    def compile(self, name: str, params: str, result: str):
+        """``def name(params): <lines>; return result`` as a function."""
+        body = "\n".join([*self.lines, f"return {result}"])
+        source = f"def {name}({params}):\n" + textwrap.indent(body, "    ") + "\n"
+        namespace = {"exp": math.exp, "log": math.log, "inf": math.inf,
+                     "nan": math.nan, "DomainError": DomainError}
+        exec(compile(source, f"<switchopt {name}>", "exec"), namespace)
+        return namespace[name]
+
 
 # shared zero-tangent tuples and basis seeds, cached per dimension
 _ZEROS: dict[int, tuple] = {}
@@ -288,6 +411,12 @@ class Expr:
     def grad(self, x):
         """Gradient at ``x`` as a tuple of length n."""
         return self.value_and_grad(x)[1]
+
+    def emit(self, em: Emitter, xs):
+        """Write the value-and-gradient pass into ``em`` with the variables
+        bound to the local names ``xs``; return the code of the value and of
+        each gradient entry (local names or literals)."""
+        return self.root._emit(em, tuple(xs))
 
     def _coerce(self, x):
         xs = tuple(float(v) for v in x)

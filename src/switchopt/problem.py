@@ -10,10 +10,11 @@ multiplier recovery and the residuals of the first-order optimality system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, ExprError
+from .expr import Emitter, Expr, ExprError
 
 __all__ = [
     "AgentSpec",
@@ -91,6 +92,50 @@ class Problem:
             for i, a in enumerate(self.agents)
             for j, e in enumerate(a.h)
         ]
+
+    @cached_property
+    def kernel(self):
+        """All costs and constraints fused into one compiled function
+        ``kernel(rows, lam, nu) -> (grad_terms, gvals, hvals)``.
+
+        ``rows`` holds the N agent points (lists of n floats), ``lam`` and
+        ``nu`` the stacked multipliers as floats.  ``grad_terms[i]`` is
+        grad f_i, plus lam_k grad g_k over agent i's inequalities in
+        ``ineq_index`` order, plus nu_k grad h_k over its equalities in
+        ``eq_index`` order; ``gvals`` and ``hvals`` are the constraint values.
+        The result is bit-identical to walking each expression tree, and a
+        point outside an expression's domain raises the same DomainError.
+        Compiled on first use and kept for the life of the problem.
+        """
+        return _compile_kernel(self)
+
+
+def _compile_kernel(problem: Problem):
+    def unpack(names):
+        return "".join(f"{name}, " for name in names)
+
+    em = Emitter()
+    xs = [[f"x{i}_{j}" for j in range(problem.n)] for i in range(problem.n_agents)]
+    em.line(f"{unpack(f'({unpack(row)})' for row in xs)}= rows")
+    if problem.r:
+        em.line(f"{unpack(f'lam{k}' for k in range(problem.r))}= lam")
+    if problem.s:
+        em.line(f"{unpack(f'nu{k}' for k in range(problem.s))}= nu")
+    grads = [list(a.f.emit(em, xs[i])[1]) for i, a in enumerate(problem.agents)]
+
+    def accumulate(index, mult):
+        values = []
+        for k, (i, _, e) in enumerate(index):
+            v, g = e.emit(em, xs[i])
+            values.append(v)
+            grads[i] = [em.temp(f"{acc} + {mult}{k} * {d}") for acc, d in zip(grads[i], g)]
+        return values
+
+    gvals = accumulate(problem.ineq_index(), "lam")
+    hvals = accumulate(problem.eq_index(), "nu")
+    rows = ", ".join(f"[{', '.join(g)}]" for g in grads)
+    return em.compile("kernel", "rows, lam, nu",
+                      f"[{rows}], [{', '.join(gvals)}], [{', '.join(hvals)}]")
 
 
 @dataclass

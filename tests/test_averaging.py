@@ -12,7 +12,7 @@ from switchopt.averaging import (
     weak_convergence_experiment,
 )
 from switchopt.chain import stationary, validate_generator
-from switchopt.dynamics import IntegratorConfig, SystemState, simulate
+from switchopt.dynamics import IntegrationError, IntegratorConfig, SystemState, simulate
 from switchopt.expr import parse
 from switchopt.graph import Graph, Network, lambda2, laplacian
 from switchopt.problem import AgentSpec, Problem
@@ -168,6 +168,24 @@ def test_simulate_averaged_sigma_zero_matches_switched_stepper(five_agent):
     t_fix = simulate(five_agent, net, None, cfg, init.copy())
     assert np.max(np.abs(t_avg.x[-1] - t_fix.x[-1])) <= 1e-12
     assert np.max(np.abs(t_avg.theta[-1] - t_fix.theta[-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("g, h, lam, nu", [
+    (("1e308*x1 + 1e308",), (), [1.0], []),
+    ((), ("1e308*x1 + 1e308",), [], [0.0]),
+])
+def test_simulate_averaged_rejects_nonfinite_multipliers(g, h, lam, nu, six_mode_network,
+                                                         six_mode_generator):
+    # at x1 = 1 the constraint value overflows to inf while its gradient stays
+    # finite: one step leaves x and the pair finite but a multiplier infinite
+    agent = AgentSpec(f=parse("x1^2", 2), g=tuple(parse(s, 2) for s in g),
+                      h=tuple(parse(s, 2) for s in h))
+    p = Problem(n=2, agents=(agent,) + tuple(AgentSpec(f=parse("x2^2", 2)) for _ in range(4)))
+    avg = average_laplacian(six_mode_network, stationary(six_mode_generator))
+    init = SystemState(np.ones((5, 2)), np.zeros((5, 2)), lam, nu)
+    cfg = IntegratorConfig(h=1e-3, horizon=1e-3)
+    with pytest.raises(IntegrationError, match=r"nonfinite state at t=0\.001 \(averaged\)"):
+        simulate_averaged(p, avg, cfg, init)
 
 
 def test_weak_convergence_single_mode_control_is_null(five_agent):

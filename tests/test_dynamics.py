@@ -293,6 +293,17 @@ def test_substep_alignment_replicates_manual_stepping(five_agent, six_mode_netwo
     assert np.max(np.abs(st.theta - traj.final_state.theta)) <= 1e-12
 
 
+def test_simulate_off_grid_horizon_warns_and_strict_raises(five_agent, k5_network,
+                                                          reference_init):
+    cfg = IntegratorConfig(h=1e-3, horizon=0.0105)
+    with pytest.warns(RuntimeWarning, match="not a multiple of h"):
+        traj = simulate(five_agent, k5_network, None, cfg, reference_init.copy())
+    assert len(traj.times) == 11 and any("not a multiple" in w for w in traj.warnings)
+    cfg.strict = True
+    with pytest.raises(IntegrationError, match="not a multiple of h"):
+        simulate(five_agent, k5_network, None, cfg, reference_init.copy())
+
+
 def test_simulate_strict_mode_rejects_bad_init(five_agent, k5_network):
     cfg = IntegratorConfig(h=1e-3, horizon=0.1, strict=True)
     bad = SystemState(X_INIT, np.ones_like(X_INIT), [3.0, 3.0], [3.0])

@@ -236,3 +236,58 @@ def test_compare_smoke(switching_scenario_path, tmp_path, capsys):
     assert [e["alpha"] for e in report["per_alpha"]] == [0.5, 0.05]
     assert "separated" in report
     assert report["scenario_hash"]
+
+
+def test_simulate_final_block_is_the_final_state(tmp_scenario_file, tmp_path):
+    # horizon 0.15 with stride 100 samples t=0 and t=0.1 only; the final block
+    # must still describe t=0.15, exactly as a stride-1 run of the same path
+    metas = []
+    for stride in (100, 1):
+        def mutate(d, stride=stride):
+            d["integrator"]["horizon"] = 0.15
+            d["integrator"]["output_stride"] = stride
+
+        out = tmp_path / f"stride{stride}"
+        assert main(["simulate", str(tmp_scenario_file(mutate)), "--out-dir", str(out)]) == 0
+        metas.append(json.loads((out / "five_agent_fixed.fixed.meta.json").read_text()))
+    strided, dense = (m["final"] for m in metas)
+    assert strided["t"] == pytest.approx(0.15)
+    assert strided == dense
+    lines = (tmp_path / "stride1" / "five_agent_fixed.fixed.metrics.csv").read_text().splitlines()
+    last = dict(zip(lines[1].split(","), map(float, lines[-1].split(","))))
+    for key in ("t", "opt_error", "consensus_error", "cost_gap"):
+        assert dense[key] == last[key], key
+
+
+def _domain_escape_scenario(tmp_path, switching_scenario):
+    # agent 3 starts at x1 = 1 with cost ln(x1 - 0.9): the flow drives x1 to
+    # the boundary and an Euler step crosses it within a few steps
+    data = json.loads(json.dumps(switching_scenario.raw))
+    data["problem"]["agents"][2]["cost"] = "ln(x1 - 0.9)"
+    path = tmp_path / "escape.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("mode, where", [("switching", "(mode "), ("averaged", "(averaged)")])
+def test_simulate_domain_error_names_the_failing_point(mode, where, tmp_path,
+                                                       switching_scenario, capsys):
+    path = _domain_escape_scenario(tmp_path, switching_scenario)
+    rc = main(["simulate", str(path), "--mode", mode, "--horizon", "0.5",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression left its domain at t=")
+    assert float(err.split("t=")[1].split()[0]) > 0.0
+    assert where in err
+    assert "agent 3 cost 'ln(x1 - 0.9)': ln of nonpositive value" in err
+
+
+def test_compare_domain_error_exits_1(tmp_path, switching_scenario, capsys):
+    path = _domain_escape_scenario(tmp_path, switching_scenario)
+    rc = main(["compare", str(path), "--alpha", "0.5", "--alpha", "0.1",
+               "--ensemble", "2", "--horizon", "0.5", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression left its domain at t=")
+    assert "agent 3 cost 'ln(x1 - 0.9)'" in err
