@@ -24,15 +24,14 @@ import numpy as np
 
 from .chain import Generator, StationaryDist, sample_path, stationary, trajectory_seeds
 from .dynamics import (
-    IntegrationError,
     IntegratorConfig,
     SystemState,
     Trajectory,
+    _integrate,
     _Model,
     check_assumptions,
     simulate,
 )
-from .expr import DomainError
 from .graph import Network, lambda2, laplacian
 from .problem import Problem, total_cost
 
@@ -41,6 +40,7 @@ __all__ = [
     "FactorizationError",
     "average_laplacian",
     "averaged_diffusion_factor",
+    "check_design",
     "simulate_averaged",
     "weak_convergence_experiment",
 ]
@@ -128,125 +128,39 @@ def averaged_diffusion_factor(
     return out
 
 
+class _AveragedModel(_Model):
+    """The averaged system as a one-mode model: mode 0 couples through L_pi
+    and its noise is the PSD factor of the averaged squared diffusion,
+    driven by one increment per agent coordinate."""
+
+    def __init__(self, problem: Problem, avg: AveragedNetwork, eta):
+        super().__init__(problem, avg.source, eta)
+        self.L = [avg.L_pi]
+        self.wsq = _squared_coeffs(avg.source, avg.pi)
+        self.noise_shape = (self.N, self.n)
+
+    def where(self, mode):
+        return "averaged"
+
+    def noise_term(self, x, mode, W):
+        return self.c * np.einsum("inm,im->in", _diffusion_blocks(x, self.wsq)[1], W)
+
+
 def simulate_averaged(
     problem: Problem,
     avg: AveragedNetwork,
     cfg: IntegratorConfig,
     init: SystemState,
-    reconstruct_check_every: int = 0,
 ) -> Trajectory:
     """Integrate the averaged system.
 
     Drift matches the switching drift with the averaged Laplacian; the
     multiplier dynamics are unchanged.  The diffusion factor is rebuilt from
-    the current state every step.  ``reconstruct_check_every`` > 0 verifies
-    the factorization residual on that stride.
+    the current state every step.
     """
-    import warnings as _warnings
-
-    network = avg.source
-    model = _Model(problem, network, cfg.eta_vector(problem.r))
-    wsq = _squared_coeffs(network, avg.pi)
-    L_pi = avg.L_pi
-    c = network.coupling
-
-    warnings: list[str] = []
-    if init.lam.size and init.lam.min() <= 0.0:
-        warnings.append(
-            f"initial multiplier min {init.lam.min():.6g} is not positive"
-        )
-    theta_sum = np.linalg.norm(init.theta.sum(axis=0))
-    if theta_sum > 1e-9:
-        warnings.append(
-            f"initial theta blocks sum to {theta_sum:.3e}, not zero"
-        )
-    report = check_assumptions(problem, network, avg.pi)
-    for failed in report.failures():
-        warnings.append(f"assumption {failed.name} failed: {failed.detail}")
-    if warnings and cfg.strict:
-        raise IntegrationError("; ".join(warnings))
-    for w in warnings:
-        _warnings.warn(w, RuntimeWarning, stacklevel=2)
-
-    h = cfg.h
-    n_steps = int(round(cfg.horizon / h))
-    rng = np.random.default_rng(cfg.seed)
-    N, n = model.N, model.n
-    sqh = math.sqrt(h)
-
-    x = init.x.copy()
-    pair = init.pair.copy()
-    lam = init.lam.copy()
-    nu = init.nu.copy()
-    clamp_count = init.clamp_count
-
-    n_samples = n_steps // cfg.output_stride + 1
-    T = np.empty(n_samples)
-    X = np.empty((n_samples, N, n))
-    TH = np.empty((n_samples, N, n))
-    LM = np.empty((n_samples, model.r))
-    NU = np.empty((n_samples, model.s))
-    T[0] = 0.0
-    X[0] = x
-    TH[0] = pair - x
-    LM[0] = lam
-    NU[0] = nu
-    slot = 1
-
-    for k in range(n_steps):
-        theta = pair - x
-        try:
-            dx, dtheta, dlam, dnu = model.drift(x, theta, lam, nu, 0, L_override=L_pi)
-        except DomainError as exc:
-            raise model.domain_failure(x, k * h, "averaged", exc) from exc
-        gamma, roots = _diffusion_blocks(x, wsq)
-        if reconstruct_check_every and (k % reconstruct_check_every == 0):
-            resid = math.sqrt(
-                sum(
-                    float(np.sum((roots[i] @ roots[i] - gamma[i]) ** 2))
-                    for i in range(N)
-                )
-            )
-            if resid > FACTOR_TOL:
-                raise FactorizationError(
-                    f"step {k}: reconstruction residual {resid:.3e}"
-                )
-        xi = rng.standard_normal((N, n)) * sqh
-        noise = c * np.einsum("inm,im->in", roots, xi)
-        x_new = x + (h * dx + noise)
-        pair_new = pair + h * (dx + dtheta)
-        lam_new = lam + h * dlam
-        crossed = (lam_new < cfg.lambda_floor) & (lam >= cfg.lambda_floor)
-        if np.any(crossed):
-            clamp_count += int(np.count_nonzero(crossed))
-            lam_new = np.where(crossed, cfg.lambda_floor, lam_new)
-        nu_new = nu + h * dnu
-        if not (
-            np.isfinite(x_new).all()
-            and np.isfinite(pair_new).all()
-            and np.isfinite(lam_new).all()
-            and np.isfinite(nu_new).all()
-        ):
-            raise IntegrationError(
-                f"nonfinite state at t={(k + 1) * h:.6g} (averaged): "
-                "step size too large for this problem's stiffness"
-            )
-        x, pair, lam, nu = x_new, pair_new, lam_new, nu_new
-        if (k + 1) % cfg.output_stride == 0:
-            T[slot] = (k + 1) * h
-            X[slot] = x
-            TH[slot] = pair - x
-            LM[slot] = lam
-            NU[slot] = nu
-            slot += 1
-
-    final = SystemState._from_pair(
-        x.copy(), pair.copy(), lam.copy(), nu.copy(), n_steps * h, clamp_count
-    )
-    return Trajectory(
-        times=T[:slot], x=X[:slot], theta=TH[:slot], lam=LM[:slot], nu=NU[:slot],
-        clamp_count=clamp_count, warnings=warnings, final_state=final,
-    )
+    model = _AveragedModel(problem, avg, cfg.eta_vector(problem.r))
+    report = check_assumptions(problem, avg.source, avg.pi)
+    return _integrate(model, None, cfg, init, report)
 
 
 def _observables(problem: Problem, x: np.ndarray) -> np.ndarray:
@@ -254,6 +168,17 @@ def _observables(problem: Problem, x: np.ndarray) -> np.ndarray:
     at the agent mean."""
     mean = x.mean(axis=0)
     return np.concatenate([x.ravel(), [total_cost(problem, mean)]])
+
+
+def check_design(alphas, ensemble: int) -> list[float]:
+    """The time-scale ratios as floats; ValueError unless they are strictly
+    decreasing and the ensemble holds at least 2 members."""
+    alphas = [float(a) for a in alphas]
+    if any(a <= b for a, b in zip(alphas, alphas[1:])):
+        raise ValueError("alphas must be strictly decreasing")
+    if ensemble < 2:
+        raise ValueError("ensemble must hold at least 2 members")
+    return alphas
 
 
 def weak_convergence_experiment(
@@ -279,11 +204,7 @@ def weak_convergence_experiment(
     slack.  Statistical definitions, not assertions: the report carries the
     verdicts.
     """
-    alphas = [float(a) for a in alphas]
-    if sorted(alphas, reverse=True) != alphas:
-        raise ValueError("alphas must be strictly decreasing")
-    if ensemble < 2:
-        raise ValueError("ensemble must hold at least 2 members")
+    alphas = check_design(alphas, ensemble)
     if cfg is None:
         cfg = IntegratorConfig(h=1e-3, horizon=T, eta=1.0, lambda_floor=0.0)
 

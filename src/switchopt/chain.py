@@ -140,6 +140,7 @@ class SwitchPath:
     modes: np.ndarray
     alpha: float
     horizon: float
+    n_modes: int
     absorbed: bool = False
 
     @property
@@ -193,6 +194,7 @@ def sample_path(gen: Generator, s0: int, alpha: float, horizon: float, seed) -> 
         modes=np.array(modes, dtype=np.int64),
         alpha=alpha,
         horizon=horizon,
+        n_modes=S,
         absorbed=absorbed,
     )
 
@@ -206,9 +208,8 @@ def mode_at(path: SwitchPath, t: float) -> int:
 
 
 def occupation_fractions(path: SwitchPath) -> np.ndarray:
-    """Fraction of [0, horizon] spent in each mode."""
-    S = int(path.modes.max()) + 1
-    out = np.zeros(S)
+    """Fraction of [0, horizon] spent in each of the generator's modes."""
+    out = np.zeros(path.n_modes)
     bounds = np.append(path.times, path.horizon)
     for k, m in enumerate(path.modes):
         out[m] += bounds[k + 1] - bounds[k]

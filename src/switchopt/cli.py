@@ -324,7 +324,11 @@ def cmd_compare(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    alphas = [float(a) for a in args.alpha] if args.alpha else [0.5, 0.1, 0.02]
+    try:
+        alphas = averaging.check_design(args.alpha or [0.5, 0.1, 0.02], args.ensemble)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     cfg = scn.build_config()
     horizon = args.horizon if args.horizon is not None else cfg.horizon
     init = scn.build_init(problem)
@@ -337,7 +341,7 @@ def cmd_compare(args) -> int:
                 h=cfg.h, horizon=horizon, eta=cfg.eta, lambda_floor=cfg.lambda_floor
             ),
         )
-    except dynamics.IntegrationError as exc:
+    except (dynamics.IntegrationError, chain.ChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     report["scenario_hash"] = scn.hash

@@ -222,15 +222,16 @@ class _Model:
         self.eta = np.asarray(eta, dtype=float).reshape(-1)
         if self.eta.shape != (self.r,):
             raise ValueError(f"eta must have length {self.r}")
+        self.noise_shape = (self.N, self.N)
 
-    def drift(self, x, theta, lam, nu, mode, L_override=None):
-        """Drift blocks (dx, dtheta, dlam, dnu) at one state.
+    def where(self, mode):
+        """Label of ``mode`` in failure messages."""
+        return f"mode {mode}"
 
-        ``L_override`` substitutes the coupling Laplacian (used by the
-        averaged system); everything else is mode independent.
-        """
-        L = self.L[mode] if L_override is None else L_override
-        Lx = L @ x
+    def drift(self, x, theta, lam, nu, mode):
+        """Drift blocks (dx, dtheta, dlam, dnu) at one state; only the
+        coupling Laplacian depends on the mode."""
+        Lx = self.L[mode] @ x
         grad_terms, gvals, hvals = self.kernel(x.tolist(), lam.tolist(), nu.tolist())
         dx = -self.c * Lx - theta - np.array(grad_terms)
         dtheta = self.c * Lx
@@ -272,7 +273,7 @@ class _Model:
         try:
             dx, dtheta, dlam, dnu = self.drift(x, theta, lam, nu, mode)
         except DomainError as exc:
-            raise self.domain_failure(x, t, f"mode {mode}", exc) from exc
+            raise self.domain_failure(x, t, self.where(mode), exc) from exc
         noise = self.noise_term(x, mode, W)
         x_new = x + (h * dx + noise)
         pair_new = pair + h * (dx + dtheta)
@@ -291,7 +292,7 @@ class _Model:
             and np.isfinite(nu_new).all()
         ):
             raise IntegrationError(
-                f"nonfinite state at t={t + h:.6g} (mode {mode}): "
+                f"nonfinite state at t={t + h:.6g} ({self.where(mode)}): "
                 "step size too large for this problem's stiffness"
             )
         return x_new, pair_new, lam_new, nu_new, clamped
@@ -512,6 +513,25 @@ def simulate(
     cfg.strict, in which case they raise.
     """
     model = _Model(problem, network, cfg.eta_vector(problem.r))
+    report = check_assumptions(
+        problem, network, pi, switching=chain_path is not None
+    )
+    return _integrate(model, chain_path, cfg, init, report)
+
+
+def _integrate(
+    model: _Model,
+    chain_path: SwitchPath | None,
+    cfg: IntegratorConfig,
+    init: SystemState,
+    report: AssumptionReport,
+) -> Trajectory:
+    """Euler-Maruyama core shared by every view of the dynamics.
+
+    ``model`` supplies the drift, the noise term and the shape of its
+    Gaussian increments; ``chain_path`` the mode schedule (mode 0 throughout
+    when None).  Warnings point at the caller of the public entry point.
+    """
     warnings: list[str] = []
 
     if init.lam.size and init.lam.min() <= 0.0:
@@ -524,9 +544,6 @@ def simulate(
             f"initial theta blocks sum to {theta_sum:.3e}, not zero; the "
             "convergence guarantees assume a zero sum"
         )
-    report = check_assumptions(
-        problem, network, pi, switching=chain_path is not None
-    )
     for failed in report.failures():
         warnings.append(f"assumption {failed.name} failed: {failed.detail}")
     h = cfg.h
@@ -539,7 +556,7 @@ def simulate(
     if warnings and cfg.strict:
         raise IntegrationError("; ".join(warnings))
     for w in warnings:
-        _warnings.warn(w, RuntimeWarning, stacklevel=2)
+        _warnings.warn(w, RuntimeWarning, stacklevel=3)
 
     rng = np.random.default_rng(cfg.seed)
     N = model.N
@@ -589,7 +606,7 @@ def simulate(
                 nxt = t_end
             mode = int(jump_modes[jp - 1])
             h_sub = nxt - cur
-            W = rng.standard_normal((N, N)) * math.sqrt(h_sub)
+            W = rng.standard_normal(model.noise_shape) * math.sqrt(h_sub)
             x, pair, lam, nu, clamped = model.step(
                 x, pair, lam, nu, cur, h_sub, mode, W, cfg.lambda_floor
             )

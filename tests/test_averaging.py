@@ -105,15 +105,17 @@ def test_averaged_drift_is_mode_mixture(five_agent, six_mode_network, six_mode_g
     pi = stationary(six_mode_generator)
     avg = average_laplacian(six_mode_network, pi)
     rng = np.random.default_rng(4)
+    from switchopt.averaging import _AveragedModel
     from switchopt.dynamics import _Model
 
     model = _Model(five_agent, six_mode_network, np.ones(2))
+    avg_model = _AveragedModel(five_agent, avg, np.ones(2))
     for _ in range(100):
         x = rng.normal(0.0, 1.5, (5, 2))
         theta = rng.normal(0.0, 1.5, (5, 2))
         lam = rng.uniform(0.1, 3.0, 2)
         nu = rng.normal(0.0, 1.0, 1)
-        davg = model.drift(x, theta, lam, nu, 0, L_override=avg.L_pi)
+        davg = avg_model.drift(x, theta, lam, nu, 0)
         mix = None
         for m, p in enumerate(pi.pi):
             parts = model.drift(x, theta, lam, nu, m)
@@ -135,9 +137,11 @@ def test_simulate_averaged_single_step_pair_noise_free(five_agent, six_mode_netw
     finals = []
     for seed in (3, 999):
         cfg = IntegratorConfig(h=1e-3, horizon=1e-3, seed=seed, output_stride=1)
-        traj = simulate_averaged(five_agent, avg, cfg, reference_init.copy(),
-                                 reconstruct_check_every=1)
+        traj = simulate_averaged(five_agent, avg, cfg, reference_init.copy())
         finals.append(traj.final_state)
+        # the diffusion factor reconstructs at every state the step visited
+        for x, theta, lam, nu in zip(traj.x, traj.theta, traj.lam, traj.nu):
+            averaged_diffusion_factor(SystemState(x, theta, lam, nu), six_mode_network, pi)
     pair1 = finals[0].pair
     pair2 = finals[1].pair
     assert np.array_equal(pair1, pair2)
@@ -157,7 +161,8 @@ def test_simulate_averaged_deterministic_given_seed(five_agent, six_mode_network
 
 def test_simulate_averaged_sigma_zero_matches_switched_stepper(five_agent):
     # all modes share one graph, so the average equals that graph exactly and
-    # the averaged integrator must reproduce the switched one path for path
+    # the averaged system, run through the same stepper as the fixed one,
+    # must reproduce it bit for bit at every sample
     g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     net = Network(graphs=(g, g), sigma=0.0, coupling=1.0, kappa=0.0)
     pi = chain.StationaryDist(np.array([0.5, 0.5]))
@@ -166,8 +171,10 @@ def test_simulate_averaged_sigma_zero_matches_switched_stepper(five_agent):
     init = SystemState(X_INIT, np.zeros_like(X_INIT), [3.0, 3.0], [3.0])
     t_avg = simulate_averaged(five_agent, avg, cfg, init.copy())
     t_fix = simulate(five_agent, net, None, cfg, init.copy())
-    assert np.max(np.abs(t_avg.x[-1] - t_fix.x[-1])) <= 1e-12
-    assert np.max(np.abs(t_avg.theta[-1] - t_fix.theta[-1])) <= 1e-12
+    assert np.array_equal(avg.L_pi, laplacian(g))
+    assert len(t_avg.times) == 6
+    assert np.array_equal(t_avg.x, t_fix.x)
+    assert np.array_equal(t_avg.theta, t_fix.theta)
 
 
 @pytest.mark.parametrize("g, h, lam, nu", [
@@ -258,11 +265,12 @@ def test_weak_convergence_linear_problem_matrix_exponential_oracle():
 
 def test_weak_convergence_requires_decreasing_alphas(five_agent, six_mode_network,
                                                      six_mode_generator, reference_init):
-    with pytest.raises(ValueError):
-        weak_convergence_experiment(
-            five_agent, six_mode_network, six_mode_generator, [0.1, 0.5],
-            ensemble=4, T=0.1, seed=0, init=reference_init,
-        )
+    for alphas in ([0.1, 0.5], [0.5, 0.5]):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            weak_convergence_experiment(
+                five_agent, six_mode_network, six_mode_generator, alphas,
+                ensemble=4, T=0.1, seed=0, init=reference_init,
+            )
 
 
 def test_factorization_error_detectable(monkeypatch, six_mode_network, six_mode_generator):

@@ -84,6 +84,17 @@ def test_sample_path_ergodic_occupation():
     assert occ[0] == pytest.approx(2.0 / 3.0, abs=0.01)
 
 
+def test_occupation_fractions_cover_unvisited_modes():
+    # mode 2 can never be entered from mode 0: its fraction is 0, not missing
+    gen = validate_generator([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]])
+    path = sample_path(gen, 0, 1.0, 50.0, seed=3)
+    assert path.n_jumps > 0 and 2 not in path.modes
+    occ = occupation_fractions(path)
+    assert occ.shape == (3,)
+    assert occ[2] == 0.0
+    assert occ.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_mode_at_cadlag_conventions():
     gen = validate_generator([[-1.0, 1.0], [2.0, -2.0]])
     path = sample_path(gen, 0, 1.0, 50.0, seed=3)

@@ -140,8 +140,9 @@ def test_model_drift_bit_equal_to_tree_walk(switching_scenario):
     p = switching_scenario.build_problem()
     net = switching_scenario.build_network()
     pi = chain.stationary(switching_scenario.build_generator())
-    L_pi = averaging.average_laplacian(net, pi).L_pi
+    avg = averaging.average_laplacian(net, pi)
     model = dynamics._Model(p, net, np.array([1.0, 0.5]))
+    avg_model = averaging._AveragedModel(p, avg, np.array([1.0, 0.5]))
     rng = np.random.default_rng(11)
     for trial in range(60):
         x = rng.normal(0.0, 2.0, (p.n_agents, p.n))
@@ -150,7 +151,7 @@ def test_model_drift_bit_equal_to_tree_walk(switching_scenario):
         nu = rng.normal(0.0, 3.0, p.s)
         mode = trial % net.n_modes
         cases = [(model.drift(x, theta, lam, nu, mode), laplacian(net.graphs[mode])),
-                 (model.drift(x, theta, lam, nu, mode, L_override=L_pi), L_pi)]
+                 (avg_model.drift(x, theta, lam, nu, 0), avg.L_pi)]
         for got, L in cases:
             want = tree_drift(model, x, theta, lam, nu, L)
             for a, b in zip(got, want):

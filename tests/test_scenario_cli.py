@@ -238,6 +238,32 @@ def test_compare_smoke(switching_scenario_path, tmp_path, capsys):
     assert report["scenario_hash"]
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--alpha", "0.1", "--alpha", "0.5"], "alphas must be strictly decreasing"),
+    (["--alpha", "0.5", "--alpha", "0.5"], "alphas must be strictly decreasing"),
+    (["--ensemble", "1"], "ensemble must hold at least 2 members"),
+    (["--alpha", "0.5", "--alpha", "-0.1", "--ensemble", "2"], "alpha must be positive"),
+], ids=["increasing", "repeated", "ensemble-1", "negative-alpha"])
+def test_compare_bad_design_exits_1(extra, message, switching_scenario_path, tmp_path, capsys):
+    rc = main(["compare", str(switching_scenario_path), "--horizon", "0.01",
+               "--out-dir", str(tmp_path), *extra])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_averaged_warns_on_horizon_off_the_step_grid(switching_scenario_path,
+                                                              tmp_path):
+    args = ["simulate", str(switching_scenario_path), "--mode", "averaged",
+            "--horizon", "0.0105", "--out-dir", str(tmp_path)]
+    with pytest.warns(RuntimeWarning, match="not a multiple of h"):
+        assert main(args) == 0
+    meta = json.loads((tmp_path / "five_agent_switching.averaged.meta.json").read_text())
+    assert any("not a multiple of h" in w for w in meta["warnings"])
+    assert meta["final"]["t"] == pytest.approx(0.01)
+    assert main(args + ["--strict"]) == 1
+
+
 def test_simulate_final_block_is_the_final_state(tmp_scenario_file, tmp_path):
     # horizon 0.15 with stride 100 samples t=0 and t=0.1 only; the final block
     # must still describe t=0.15, exactly as a stride-1 run of the same path
