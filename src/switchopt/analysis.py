@@ -68,6 +68,55 @@ class LyapunovReport:
     opt_error: float
 
 
+def _energy(x, pair, lam, nu, eq: Equilibrium, eta, omega: frozenset) -> dict:
+    """Energy split and errors for K samples at once.
+
+    ``x`` and ``pair`` are (K, N, n), ``lam`` (K, r) and ``nu`` (K, s).
+    Every reduction runs in the order of the one-sample formulas, so each
+    row is bit-identical to evaluating that sample alone: contiguous row
+    sums, a sequential sum over agents for the mean, a BLAS dot for the
+    consensus norm, and ``math.log`` with sequential accumulation for V3.
+    """
+    K, N, n = x.shape
+    r = lam.shape[1]
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim == 0:
+        eta = np.full(r, float(eta))
+
+    dx = x - eq.x
+    dpair = pair - eq.pair
+    V1 = (0.5 * (dx * dx).reshape(K, N * n).sum(axis=1)
+          + 0.5 * (dpair * dpair).reshape(K, N * n).sum(axis=1))
+    dlam = lam - eq.lam
+    V2 = 0.5 * (eta * dlam * dlam).sum(axis=1)
+
+    lam_star = eq.lam.tolist()
+    V3 = np.empty(K)
+    for k, row in enumerate(lam.tolist()):
+        v3 = 0.0
+        for j, (lam_j, star) in enumerate(zip(row, lam_star)):
+            if j in omega:
+                if lam_j <= 0.0:
+                    raise ValueError(
+                        f"multiplier {j} must be positive to evaluate the "
+                        f"divergence term, got {lam_j}"
+                    )
+                v3 += (lam_j - star) - star * (math.log(lam_j) - math.log(star))
+            else:
+                v3 += (lam_j - star) ** 2
+        V3[k] = v3
+    dnu = nu - eq.nu
+    V4 = 0.5 * (dnu * dnu).sum(axis=1)
+
+    dev = (x - x.mean(axis=1)[:, None, :]).reshape(K, N * n)
+    consensus = np.sqrt(np.matmul(dev[:, None, :], dev[:, :, None]).reshape(K))
+    opt = np.sqrt((dx * dx).sum(axis=2)).max(axis=1)
+    return {
+        "V": V1 + V2 + V3 + V4, "V1": V1, "V2": V2, "V3": V3, "V4": V4,
+        "consensus_error": consensus, "opt_error": opt,
+    }
+
+
 def lyapunov(
     state: SystemState, eq: Equilibrium, eta, omega: frozenset
 ) -> LyapunovReport:
@@ -77,44 +126,13 @@ def lyapunov(
     potential (positive equilibrium multiplier); the rest contribute plain
     squared deviations.  Multipliers in omega must be positive here.
     """
-    r = state.lam.shape[0]
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim == 0:
-        eta = np.full(r, float(eta))
-
-    dx = state.x - eq.x
-    dpair = state.pair - eq.pair
-    V1 = 0.5 * float(np.sum(dx * dx)) + 0.5 * float(np.sum(dpair * dpair))
-    dlam = state.lam - eq.lam
-    V2 = 0.5 * float(np.sum(eta * dlam * dlam))
-
-    V3 = 0.0
-    bregman = {}
-    for k in range(r):
-        lam_k = float(state.lam[k])
-        lam_star = float(eq.lam[k])
-        if k in omega:
-            if lam_k <= 0.0:
-                raise ValueError(
-                    f"multiplier {k} must be positive to evaluate the "
-                    f"divergence term, got {lam_k}"
-                )
-            V3 += (lam_k - lam_star) - lam_star * (
-                math.log(lam_k) - math.log(lam_star)
-            )
-            bregman[k] = bregman_divergence(lam_k, lam_star)
-        else:
-            V3 += (lam_k - lam_star) ** 2
-    dnu = state.nu - eq.nu
-    V4 = 0.5 * float(np.sum(dnu * dnu))
-
-    mean = state.x.mean(axis=0)
-    consensus = float(np.linalg.norm(state.x - mean[None, :]))
-    opt = float(np.linalg.norm(state.x - eq.x, axis=1).max())
-    return LyapunovReport(
-        V1=V1, V2=V2, V3=V3, V4=V4, V=V1 + V2 + V3 + V4,
-        bregman_terms=bregman, consensus_error=consensus, opt_error=opt,
-    )
+    e = _energy(state.x[None], state.pair[None], state.lam[None], state.nu[None],
+                eq, eta, omega)
+    bregman = {
+        k: bregman_divergence(float(state.lam[k]), float(eq.lam[k]))
+        for k in range(state.lam.shape[0]) if k in omega
+    }
+    return LyapunovReport(bregman_terms=bregman, **{k: float(v[0]) for k, v in e.items()})
 
 
 def hbar_fixed(c: float, kappa: float) -> float:
@@ -172,33 +190,10 @@ def convergence_metrics(
     """Per-sample series: energy split, consensus error, distance to the
     optimum, and the cost gap of the agent mean."""
     p_star = total_cost(problem, tuple(eq.x[0]))
-    K = len(trajectory.times)
-    out = {
-        "t": np.array(trajectory.times),
-        "V": np.empty(K),
-        "V1": np.empty(K),
-        "V2": np.empty(K),
-        "V3": np.empty(K),
-        "V4": np.empty(K),
-        "consensus_error": np.empty(K),
-        "opt_error": np.empty(K),
-        "cost_gap": np.empty(K),
-    }
-    for k in range(K):
-        state = SystemState(
-            trajectory.x[k], trajectory.theta[k],
-            trajectory.lam[k], trajectory.nu[k], t=trajectory.times[k],
-        )
-        rep = lyapunov(state, eq, eta, omega)
-        out["V"][k] = rep.V
-        out["V1"][k] = rep.V1
-        out["V2"][k] = rep.V2
-        out["V3"][k] = rep.V3
-        out["V4"][k] = rep.V4
-        out["consensus_error"][k] = rep.consensus_error
-        out["opt_error"][k] = rep.opt_error
-        out["cost_gap"][k] = total_cost(problem, trajectory.x[k].mean(axis=0)) - p_star
-    return out
+    energy = _energy(trajectory.x, trajectory.x + trajectory.theta,
+                     trajectory.lam, trajectory.nu, eq, eta, omega)
+    cost_gap = [total_cost(problem, m) - p_star for m in trajectory.x.mean(axis=1)]
+    return {"t": np.array(trajectory.times), **energy, "cost_gap": np.array(cost_gap)}
 
 
 def saddle_point_samples(
@@ -266,12 +261,9 @@ def generator_bound_series(
     rhs = np.zeros((len(trajectories), K))
     x_star = eq.x[0]
     for m, traj in enumerate(trajectories):
+        V[m] = _energy(traj.x, traj.x + traj.theta, traj.lam, traj.nu,
+                       eq, eta, omega)["V"]
         for k in range(K):
-            state = SystemState(
-                traj.x[k], traj.theta[k], traj.lam[k], traj.nu[k],
-                t=traj.times[k],
-            )
-            V[m, k] = lyapunov(state, eq, eta, omega).V
             left_state = SystemState(eq.x, traj.theta[k], traj.lam[k], traj.nu[k])
             right_state = SystemState(traj.x[k], eq.theta, eq.lam, eq.nu)
             gap = lagrangian_phi(

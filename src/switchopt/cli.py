@@ -30,10 +30,6 @@ EXIT_ERROR = 1
 EXIT_WARN = 2
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def _stationary_or_none(scn: Scenario):
     if scn.mode == "fixed" or "chain" not in scn.raw:
         return None, None
@@ -169,16 +165,10 @@ def _trajectory_csv(scn: Scenario, mode: str, traj: dynamics.Trajectory, n: int)
         f"theta{k + 1}" for k in range(n)
     ]
     lines.append(",".join(cols))
-    n_agents = traj.x.shape[1]
-    for k, t in enumerate(traj.times):
-        for i in range(n_agents):
-            row = [
-                _fmt(t),
-                str(i + 1),
-                *(_fmt(v) for v in traj.x[k, i]),
-                *(_fmt(v) for v in traj.theta[k, i]),
-            ]
-            lines.append(",".join(row))
+    for t, x, theta in zip(traj.times.tolist(), traj.x.tolist(), traj.theta.tolist()):
+        ts = repr(t)
+        for i, (xr, thr) in enumerate(zip(x, theta)):
+            lines.append(",".join([ts, str(i + 1), *map(repr, xr), *map(repr, thr)]))
     return "\n".join(lines) + "\n"
 
 
@@ -186,9 +176,8 @@ def _multipliers_csv(scn: Scenario, mode: str, traj: dynamics.Trajectory,
                      lam_names, nu_names) -> str:
     lines = [_meta_header(scn, mode).rstrip("\n")]
     lines.append(",".join(["t", *lam_names, *nu_names]))
-    for k, t in enumerate(traj.times):
-        row = [_fmt(t), *(_fmt(v) for v in traj.lam[k]), *(_fmt(v) for v in traj.nu[k])]
-        lines.append(",".join(row))
+    for t, lam, nu in zip(traj.times.tolist(), traj.lam.tolist(), traj.nu.tolist()):
+        lines.append(",".join([repr(t), *map(repr, lam), *map(repr, nu)]))
     return "\n".join(lines) + "\n"
 
 
@@ -196,9 +185,8 @@ def _metrics_csv(scn: Scenario, mode: str, metrics: dict) -> str:
     lines = [_meta_header(scn, mode).rstrip("\n")]
     keys = ["t", "V", "V1", "V2", "V3", "V4", "consensus_error", "opt_error", "cost_gap"]
     lines.append(",".join(keys))
-    K = len(metrics["t"])
-    for k in range(K):
-        lines.append(",".join(_fmt(metrics[key][k]) for key in keys))
+    for row in zip(*(metrics[key].tolist() for key in keys)):
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -278,6 +266,7 @@ def cmd_simulate(args) -> int:
         },
     }
 
+    written = ["trajectory.csv", "multipliers.csv", "meta.json"]
     cand = scn.candidate()
     if cand is not None and check_licq(problem, cand):
         cert = derive_multipliers(problem, cand)
@@ -286,6 +275,7 @@ def cmd_simulate(args) -> int:
         eta = cfg.eta_vector(problem.r)
         metrics = analysis.convergence_metrics(traj, eq, problem, eta, omega)
         _write_text(out_dir / f"{base}.metrics.csv", _metrics_csv(scn, mode, metrics))
+        written.append("metrics.csv")
         if traj.times[-1] != final.t:
             # the horizon is not a multiple of the output stride: the last
             # sample is not the final state, so evaluate the final state alone
@@ -302,8 +292,7 @@ def cmd_simulate(args) -> int:
 
     _write_text(out_dir / f"{base}.meta.json",
                 json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out_dir}/{base}.trajectory.csv, .multipliers.csv, .meta.json"
-          + (", .metrics.csv" if cand is not None else ""))
+    print(f"wrote {out_dir}/{base}." + ", .".join(written))
     if traj.warnings:
         for w in traj.warnings:
             print(f"warning: {w}")

@@ -136,10 +136,10 @@ class IntegratorConfig:
     strict: bool = False
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("step size must be positive")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not (self.h > 0.0 and math.isfinite(self.h)):
+            raise ValueError(f"step size must be positive and finite, got {self.h}")
+        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.lambda_floor < 0.0:
             raise ValueError("lambda_floor must be nonnegative")
         if self.output_stride < 1:

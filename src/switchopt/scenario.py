@@ -76,6 +76,17 @@ def _require(cond, msg):
         raise ScenarioError(msg)
 
 
+def _section(name, build, *args):
+    """Run one builder; a mistyped field surfaces as a TypeError or
+    ValueError from numpy or a constructor, reported under its section."""
+    try:
+        return build(*args)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name}: {exc}") from exc
+
+
 @dataclass
 class Scenario:
     name: str
@@ -94,31 +105,31 @@ class Scenario:
             _require(key in data, f"missing scenario field {key!r}")
         scn = cls(name=str(data["name"]), mode=str(data["mode"]), raw=data)
         # build everything once so malformed input fails at load time
-        problem = scn.build_problem()
-        network = scn.build_network()
+        problem = _section("problem", scn.build_problem)
+        network = _section("network", scn.build_network)
         _require(
             network.n_nodes == problem.n_agents,
             f"network nodes ({network.n_nodes}) != agents ({problem.n_agents})",
         )
         if scn.mode in ("switching", "averaged"):
             _require("chain" in data, f"{scn.mode} mode requires a chain section")
-            gen = scn.build_generator()
+            gen = _section("chain", scn.build_generator)
+            _section("chain", scn.alpha)
+            _section("chain", scn.initial_mode)
             _require(
                 gen.n_modes == network.n_modes,
                 f"generator has {gen.n_modes} modes, network {network.n_modes}",
             )
-        scn.build_config()
-        scn.build_init(problem)
-        if scn.candidate() is not None:
-            _require(
-                len(scn.candidate()) == problem.n,
-                "candidate dimension does not match the problem",
-            )
-        if scn.slater_probe() is not None:
-            _require(
-                len(scn.slater_probe()) == problem.n,
-                "slater_probe dimension does not match the problem",
-            )
+        _section("integrator", lambda: scn.build_config().eta_vector(problem.r))
+        _section("integrator", scn.root_seed)
+        _section("init", scn.build_init, problem)
+        for key, point in (("candidate", scn.candidate), ("slater_probe", scn.slater_probe)):
+            value = _section(key, point)
+            if value is not None:
+                _require(
+                    value.shape == (problem.n,),
+                    f"{key} dimension does not match the problem",
+                )
         return scn
 
     # -- builders ----------------------------------------------------------
@@ -135,7 +146,7 @@ class Scenario:
                 f = parse(a["cost"], n)
                 g = tuple(parse(s, n) for s in a.get("inequalities", []))
                 h = tuple(parse(s, n) for s in a.get("equalities", []))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"agent {idx + 1}: {exc}") from exc
             agents.append(AgentSpec(f=f, g=g, h=h))
         return Problem(n=n, agents=tuple(agents))

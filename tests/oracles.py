@@ -3,8 +3,12 @@
 These deliberately avoid the library's own differentiation and integration
 paths: gradients come from central finite differences, the optimizer is a
 plain penalty descent on those finite differences, and the reference ODE
-integrator is classical RK4 with tiny steps.
+integrator is classical RK4 with tiny steps.  The composite energy is
+evaluated one state at a time with plain numpy reductions, the reference the
+batched energy in ``analysis`` must match bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -69,3 +73,46 @@ def rk4(f, y0, t1, n_steps):
         k4 = f(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+def lyapunov_reference(state, eq, eta, omega):
+    """Energy split, consensus error and distance to the optimum of one
+    state, as a dict with the fields of ``analysis.LyapunovReport``."""
+    r = state.lam.shape[0]
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim == 0:
+        eta = np.full(r, float(eta))
+
+    dx = state.x - eq.x
+    dpair = state.pair - eq.pair
+    V1 = 0.5 * float(np.sum(dx * dx)) + 0.5 * float(np.sum(dpair * dpair))
+    dlam = state.lam - eq.lam
+    V2 = 0.5 * float(np.sum(eta * dlam * dlam))
+
+    V3 = 0.0
+    bregman = {}
+    for k in range(r):
+        lam_k = float(state.lam[k])
+        lam_star = float(eq.lam[k])
+        if k in omega:
+            if lam_k <= 0.0:
+                raise ValueError(
+                    f"multiplier {k} must be positive to evaluate the "
+                    f"divergence term, got {lam_k}"
+                )
+            V3 += (lam_k - lam_star) - lam_star * (
+                math.log(lam_k) - math.log(lam_star)
+            )
+            bregman[k] = lam_k * math.log(lam_k / lam_star) - lam_k + lam_star
+        else:
+            V3 += (lam_k - lam_star) ** 2
+    dnu = state.nu - eq.nu
+    V4 = 0.5 * float(np.sum(dnu * dnu))
+
+    mean = state.x.mean(axis=0)
+    consensus = float(np.linalg.norm(state.x - mean[None, :]))
+    opt = float(np.linalg.norm(state.x - eq.x, axis=1).max())
+    return dict(
+        V1=V1, V2=V2, V3=V3, V4=V4, V=V1 + V2 + V3 + V4,
+        bregman_terms=bregman, consensus_error=consensus, opt_error=opt,
+    )

@@ -1,8 +1,10 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from switchopt.analysis import (
@@ -17,9 +19,12 @@ from switchopt.analysis import (
     saddle_point_samples,
 )
 from switchopt.chain import StationaryDist
-from switchopt.dynamics import IntegratorConfig, SystemState, simulate
+from switchopt.dynamics import Equilibrium, IntegratorConfig, SystemState, Trajectory, simulate
+from switchopt.expr import parse
 from switchopt.graph import Network, laplacian
+from switchopt.problem import AgentSpec, Problem, total_cost
 from conftest import X_INIT, X_STAR, complete_graph
+from oracles import lyapunov_reference
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +206,111 @@ def test_generator_bound_series_reports(five_agent, equilibrium, omega, k5_netwo
     assert out["n_members"] == 4
     assert len(out["dissipation_estimate"]) == len(out["t"]) - 1
     assert np.all(np.isfinite(out["bound_mean"]))
+
+
+@st.composite
+def _energy_cases(draw):
+    """Random shapes, omega subsets and values for the batched energy: an
+    equilibrium, two trajectories over it and a problem of matching size."""
+    N, n = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    r, s, K = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 12))
+    omega = frozenset(draw(st.sets(st.integers(0, r - 1)))) if r else frozenset()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    eta = rng.uniform(0.1, 3.0, r) if draw(st.booleans()) else 0.5
+
+    def multipliers(shape):
+        lam = scale * rng.normal(size=shape)
+        cols = sorted(omega)
+        lam[..., cols] = np.exp(rng.normal(size=lam[..., cols].shape))
+        return lam
+
+    eq = Equilibrium(
+        x=np.tile(scale * rng.normal(size=n), (N, 1)),
+        theta=scale * rng.normal(size=(N, n)),
+        lam=multipliers(r), nu=scale * rng.normal(size=s),
+    )
+    trajs = [
+        Trajectory(
+            times=0.1 * np.arange(K), x=scale * rng.normal(size=(K, N, n)),
+            theta=scale * rng.normal(size=(K, N, n)), lam=multipliers((K, r)),
+            nu=scale * rng.normal(size=(K, s)), clamp_count=0,
+        )
+        for _ in range(2)
+    ]
+    agents = [
+        AgentSpec(
+            f=parse(f"{i + 1}*x1^2 + x{n}", n),
+            g=tuple(parse(f"x1 - {j}", n) for j in range(r) if j % N == i),
+            h=tuple(parse(f"x{n} + {j}", n) for j in range(s) if j % N == i),
+        )
+        for i in range(N)
+    ]
+    return eq, trajs, Problem(n=n, agents=tuple(agents)), eta, omega
+
+
+def _states(traj):
+    return [SystemState(traj.x[k], traj.theta[k], traj.lam[k], traj.nu[k])
+            for k in range(len(traj.times))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_energy_cases())
+def test_batched_energy_bit_identical_to_per_state_oracle(case):
+    eq, trajs, problem, eta, omega = case
+    refs = [[lyapunov_reference(st_, eq, eta, omega) for st_ in _states(t)] for t in trajs]
+    m = convergence_metrics(trajs[0], eq, problem, eta, omega)
+    for key in ("V", "V1", "V2", "V3", "V4", "consensus_error", "opt_error"):
+        assert np.array_equal(m[key], [ref[key] for ref in refs[0]]), key
+    p_star = total_cost(problem, tuple(eq.x[0]))
+    assert np.array_equal(m["cost_gap"], [
+        total_cost(problem, x.mean(axis=0)) - p_star for x in trajs[0].x
+    ])
+    for st_, ref in zip(_states(trajs[0]), refs[0]):
+        assert dataclasses.asdict(lyapunov(st_, eq, eta, omega)) == ref
+    out = generator_bound_series(trajs, eq, problem, eta, omega, 0.25,
+                                 np.eye(problem.n_agents), 1.0)
+    mean_V = np.array([[ref["V"] for ref in member] for member in refs]).mean(axis=0)
+    assert np.array_equal(out["mean_V"], mean_V)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_energy_cases(), st.data())
+def test_batched_energy_rejects_nonpositive_multiplier_in_omega(case, data):
+    eq, trajs, problem, eta, omega = case
+    assume(omega)
+    traj = trajs[0]
+    k = data.draw(st.integers(0, len(traj.times) - 1))
+    j = data.draw(st.sampled_from(sorted(omega)))
+    traj.lam[k, j] = data.draw(st.sampled_from([0.0, -0.5]))
+    with pytest.raises(ValueError) as expected:
+        for st_ in _states(traj):
+            lyapunov_reference(st_, eq, eta, omega)
+    message = re.escape(str(expected.value))
+    assert str(expected.value).startswith(f"multiplier {j} must be positive")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        convergence_metrics(traj, eq, problem, eta, omega)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lyapunov(_states(traj)[k], eq, eta, omega)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generator_bound_series(trajs, eq, problem, eta, omega, 0.25,
+                               np.eye(problem.n_agents), 1.0)
+
+
+def test_batched_energy_bit_identical_on_a_long_trajectory(five_agent, equilibrium):
+    # 20000 divergence terms: enough to expose a vectorized log that differs
+    # from math.log in the last bit (about 0.07% of V3 terms), which the
+    # small random cases rarely reach
+    eq = dataclasses.replace(equilibrium, lam=np.array([1.7, 0.3]))
+    rng = np.random.default_rng(11)
+    K = 10000
+    traj = Trajectory(
+        times=1e-3 * np.arange(K), x=rng.normal(size=(K, 5, 2)),
+        theta=rng.normal(size=(K, 5, 2)), lam=np.exp(rng.normal(size=(K, 2))),
+        nu=rng.normal(size=(K, 1)), clamp_count=0,
+    )
+    omega = frozenset({0, 1})
+    m = convergence_metrics(traj, eq, five_agent, 1.0, omega)
+    refs = [lyapunov_reference(st_, eq, 1.0, omega) for st_ in _states(traj)]
+    for key in ("V", "V1", "V2", "V3", "V4", "consensus_error", "opt_error"):
+        assert np.array_equal(m[key], [ref[key] for ref in refs]), key

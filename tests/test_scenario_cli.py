@@ -317,3 +317,66 @@ def test_compare_domain_error_exits_1(tmp_path, switching_scenario, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: expression left its domain at t=")
     assert "agent 3 cost 'ln(x1 - 0.9)'" in err
+
+
+def test_simulate_reports_only_the_files_it_wrote(tmp_scenario_file, tmp_path, capsys):
+    # agent 1's inequality listed twice: both copies are active at the
+    # candidate [1, 2], so LICQ fails there and no metrics file is written
+    def mutate(d):
+        agent = d["problem"]["agents"][0]
+        agent["inequalities"] = agent["inequalities"] * 2
+        d["integrator"]["horizon"] = 0.01
+
+    out = tmp_path / "out"
+    assert main(["simulate", str(tmp_scenario_file(mutate)), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "five_agent_fixed.fixed.meta.json",
+        "five_agent_fixed.fixed.multipliers.csv",
+        "five_agent_fixed.fixed.trajectory.csv",
+    ]
+    assert capsys.readouterr().out == (
+        f"wrote {out}/five_agent_fixed.fixed.trajectory.csv, .multipliers.csv, .meta.json\n"
+    )
+
+
+def _set(path, value):
+    def mutate(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("network", "graphs"), 5, "network: "),
+    (("network", "sigma"), "a", "network: "),
+    (("integrator", "step"), "nan", "integrator: step size must be positive and finite"),
+    (("integrator", "output_stride"), 0, "integrator: output stride must be at least 1"),
+    (("init", "x"), [[-2, 4], [-3], [1, -2], [4, 2], [-3, -4]], "init: "),
+    (("integrator", "horizon"), -1, "integrator: horizon must be positive and finite"),
+    (("integrator", "eta"), "x", "integrator: "),
+    (("problem", "agents", 0, "cost"), 5, "agent 1: "),
+    (("integrator", "seed"), "x", "integrator: "),
+    (("candidate",), "abc", "candidate: "),
+], ids=["graphs-int", "sigma-str", "step-nan", "stride-0", "ragged-x", "horizon-neg",
+        "eta-str", "cost-int", "seed-str", "candidate-str"])
+def test_simulate_mistyped_scenario_exits_1(path, value, message, tmp_scenario_file,
+                                            tmp_path, capsys):
+    scenario = tmp_scenario_file(_set(path, value))
+    assert main(["simulate", str(scenario), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("chain", "alpha"), "x"),
+    (("chain", "initial_mode"), "x"),
+], ids=["alpha-str", "initial-mode-str"])
+def test_simulate_mistyped_chain_exits_1(path, value, switching_scenario, tmp_path, capsys):
+    data = json.loads(json.dumps(switching_scenario.raw))
+    _set(path, value)(data)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    assert main(["simulate", str(scenario), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: chain: ")
