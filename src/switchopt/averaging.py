@@ -18,7 +18,7 @@ on small per-agent blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "FactorizationError",
     "average_laplacian",
     "averaged_diffusion_factor",
-    "check_design",
     "simulate_averaged",
     "weak_convergence_experiment",
 ]
@@ -170,17 +169,6 @@ def _observables(problem: Problem, x: np.ndarray) -> np.ndarray:
     return np.concatenate([x.ravel(), [total_cost(problem, mean)]])
 
 
-def check_design(alphas, ensemble: int) -> list[float]:
-    """The time-scale ratios as floats; ValueError unless they are strictly
-    decreasing and the ensemble holds at least 2 members."""
-    alphas = [float(a) for a in alphas]
-    if any(a <= b for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be strictly decreasing")
-    if ensemble < 2:
-        raise ValueError("ensemble must hold at least 2 members")
-    return alphas
-
-
 def weak_convergence_experiment(
     problem: Problem,
     network: Network,
@@ -203,10 +191,26 @@ def weak_convergence_experiment(
     difference direction; the monotonicity verdicts allow 2 combined sems of
     slack.  Statistical definitions, not assertions: the report carries the
     verdicts.
+
+    Only ``h``, ``eta`` and ``lambda_floor`` are read from ``cfg``.  The
+    design and the horizon are checked before any trajectory runs:
+    ValueError unless the alphas are positive and strictly decreasing, the
+    ensemble holds at least 2 members and ``T`` is positive and finite.
     """
-    alphas = check_design(alphas, ensemble)
+    alphas = [float(a) for a in alphas]
+    if any(a <= b for a, b in zip(alphas, alphas[1:])):
+        raise ValueError("alphas must be strictly decreasing")
+    if not all(a > 0.0 for a in alphas):
+        raise ValueError("alpha must be positive")
+    if ensemble < 2:
+        raise ValueError("ensemble must hold at least 2 members")
     if cfg is None:
         cfg = IntegratorConfig(h=1e-3, horizon=T, eta=1.0, lambda_floor=0.0)
+    member_cfg = IntegratorConfig(
+        h=cfg.h, horizon=T, eta=cfg.eta, lambda_floor=cfg.lambda_floor
+    )
+    # set once the constructor has checked T: round() fails on nan and inf
+    member_cfg.output_stride = max(1, int(round(T / cfg.h)))
 
     pi = stationary(gen)
     avg = average_laplacian(network, pi)
@@ -215,10 +219,7 @@ def weak_convergence_experiment(
     avg_obs = np.empty((ensemble, problem.n_agents * problem.n + 1))
     for m in range(ensemble):
         _, noise_ss = trajectory_seeds(seed, m)
-        run_cfg = IntegratorConfig(
-            h=cfg.h, horizon=T, eta=cfg.eta, lambda_floor=cfg.lambda_floor,
-            seed=noise_ss, output_stride=max(1, int(round(T / cfg.h))),
-        )
+        run_cfg = replace(member_cfg, seed=noise_ss)
         traj = simulate_averaged(problem, avg, run_cfg, init.copy())
         clamp_total += traj.clamp_count
         avg_obs[m] = _observables(problem, traj.x[-1])
@@ -231,10 +232,7 @@ def weak_convergence_experiment(
         for m in range(ensemble):
             chain_ss, noise_ss = trajectory_seeds(seed + 1 + a_idx, m)
             path = sample_path(gen, 0, alpha, T + cfg.h, chain_ss)
-            run_cfg = IntegratorConfig(
-                h=cfg.h, horizon=T, eta=cfg.eta, lambda_floor=cfg.lambda_floor,
-                seed=noise_ss, output_stride=max(1, int(round(T / cfg.h))),
-            )
+            run_cfg = replace(member_cfg, seed=noise_ss)
             traj = simulate(problem, network, path, run_cfg, init.copy(), pi=pi)
             clamp_total += traj.clamp_count
             sw_obs[m] = _observables(problem, traj.x[-1])

@@ -155,9 +155,10 @@ def sample_path(gen: Generator, s0: int, alpha: float, horizon: float, seed) -> 
     Generator).  A mode with zero exit rate yields a single-segment path
     flagged as absorbed.
     """
-    if alpha <= 0.0:
+    # "not > 0" also rejects nan, which would never reach the horizon
+    if not alpha > 0.0:
         raise ChainError("alpha must be positive")
-    if horizon <= 0.0:
+    if not horizon > 0.0:
         raise ChainError("horizon must be positive")
     Q = gen.Q
     S = Q.shape[0]

@@ -23,27 +23,16 @@ import numpy as np
 
 from . import analysis, averaging, chain, dynamics
 from .problem import check_licq, check_slater, convexity_lint, derive_multipliers, total_cost
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import load_scenario
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_WARN = 2
 
 
-def _stationary_or_none(scn: Scenario):
-    if scn.mode == "fixed" or "chain" not in scn.raw:
-        return None, None
-    gen = scn.build_generator()
-    return gen, chain.stationary(gen)
-
-
 def _write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-
-
-def _meta_header(scn: Scenario, mode: str) -> str:
-    return f"# scenario_hash={scn.hash} root_seed={scn.root_seed()} mode={mode}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -52,17 +41,10 @@ def _meta_header(scn: Scenario, mode: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-        problem = scn.build_problem()
-        network = scn.build_network()
-        gen, pi = _stationary_or_none(scn)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except chain.ChainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    scn = load_scenario(args.scenario)
+    problem = scn.build_problem()
+    network = scn.build_network()
+    pi = None if scn.mode == "fixed" else chain.stationary(scn.build_generator())
 
     warnings = []
     report = dynamics.check_assumptions(problem, network, pi)
@@ -115,22 +97,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_kkt(args) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-        problem = scn.build_problem()
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    scn = load_scenario(args.scenario)
+    problem = scn.build_problem()
     if args.x is not None:
         cand = np.array([float(v) for v in args.x.split(",")])
     else:
         cand = scn.candidate()
     if cand is None:
-        print("error: no candidate point (scenario has none; pass --x)", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("no candidate point (scenario has none; pass --x)")
     if not check_licq(problem, cand):
-        print("error: LICQ fails at the candidate", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("LICQ fails at the candidate")
     cert = derive_multipliers(problem, cand)
     cost = total_cost(problem, cand)
     print(f"candidate x*: {[float(v) for v in cand]}")
@@ -159,8 +135,8 @@ def cmd_kkt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _trajectory_csv(scn: Scenario, mode: str, traj: dynamics.Trajectory, n: int) -> str:
-    lines = [_meta_header(scn, mode).rstrip("\n")]
+def _trajectory_csv(header: str, traj: dynamics.Trajectory, n: int) -> str:
+    lines = [header]
     cols = ["t", "agent"] + [f"x{k + 1}" for k in range(n)] + [
         f"theta{k + 1}" for k in range(n)
     ]
@@ -172,17 +148,16 @@ def _trajectory_csv(scn: Scenario, mode: str, traj: dynamics.Trajectory, n: int)
     return "\n".join(lines) + "\n"
 
 
-def _multipliers_csv(scn: Scenario, mode: str, traj: dynamics.Trajectory,
-                     lam_names, nu_names) -> str:
-    lines = [_meta_header(scn, mode).rstrip("\n")]
+def _multipliers_csv(header: str, traj: dynamics.Trajectory, lam_names, nu_names) -> str:
+    lines = [header]
     lines.append(",".join(["t", *lam_names, *nu_names]))
     for t, lam, nu in zip(traj.times.tolist(), traj.lam.tolist(), traj.nu.tolist()):
         lines.append(",".join([repr(t), *map(repr, lam), *map(repr, nu)]))
     return "\n".join(lines) + "\n"
 
 
-def _metrics_csv(scn: Scenario, mode: str, metrics: dict) -> str:
-    lines = [_meta_header(scn, mode).rstrip("\n")]
+def _metrics_csv(header: str, metrics: dict) -> str:
+    lines = [header]
     keys = ["t", "V", "V1", "V2", "V3", "V4", "consensus_error", "opt_error", "cost_gap"]
     lines.append(",".join(keys))
     for row in zip(*(metrics[key].tolist() for key in keys)):
@@ -197,60 +172,46 @@ def _multiplier_names(problem):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-        problem = scn.build_problem()
-        network = scn.build_network()
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    scn = load_scenario(args.scenario)
+    problem = scn.build_problem()
+    network = scn.build_network()
     mode = args.mode or scn.mode
+    root_seed = scn.root_seed() if args.seed is None else args.seed
+    chain_ss, noise_ss = chain.trajectory_seeds(root_seed, 0)
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.horizon is not None:
         overrides["horizon"] = args.horizon
     if args.strict:
         overrides["strict"] = True
-    cfg = scn.build_config(**overrides)
+    cfg = scn.build_config(seed=noise_ss, **overrides)
     init = scn.build_init(problem)
-    root_seed = int(overrides.get("seed", scn.root_seed()))
+    gen = None if mode == "fixed" else scn.build_generator()
+    pi = None if gen is None else chain.stationary(gen)
 
-    pi = None
-    try:
-        if mode == "fixed":
-            noise_ss = chain.trajectory_seeds(root_seed, 0)[1]
-            cfg.seed = noise_ss
-            traj = dynamics.simulate(problem, network, None, cfg, init)
-        elif mode == "switching":
-            gen = scn.build_generator()
-            pi = chain.stationary(gen)
-            chain_ss, noise_ss = chain.trajectory_seeds(root_seed, 0)
-            path = chain.sample_path(
-                gen, scn.initial_mode(), scn.alpha(), cfg.horizon + cfg.h, chain_ss
-            )
-            cfg.seed = noise_ss
-            traj = dynamics.simulate(problem, network, path, cfg, init, pi=pi)
-        elif mode == "averaged":
-            gen = scn.build_generator()
-            pi = chain.stationary(gen)
-            avg = averaging.average_laplacian(network, pi)
-            cfg.seed = chain.trajectory_seeds(root_seed, 0)[1]
-            traj = averaging.simulate_averaged(problem, avg, cfg, init)
-        else:
-            print(f"error: unknown mode {mode!r}", file=sys.stderr)
-            return EXIT_ERROR
-    except (dynamics.IntegrationError, chain.ChainError, ScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    # certify the candidate before integrating, so a wrong one writes nothing
+    cand = scn.candidate()
+    cert = None
+    if cand is not None and check_licq(problem, cand):
+        cert = derive_multipliers(problem, cand)
+        eq = dynamics.build_equilibrium(problem, cert)
+
+    if mode == "averaged":
+        avg = averaging.average_laplacian(network, pi)
+        traj = averaging.simulate_averaged(problem, avg, cfg, init)
+    else:
+        path = None if gen is None else chain.sample_path(
+            gen, scn.initial_mode(), scn.alpha(), cfg.horizon + cfg.h, chain_ss
+        )
+        traj = dynamics.simulate(problem, network, path, cfg, init, pi=pi)
 
     out_dir = Path(args.out_dir)
     base = f"{scn.name}.{mode}"
+    header = f"# scenario_hash={scn.hash} root_seed={root_seed} mode={mode}"
     lam_names, nu_names = _multiplier_names(problem)
     _write_text(out_dir / f"{base}.trajectory.csv",
-                _trajectory_csv(scn, mode, traj, problem.n))
+                _trajectory_csv(header, traj, problem.n))
     _write_text(out_dir / f"{base}.multipliers.csv",
-                _multipliers_csv(scn, mode, traj, lam_names, nu_names))
+                _multipliers_csv(header, traj, lam_names, nu_names))
 
     final = traj.final_state
     meta = {
@@ -267,14 +228,11 @@ def cmd_simulate(args) -> int:
     }
 
     written = ["trajectory.csv", "multipliers.csv", "meta.json"]
-    cand = scn.candidate()
-    if cand is not None and check_licq(problem, cand):
-        cert = derive_multipliers(problem, cand)
-        eq = dynamics.build_equilibrium(problem, cert)
+    if cert is not None:
         omega = analysis.omega_from_certificate(cert)
         eta = cfg.eta_vector(problem.r)
         metrics = analysis.convergence_metrics(traj, eq, problem, eta, omega)
-        _write_text(out_dir / f"{base}.metrics.csv", _metrics_csv(scn, mode, metrics))
+        _write_text(out_dir / f"{base}.metrics.csv", _metrics_csv(header, metrics))
         written.append("metrics.csv")
         if traj.times[-1] != final.t:
             # the horizon is not a multiple of the output stride: the last
@@ -305,34 +263,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-        problem = scn.build_problem()
-        network = scn.build_network()
-        gen = scn.build_generator()
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        alphas = averaging.check_design(args.alpha or [0.5, 0.1, 0.02], args.ensemble)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    scn = load_scenario(args.scenario)
+    problem = scn.build_problem()
     cfg = scn.build_config()
-    horizon = args.horizon if args.horizon is not None else cfg.horizon
-    init = scn.build_init(problem)
-    seed = args.seed if args.seed is not None else scn.root_seed()
-
-    try:
-        report = averaging.weak_convergence_experiment(
-            problem, network, gen, alphas, args.ensemble, horizon, seed, init,
-            cfg=dynamics.IntegratorConfig(
-                h=cfg.h, horizon=horizon, eta=cfg.eta, lambda_floor=cfg.lambda_floor
-            ),
-        )
-    except (dynamics.IntegrationError, chain.ChainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    horizon = cfg.horizon if args.horizon is None else args.horizon
+    seed = scn.root_seed() if args.seed is None else args.seed
+    report = averaging.weak_convergence_experiment(
+        problem, scn.build_network(), scn.build_generator(), args.alpha or [0.5, 0.1, 0.02],
+        args.ensemble, horizon, seed, scn.build_init(problem), cfg=cfg,
+    )
     report["scenario_hash"] = scn.hash
     report["root_seed"] = seed
     for entry in report["per_alpha"]:
@@ -388,7 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Every check on a scenario or a flag raises ValueError or a subclass
+    # (ScenarioError, ChainError, ExprError), and IntegrationError is a run
+    # that left its domain, went nonfinite or failed the --strict gate.
+    # Anything else is a bug and keeps its traceback.
+    try:
+        return args.func(args)
+    except (ValueError, dynamics.IntegrationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -110,6 +110,16 @@ def test_mode_at_cadlag_conventions():
         mode_at(path, 50.1)
 
 
+@pytest.mark.parametrize("alpha, horizon, message", [
+    (0.0, 1.0, "alpha"), (-1.0, 1.0, "alpha"), (float("nan"), 1.0, "alpha"),
+    (1.0, 0.0, "horizon"), (1.0, float("nan"), "horizon"),
+])
+def test_sample_path_rejects_nonpositive_and_nan(alpha, horizon, message):
+    # a nan alpha or horizon never ends the jump loop, so it must be refused
+    with pytest.raises(ChainError, match=f"{message} must be positive"):
+        sample_path(validate_generator(SIX_MODE_Q), 0, alpha, horizon, seed=0)
+
+
 def test_mode_at_matches_linear_scan():
     gen = validate_generator(SIX_MODE_Q)
     path = sample_path(gen, 2, 1.0, 30.0, seed=11)

@@ -26,15 +26,15 @@ def _fmt(v):
     return repr(float(v))
 
 
-def _header(scn, mode):
-    return f"# scenario_hash={scn.hash} root_seed={scn.root_seed()} mode={mode}"
+def _header(scn, root_seed, mode):
+    return f"# scenario_hash={scn.hash} root_seed={root_seed} mode={mode}"
 
 
-def trajectory_csv_reference(scn, mode, traj, n):
+def trajectory_csv_reference(header, traj, n):
     cols = ["t", "agent"] + [f"x{k + 1}" for k in range(n)] + [
         f"theta{k + 1}" for k in range(n)
     ]
-    lines = [_header(scn, mode), ",".join(cols)]
+    lines = [header, ",".join(cols)]
     for k, t in enumerate(traj.times):
         for i in range(traj.x.shape[1]):
             row = [
@@ -47,16 +47,16 @@ def trajectory_csv_reference(scn, mode, traj, n):
     return "\n".join(lines) + "\n"
 
 
-def multipliers_csv_reference(scn, mode, traj, lam_names, nu_names):
-    lines = [_header(scn, mode), ",".join(["t", *lam_names, *nu_names])]
+def multipliers_csv_reference(header, traj, lam_names, nu_names):
+    lines = [header, ",".join(["t", *lam_names, *nu_names])]
     for k, t in enumerate(traj.times):
         row = [_fmt(t), *(_fmt(v) for v in traj.lam[k]), *(_fmt(v) for v in traj.nu[k])]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
-def metrics_csv_reference(scn, mode, metrics):
-    lines = [_header(scn, mode), ",".join(METRIC_KEYS)]
+def metrics_csv_reference(header, metrics):
+    lines = [header, ",".join(METRIC_KEYS)]
     for k in range(len(metrics["t"])):
         lines.append(",".join(_fmt(metrics[key][k]) for key in METRIC_KEYS))
     return "\n".join(lines) + "\n"
@@ -92,15 +92,14 @@ def test_writers_byte_equal_to_reference_loops(K, N, n, r, s, seed, fixed_scenar
     traj = _awkward_trajectory(K, N, n, r, s, seed)
     lam_names = [f"lambda_{j + 1}" for j in range(r)]
     nu_names = [f"nu_{j + 1}" for j in range(s)]
-    assert _trajectory_csv(fixed_scenario, "fixed", traj, n) == trajectory_csv_reference(
-        fixed_scenario, "fixed", traj, n)
-    assert _multipliers_csv(fixed_scenario, "switching", traj, lam_names, nu_names) == (
-        multipliers_csv_reference(fixed_scenario, "switching", traj, lam_names, nu_names))
+    header = _header(fixed_scenario, fixed_scenario.root_seed(), "fixed")
+    assert _trajectory_csv(header, traj, n) == trajectory_csv_reference(header, traj, n)
+    assert _multipliers_csv(header, traj, lam_names, nu_names) == (
+        multipliers_csv_reference(header, traj, lam_names, nu_names))
     rng = np.random.default_rng(seed)
     metrics = {key: rng.choice(AWKWARD, size=K) for key in METRIC_KEYS}
     metrics["t"] = traj.times
-    assert _metrics_csv(fixed_scenario, "averaged", metrics) == metrics_csv_reference(
-        fixed_scenario, "averaged", metrics)
+    assert _metrics_csv(header, metrics) == metrics_csv_reference(header, metrics)
 
 
 def test_stride_one_fixed_run_matches_the_reference_pipeline(tmp_scenario_file, tmp_path):
@@ -136,10 +135,11 @@ def test_stride_one_fixed_run_matches_the_reference_pipeline(tmp_scenario_file, 
 
     lam_names, nu_names = _multiplier_names(problem)
     base = tmp_path / "five_agent_fixed.fixed"
+    header = _header(scn, 3, "fixed")
     expected = {
-        "trajectory": trajectory_csv_reference(scn, "fixed", traj, problem.n),
-        "multipliers": multipliers_csv_reference(scn, "fixed", traj, lam_names, nu_names),
-        "metrics": metrics_csv_reference(scn, "fixed", metrics),
+        "trajectory": trajectory_csv_reference(header, traj, problem.n),
+        "multipliers": multipliers_csv_reference(header, traj, lam_names, nu_names),
+        "metrics": metrics_csv_reference(header, metrics),
     }
     for name, text in expected.items():
         assert base.with_name(f"{base.name}.{name}.csv").read_text() == text, name

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from switchopt import dynamics
 from switchopt.cli import main
 from switchopt.scenario import Scenario, ScenarioError, load_scenario, scenario_hash
 
@@ -181,6 +182,21 @@ def test_simulate_embeds_hash_and_seed(tmp_scenario_file, tmp_path, fixed_scenar
     assert meta["clamp_count"] == 0
 
 
+def test_simulate_csv_headers_name_the_seed_used(tmp_scenario_file, tmp_path):
+    def mutate(d):
+        d["integrator"]["horizon"] = 0.1
+        d["integrator"]["output_stride"] = 100
+
+    path = tmp_scenario_file(mutate)
+    assert main(["simulate", str(path), "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "five_agent_fixed.fixed.meta.json").read_text())
+    assert meta["root_seed"] == 5
+    for name in ("trajectory", "multipliers", "metrics"):
+        header = (tmp_path / f"five_agent_fixed.fixed.{name}.csv").read_text().splitlines()[0]
+        assert header == (
+            f"# scenario_hash={meta['scenario_hash']} root_seed=5 mode=fixed"), name
+
+
 def test_simulate_full_precision_round_trip(tmp_scenario_file, tmp_path):
     def mutate(d):
         d["integrator"]["horizon"] = 0.05
@@ -243,13 +259,62 @@ def test_compare_smoke(switching_scenario_path, tmp_path, capsys):
     (["--alpha", "0.5", "--alpha", "0.5"], "alphas must be strictly decreasing"),
     (["--ensemble", "1"], "ensemble must hold at least 2 members"),
     (["--alpha", "0.5", "--alpha", "-0.1", "--ensemble", "2"], "alpha must be positive"),
-], ids=["increasing", "repeated", "ensemble-1", "negative-alpha"])
+    (["--alpha", "0.5", "--alpha", "nan", "--ensemble", "2"], "alpha must be positive"),
+], ids=["increasing", "repeated", "ensemble-1", "negative-alpha", "nan-alpha"])
 def test_compare_bad_design_exits_1(extra, message, switching_scenario_path, tmp_path, capsys):
     rc = main(["compare", str(switching_scenario_path), "--horizon", "0.01",
                "--out-dir", str(tmp_path), *extra])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "fixed", "--horizon", "-1"],
+     "horizon must be positive and finite, got -1.0"),
+    (["simulate", "fixed", "--horizon", "nan"],
+     "horizon must be positive and finite, got nan"),
+    (["simulate", "fixed", "--seed", "-1"], "non-negative"),
+    (["compare", "switching", "--horizon", "-1"],
+     "horizon must be positive and finite, got -1.0"),
+    (["compare", "switching", "--horizon", "inf"],
+     "horizon must be positive and finite, got inf"),
+    (["kkt", "fixed", "--x", "a,b"], "could not convert string to float: 'a'"),
+    (["kkt", "fixed", "--x", "1"], "expected a point of dimension 2, got 1"),
+], ids=["simulate-horizon-neg", "simulate-horizon-nan", "simulate-seed-neg",
+        "compare-horizon-neg", "compare-horizon-inf", "kkt-x-str", "kkt-x-short"])
+def test_bad_flag_exits_1(argv, message, request, tmp_path, capsys):
+    command, kind, *flags = argv
+    scenario = request.getfixturevalue(f"{kind}_scenario_path")
+    out = tmp_path / "out"
+    assert main([command, str(scenario), *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_wrong_candidate_writes_nothing(tmp_scenario_file, tmp_path, capsys):
+    # [0.5, 2] violates the equality 2*x1 = x2: LICQ holds there, but the
+    # certificate's residuals do not vanish, so no equilibrium exists
+    def mutate(d):
+        d["candidate"] = [0.5, 2.0]
+        d["integrator"]["horizon"] = 0.01
+
+    out = tmp_path / "out"
+    assert main(["simulate", str(tmp_scenario_file(mutate)), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate residuals above 1e-06") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unexpected_errors_keep_their_traceback(monkeypatch, fixed_scenario_path, tmp_path):
+    # only input and numerical errors become error: lines; anything else is a bug
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(dynamics, "simulate", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["simulate", str(fixed_scenario_path), "--out-dir", str(tmp_path / "out")])
 
 
 def test_simulate_averaged_warns_on_horizon_off_the_step_grid(switching_scenario_path,
