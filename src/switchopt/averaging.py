@@ -2,17 +2,19 @@
 
 Replacing the fast mode process by its stationary statistics yields a
 time-invariant diffusion: the coupling Laplacian becomes the
-stationary-weighted average of the mode Laplacians, and the squared
-diffusion becomes the weighted average of the per-mode squared diffusions.
-Both the x and theta blocks receive the same averaged increment with
-opposite signs, exactly as in the switching system, so the pair sum stays
-noise-free here too and the single-mode case reproduces the switching
-system in law.
+stationary-weighted average L_pi of the mode Laplacians, and agent i's
+squared diffusion becomes Gamma_i = sum_j w_ij d_ij d_ij^T, with
+w = sum_s pi_s R_s^2 and d_ij = x_j - x_i.  The n x N factor
+G_i = [sqrt(w_ij) d_ij]_j gives G_i G_i^T = Gamma_i exactly, and a weak
+solution depends on the diffusion only through that product.  So the run is
+the channel noise of a one-mode network with coefficients sqrt(w), one
+increment per ordered channel, through the switching system's own step: the
+pair sum stays noise-free, and a one-mode network reproduces the fixed run
+bit for bit.
 
-The diffusion factor is taken as the symmetric PSD square root of the
-averaged squared diffusion.  It is block diagonal over agents (each agent's
-noise involves only its own incident channels), so the factorization runs
-on small per-agent blocks.
+``averaged_diffusion_factor`` is the square (nN x nN) factor instead, the
+symmetric PSD root of Gamma built on per-agent blocks.  It checks the
+diffusion at a state and does not drive the run.
 """
 
 from __future__ import annotations
@@ -128,21 +130,16 @@ def averaged_diffusion_factor(
 
 
 class _AveragedModel(_Model):
-    """The averaged system as a one-mode model: mode 0 couples through L_pi
-    and its noise is the PSD factor of the averaged squared diffusion,
-    driven by one increment per agent coordinate."""
+    """The averaged system as a one-mode channel network: mode 0 couples
+    through L_pi, and the channel j->i carries the coefficient sqrt(w_ij)."""
 
     def __init__(self, problem: Problem, avg: AveragedNetwork, eta):
         super().__init__(problem, avg.source, eta)
         self.L = [avg.L_pi]
-        self.wsq = _squared_coeffs(avg.source, avg.pi)
-        self.noise_shape = (self.N, self.n)
+        self.R = [np.sqrt(_squared_coeffs(avg.source, avg.pi))]
 
     def where(self, mode):
         return "averaged"
-
-    def noise_term(self, x, mode, W):
-        return self.c * np.einsum("inm,im->in", _diffusion_blocks(x, self.wsq)[1], W)
 
 
 def simulate_averaged(
@@ -154,8 +151,8 @@ def simulate_averaged(
     """Integrate the averaged system.
 
     Drift matches the switching drift with the averaged Laplacian; the
-    multiplier dynamics are unchanged.  The diffusion factor is rebuilt from
-    the current state every step.
+    multiplier dynamics are unchanged.  The noise is the channel noise with
+    coefficients sqrt(w) (see the module docstring).
     """
     model = _AveragedModel(problem, avg, cfg.eta_vector(problem.r))
     report = check_assumptions(problem, avg.source, avg.pi)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,11 @@ def cmd_simulate(args) -> int:
     problem = scn.build_problem()
     network = scn.build_network()
     mode = args.mode or scn.mode
+    if mode == "fixed" and network.n_modes > 1:
+        raise ValueError(
+            f"fixed mode runs one graph, but the network has {network.n_modes}; "
+            "run it in switching or averaged mode"
+        )
     root_seed = scn.root_seed() if args.seed is None else args.seed
     chain_ss, noise_ss = chain.trajectory_seeds(root_seed, 0)
     overrides = {}
@@ -195,14 +201,17 @@ def cmd_simulate(args) -> int:
         cert = derive_multipliers(problem, cand)
         eq = dynamics.build_equilibrium(problem, cert)
 
-    if mode == "averaged":
-        avg = averaging.average_laplacian(network, pi)
-        traj = averaging.simulate_averaged(problem, avg, cfg, init)
-    else:
-        path = None if gen is None else chain.sample_path(
-            gen, scn.initial_mode(), scn.alpha(), cfg.horizon + cfg.h, chain_ss
-        )
-        traj = dynamics.simulate(problem, network, path, cfg, init, pi=pi)
+    with warnings.catch_warnings():
+        # each one is in traj.warnings too, printed once on stdout below
+        warnings.simplefilter("ignore", dynamics.TrajectoryWarning)
+        if mode == "averaged":
+            avg = averaging.average_laplacian(network, pi)
+            traj = averaging.simulate_averaged(problem, avg, cfg, init)
+        else:
+            path = None if gen is None else chain.sample_path(
+                gen, scn.initial_mode(), scn.alpha(), cfg.horizon + cfg.h, chain_ss
+            )
+            traj = dynamics.simulate(problem, network, path, cfg, init, pi=pi)
 
     out_dir = Path(args.out_dir)
     base = f"{scn.name}.{mode}"
@@ -251,9 +260,8 @@ def cmd_simulate(args) -> int:
     _write_text(out_dir / f"{base}.meta.json",
                 json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_dir}/{base}." + ", .".join(written))
-    if traj.warnings:
-        for w in traj.warnings:
-            print(f"warning: {w}")
+    for w in traj.warnings:
+        print(f"warning: {w}")
     return EXIT_OK
 
 

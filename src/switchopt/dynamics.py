@@ -36,6 +36,7 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "IntegrationError",
+    "TrajectoryWarning",
     "AssumptionReport",
     "drift",
     "diffusion_matrix",
@@ -49,6 +50,10 @@ __all__ = [
 
 class IntegrationError(RuntimeError):
     pass
+
+
+class TrajectoryWarning(RuntimeWarning):
+    """A warning that the run also records in ``Trajectory.warnings``."""
 
 
 class SystemState:
@@ -222,7 +227,7 @@ class _Model:
         self.eta = np.asarray(eta, dtype=float).reshape(-1)
         if self.eta.shape != (self.r,):
             raise ValueError(f"eta must have length {self.r}")
-        self.noise_shape = (self.N, self.N)
+        self.eta_list = self.eta.tolist()
 
     def where(self, mode):
         """Label of ``mode`` in failure messages."""
@@ -232,10 +237,17 @@ class _Model:
         """Drift blocks (dx, dtheta, dlam, dnu) at one state; only the
         coupling Laplacian depends on the mode."""
         Lx = self.L[mode] @ x
-        grad_terms, gvals, hvals = self.kernel(x.tolist(), lam.tolist(), nu.tolist())
+        lams = lam.tolist()
+        grad_terms, gvals, hvals = self.kernel(x.tolist(), lams, nu.tolist())
         dx = -self.c * Lx - theta - np.array(grad_terms)
         dtheta = self.c * Lx
-        dlam = lam / (1.0 + self.eta * lam) * np.array(gvals, dtype=float)
+        # float by float, in the order of the array expression below: IEEE
+        # + * / give the same bits as the numpy ufuncs, without their overhead
+        try:
+            dlam = np.array([v / (1.0 + e * v) * g
+                             for v, e, g in zip(lams, self.eta_list, gvals)], dtype=float)
+        except ZeroDivisionError:  # a multiplier at -1/eta: numpy gives inf or nan
+            dlam = lam / (1.0 + self.eta * lam) * np.array(gvals, dtype=float)
         dnu = np.array(hvals, dtype=float)
         return dx, dtheta, dlam, dnu
 
@@ -279,13 +291,16 @@ class _Model:
         pair_new = pair + h * (dx + dtheta)
         lam_new = lam + h * dlam
         clamped = 0
-        if lam_new.size:
+        if lam_new.size and lam_new.min() < clamp_floor:
             crossed = (lam_new < clamp_floor) & (lam >= clamp_floor)
             clamped = int(np.count_nonzero(crossed))
             if clamped:
                 lam_new = np.where(crossed, clamp_floor, lam_new)
         nu_new = nu + h * dnu
-        if not (
+        # A nonfinite entry makes this float total nonfinite; the per-array
+        # tests tell a finite state whose total overflows apart.
+        total = sum(sum(a.ravel().tolist()) for a in (x_new, pair_new, lam_new, nu_new))
+        if not math.isfinite(total) and not (
             np.isfinite(x_new).all()
             and np.isfinite(pair_new).all()
             and np.isfinite(lam_new).all()
@@ -528,9 +543,10 @@ def _integrate(
 ) -> Trajectory:
     """Euler-Maruyama core shared by every view of the dynamics.
 
-    ``model`` supplies the drift, the noise term and the shape of its
-    Gaussian increments; ``chain_path`` the mode schedule (mode 0 throughout
-    when None).  Warnings point at the caller of the public entry point.
+    ``model`` supplies the drift and the channel noise, driven by one
+    Gaussian increment per ordered channel; ``chain_path`` the mode schedule
+    (mode 0 throughout when None).  Warnings point at the caller of the
+    public entry point.
     """
     warnings: list[str] = []
 
@@ -556,7 +572,7 @@ def _integrate(
     if warnings and cfg.strict:
         raise IntegrationError("; ".join(warnings))
     for w in warnings:
-        _warnings.warn(w, RuntimeWarning, stacklevel=3)
+        _warnings.warn(w, TrajectoryWarning, stacklevel=3)
 
     rng = np.random.default_rng(cfg.seed)
     N = model.N
@@ -606,7 +622,7 @@ def _integrate(
                 nxt = t_end
             mode = int(jump_modes[jp - 1])
             h_sub = nxt - cur
-            W = rng.standard_normal(model.noise_shape) * math.sqrt(h_sub)
+            W = rng.standard_normal((N, N)) * math.sqrt(h_sub)
             x, pair, lam, nu, clamped = model.step(
                 x, pair, lam, nu, cur, h_sub, mode, W, cfg.lambda_floor
             )

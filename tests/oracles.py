@@ -5,7 +5,9 @@ paths: gradients come from central finite differences, the optimizer is a
 plain penalty descent on those finite differences, and the reference ODE
 integrator is classical RK4 with tiny steps.  The composite energy is
 evaluated one state at a time with plain numpy reductions, the reference the
-batched energy in ``analysis`` must match bit for bit.
+batched energy in ``analysis`` must match bit for bit.  The averaged system
+has a second stepper driven by the square PSD root of its squared diffusion,
+the reference in law for the library's channel factor.
 """
 
 import math
@@ -116,3 +118,23 @@ def lyapunov_reference(state, eq, eta, omega):
         V1=V1, V2=V2, V3=V3, V4=V4, V=V1 + V2 + V3 + V4,
         bregman_terms=bregman, consensus_error=consensus, opt_error=opt,
     )
+
+
+def psd_factor_averaged_run(drift, c, wsq, x, theta, lam, nu, h, n_steps, rng):
+    """Euler-Maruyama of the averaged system with the symmetric PSD root of
+    each agent's squared diffusion Gamma_i = sum_j wsq_ij d_ij d_ij^T
+    (d_ij = x_j - x_i) as its noise factor, one Gaussian increment per agent
+    coordinate; ``drift(x, theta, lam, nu)`` gives the four drift blocks.
+    No multiplier clamping.  Returns the terminal x."""
+    x, theta = np.array(x, dtype=float), np.array(theta, dtype=float)
+    lam, nu = np.array(lam, dtype=float), np.array(nu, dtype=float)
+    for _ in range(n_steps):
+        dx, dtheta, dlam, dnu = drift(x, theta, lam, nu)
+        d = x[None, :, :] - x[:, None, :]
+        gamma = np.einsum("ij,ijn,ijm->inm", wsq, d, d)
+        w, U = np.linalg.eigh(gamma)
+        root = U @ (np.sqrt(np.clip(w, 0.0, None))[:, :, None] * np.swapaxes(U, 1, 2))
+        noise = c * np.einsum("inm,im->in", root, rng.standard_normal(x.shape) * math.sqrt(h))
+        x, theta = x + h * dx + noise, theta + h * dtheta - noise
+        lam, nu = lam + h * dlam, nu + h * dnu
+    return x

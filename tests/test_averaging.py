@@ -177,6 +177,81 @@ def test_simulate_averaged_sigma_zero_matches_switched_stepper(five_agent):
     assert np.array_equal(t_avg.theta, t_fix.theta)
 
 
+def test_one_mode_averaged_run_equals_the_fixed_run(five_agent, k5_network, reference_init):
+    # for one mode sqrt(w) is R and L_pi is L to the bit, so the averaged
+    # run is the fixed run: same channel increments, same step
+    avg = average_laplacian(k5_network, chain.StationaryDist(pi=np.array([1.0])))
+    cfg = IntegratorConfig(h=1e-3, horizon=0.3, seed=17, output_stride=10)
+    t_avg = simulate_averaged(five_agent, avg, cfg, reference_init.copy())
+    t_fix = simulate(five_agent, k5_network, None, cfg, reference_init.copy())
+    for key in ("x", "theta", "lam", "nu"):
+        assert np.array_equal(getattr(t_avg, key), getattr(t_fix, key)), key
+    assert not np.array_equal(t_avg.x[-1], t_avg.x[0])
+
+
+def test_channel_factor_squares_to_the_averaged_diffusion(five_agent, six_mode_network,
+                                                         six_mode_generator):
+    # G_i = [sqrt(w_ij) d_ij]_j, the factor the averaged run applies to the
+    # channel increments, reproduces the PSD path's Gamma_i
+    from switchopt.averaging import _AveragedModel, _diffusion_blocks, _squared_coeffs
+
+    pi = stationary(six_mode_generator)
+    avg = average_laplacian(six_mode_network, pi)
+    model = _AveragedModel(five_agent, avg, np.ones(2))
+    wsq = _squared_coeffs(six_mode_network, pi)
+    rng = np.random.default_rng(2026)
+    for _ in range(200):
+        x = rng.normal(0.0, 2.0, (5, 2))
+        gamma, _ = _diffusion_blocks(x, wsq)
+        G = model.R[0][:, None, :] * (x[None, :, :] - x[:, None, :]).transpose(0, 2, 1)
+        GGt = G @ G.transpose(0, 2, 1)
+        assert np.max(np.abs(GGt - gamma)) <= 1e-12 * np.max(np.abs(gamma))
+        W = rng.standard_normal((5, 5))
+        noise = model.noise_term(x, 0, W)
+        expected = model.c * np.einsum("inj,ij->in", G, W)
+        assert np.max(np.abs(noise - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_channel_factor_run_matches_the_psd_factor_run_in_law(five_agent, six_mode_network,
+                                                             six_mode_generator,
+                                                             reference_init):
+    # the two factors share G G^T, so the terminal states agree in law; 200
+    # members each at T=0.5, independent streams
+    from switchopt.averaging import _AveragedModel
+    from oracles import psd_factor_averaged_run
+
+    pi = stationary(six_mode_generator)
+    avg = average_laplacian(six_mode_network, pi)
+    model = _AveragedModel(five_agent, avg, np.ones(2))
+    wsq = sum(p * six_mode_network.receive_coeffs(m) ** 2 for m, p in enumerate(pi.pi))
+    members, h, T = 200, 1e-3, 0.5
+    ours = np.empty((members, 10))
+    ref = np.empty((members, 10))
+    for m in range(members):
+        _, noise_ss = chain.trajectory_seeds(41, m)
+        cfg = IntegratorConfig(h=h, horizon=T, seed=noise_ss, lambda_floor=0.0,
+                               output_stride=500)
+        ours[m] = simulate_averaged(five_agent, avg, cfg, reference_init.copy()).x[-1].ravel()
+        ref[m] = psd_factor_averaged_run(
+            lambda x, th, lam, nu: model.drift(x, th, lam, nu, 0), model.c, wsq,
+            reference_init.x, reference_init.theta, reference_init.lam, reference_init.nu,
+            h, 500, np.random.default_rng([42, m]),
+        ).ravel()
+    v_ours, v_ref = ours.var(axis=0, ddof=1), ref.var(axis=0, ddof=1)
+    z = (ours.mean(axis=0) - ref.mean(axis=0)) / np.sqrt((v_ours + v_ref) / members)
+    assert np.max(np.abs(z)) <= 3.0, z
+    ratio = v_ours / v_ref
+    assert np.all((ratio >= 0.7) & (ratio <= 1.4)), ratio
+
+
+def test_simulate_averaged_keeps_the_runtime_warning(five_agent, six_mode_network,
+                                                     six_mode_generator, reference_init):
+    avg = average_laplacian(six_mode_network, stationary(six_mode_generator))
+    cfg = IntegratorConfig(h=1e-3, horizon=0.0105)
+    with pytest.warns(RuntimeWarning, match="not a multiple of h"):
+        simulate_averaged(five_agent, avg, cfg, reference_init.copy())
+
+
 @pytest.mark.parametrize("g, h, lam, nu", [
     (("1e308*x1 + 1e308",), (), [1.0], []),
     ((), ("1e308*x1 + 1e308",), [], [0.0]),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from switchopt.dynamics import (
     IntegrationError,
     IntegratorConfig,
     SystemState,
+    _Model,
     build_equilibrium,
     check_assumptions,
     diffusion_matrix,
@@ -212,6 +214,83 @@ def test_lambda_clamp_counts_crossings():
     st = em_step(st, 0, cfg.h, np.zeros((1, 1)), p, net, cfg)
     assert st.lam[0] == cfg.lambda_floor
     assert st.clamp_count == 1
+
+
+class _GivenDrift(_Model):
+    """A model whose drift returns given blocks, so a test can put one
+    nonfinite value into exactly one block of the new state."""
+
+    def __init__(self, problem, network, dx, dtheta, dlam, dnu):
+        super().__init__(problem, network, np.ones(problem.r))
+        self.blocks = (dx, dtheta, dlam, dnu)
+
+    def drift(self, x, theta, lam, nu, mode):
+        return self.blocks
+
+
+def _given_drift_step(five_agent, k5_network, x=X_INIT, lam=(-1.0, 3.0), W=None,
+                     **blocks):
+    parts = {"dx": np.zeros((5, 2)), "dtheta": np.zeros((5, 2)),
+             "dlam": np.zeros(2), "dnu": np.zeros(1)}
+    parts.update(blocks)
+    model = _GivenDrift(five_agent, k5_network, **parts)
+    x = np.array(x, dtype=float)
+    W = np.zeros((5, 5)) if W is None else W
+    return model.step(x, x.copy(), np.array(lam), np.zeros(1), 0.5, 1e-3, 0, W, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("target", ["x", "pair", "lam", "nu"])
+def test_step_rejects_a_nonfinite_entry_in_each_block(target, value, five_agent,
+                                                      k5_network):
+    # the value reaches exactly one of the four new arrays: x through a
+    # channel increment, the others through their drift block; lam[0]
+    # starts below the floor, so -inf there is not a crossing to clamp
+    W = np.zeros((5, 5))
+    blocks = {"dtheta": np.zeros((5, 2)), "dlam": np.zeros(2), "dnu": np.zeros(1)}
+    if target == "x":
+        W[0, 1] = value
+    else:
+        blocks[{"pair": "dtheta", "lam": "dlam", "nu": "dnu"}[target]].flat[0] = value
+    with pytest.raises(IntegrationError, match=(
+        r"^nonfinite state at t=0\.501 \(mode 0\): "
+        r"step size too large for this problem's stiffness$"
+    )):
+        _given_drift_step(five_agent, k5_network, W=W, **blocks)
+
+
+def test_step_accepts_a_finite_state_whose_total_overflows(five_agent, k5_network):
+    # every entry is 1e308: each is finite, their sum is not; the test
+    # raises nothing and warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x_new, pair_new, lam_new, nu_new, clamped = _given_drift_step(
+            five_agent, k5_network, x=np.full((5, 2), 1e308), lam=(1e308, 1e308)
+        )
+    assert np.all(x_new == 1e308) and np.all(pair_new == 1e308)
+    assert np.all(lam_new == 1e308) and clamped == 0
+
+
+def test_step_clamps_and_counts_only_crossings(five_agent, k5_network):
+    # lam[0] starts below the floor and is left alone; lam[1] crosses it
+    _, _, lam_new, _, clamped = _given_drift_step(
+        five_agent, k5_network, dlam=np.array([-1.0, -1e4])
+    )
+    assert clamped == 1
+    assert lam_new.tolist() == [-1.0 + 1e-3 * -1.0, 0.0]
+
+
+def test_multiplier_drift_at_minus_one_over_eta_is_nonfinite():
+    # 1 + eta * lam = 0: the drift is IEEE inf, as in the array expression,
+    # and the step stops with the nonfinite-state error
+    p = single_agent_problem(g=("x1 - 1",))
+    net = single_node_network()
+    st = SystemState([[0.0]], [[0.0]], [-1.0], [])
+    dlam = drift(st, 0, p, net, eta=1.0)[2]
+    assert dlam.tolist() == [math.inf]
+    cfg = IntegratorConfig(h=1e-3, horizon=1e-3)
+    with pytest.raises(IntegrationError, match=r"^nonfinite state at t=0\.001 \(mode 0\)"):
+        em_step(st, 0, cfg.h, np.zeros((1, 1)), p, net, cfg)
 
 
 # ---------------------------------------------------------------------------

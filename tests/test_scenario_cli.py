@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -318,15 +319,52 @@ def test_unexpected_errors_keep_their_traceback(monkeypatch, fixed_scenario_path
 
 
 def test_simulate_averaged_warns_on_horizon_off_the_step_grid(switching_scenario_path,
-                                                              tmp_path):
+                                                              tmp_path, capsys):
+    # the CLI reports the warning once, as a warning: line on stdout, and
+    # raises no RuntimeWarning beside it
     args = ["simulate", str(switching_scenario_path), "--mode", "averaged",
             "--horizon", "0.0105", "--out-dir", str(tmp_path)]
-    with pytest.warns(RuntimeWarning, match="not a multiple of h"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(args) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "not a multiple of h" in line] == [
+        "warning: horizon 0.0105 is not a multiple of h=0.001; running 10 steps to t=0.01"
+    ]
     meta = json.loads((tmp_path / "five_agent_switching.averaged.meta.json").read_text())
     assert any("not a multiple of h" in w for w in meta["warnings"])
     assert meta["final"]["t"] == pytest.approx(0.01)
     assert main(args + ["--strict"]) == 1
+
+
+def test_simulate_reports_each_failed_assumption_once(tmp_scenario_file, tmp_path, capsys):
+    def mutate(d):
+        d["network"]["coupling"] = 2.0
+        d["network"]["sigma"] = 1.0
+        d["network"]["kappa"] = 1.0
+        d["integrator"]["horizon"] = 0.01
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", str(tmp_scenario_file(mutate)),
+                     "--out-dir", str(tmp_path)]) == 0
+    assert [str(w.message) for w in caught] == []
+    out = capsys.readouterr().out
+    assert sum(line.startswith("warning: assumption coupling_bound failed")
+               for line in out.splitlines()) == 1
+
+
+def test_simulate_refuses_fixed_mode_on_several_graphs(switching_scenario_path, tmp_path,
+                                                       capsys):
+    # fixed mode would run graph 1 of six alone, and graph 1 is disconnected
+    rc = main(["simulate", str(switching_scenario_path), "--mode", "fixed",
+               "--horizon", "0.01", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: fixed mode runs one graph, but the network has 6; "
+        "run it in switching or averaged mode\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_final_block_is_the_final_state(tmp_scenario_file, tmp_path):
