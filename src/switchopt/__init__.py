@@ -7,6 +7,7 @@ Core entry points are re-exported here; the submodules hold the full API:
 - ``graph``: topologies, Laplacians, spectral gates
 - ``chain``: mode-switching Markov chains
 - ``dynamics``: the switching stochastic integrator
+- ``schedule``: the substep rounds and noise blocks of a batch of members
 - ``averaging``: the averaged system and weak-convergence studies
 - ``analysis``: energy, Lagrangian and convergence diagnostics
 - ``scenario``: one-file experiment definitions

@@ -29,12 +29,14 @@ from .chain import StationaryDist, SwitchPath
 from .expr import DomainError
 from .graph import Network, lambda2, laplacian
 from .problem import KktCertificate, Problem
+from .schedule import CHUNK_STEPS, chunk
 
 __all__ = [
     "SystemState",
     "Equilibrium",
     "IntegratorConfig",
     "Trajectory",
+    "Ensemble",
     "IntegrationError",
     "TrajectoryWarning",
     "AssumptionReport",
@@ -49,7 +51,11 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    pass
+    """A run that left a domain, went nonfinite or failed the strict gate;
+    a failing batch member sets its index and its failing substep's start."""
+
+    start: float | None = None
+    member: int | None = None
 
 
 class TrajectoryWarning(RuntimeWarning):
@@ -130,13 +136,16 @@ class Equilibrium:
 
 @dataclass
 class IntegratorConfig:
-    """Step size, horizon, multiplier parameters and seeding."""
+    """Step size, horizon, multiplier parameters and seeding.
+
+    ``seed`` is one noise seed, or a list of them for a batch of members.
+    """
 
     h: float = 1e-3
     horizon: float = 1.0
     eta: float | np.ndarray = 1.0
     lambda_floor: float = 1e-12
-    seed: int = 0
+    seed: int | list = 0
     output_stride: int = 1
     strict: bool = False
 
@@ -176,6 +185,20 @@ class Trajectory:
 
 
 @dataclass
+class Ensemble:
+    """The trajectories of one batch, member k at ``members[k]``, and the
+    run warnings of the batch, each once."""
+
+    members: list[Trajectory]
+    warnings: list[str]
+
+    @property
+    def clamp_count(self) -> int:
+        """Multiplier clamps summed over the members."""
+        return sum(traj.clamp_count for traj in self.members)
+
+
+@dataclass
 class AssumptionCheck:
     name: str
     passed: bool
@@ -206,7 +229,11 @@ class AssumptionReport:
 
 
 class _Model:
-    """Precomputed structure shared by every step of one run."""
+    """Precomputed structure shared by every step of one run.
+
+    Methods take one member's state, x (N, n), or a batch stacked on a
+    leading axis, x (M, N, n), with ``mode`` an int or one per member.
+    """
 
     def __init__(self, problem: Problem, network: Network, eta):
         if network.n_nodes != problem.n_agents:
@@ -220,8 +247,9 @@ class _Model:
         self.N = problem.n_agents
         self.n = problem.n
         self.c = network.coupling
-        self.L = [laplacian(g) for g in network.graphs]
-        self.R = [network.receive_coeffs(m) for m in range(network.n_modes)]
+        # stacked over modes, so that one index picks a mode or one per member
+        self.L = np.array([laplacian(g) for g in network.graphs])
+        self.R = np.array([network.receive_coeffs(m) for m in range(network.n_modes)])
         self.r = problem.r
         self.s = problem.s
         self.eta = np.asarray(eta, dtype=float).reshape(-1)
@@ -234,32 +262,59 @@ class _Model:
         return f"mode {mode}"
 
     def drift(self, x, theta, lam, nu, mode):
-        """Drift blocks (dx, dtheta, dlam, dnu) at one state; only the
-        coupling Laplacian depends on the mode."""
+        """Drift blocks (dx, dtheta, dlam, dnu); only the coupling Laplacian
+        depends on the mode."""
         Lx = self.L[mode] @ x
-        lams = lam.tolist()
-        grad_terms, gvals, hvals = self.kernel(x.tolist(), lams, nu.tolist())
+        if x.ndim == 2:
+            lams = lam.tolist()
+            grad_terms, gvals, hvals = self.kernel(x.tolist(), lams, nu.tolist())
+            # float by float, in the order of the array expression below:
+            # IEEE + * / give the same bits as the numpy ufuncs, without
+            # their overhead on a few values
+            try:
+                dlam = np.array([v / (1.0 + e * v) * g
+                                 for v, e, g in zip(lams, self.eta_list, gvals)], dtype=float)
+            except ZeroDivisionError:  # a multiplier at -1/eta: numpy gives inf or nan
+                dlam = lam / (1.0 + self.eta * lam) * np.array(gvals, dtype=float)
+        else:  # the compiled kernel is scalar: one call per member
+            grad_terms, gvals, hvals = zip(*map(self.kernel, x.tolist(), lam.tolist(),
+                                                nu.tolist()))
+            dlam = lam / (1.0 + self.eta * lam) * np.array(gvals, dtype=float)
         dx = -self.c * Lx - theta - np.array(grad_terms)
         dtheta = self.c * Lx
-        # float by float, in the order of the array expression below: IEEE
-        # + * / give the same bits as the numpy ufuncs, without their overhead
-        try:
-            dlam = np.array([v / (1.0 + e * v) * g
-                             for v, e, g in zip(lams, self.eta_list, gvals)], dtype=float)
-        except ZeroDivisionError:  # a multiplier at -1/eta: numpy gives inf or nan
-            dlam = lam / (1.0 + self.eta * lam) * np.array(gvals, dtype=float)
-        dnu = np.array(hvals, dtype=float)
-        return dx, dtheta, dlam, dnu
+        return dx, dtheta, dlam, np.array(hvals, dtype=float)
 
-    def domain_failure(self, x, t, where, exc):
+    def failure(self, what, detail, t, h, mode, members, row):
+        """IntegrationError "<what> at t=<t + h> (<mode>): <detail>"; in a
+        batch, for member ``members[row]``, named and carried with the start
+        of its substep."""
+        if row is None:
+            return IntegrationError(f"{what} at t={t + h:.6g} ({self.where(mode)}): {detail}")
+        t, h, mode = (_row(v, row) for v in (t, h, mode))
+        member = row if members is None else int(members[row])
+        err = IntegrationError(f"{what} at t={t + h:.6g} "
+                               f"({self.where(int(mode))}, member {member}): {detail}")
+        err.start, err.member = float(t), member
+        return err
+
+    def domain_failure(self, x, lam, nu, t, mode, members, exc):
         """IntegrationError naming the first expression that left its domain
-        at the agent points ``x``, found by re-walking the expression trees
-        in the kernel's order (cold path, after the kernel raised ``exc``)."""
+        at the agent points of ``x`` (in a batch, of the first member whose
+        kernel raises), found by re-walking the expression trees in the
+        kernel's order (cold path, after the kernel raised ``exc``)."""
+        row = None
+        if x.ndim == 3:
+            for row, args in enumerate(zip(x.tolist(), lam.tolist(), nu.tolist())):
+                try:
+                    self.kernel(*args)
+                except DomainError as err:
+                    exc = err
+                    break
         p = self.problem
         labelled = [(i, "cost", a.f) for i, a in enumerate(p.agents)]
         labelled += [(i, f"inequality {j + 1}", e) for i, j, e in p.ineq_index()]
         labelled += [(i, f"equality {j + 1}", e) for i, j, e in p.eq_index()]
-        rows = x.tolist()
+        rows = (x if row is None else x[row]).tolist()
         detail = str(exc)
         for i, label, e in labelled:
             try:
@@ -267,49 +322,62 @@ class _Model:
             except DomainError as err:
                 detail = f"agent {i + 1} {label} {str(e)!r}: {err}"
                 break
-        return IntegrationError(f"expression left its domain at t={t:.6g} ({where}): {detail}")
+        return self.failure("expression left its domain", detail, t, 0.0, mode, members, row)
 
     def noise_term(self, x, mode, W):
-        """c * M_mode(x) applied to the channel increments W (N x N),
-        W[i, j] being the increment on the channel carrying j to i."""
-        diffs = x[None, :, :] - x[:, None, :]
-        return self.c * np.einsum("ij,ijn->in", self.R[mode] * W, diffs)
+        """c * M_mode(x) applied to the channel increments W (N x N, one per
+        member of a batch), W[..., i, j] being the increment on the channel
+        carrying j to i."""
+        if x.ndim == 2:
+            diffs = x[None, :, :] - x[:, None, :]
+        else:
+            diffs = x[:, None, :, :] - x[:, :, None, :]
+        return self.c * np.einsum("...ij,...ijn->...in", self.R[mode] * W, diffs)
 
-    def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor):
+    def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
         """One Euler-Maruyama substep; returns new arrays and clamp count.
 
-        The pair-sum update deliberately contains no noise term; see the
-        module docstring.
+        In a batch, ``t``, ``h`` and ``mode`` are scalars or one per member,
+        ``members`` names the rows in failure messages and the clamp count
+        is per member.  The pair-sum update deliberately contains no noise
+        term; see the module docstring.
         """
         theta = pair - x
         try:
             dx, dtheta, dlam, dnu = self.drift(x, theta, lam, nu, mode)
         except DomainError as exc:
-            raise self.domain_failure(x, t, self.where(mode), exc) from exc
+            raise self.domain_failure(x, lam, nu, t, mode, members, exc) from exc
         noise = self.noise_term(x, mode, W)
-        x_new = x + (h * dx + noise)
-        pair_new = pair + h * (dx + dtheta)
-        lam_new = lam + h * dlam
+        if isinstance(h, np.ndarray):  # one substep length per member
+            hx, hv = h[:, None, None], h[:, None]
+        else:
+            hx = hv = h
+        x_new = x + (hx * dx + noise)
+        pair_new = pair + hx * (dx + dtheta)
+        lam_new = lam + hv * dlam
         clamped = 0
         if lam_new.size and lam_new.min() < clamp_floor:
             crossed = (lam_new < clamp_floor) & (lam >= clamp_floor)
-            clamped = int(np.count_nonzero(crossed))
-            if clamped:
-                lam_new = np.where(crossed, clamp_floor, lam_new)
-        nu_new = nu + h * dnu
-        # A nonfinite entry makes this float total nonfinite; the per-array
-        # tests tell a finite state whose total overflows apart.
-        total = sum(sum(a.ravel().tolist()) for a in (x_new, pair_new, lam_new, nu_new))
-        if not math.isfinite(total) and not (
-            np.isfinite(x_new).all()
-            and np.isfinite(pair_new).all()
-            and np.isfinite(lam_new).all()
-            and np.isfinite(nu_new).all()
-        ):
-            raise IntegrationError(
-                f"nonfinite state at t={t + h:.6g} ({self.where(mode)}): "
-                "step size too large for this problem's stiffness"
-            )
+            clamped = np.count_nonzero(crossed, axis=-1)
+            clamped = int(clamped) if x.ndim == 2 else clamped
+            lam_new = np.where(crossed, clamp_floor, lam_new)
+        nu_new = nu + hv * dnu
+        new = (x_new, pair_new, lam_new, nu_new)
+        if x.ndim == 2:
+            # A nonfinite entry makes this float total nonfinite; the
+            # per-array tests tell a finite state whose total overflows apart.
+            ok = math.isfinite(sum(sum(a.ravel().tolist()) for a in new))
+        else:
+            ok = all(np.isfinite(a).all() for a in new)
+        if not ok:
+            finite = (np.isfinite(x_new).all(axis=(-2, -1))
+                      & np.isfinite(pair_new).all(axis=(-2, -1))
+                      & np.isfinite(lam_new).all(axis=-1)
+                      & np.isfinite(nu_new).all(axis=-1))
+            if not finite.all():
+                raise self.failure(
+                    "nonfinite state", "step size too large for this problem's stiffness",
+                    t, h, mode, members, None if x.ndim == 2 else int(np.argmin(finite)))
         return x_new, pair_new, lam_new, nu_new, clamped
 
 
@@ -515,17 +583,18 @@ def build_equilibrium(
 def simulate(
     problem: Problem,
     network: Network,
-    chain_path: SwitchPath | None,
+    chain_path: SwitchPath | list | None,
     cfg: IntegratorConfig,
     init: SystemState,
     pi: StationaryDist | None = None,
-) -> Trajectory:
+) -> Trajectory | Ensemble:
     """Integrate the switching dynamics over cfg.horizon.
 
     Fixed topology when ``chain_path`` is None (mode 0 throughout).  Substep
     boundaries land exactly on the path's jump instants.  Gate failures and
     noncompliant initial conditions downgrade to warnings unless
-    cfg.strict, in which case they raise.
+    cfg.strict, in which case they raise.  A list of noise seeds in
+    ``cfg.seed`` runs a batch, with a list of paths (see ``_integrate``).
     """
     model = _Model(problem, network, cfg.eta_vector(problem.r))
     report = check_assumptions(
@@ -534,27 +603,78 @@ def simulate(
     return _integrate(model, chain_path, cfg, init, report)
 
 
+def _row(v, row):
+    """Entries ``row`` of a per-member array, or the shared scalar ``v``."""
+    return v[row] if isinstance(v, np.ndarray) else v
+
+
+def _earliest_failure(err, model, arrays, Z, rounds, clamp_floor, clamps):
+    """The earliest failure of the step in which ``err`` arose: the other
+    members take the rest of its ``rounds``, each failing one dropping out;
+    the earliest substep start wins, the lowest member on a tie."""
+    failures = [err]
+    for t, h, mode, rows, draws, k_done in rounds:
+        rows = np.arange(len(arrays[0])) if rows is None else rows
+        keep = ~np.isin(rows, [f.member for f in failures])
+        while keep.any():
+            sel = (_row(v, keep) for v in (t, h, mode))
+            try:
+                _advance(model, arrays, rows[keep], *sel, Z[draws][keep], clamp_floor, clamps)
+                break
+            except IntegrationError as exc:
+                failures.append(exc)
+                keep &= rows != exc.member
+        if k_done:
+            break
+    return min(failures, key=lambda f: (f.start, f.member))
+
+
+def _advance(model, arrays, rows, t, h, mode, W, clamp_floor, clamps):
+    """One substep of the members ``rows`` of a batch, written back into
+    the state ``arrays`` (x, pair, lam, nu) and the clamp counts."""
+    *new, clamped = model.step(*(a[rows] for a in arrays), t, h, mode, W, clamp_floor, rows)
+    for a, b in zip(arrays, new):
+        a[rows] = b
+    clamps[rows] += clamped
+
+
 def _integrate(
     model: _Model,
-    chain_path: SwitchPath | None,
+    chain_path: SwitchPath | list | None,
     cfg: IntegratorConfig,
     init: SystemState,
     report: AssumptionReport,
-) -> Trajectory:
+) -> Trajectory | Ensemble:
     """Euler-Maruyama core shared by every view of the dynamics.
 
     ``model`` supplies the drift and the channel noise, driven by one
     Gaussian increment per ordered channel; ``chain_path`` the mode schedule
-    (mode 0 throughout when None).  Warnings point at the caller of the
-    public entry point.
+    (mode 0 throughout when None).  A list of noise seeds in ``cfg.seed``
+    runs a batch and returns an ``Ensemble``: member k draws from seed k,
+    follows ``chain_path[k]`` (or the one path given) and starts from
+    ``init`` (or its row k, given a leading member axis), bit for bit as
+    if it ran alone.  A batch raises the error of its earliest failing
+    substep, the lowest member on a tie.  Warnings point at the caller of
+    the public entry point.
     """
-    warnings: list[str] = []
+    seeds = cfg.seed if isinstance(cfg.seed, (list, tuple)) else [cfg.seed]
+    M = len(seeds)
+    paths = chain_path if isinstance(chain_path, (list, tuple)) else [chain_path] * M
+    if len(paths) != M:
+        raise ValueError(f"{len(paths)} chain paths for {M} members")
+    N, n = model.N, model.n
+    shapes = ((N, n), (N, n), (model.r,), (model.s,))
+    # a lone member runs without the member axis, at less overhead
+    lead = (M,) if M > 1 else ()
+    x, pair, lam, nu = (np.broadcast_to(a, (M, *shape)).reshape(lead + shape).copy()
+                        for a, shape in zip((init.x, init.pair, init.lam, init.nu), shapes))
 
-    if init.lam.size and init.lam.min() <= 0.0:
+    warnings: list[str] = []
+    if lam.size and lam.min() <= 0.0:
         warnings.append(
-            f"initial multiplier min {init.lam.min():.6g} is not positive"
+            f"initial multiplier min {lam.min():.6g} is not positive"
         )
-    theta_sum = np.linalg.norm(init.theta.sum(axis=0))
+    theta_sum = max(np.linalg.norm(th.sum(axis=0)) for th in (pair - x).reshape(M, N, n))
     if theta_sum > 1e-9:
         warnings.append(
             f"initial theta blocks sum to {theta_sum:.3e}, not zero; the "
@@ -574,30 +694,17 @@ def _integrate(
     for w in warnings:
         _warnings.warn(w, TrajectoryWarning, stacklevel=3)
 
-    rng = np.random.default_rng(cfg.seed)
-    N = model.N
+    if any(p is not None and p.horizon < n_steps * h - 1e-12 for p in paths):
+        raise ValueError("chain path horizon shorter than the integration")
+    rngs = [np.random.default_rng(s) for s in seeds]
+    clamp_floor = cfg.lambda_floor
+    clamps = init.clamp_count if M == 1 else np.full(M, init.clamp_count, dtype=np.int64)
+    everyone = None if M == 1 else np.arange(M)
 
-    if chain_path is not None:
-        jump_times = chain_path.times
-        jump_modes = chain_path.modes
-        if chain_path.horizon < n_steps * h - 1e-12:
-            raise ValueError("chain path horizon shorter than the integration")
-    else:
-        jump_times = np.array([0.0])
-        jump_modes = np.array([0])
-
-    x = init.x.copy()
-    pair = init.pair.copy()
-    lam = init.lam.copy()
-    nu = init.nu.copy()
-    clamp_count = init.clamp_count
-
-    n_samples = n_steps // cfg.output_stride + 1
+    stride = cfg.output_stride
+    n_samples = n_steps // stride + 1
     T = np.empty(n_samples)
-    X = np.empty((n_samples, N, model.n))
-    TH = np.empty((n_samples, N, model.n))
-    LM = np.empty((n_samples, model.r))
-    NU = np.empty((n_samples, model.s))
+    X, TH, LM, NU = (np.empty((n_samples, *a.shape)) for a in (x, x, lam, nu))
 
     def record(slot, t):
         T[slot] = t
@@ -607,37 +714,35 @@ def _integrate(
         NU[slot] = nu
 
     record(0, 0.0)
-    slot = 1
-    jp = 1  # first candidate jump strictly after current time
-    n_jumps = len(jump_times)
-    for k in range(n_steps):
-        t_end = (k + 1) * h
-        cur = k * h
-        while True:
-            while jp < n_jumps and jump_times[jp] <= cur + 1e-15:
-                jp += 1
-            if jp < n_jumps and jump_times[jp] < t_end - 1e-15:
-                nxt = float(jump_times[jp])
-            else:
-                nxt = t_end
-            mode = int(jump_modes[jp - 1])
-            h_sub = nxt - cur
-            W = rng.standard_normal((N, N)) * math.sqrt(h_sub)
-            x, pair, lam, nu, clamped = model.step(
-                x, pair, lam, nu, cur, h_sub, mode, W, cfg.lambda_floor
-            )
-            clamp_count += clamped
-            cur = nxt
-            if cur >= t_end - 1e-15:
-                break
-        if (k + 1) % cfg.output_stride == 0:
-            record(slot, t_end)
-            slot += 1
+    for k0 in range(0, n_steps, CHUNK_STEPS):
+        Z, rounds = chunk(paths, rngs, k0, min(k0 + CHUNK_STEPS, n_steps), h, N)
+        for i, (t, h_sub, mode, rows, draws, k_done) in enumerate(rounds):
+            try:
+                if rows is None:
+                    x, pair, lam, nu, clamped = model.step(
+                        x, pair, lam, nu, t, h_sub, mode, Z[draws], clamp_floor, everyone
+                    )
+                    clamps += clamped
+                else:
+                    _advance(model, (x, pair, lam, nu), rows, t, h_sub, mode, Z[draws],
+                             clamp_floor, clamps)
+            except IntegrationError as err:
+                if M == 1:
+                    raise
+                raise _earliest_failure(err, model, (x, pair, lam, nu), Z, rounds[i:],
+                                        clamp_floor, clamps) from None
+            if k_done and k_done % stride == 0:
+                record(k_done // stride, k_done * h)
 
-    final = SystemState._from_pair(
-        x.copy(), pair.copy(), lam.copy(), nu.copy(), n_steps * h, clamp_count
-    )
-    return Trajectory(
-        times=T[:slot], x=X[:slot], theta=TH[:slot], lam=LM[:slot], nu=NU[:slot],
-        clamp_count=clamp_count, warnings=warnings, final_state=final,
-    )
+    final = [a.reshape(M, *shape) for a, shape in zip((x, pair, lam, nu), shapes)]
+    recorded = [a.reshape(n_samples, M, *shape) for a, shape in zip((X, TH, LM, NU), shapes)]
+    members = []
+    for m in range(M):
+        end = SystemState._from_pair(*(a[m].copy() for a in final), n_steps * h,
+                                     int(_row(clamps, m)))
+        # times, x, theta, lam, nu, clamp count, warnings, final state
+        members.append(Trajectory(T, *(a[:, m] for a in recorded), end.clamp_count,
+                                  warnings, end))
+    if isinstance(cfg.seed, (list, tuple)):
+        return Ensemble(members, warnings)
+    return members[0]

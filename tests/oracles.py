@@ -7,10 +7,13 @@ integrator is classical RK4 with tiny steps.  The composite energy is
 evaluated one state at a time with plain numpy reductions, the reference the
 batched energy in ``analysis`` must match bit for bit.  The averaged system
 has a second stepper driven by the square PSD root of its squared diffusion,
-the reference in law for the library's channel factor.
+the reference in law for the library's channel factor.  The weak-convergence
+study has its one-member-at-a-time loop, the reference the batched study
+must match on every field bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -138,3 +141,74 @@ def psd_factor_averaged_run(drift, c, wsq, x, theta, lam, nu, h, n_steps, rng):
         x, theta = x + h * dx + noise, theta + h * dtheta - noise
         lam, nu = lam + h * dlam, nu + h * dnu
     return x
+
+
+def serial_weak_convergence(problem, network, gen, alphas, ensemble, T, seed, init, cfg):
+    """``averaging.weak_convergence_experiment`` as it ran before batching:
+    each member a separate ``simulate`` or ``simulate_averaged`` call.
+    Returns the report without its ``warnings`` key."""
+    from switchopt.averaging import average_laplacian, simulate_averaged, _observables
+    from switchopt.chain import sample_path, stationary, trajectory_seeds
+    from switchopt.dynamics import IntegratorConfig, simulate
+
+    alphas = [float(a) for a in alphas]
+    member_cfg = IntegratorConfig(h=cfg.h, horizon=T, eta=cfg.eta,
+                                  lambda_floor=cfg.lambda_floor)
+    member_cfg.output_stride = max(1, int(round(T / cfg.h)))
+    pi = stationary(gen)
+    avg = average_laplacian(network, pi)
+
+    clamp_total = 0
+    avg_obs = np.empty((ensemble, problem.n_agents * problem.n + 1))
+    for m in range(ensemble):
+        _, noise_ss = trajectory_seeds(seed, m)
+        traj = simulate_averaged(problem, avg, replace(member_cfg, seed=noise_ss), init.copy())
+        clamp_total += traj.clamp_count
+        avg_obs[m] = _observables(problem, traj.x[-1])
+    avg_mean = avg_obs.mean(axis=0)
+    avg_var = avg_obs.var(axis=0, ddof=1) / ensemble
+
+    per_alpha = []
+    for a_idx, alpha in enumerate(alphas):
+        sw_obs = np.empty_like(avg_obs)
+        for m in range(ensemble):
+            chain_ss, noise_ss = trajectory_seeds(seed + 1 + a_idx, m)
+            path = sample_path(gen, 0, alpha, T + cfg.h, chain_ss)
+            traj = simulate(problem, network, path, replace(member_cfg, seed=noise_ss),
+                            init.copy(), pi=pi)
+            clamp_total += traj.clamp_count
+            sw_obs[m] = _observables(problem, traj.x[-1])
+        diff = sw_obs.mean(axis=0) - avg_mean
+        err = float(np.linalg.norm(diff))
+        var_diff = sw_obs.var(axis=0, ddof=1) / ensemble + avg_var
+        if err > 0.0:
+            u = diff / err
+            sem = float(math.sqrt(float((u**2) @ var_diff)))
+        else:
+            sem = float(math.sqrt(float(var_diff.mean())))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.abs(diff) / np.sqrt(var_diff)
+        z = z[np.isfinite(z)]
+        per_alpha.append({"alpha": alpha, "err": err, "sem": sem,
+                          "max_component_z": float(z.max()) if z.size else 0.0,
+                          "mean": [float(v) for v in diff + avg_mean]})
+
+    monotone = True
+    for a, b in zip(per_alpha, per_alpha[1:]):
+        if b["err"] > a["err"] + 2.0 * math.sqrt(a["sem"] ** 2 + b["sem"] ** 2):
+            monotone = False
+    first, last = per_alpha[0], per_alpha[-1]
+    sep_threshold = 2.0 * math.sqrt(first["sem"] ** 2 + last["sem"] ** 2)
+    return {
+        "alphas": alphas,
+        "ensemble": ensemble,
+        "horizon": T,
+        "per_alpha": per_alpha,
+        "averaged_mean": [float(v) for v in avg_mean],
+        "averaged_sem": [float(v) for v in np.sqrt(avg_var)],
+        "monotone_within_2sem": monotone,
+        "separation": first["err"] - last["err"],
+        "separation_threshold_2sem": sep_threshold,
+        "separated": first["err"] - last["err"] > sep_threshold,
+        "clamp_count_total": clamp_total,
+    }

@@ -287,6 +287,27 @@ def test_weak_convergence_single_mode_control_is_null(five_agent):
     assert report["monotone_within_2sem"]
 
 
+@pytest.mark.parametrize("floor", [0.0, 2.999])
+def test_batched_study_equals_the_serial_loop(floor, five_agent, six_mode_network,
+                                              six_mode_generator):
+    # each ensemble runs as one batch; every field of the report, floats bit
+    # for bit, and the clamp total must equal the one-member-at-a-time
+    # loop's.  Started at the optimum, agent 2's multiplier decays (its
+    # constraint value is -3), so the high floor clamps it on every step.
+    from oracles import serial_weak_convergence
+
+    x0 = X_INIT if floor == 0.0 else np.tile([1.0, 2.0], (5, 1))
+    init = SystemState(x0, np.zeros_like(x0), [3.0, 3.0], [3.0])
+    cfg = IntegratorConfig(h=1e-3, horizon=1.0, lambda_floor=floor)
+    args = (five_agent, six_mode_network, six_mode_generator, [0.5, 0.1, 0.02], 6, 0.06,
+            21, init)
+    report = weak_convergence_experiment(*args, cfg=cfg)
+    serial = serial_weak_convergence(*args, cfg)
+    assert report.pop("warnings") == []
+    assert report == serial
+    assert (report["clamp_count_total"] > 0) == (floor > 0.0)
+
+
 def test_weak_convergence_linear_problem_matrix_exponential_oracle():
     # two symmetric modes, no noise, quadratic costs: the averaged flow is
     # linear, so its terminal state has a closed form via the matrix

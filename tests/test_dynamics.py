@@ -1,14 +1,17 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from switchopt import chain
+from switchopt import chain, schedule
+from switchopt.averaging import average_laplacian, simulate_averaged
 from switchopt.dynamics import (
     IntegrationError,
     IntegratorConfig,
     SystemState,
+    _integrate,
     _Model,
     build_equilibrium,
     check_assumptions,
@@ -472,3 +475,190 @@ def test_equilibrium_refuses_bad_certificate(five_agent):
     cert = derive_multipliers(five_agent, (0.0, 0.0))
     with pytest.raises(ValueError):
         build_equilibrium(five_agent, cert)
+
+
+# ---------------------------------------------------------------------------
+# batches: members stacked on a leading axis
+# ---------------------------------------------------------------------------
+
+
+def _assert_member_equals_serial(member, serial):
+    for name in ("times", "x", "theta", "lam", "nu"):
+        assert np.array_equal(getattr(member, name), getattr(serial, name)), name
+    assert member.clamp_count == serial.clamp_count
+    for name in ("x", "pair", "lam", "nu", "t"):
+        assert np.array_equal(getattr(member.final_state, name),
+                              getattr(serial.final_state, name)), name
+
+
+def test_noise_blocks_equal_successive_draws():
+    # the batch draws each member's increments in chunks; a block followed
+    # by a block must continue the stream exactly as per-substep draws do
+    # (drawn into a buffer, as the schedule does, or as new arrays)
+    ss = chain.trajectory_seeds(5, 3)[1]
+    for first in (schedule.CHUNK_STEPS, 37):
+        n = first + schedule.CHUNK_STEPS
+        rng = np.random.default_rng(ss)
+        serial = np.array([rng.standard_normal((5, 5)) for _ in range(n)])
+        rng = np.random.default_rng(ss)
+        blocks = np.concatenate([rng.standard_normal((first, 5, 5)),
+                                 rng.standard_normal((n - first, 5, 5))])
+        rng = np.random.default_rng(ss)
+        buffer = np.empty((n, 5, 5))
+        rng.standard_normal(out=buffer[:first])
+        rng.standard_normal(out=buffer[first:])
+        assert np.array_equal(blocks, serial) and np.array_equal(buffer, serial)
+
+
+def test_switched_batch_members_equal_their_serial_runs(five_agent, six_mode_network,
+                                                        six_mode_generator):
+    # alpha=0.02: each member jumps about 0.14 times per step, at its own
+    # instants, so rounds mix split and unsplit members; T spans two chunks
+    pi = chain.stationary(six_mode_generator)
+    h, T, M = 1e-3, 0.3, 7
+    streams = [chain.trajectory_seeds(8, m) for m in range(M)]
+    paths = [chain.sample_path(six_mode_generator, 0, 0.02, T + h, c) for c, _ in streams]
+    split_steps = [{int(t // h) for t in p.times[1:] if t % h > 1e-12} for p in paths]
+    assert all(split_steps) and len(set.union(*split_steps)) > max(map(len, split_steps))
+    init = SystemState(X_INIT, np.zeros_like(X_INIT), [3.0, 3.0], [3.0])
+    cfg = IntegratorConfig(h=h, horizon=T, seed=[n for _, n in streams], output_stride=1)
+    batch = simulate(five_agent, six_mode_network, paths, cfg, init, pi=pi)
+    assert len(batch.members) == M
+    for m, (path, (_, noise)) in enumerate(zip(paths, streams)):
+        serial = simulate(five_agent, six_mode_network, path,
+                          dataclasses.replace(cfg, seed=noise), init, pi=pi)
+        _assert_member_equals_serial(batch.members[m], serial)
+
+
+def test_batch_with_a_jump_on_a_step_boundary(five_agent, six_mode_network):
+    # h = 2^-10, so k*h is exact: member 0 jumps exactly at steps 5 and 9,
+    # member 1 twice inside step 7, member 2 never
+    h = 2.0 ** -10
+    T = 16 * h
+
+    def path(times, modes):
+        return chain.SwitchPath(times=np.array(times), modes=np.array(modes),
+                                alpha=1.0, horizon=T + h, n_modes=6)
+
+    paths = [path([0.0, 5 * h, 9 * h], [0, 3, 1]),
+             path([0.0, 7.25 * h, 7.5 * h], [2, 5, 4]),
+             path([0.0], [1])]
+    init = SystemState(X_INIT, np.zeros_like(X_INIT), [3.0, 3.0], [3.0])
+    cfg = IntegratorConfig(h=h, horizon=T, seed=[11, 12, 13], output_stride=1)
+    batch = simulate(five_agent, six_mode_network, paths, cfg, init)
+    for m, p in enumerate(paths):
+        serial = simulate(five_agent, six_mode_network, p,
+                          dataclasses.replace(cfg, seed=11 + m), init)
+        _assert_member_equals_serial(batch.members[m], serial)
+
+
+def test_averaged_batch_members_equal_their_serial_runs(five_agent, six_mode_network,
+                                                        six_mode_generator,
+                                                        reference_init):
+    avg = average_laplacian(six_mode_network, chain.stationary(six_mode_generator))
+    seeds = [chain.trajectory_seeds(3, m)[1] for m in range(5)]
+    cfg = IntegratorConfig(h=1e-3, horizon=0.3, seed=seeds, output_stride=7)
+    batch = simulate_averaged(five_agent, avg, cfg, reference_init)
+    for member, seed in zip(batch.members, seeds):
+        serial = simulate_averaged(five_agent, avg, dataclasses.replace(cfg, seed=seed),
+                                   reference_init)
+        _assert_member_equals_serial(member, serial)
+
+
+def _member_axis_init(x_rows, lam=None):
+    """Initial states of a one-agent, one-coordinate batch, one per row."""
+    x = np.array(x_rows, dtype=float)[:, None, None]
+    lam = np.zeros((len(x), 0)) if lam is None else np.array(lam, dtype=float)
+    return SystemState._from_pair(x, x.copy(), lam, np.zeros((len(x), 0)), 0.0, 0)
+
+
+def test_batch_counts_clamps_per_member():
+    # strong multiplier decay with a big step: lam=0.5 and 0.25 cross the
+    # floor on every step (back from it too), lam=1e3 never does within 3
+    p = single_agent_problem(g=("-100",))
+    net = single_node_network()
+    lam0 = [0.5, 1e3, 0.25]
+    init = _member_axis_init([0.0, 0.0, 0.0], lam=[[v] for v in lam0])
+    cfg = IntegratorConfig(h=0.1, horizon=0.3, lambda_floor=1e-12, seed=[1, 2, 3])
+    batch = simulate(p, net, None, cfg, init)
+    assert [t.clamp_count for t in batch.members] == [3, 0, 3]
+    assert batch.clamp_count == 6
+    for m, member in enumerate(batch.members):
+        serial = simulate(p, net, None, dataclasses.replace(cfg, seed=m + 1),
+                          SystemState([[0.0]], [[0.0]], [lam0[m]], []))
+        _assert_member_equals_serial(member, serial)
+
+
+
+
+def test_batch_domain_failure_names_the_member():
+    # only member 2 starts outside the domain of ln
+    p = single_agent_problem(cost="ln(x1)")
+    cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=[0, 1, 2, 3])
+    with pytest.raises(IntegrationError, match=(
+        r"^expression left its domain at t=0 \(mode 0, member 2\): "
+        r"agent 1 cost 'ln\(x1\)': ln of nonpositive value"
+    )) as info:
+        simulate(p, single_node_network(), None, cfg, _member_axis_init([1.0, 2.0, -1.0, 3.0]))
+    assert (info.value.member, info.value.start) == (2, 0.0)
+
+
+def test_batch_nonfinite_failure_names_the_member():
+    # exp overflows to inf at x=1000: member 1's state goes nonfinite at t=h
+    p = single_agent_problem(cost="exp(x1)")
+    cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=[0, 1, 2])
+    with pytest.raises(IntegrationError, match=(
+        r"^nonfinite state at t=0\.001 \(mode 0, member 1\): "
+        r"step size too large for this problem's stiffness$"
+    )):
+        simulate(p, single_node_network(), None, cfg, _member_axis_init([0.0, 1000.0, 0.5]))
+
+
+def test_batch_failure_ties_go_to_the_lowest_member():
+    # members 1 and 3 both fail at t=0, member 3 in the drift's domain
+    # check and member 1 only after it, in the finiteness check
+    p = single_agent_problem(cost="ln(x1 + 2000) + exp(x1)")
+    cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=[0, 1, 2, 3])
+    with pytest.raises(IntegrationError, match=r"\(mode 0, member 1\)") as info:
+        simulate(p, single_node_network(), None, cfg,
+                 _member_axis_init([0.0, 1000.0, 0.5, -3000.0]))
+    assert info.value.member == 1 and info.value.start == 0.0
+
+
+class _FailsAt(_Model):
+    """A model whose step fails for member m at the substep starting at
+    ``fail_at[m]``, whatever the state."""
+
+    def __init__(self, problem, network, fail_at):
+        super().__init__(problem, network, np.ones(problem.r))
+        self.fail_at = fail_at
+
+    def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
+        for row, m in enumerate(members):
+            start = t[row] if isinstance(t, np.ndarray) else t
+            if start == self.fail_at.get(int(m)):
+                raise self.failure("scripted failure", "test", t, 0.0, mode, members, row)
+        return super().step(x, pair, lam, nu, t, h, mode, W, clamp_floor, members)
+
+
+def test_batch_failure_earliest_in_time_wins_across_rounds(five_agent, six_mode_network):
+    # in step 3, member 0 splits once (at 3.5h) and member 1 twice (3.1h,
+    # 3.2h).  Member 0's second substep (round 1, from 3.5h) fails before
+    # member 1's third (round 2, from 3.2h) is taken, yet member 1's
+    # failure is the earlier in time
+    h = 2.0 ** -10
+    T = 8 * h
+
+    def path(times, modes):
+        return chain.SwitchPath(times=np.array(times), modes=np.array(modes),
+                                alpha=1.0, horizon=T + h, n_modes=6)
+
+    paths = [path([0.0, 3.5 * h], [0, 1]), path([0.0, 3.1 * h, 3.2 * h], [0, 2, 3]),
+             path([0.0], [4])]
+    model = _FailsAt(five_agent, six_mode_network, {0: 3.5 * h, 1: 3.2 * h})
+    cfg = IntegratorConfig(h=h, horizon=T, seed=[1, 2, 3])
+    init = SystemState(X_INIT, np.zeros_like(X_INIT), [3.0, 3.0], [3.0])
+    report = check_assumptions(five_agent, six_mode_network, switching=True)
+    with pytest.raises(IntegrationError, match=r"^scripted failure at t=0\.003125 "
+                                               r"\(mode 3, member 1\): test$"):
+        _integrate(model, paths, cfg, init, report)

@@ -185,4 +185,4 @@ def test_one_compile_per_compare_command(monkeypatch, switching_scenario_path, t
                    "--out-dir", str(tmp_path)])
     assert rc == 0
     assert len(compiles) == 1
-    assert len(builds) == 3 * (1 + 2)  # one model per trajectory, as before
+    assert len(builds) == 1 + 2  # one model per ensemble, each run as one batch

@@ -337,6 +337,23 @@ def test_simulate_averaged_warns_on_horizon_off_the_step_grid(switching_scenario
     assert main(args + ["--strict"]) == 1
 
 
+def test_compare_records_the_run_warnings(switching_scenario_path, tmp_path, capsys):
+    # every member runs 10 steps to t=0.01: the report says so once, in
+    # "warnings", and stdout once as a warning: line, with no RuntimeWarning
+    args = ["compare", str(switching_scenario_path), "--alpha", "0.5", "--alpha", "0.1",
+            "--ensemble", "3", "--horizon", "0.0105", "--out-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 0
+    expected = "horizon 0.0105 is not a multiple of h=0.001; running 10 steps to t=0.01"
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("warning:")] == [
+        f"warning: {expected}"
+    ]
+    report = json.loads((tmp_path / "five_agent_switching.compare.report.json").read_text())
+    assert report["horizon"] == 0.0105 and report["warnings"] == [expected]
+
+
 def test_simulate_reports_each_failed_assumption_once(tmp_scenario_file, tmp_path, capsys):
     def mutate(d):
         d["network"]["coupling"] = 2.0
