@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -102,6 +103,9 @@ def cmd_kkt(args) -> int:
     problem = scn.build_problem()
     if args.x is not None:
         cand = np.array([float(v) for v in args.x.split(",")])
+        for k, v in enumerate(cand.tolist()):
+            if not math.isfinite(v):
+                raise ValueError(f"--x entry {k + 1} must be finite, got {v!r}")
     else:
         cand = scn.candidate()
     if cand is None:

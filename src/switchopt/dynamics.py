@@ -300,8 +300,8 @@ class _Model:
     def domain_failure(self, x, lam, nu, t, mode, members, exc):
         """IntegrationError naming the first expression that left its domain
         at the agent points of ``x`` (in a batch, of the first member whose
-        kernel raises), found by re-walking the expression trees in the
-        kernel's order (cold path, after the kernel raised ``exc``)."""
+        kernel raises), found by evaluating the expressions one at a time in
+        the kernel's order (cold path, after the kernel raised ``exc``)."""
         row = None
         if x.ndim == 3:
             for row, args in enumerate(zip(x.tolist(), lam.tolist(), nu.tolist())):

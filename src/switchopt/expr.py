@@ -7,11 +7,13 @@ arithmetic: every node propagates a value together with one tangent per
 coordinate, seeded with the canonical basis.  This is exact differentiation,
 not finite differencing.
 
-The tree walk (``Expr.value_and_grad``) is the reference evaluator.  For the
-integrator's hot loop the same pass can also be unrolled into generated
-straight-line code (``Expr.emit`` into an ``Emitter``), which computes
-bit-identical values, gradients and domain errors without the per-node
-calls and tuple building.
+The package has one evaluator.  Each node lowers its forward pass into
+generated straight-line Python (``_emit`` into an ``Emitter``: forward mode by
+source transformation).  ``Expr.value`` and ``Expr.value_and_grad`` run a
+function compiled from that lowering once per expression, on first use, and
+``Problem.kernel`` fuses the same lowerings of a whole problem into the
+integrator's drift.  The reference tree walk that the tests hold this
+against lives in ``tests/oracles.py``.
 
 Grammar (infix, whitespace insensitive)::
 
@@ -23,8 +25,11 @@ Grammar (infix, whitespace insensitive)::
              | '(' expr ')'
 
 Variables are written ``x1 .. xn`` (1-based in the source text, index ``k-1``
-internally).  Exponents must be numeric literals, which keeps powers totally
-differentiable and avoids complex-valued branches.
+internally).  Numeric literals must be finite.  Exponents must be numeric
+literals, which keeps powers totally differentiable and avoids complex-valued
+branches.  A power whose value or derivative overflows raises DomainError
+(Python's float ``**`` raises where ``*`` and ``/`` give ``inf``); ``exp``
+overflows to ``inf``.
 """
 
 from __future__ import annotations
@@ -60,15 +65,17 @@ class VariableRangeError(ExprError):
 
 class DomainError(ExprError):
     """Evaluation left the mathematical domain (ln of nonpositive value,
-    division by zero, fractional power of a negative base)."""
+    division by zero, fractional power of a negative base, a power that
+    overflows)."""
 
 
 # ---------------------------------------------------------------------------
-# AST nodes.  Each node evaluates to (value, tangents) where tangents is a
-# tuple with one entry per coordinate, or None when only the value is needed.
-# ``_emit`` writes the same forward pass as straight-line Python statements
-# into an Emitter and returns the code of its (value, tangents): the same
-# float operations in the same order, the same domain checks and messages.
+# AST nodes.  ``_emit(em, xs, grad)`` writes the node's forward pass as
+# straight-line Python statements into an Emitter, with the variables bound
+# to the local names ``xs``, and returns the code of its value and of its
+# tangents, one per coordinate (local names or literals).  Without ``grad``
+# the tangents are absent, an empty tuple: only the value is computed and no
+# derivative is checked.
 # ---------------------------------------------------------------------------
 
 
@@ -81,11 +88,8 @@ class _Node:
 class Const(_Node):
     value: float
 
-    def _eval(self, xs, seeds):
-        return self.value, (None if seeds is None else _ZEROS[len(xs)])
-
-    def _emit(self, em, xs):
-        return _lit(self.value), ("0.0",) * len(xs)
+    def _emit(self, em, xs, grad):
+        return _lit(self.value), ("0.0",) * len(xs) if grad else ()
 
     def _render(self, prec):
         s = repr(self.value)
@@ -96,13 +100,9 @@ class Const(_Node):
 class Var(_Node):
     index: int
 
-    def _eval(self, xs, seeds):
-        return xs[self.index], (None if seeds is None else seeds[self.index])
-
-    def _emit(self, em, xs):
-        return xs[self.index], tuple(
-            "1.0" if k == self.index else "0.0" for k in range(len(xs))
-        )
+    def _emit(self, em, xs, grad):
+        seed = tuple("1.0" if k == self.index else "0.0" for k in range(len(xs)))
+        return xs[self.index], seed if grad else ()
 
     def _render(self, prec):
         return f"x{self.index + 1}"
@@ -113,16 +113,9 @@ class Add(_Node):
     lhs: _Node
     rhs: _Node
 
-    def _eval(self, xs, seeds):
-        a, ta = self.lhs._eval(xs, seeds)
-        b, tb = self.rhs._eval(xs, seeds)
-        if seeds is None:
-            return a + b, None
-        return a + b, tuple(u + v for u, v in zip(ta, tb))
-
-    def _emit(self, em, xs):
-        a, ta = self.lhs._emit(em, xs)
-        b, tb = self.rhs._emit(em, xs)
+    def _emit(self, em, xs, grad):
+        a, ta = self.lhs._emit(em, xs, grad)
+        b, tb = self.rhs._emit(em, xs, grad)
         return em.temp(f"{a} + {b}"), tuple(em.temp(f"{u} + {v}") for u, v in zip(ta, tb))
 
     def _render(self, prec):
@@ -136,16 +129,9 @@ class Sub(_Node):
     lhs: _Node
     rhs: _Node
 
-    def _eval(self, xs, seeds):
-        a, ta = self.lhs._eval(xs, seeds)
-        b, tb = self.rhs._eval(xs, seeds)
-        if seeds is None:
-            return a - b, None
-        return a - b, tuple(u - v for u, v in zip(ta, tb))
-
-    def _emit(self, em, xs):
-        a, ta = self.lhs._emit(em, xs)
-        b, tb = self.rhs._emit(em, xs)
+    def _emit(self, em, xs, grad):
+        a, ta = self.lhs._emit(em, xs, grad)
+        b, tb = self.rhs._emit(em, xs, grad)
         return em.temp(f"{a} - {b}"), tuple(em.temp(f"{u} - {v}") for u, v in zip(ta, tb))
 
     def _render(self, prec):
@@ -159,16 +145,9 @@ class Mul(_Node):
     lhs: _Node
     rhs: _Node
 
-    def _eval(self, xs, seeds):
-        a, ta = self.lhs._eval(xs, seeds)
-        b, tb = self.rhs._eval(xs, seeds)
-        if seeds is None:
-            return a * b, None
-        return a * b, tuple(a * v + b * u for u, v in zip(ta, tb))
-
-    def _emit(self, em, xs):
-        a, ta = self.lhs._emit(em, xs)
-        b, tb = self.rhs._emit(em, xs)
+    def _emit(self, em, xs, grad):
+        a, ta = self.lhs._emit(em, xs, grad)
+        b, tb = self.rhs._emit(em, xs, grad)
         val = em.temp(f"{a} * {b}")
         return val, tuple(em.temp(f"{a} * {v} + {b} * {u}") for u, v in zip(ta, tb))
 
@@ -182,19 +161,9 @@ class Div(_Node):
     lhs: _Node
     rhs: _Node
 
-    def _eval(self, xs, seeds):
-        a, ta = self.lhs._eval(xs, seeds)
-        b, tb = self.rhs._eval(xs, seeds)
-        if b == 0.0:
-            raise DomainError("division by zero")
-        val = a / b
-        if seeds is None:
-            return val, None
-        return val, tuple((u - val * v) / b for u, v in zip(ta, tb))
-
-    def _emit(self, em, xs):
-        a, ta = self.lhs._emit(em, xs)
-        b, tb = self.rhs._emit(em, xs)
+    def _emit(self, em, xs, grad):
+        a, ta = self.lhs._emit(em, xs, grad)
+        b, tb = self.rhs._emit(em, xs, grad)
         em.line(f"if {b} == 0.0: raise DomainError('division by zero')")
         val = em.temp(f"{a} / {b}")
         return val, tuple(em.temp(f"({u} - {val} * {v}) / {b}") for u, v in zip(ta, tb))
@@ -208,14 +177,8 @@ class Div(_Node):
 class Neg(_Node):
     operand: _Node
 
-    def _eval(self, xs, seeds):
-        a, ta = self.operand._eval(xs, seeds)
-        if seeds is None:
-            return -a, None
-        return -a, tuple(-u for u in ta)
-
-    def _emit(self, em, xs):
-        a, ta = self.operand._emit(em, xs)
+    def _emit(self, em, xs, grad):
+        a, ta = self.operand._emit(em, xs, grad)
         return em.temp(f"-{a}"), tuple(em.temp(f"-{u}") for u in ta)
 
     def _render(self, prec):
@@ -228,44 +191,37 @@ class Pow(_Node):
     base: _Node
     exponent: float
 
-    def _eval(self, xs, seeds):
-        a, ta = self.base._eval(xs, seeds)
+    def _emit(self, em, xs, grad):
+        # The exponent is a finite literal, so the tests on k alone are
+        # decided here; the tests on the base are emitted in evaluation order.
+        a, ta = self.base._emit(em, xs, grad)
         k = self.exponent
-        integral = k == int(k)
-        if a < 0.0 and not integral:
-            raise DomainError(f"negative base {a!r} with fractional exponent {k!r}")
-        if a == 0.0 and k < 0.0:
-            raise DomainError(f"zero base with negative exponent {k!r}")
-        val = a ** k
-        if seeds is None:
-            return val, None
-        if a == 0.0 and k < 1.0 and k != 0.0:
-            raise DomainError(f"derivative of x^{k!r} undefined at 0")
-        dcoef = 0.0 if k == 0.0 else k * a ** (k - 1.0)
-        return val, tuple(dcoef * u for u in ta)
 
-    def _emit(self, em, xs):
-        # The exponent is a literal, so the tests on k alone are decided here;
-        # the tests on the base are emitted in the order _eval makes them.
-        a, ta = self.base._emit(em, xs)
-        k = self.exponent
-        try:
-            integral = k == int(k)
-        except (OverflowError, ValueError):
-            # an infinite exponent: _eval raises here on every call, so does this
-            em.line(f"int({_lit(k)})")
-            return a, ta
-        if not integral:
+        def power(p, message):
+            # float ** raises OverflowError where * and / give inf; an inline
+            # handler keeps a power that does not overflow at its bare cost
+            name = em.fresh()
+            em.line(f"try:\n    {name} = {a} ** {_lit(p)}\nexcept OverflowError:\n"
+                    f"    raise DomainError({message}) from None")
+            return name
+
+        if k != int(k):
             em.line(f"if {a} < 0.0: raise DomainError("
                     f"f'negative base {{{a}!r}} with fractional exponent {k!r}')")
         if k < 0.0:
             em.line(f"if {a} == 0.0: raise DomainError("
                     f"'zero base with negative exponent {k!r}')")
-        val = em.temp(f"{a} ** {_lit(k)}")
+        val = power(k, f"f'power {{{a}!r}}^{k!r} overflows'")
+        if not grad:
+            return val, ()
         if k < 1.0 and k != 0.0:
             em.line(f"if {a} == 0.0: raise DomainError("
                     f"'derivative of x^{k!r} undefined at 0')")
-        dcoef = "0.0" if k == 0.0 else em.temp(f"{_lit(k)} * {a} ** {_lit(k - 1.0)}")
+        if k == 0.0:
+            dcoef = "0.0"
+        else:
+            slope = power(k - 1.0, f"f'derivative of x^{k!r} overflows at {{{a}!r}}'")
+            dcoef = em.temp(f"{_lit(k)} * {slope}")
         return val, tuple(em.temp(f"{dcoef} * {u}") for u in ta)
 
     def _render(self, prec):
@@ -277,18 +233,8 @@ class Pow(_Node):
 class Exp(_Node):
     operand: _Node
 
-    def _eval(self, xs, seeds):
-        a, ta = self.operand._eval(xs, seeds)
-        try:
-            val = math.exp(a)
-        except OverflowError:
-            val = math.inf
-        if seeds is None:
-            return val, None
-        return val, tuple(val * u for u in ta)
-
-    def _emit(self, em, xs):
-        a, ta = self.operand._emit(em, xs)
+    def _emit(self, em, xs, grad):
+        a, ta = self.operand._emit(em, xs, grad)
         val = em.fresh()
         em.line(f"try:\n    {val} = exp({a})\nexcept OverflowError:\n    {val} = inf")
         return val, tuple(em.temp(f"{val} * {u}") for u in ta)
@@ -301,17 +247,8 @@ class Exp(_Node):
 class Ln(_Node):
     operand: _Node
 
-    def _eval(self, xs, seeds):
-        a, ta = self.operand._eval(xs, seeds)
-        if a <= 0.0:
-            raise DomainError(f"ln of nonpositive value {a!r}")
-        val = math.log(a)
-        if seeds is None:
-            return val, None
-        return val, tuple(u / a for u in ta)
-
-    def _emit(self, em, xs):
-        a, ta = self.operand._emit(em, xs)
+    def _emit(self, em, xs, grad):
+        a, ta = self.operand._emit(em, xs, grad)
         em.line(f"if {a} <= 0.0: raise DomainError(f'ln of nonpositive value {{{a}!r}}')")
         val = em.temp(f"log({a})")
         return val, tuple(em.temp(f"{u} / {a}") for u in ta)
@@ -365,58 +302,53 @@ class Emitter:
         return namespace[name]
 
 
-# shared zero-tangent tuples and basis seeds, cached per dimension
-_ZEROS: dict[int, tuple] = {}
-_BASIS: dict[int, tuple] = {}
-
-
-def _basis(n):
-    try:
-        return _BASIS[n]
-    except KeyError:
-        rows = tuple(
-            tuple(1.0 if i == k else 0.0 for i in range(n)) for k in range(n)
-        )
-        _BASIS[n] = rows
-        _ZEROS[n] = tuple(0.0 for _ in range(n))
-        return rows
-
-
 class Expr:
     """A parsed scalar function of ``n`` variables.
 
-    Immutable after construction; safe to evaluate concurrently.
+    Immutable after construction and safe to evaluate concurrently: each
+    evaluation method compiles its function of the tree on first use, so a
+    race at most compiles the same function twice.
     """
 
-    __slots__ = ("root", "n", "_text")
+    __slots__ = ("root", "n", "_text", "_value", "_value_and_grad")
 
     def __init__(self, root, n):
         self.root = root
         self.n = n
         self._text = root._render(0)
-        _basis(n)
+        self._value = self._value_and_grad = None
 
     def value(self, x) -> float:
         """Evaluate at ``x`` (sequence of length n)."""
         xs = self._coerce(x)
-        v, _ = self.root._eval(xs, None)
-        return v
+        return (self._value or self._compile(False))(*xs)
 
     def value_and_grad(self, x):
         """Evaluate value and full gradient in a single forward pass."""
         xs = self._coerce(x)
-        v, t = self.root._eval(xs, _basis(self.n))
-        return v, t
+        return (self._value_and_grad or self._compile(True))(*xs)
 
     def grad(self, x):
         """Gradient at ``x`` as a tuple of length n."""
         return self.value_and_grad(x)[1]
 
+    def _compile(self, grad):
+        """Compile, cache and return the function of the n coordinates that
+        gives the value, or with ``grad`` the value and the gradient tuple."""
+        em = Emitter()
+        xs = [f"x{k}" for k in range(self.n)]
+        v, t = self.root._emit(em, xs, grad)
+        name = "_value_and_grad" if grad else "_value"
+        result = f"{v}, ({''.join(f'{u}, ' for u in t)})" if grad else v
+        fn = em.compile(name, ", ".join(xs), result)
+        setattr(self, name, fn)
+        return fn
+
     def emit(self, em: Emitter, xs):
         """Write the value-and-gradient pass into ``em`` with the variables
         bound to the local names ``xs``; return the code of the value and of
         each gradient entry (local names or literals)."""
-        return self.root._emit(em, tuple(xs))
+        return self.root._emit(em, tuple(xs), True)
 
     def _coerce(self, x):
         xs = tuple(float(v) for v in x)
@@ -437,6 +369,10 @@ class Expr:
 
     def __hash__(self):
         return hash((self.root, self.n))
+
+    def __reduce__(self):
+        # the compiled functions do not pickle; a copy compiles its own
+        return Expr, (self.root, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +399,11 @@ def _tokenize(text):
             at = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
         if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num")), m.start("num")))
+            value = float(m.group("num"))
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"numeric literal {m.group('num')} is not finite",
+                                      m.start("num"))
+            tokens.append(("num", value, m.start("num")))
         elif m.group("ident") is not None:
             tokens.append(("ident", m.group("ident"), m.start("ident")))
         else:

@@ -103,8 +103,9 @@ class Problem:
         grad f_i, plus lam_k grad g_k over agent i's inequalities in
         ``ineq_index`` order, plus nu_k grad h_k over its equalities in
         ``eq_index`` order; ``gvals`` and ``hvals`` are the constraint values.
-        The result is bit-identical to walking each expression tree, and a
-        point outside an expression's domain raises the same DomainError.
+        The result is bit-identical to each expression's own
+        ``value_and_grad``, which runs the same lowering, and a point outside
+        an expression's domain raises the same DomainError.
         Compiled on first use and kept for the life of the problem.
         """
         return _compile_kernel(self)

@@ -9,13 +9,135 @@ batched energy in ``analysis`` must match bit for bit.  The averaged system
 has a second stepper driven by the square PSD root of its squared diffusion,
 the reference in law for the library's channel factor.  The weak-convergence
 study has its one-member-at-a-time loop, the reference the batched study
-must match on every field bit for bit.
+must match on every field bit for bit.  Expressions have the tree walk,
+the reference the compiled evaluator of ``switchopt.expr`` must match bit
+for bit, domain errors included.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+
+from switchopt.expr import Add, Const, Div, DomainError, Exp, Ln, Mul, Neg, Pow, Sub, Var
+
+
+def tree_walk(node, xs, seeds):
+    """(value, tangents) of an expression node at the float tuple ``xs`` by
+    forward-mode dual arithmetic, one recursive call per node.  ``seeds``
+    holds one tangent tuple per coordinate (the canonical basis), or is None
+    for the value alone: then no tangent is made and no derivative checked."""
+    return _WALK[type(node)](node, xs, seeds)
+
+
+def _const(node, xs, seeds):
+    return node.value, (None if seeds is None else (0.0,) * len(xs))
+
+
+def _var(node, xs, seeds):
+    return xs[node.index], (None if seeds is None else seeds[node.index])
+
+
+def _add(node, xs, seeds):
+    a, ta = tree_walk(node.lhs, xs, seeds)
+    b, tb = tree_walk(node.rhs, xs, seeds)
+    if seeds is None:
+        return a + b, None
+    return a + b, tuple(u + v for u, v in zip(ta, tb))
+
+
+def _sub(node, xs, seeds):
+    a, ta = tree_walk(node.lhs, xs, seeds)
+    b, tb = tree_walk(node.rhs, xs, seeds)
+    if seeds is None:
+        return a - b, None
+    return a - b, tuple(u - v for u, v in zip(ta, tb))
+
+
+def _mul(node, xs, seeds):
+    a, ta = tree_walk(node.lhs, xs, seeds)
+    b, tb = tree_walk(node.rhs, xs, seeds)
+    if seeds is None:
+        return a * b, None
+    return a * b, tuple(a * v + b * u for u, v in zip(ta, tb))
+
+
+def _div(node, xs, seeds):
+    a, ta = tree_walk(node.lhs, xs, seeds)
+    b, tb = tree_walk(node.rhs, xs, seeds)
+    if b == 0.0:
+        raise DomainError("division by zero")
+    val = a / b
+    if seeds is None:
+        return val, None
+    return val, tuple((u - val * v) / b for u, v in zip(ta, tb))
+
+
+def _neg(node, xs, seeds):
+    a, ta = tree_walk(node.operand, xs, seeds)
+    if seeds is None:
+        return -a, None
+    return -a, tuple(-u for u in ta)
+
+
+def _pow(node, xs, seeds):
+    a, ta = tree_walk(node.base, xs, seeds)
+    k = node.exponent
+    integral = k == int(k)
+    if a < 0.0 and not integral:
+        raise DomainError(f"negative base {a!r} with fractional exponent {k!r}")
+    if a == 0.0 and k < 0.0:
+        raise DomainError(f"zero base with negative exponent {k!r}")
+    try:
+        val = a ** k
+    except OverflowError:
+        raise DomainError(f"power {a!r}^{k!r} overflows") from None
+    if seeds is None:
+        return val, None
+    if a == 0.0 and k < 1.0 and k != 0.0:
+        raise DomainError(f"derivative of x^{k!r} undefined at 0")
+    try:
+        dcoef = 0.0 if k == 0.0 else k * a ** (k - 1.0)
+    except OverflowError:
+        raise DomainError(f"derivative of x^{k!r} overflows at {a!r}") from None
+    return val, tuple(dcoef * u for u in ta)
+
+
+def _exp(node, xs, seeds):
+    a, ta = tree_walk(node.operand, xs, seeds)
+    try:
+        val = math.exp(a)
+    except OverflowError:
+        val = math.inf
+    if seeds is None:
+        return val, None
+    return val, tuple(val * u for u in ta)
+
+
+def _ln(node, xs, seeds):
+    a, ta = tree_walk(node.operand, xs, seeds)
+    if a <= 0.0:
+        raise DomainError(f"ln of nonpositive value {a!r}")
+    val = math.log(a)
+    if seeds is None:
+        return val, None
+    return val, tuple(u / a for u in ta)
+
+
+_WALK = {Const: _const, Var: _var, Add: _add, Sub: _sub, Mul: _mul, Div: _div,
+         Neg: _neg, Pow: _pow, Exp: _exp, Ln: _ln}
+
+
+def tree_value(e, x):
+    """``Expr.value`` by the tree walk."""
+    return tree_walk(e.root, tuple(float(v) for v in x), None)[0]
+
+
+def tree_value_and_grad(e, x):
+    """``Expr.value_and_grad`` by the tree walk."""
+    xs = tuple(float(v) for v in x)
+    basis = tuple(tuple(1.0 if i == k else 0.0 for i in range(e.n)) for k in range(e.n))
+    return tree_walk(e.root, xs, basis)
 
 
 def fd_gradient(fun, x, step=1e-6):

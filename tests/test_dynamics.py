@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -299,6 +300,19 @@ def test_multiplier_drift_at_minus_one_over_eta_is_nonfinite():
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
+
+
+def test_power_overflow_names_time_mode_agent_and_expression(five_agent, k5_network):
+    # 4*x1^2 at x1 = 1e160: float ** raises OverflowError, a domain error here
+    x = X_INIT.copy()
+    x[0, 0] = 1e160
+    init = SystemState(x, np.zeros_like(x), np.array([3.0, 3.0]), np.array([3.0]))
+    cfg = IntegratorConfig(h=1e-3, horizon=1e-3, seed=1)
+    with pytest.raises(IntegrationError, match="^" + re.escape(
+        "expression left its domain at t=0 (mode 0): "
+        "agent 1 cost '4.0*x1^2.0 + 2.0*x2': power 1e+160^2.0 overflows"
+    ) + "$"):
+        simulate(five_agent, k5_network, None, cfg, init)
 
 
 def test_simulate_stays_at_equilibrium_without_noise(five_agent, equilibrium):

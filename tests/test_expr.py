@@ -75,6 +75,11 @@ def test_value_and_grad_consistent():
 # ---------------------------------------------------------------------------
 
 
+# coordinates at which values and derivatives reach 0, -0.0, the subnormal
+# range, exp overflow and power overflow
+SPECIAL_POINTS = (0.0, -0.0, 1e-300, 40.0, -40.0, 1e3, -1e3, 1e155, -1e155)
+
+
 def random_expr_text(rng, n, depth=0):
     """Expression generator restricted to globally smooth constructs so the
     finite-difference oracle is valid everywhere: ln and division get
@@ -222,3 +227,57 @@ def test_signed_exponent():
     e = parse("x1^-2", 1)
     assert e.value((2.0,)) == 0.25
     assert parse(str(e), 1) == e
+
+
+# ---------------------------------------------------------------------------
+# any text of the grammar, evaluated anywhere: only the layer's own errors
+# ---------------------------------------------------------------------------
+
+# decimals and scientific literals from 1e-400 (underflows to 0) to 1e999
+# (overflows), so literals the parser must refuse are drawn too
+LITERALS = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "0.5", "2.5", ".25", "10"]),
+    st.builds(lambda m, k: f"{m}e{k}", st.sampled_from(["1", "2.5", "9.99"]),
+              st.integers(min_value=-400, max_value=999)),
+)
+EXPONENTS = st.builds(lambda sign, lit: sign + lit, st.sampled_from(["", "-", "+"]),
+                      st.one_of(st.sampled_from(["2", "3", "0.5", "1.5", "0", "1"]), LITERALS))
+
+
+def _compose(children):
+    return st.one_of(
+        st.builds(lambda a, op, b: f"({a} {op} {b})", children,
+                  st.sampled_from("+-*/"), children),
+        st.builds(lambda a, k: f"({a})^{k}", children, EXPONENTS),
+        st.builds(lambda f, a: f"{f}({a})", st.sampled_from(["exp", "ln"]), children),
+        children.map(lambda a: f"-{a}"),
+    )
+
+
+EXPR_TEXTS = st.recursive(
+    st.one_of(LITERALS, st.integers(min_value=1, max_value=4).map(lambda k: f"x{k}")),
+    _compose, max_leaves=8,
+)
+POINTS = SPECIAL_POINTS + (1e200, -1e200, 0.5, -2.0)
+
+
+@given(text=EXPR_TEXTS, n=st.integers(min_value=1, max_value=3), data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_expression_layer_raises_only_its_own_errors(text, n, data):
+    try:
+        e = parse(text, n)
+    except (ExprSyntaxError, VariableRangeError):
+        return
+    assert parse(str(e), n) == e
+    point = data.draw(st.lists(st.sampled_from(POINTS), min_size=n, max_size=n))
+    try:
+        v = e.value(point)
+    except DomainError:
+        pass
+    else:
+        assert type(v) is float
+    try:
+        v, g = e.value_and_grad(point)
+    except DomainError:
+        return
+    assert type(v) is float and len(g) == n and all(type(d) is float for d in g)

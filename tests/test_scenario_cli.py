@@ -282,8 +282,12 @@ def test_compare_bad_design_exits_1(extra, message, switching_scenario_path, tmp
      "horizon must be positive and finite, got inf"),
     (["kkt", "fixed", "--x", "a,b"], "could not convert string to float: 'a'"),
     (["kkt", "fixed", "--x", "1"], "expected a point of dimension 2, got 1"),
+    (["kkt", "fixed", "--x", "nan,1"], "error: --x entry 1 must be finite, got nan\n"),
+    (["kkt", "fixed", "--x", "1,-inf"], "error: --x entry 2 must be finite, got -inf\n"),
+    (["kkt", "fixed", "--x", "1e200,1"], "error: power 1e+200^2.0 overflows\n"),
 ], ids=["simulate-horizon-neg", "simulate-horizon-nan", "simulate-seed-neg",
-        "compare-horizon-neg", "compare-horizon-inf", "kkt-x-str", "kkt-x-short"])
+        "compare-horizon-neg", "compare-horizon-inf", "kkt-x-str", "kkt-x-short",
+        "kkt-x-nan", "kkt-x-inf", "kkt-x-overflow"])
 def test_bad_flag_exits_1(argv, message, request, tmp_path, capsys):
     command, kind, *flags = argv
     scenario = request.getfixturevalue(f"{kind}_scenario_path")
@@ -465,6 +469,17 @@ def _set(path, value):
             d = d[key]
         d[path[-1]] = value
     return mutate
+
+
+@pytest.mark.parametrize("cost, position", [
+    ("4*x1 + 0*x2^1e999", 12),
+    ("4*x1 + 1e999*x2", 7),
+], ids=["exponent", "coefficient"])
+def test_nonfinite_literal_exits_1(cost, position, tmp_scenario_file, capsys):
+    path = tmp_scenario_file(_set(["problem", "agents", 2, "cost"], cost))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: agent 3: numeric literal 1e999 is not finite (at position {position})\n")
 
 
 @pytest.mark.parametrize("path, value, message", [
