@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import StationaryDist
-from .dynamics import Equilibrium, SystemState, Trajectory
+from .dynamics import Equilibrium, SystemState, Trajectory, _eta_vector
 from .problem import KktCertificate, Problem, total_cost
 
 __all__ = [
@@ -78,10 +78,7 @@ def _energy(x, pair, lam, nu, eq: Equilibrium, eta, omega: frozenset) -> dict:
     consensus norm, and ``math.log`` with sequential accumulation for V3.
     """
     K, N, n = x.shape
-    r = lam.shape[1]
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim == 0:
-        eta = np.full(r, float(eta))
+    eta = _eta_vector(eta, lam.shape[1])
 
     dx = x - eq.x
     dpair = pair - eq.pair
@@ -167,16 +164,10 @@ def lagrangian_phi(
     dx = x - x_star[None, :]
     value += float(np.sum(dx * theta))
     value += hbar * float(np.einsum("ij,ik,jk->", L, x, x))
-    pos = 0
-    for i, a in enumerate(problem.agents):
-        for e in a.g:
-            value += state.lam[pos] * e.value(tuple(x[i]))
-            pos += 1
-    pos = 0
-    for i, a in enumerate(problem.agents):
-        for e in a.h:
-            value += state.nu[pos] * e.value(tuple(x[i]))
-            pos += 1
+    for k, (i, _, e) in enumerate(problem.ineq_index()):
+        value += state.lam[k] * e.value(tuple(x[i]))
+    for k, (i, _, e) in enumerate(problem.eq_index()):
+        value += state.nu[k] * e.value(tuple(x[i]))
     return float(value)
 
 

@@ -34,7 +34,7 @@ from .dynamics import (
     check_assumptions,
     simulate,
 )
-from .graph import Network, lambda2, laplacian
+from .graph import Network, lambda2
 from .problem import Problem, total_cost
 
 __all__ = [
@@ -64,10 +64,6 @@ class AveragedNetwork:
     source: Network
     lambda2_pi: float
 
-    @property
-    def coupling(self) -> float:
-        return self.source.coupling
-
 
 def average_laplacian(network: Network, pi: StationaryDist) -> AveragedNetwork:
     """Weighted sum of the mode Laplacians under the stationary weights."""
@@ -76,7 +72,7 @@ def average_laplacian(network: Network, pi: StationaryDist) -> AveragedNetwork:
             f"stationary distribution has {len(pi.pi)} entries for "
             f"{network.n_modes} modes"
         )
-    L_pi = sum(p * laplacian(g) for p, g in zip(pi.pi, network.graphs))
+    L_pi = sum(p * L for p, L in zip(pi.pi, network.laplacians))
     return AveragedNetwork(
         L_pi=L_pi, pi=pi, source=network, lambda2_pi=lambda2(L_pi)
     )
@@ -84,10 +80,7 @@ def average_laplacian(network: Network, pi: StationaryDist) -> AveragedNetwork:
 
 def _squared_coeffs(network: Network, pi: StationaryDist) -> np.ndarray:
     """W[i, j] = sum_s pi_s * (mode-s channel coefficient j->i)^2."""
-    out = np.zeros((network.n_nodes, network.n_nodes))
-    for p, m in zip(pi.pi, range(network.n_modes)):
-        out += p * network.receive_coeffs(m) ** 2
-    return out
+    return sum(p * R**2 for p, R in zip(pi.pi, network.receive))
 
 
 def _diffusion_blocks(x: np.ndarray, wsq: np.ndarray):
@@ -155,7 +148,7 @@ def simulate_averaged(
     coefficients sqrt(w) (see the module docstring).  A list of noise seeds
     in ``cfg.seed`` runs a batch (see ``dynamics._integrate``).
     """
-    model = _AveragedModel(problem, avg, cfg.eta_vector(problem.r))
+    model = _AveragedModel(problem, avg, cfg.eta)
     report = check_assumptions(problem, avg.source, avg.pi)
     return _integrate(model, None, cfg, init, report)
 

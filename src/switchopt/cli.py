@@ -243,8 +243,7 @@ def cmd_simulate(args) -> int:
     written = ["trajectory.csv", "multipliers.csv", "meta.json"]
     if cert is not None:
         omega = analysis.omega_from_certificate(cert)
-        eta = cfg.eta_vector(problem.r)
-        metrics = analysis.convergence_metrics(traj, eq, problem, eta, omega)
+        metrics = analysis.convergence_metrics(traj, eq, problem, cfg.eta, omega)
         _write_text(out_dir / f"{base}.metrics.csv", _metrics_csv(header, metrics))
         written.append("metrics.csv")
         if traj.times[-1] != final.t:
@@ -254,7 +253,7 @@ def cmd_simulate(args) -> int:
                 times=np.array([final.t]), x=final.x[None], theta=final.theta[None],
                 lam=final.lam[None], nu=final.nu[None], clamp_count=final.clamp_count,
             )
-            metrics = analysis.convergence_metrics(last, eq, problem, eta, omega)
+            metrics = analysis.convergence_metrics(last, eq, problem, cfg.eta, omega)
         for key in ("opt_error", "consensus_error", "cost_gap"):
             meta["final"][key] = float(metrics[key][-1])
         meta["certificate_residuals"] = {

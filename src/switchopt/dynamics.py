@@ -27,8 +27,8 @@ import numpy as np
 
 from .chain import StationaryDist, SwitchPath
 from .expr import DomainError
-from .graph import Network, lambda2, laplacian
-from .problem import KktCertificate, Problem
+from .graph import Network, lambda2
+from .problem import KktCertificate, Problem, domain_error_detail
 from .schedule import CHUNK_STEPS, chunk
 
 __all__ = [
@@ -96,14 +96,6 @@ class SystemState:
     def theta(self) -> np.ndarray:
         return self.pair - self.x
 
-    @property
-    def x_hat(self) -> np.ndarray:
-        return self.x.ravel()
-
-    @property
-    def theta_hat(self) -> np.ndarray:
-        return self.theta.ravel()
-
     def copy(self):
         out = SystemState._from_pair(
             self.x.copy(), self.pair.copy(), self.lam.copy(), self.nu.copy(),
@@ -160,14 +152,19 @@ class IntegratorConfig:
             raise ValueError("output stride must be at least 1")
 
     def eta_vector(self, r: int) -> np.ndarray:
-        eta = np.asarray(self.eta, dtype=float)
-        if eta.ndim == 0:
-            eta = np.full(r, float(eta))
-        if eta.shape != (r,):
-            raise ValueError(f"eta must be scalar or length {r}")
-        if np.any(eta <= 0.0):
-            raise ValueError("eta entries must be positive")
-        return eta
+        return _eta_vector(self.eta, r)
+
+
+def _eta_vector(eta, r: int) -> np.ndarray:
+    """``eta``, a scalar or length r, as r positive multiplier weights."""
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim == 0:
+        eta = np.full(r, float(eta))
+    if eta.shape != (r,):
+        raise ValueError(f"eta must be scalar or length {r}")
+    if np.any(eta <= 0.0):
+        raise ValueError("eta entries must be positive")
+    return eta
 
 
 @dataclass
@@ -233,6 +230,7 @@ class _Model:
 
     Methods take one member's state, x (N, n), or a batch stacked on a
     leading axis, x (M, N, n), with ``mode`` an int or one per member.
+    ``eta`` is a scalar or one weight per inequality multiplier.
     """
 
     def __init__(self, problem: Problem, network: Network, eta):
@@ -243,18 +241,15 @@ class _Model:
             )
         self.problem = problem
         self.kernel = problem.kernel
-        self.network = network
         self.N = problem.n_agents
         self.n = problem.n
         self.c = network.coupling
         # stacked over modes, so that one index picks a mode or one per member
-        self.L = np.array([laplacian(g) for g in network.graphs])
-        self.R = np.array([network.receive_coeffs(m) for m in range(network.n_modes)])
+        self.L = network.laplacians
+        self.R = network.receive
         self.r = problem.r
         self.s = problem.s
-        self.eta = np.asarray(eta, dtype=float).reshape(-1)
-        if self.eta.shape != (self.r,):
-            raise ValueError(f"eta must have length {self.r}")
+        self.eta = _eta_vector(eta, self.r)
         self.eta_list = self.eta.tolist()
 
     def where(self, mode):
@@ -310,29 +305,14 @@ class _Model:
                 except DomainError as err:
                     exc = err
                     break
-        p = self.problem
-        labelled = [(i, "cost", a.f) for i, a in enumerate(p.agents)]
-        labelled += [(i, f"inequality {j + 1}", e) for i, j, e in p.ineq_index()]
-        labelled += [(i, f"equality {j + 1}", e) for i, j, e in p.eq_index()]
-        rows = (x if row is None else x[row]).tolist()
-        detail = str(exc)
-        for i, label, e in labelled:
-            try:
-                e.value_and_grad(rows[i])
-            except DomainError as err:
-                detail = f"agent {i + 1} {label} {str(e)!r}: {err}"
-                break
+        detail = domain_error_detail(self.problem, (x if row is None else x[row]).tolist(), exc)
         return self.failure("expression left its domain", detail, t, 0.0, mode, members, row)
 
     def noise_term(self, x, mode, W):
         """c * M_mode(x) applied to the channel increments W (N x N, one per
         member of a batch), W[..., i, j] being the increment on the channel
         carrying j to i."""
-        if x.ndim == 2:
-            diffs = x[None, :, :] - x[:, None, :]
-        else:
-            diffs = x[:, None, :, :] - x[:, :, None, :]
-        return self.c * np.einsum("...ij,...ijn->...in", self.R[mode] * W, diffs)
+        return _channel_noise(self.c, self.R[mode], x, W)
 
     def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
         """One Euler-Maruyama substep; returns new arrays and clamp count.
@@ -381,11 +361,28 @@ class _Model:
         return x_new, pair_new, lam_new, nu_new, clamped
 
 
+def _channel_noise(c, R, x, W):
+    """c * sum_j R[..., i, j] W[..., i, j] (x_j - x_i) for each receiver i."""
+    if x.ndim == 2:
+        diffs = x[None, :, :] - x[:, None, :]
+    else:
+        diffs = x[:, None, :, :] - x[:, :, None, :]
+    return c * np.einsum("...ij,...ijn->...in", R * W, diffs)
+
+
+def _channel_increments(W, N: int) -> np.ndarray:
+    """Channel increments W as (N, N), given as (N, N) or flat (N^2,)."""
+    W = np.asarray(W, dtype=float)
+    if W.shape == (N * N,):
+        W = W.reshape(N, N)
+    if W.shape != (N, N):
+        raise ValueError(f"noise increment must have shape ({N},{N}) or ({N * N},)")
+    return W
+
+
 def drift(state: SystemState, mode: int, problem: Problem, network: Network, eta=1.0):
     """Drift blocks (dx, dtheta, dlam, dnu) of the switching dynamics."""
-    cfg_eta = IntegratorConfig(horizon=1.0, eta=eta).eta_vector(problem.r)
-    model = _Model(problem, network, cfg_eta)
-    return model.drift(state.x, state.theta, state.lam, state.nu, mode)
+    return _Model(problem, network, eta).drift(state.x, state.theta, state.lam, state.nu, mode)
 
 
 def diffusion_matrix(state: SystemState, mode: int, network: Network) -> np.ndarray:
@@ -397,7 +394,7 @@ def diffusion_matrix(state: SystemState, mode: int, network: Network) -> np.ndar
     """
     x = state.x
     N, n = x.shape
-    R = network.receive_coeffs(mode)
+    R = network.receive[mode]
     M = np.zeros((n * N, N * N))
     for i in range(N):
         for j in range(N):
@@ -408,13 +405,8 @@ def diffusion_matrix(state: SystemState, mode: int, network: Network) -> np.ndar
 
 def apply_diffusion(state: SystemState, mode: int, network: Network, W) -> np.ndarray:
     """c * M(x) @ w for channel increments W given as (N, N) or flat (N^2,)."""
-    W = np.asarray(W, dtype=float)
-    N = state.x.shape[0]
-    if W.shape == (N * N,):
-        W = W.reshape(N, N)
-    diffs = state.x[None, :, :] - state.x[:, None, :]
-    R = network.receive_coeffs(mode)
-    return network.coupling * np.einsum("ij,ijn->in", R * W, diffs)
+    W = _channel_increments(W, state.x.shape[0])
+    return _channel_noise(network.coupling, network.receive[mode], state.x, W)
 
 
 def em_step(
@@ -431,20 +423,10 @@ def em_step(
     ``noise_increment`` is the vector of Wiener increments per ordered
     channel, shaped (N, N) or flat (N^2,), already scaled to variance h.
     """
-    W = np.asarray(noise_increment, dtype=float)
-    N = state.x.shape[0]
-    if W.shape == (N * N,):
-        W = W.reshape(N, N)
-    if W.shape != (N, N):
-        raise ValueError(f"noise increment must have shape ({N},{N}) or ({N * N},)")
-    model = _Model(problem, network, cfg.eta_vector(problem.r))
-    x, pair, lam, nu, clamped = model.step(
-        state.x, state.pair, state.lam, state.nu, state.t, h, mode, W,
-        cfg.lambda_floor,
-    )
-    out = SystemState._from_pair(x, pair, lam, nu, state.t + h,
-                                 state.clamp_count + clamped)
-    return out
+    W = _channel_increments(noise_increment, state.x.shape[0])
+    *new, clamped = _Model(problem, network, cfg.eta).step(
+        state.x, state.pair, state.lam, state.nu, state.t, h, mode, W, cfg.lambda_floor)
+    return SystemState._from_pair(*new, state.t + h, state.clamp_count + clamped)
 
 
 def check_assumptions(
@@ -461,88 +443,41 @@ def check_assumptions(
     coupling bound scaled by pi_min/pi_max and the spectral gate on the
     summed Laplacian.  ``switching`` defaults to whether ``pi`` was given;
     a switching check without ``pi`` cannot evaluate the coupling bound and
-    says so in the report.
+    says so in the report.  One agent counts as connected in both.
     """
     if switching is None:
         switching = pi is not None
-    checks = []
     kappa = network.kappa
     c = network.coupling
     N = network.n_nodes
     off = network.sigma[~np.eye(N, dtype=bool)]
     sig_max = float(off.max()) if off.size else 0.0
-    checks.append(
-        AssumptionCheck(
-            "noise_bound",
-            sig_max <= kappa + 1e-15,
-            f"max sigma {sig_max:.6g} vs kappa {kappa:.6g}",
-        )
-    )
-    if not switching:
-        mode = "fixed"
-        bound = math.inf if kappa == 0.0 else (2.0 / 3.0) / kappa**2
-        checks.append(
-            AssumptionCheck(
-                "coupling_bound",
-                0.0 < c < bound,
-                f"c={c:.6g} must lie in (0, {bound:.6g})",
-            )
-        )
-        lam2 = lambda2(laplacian(network.graphs[0]))
-        checks.append(
-            AssumptionCheck(
-                "spectral_gate",
-                kappa <= math.sqrt(max(lam2, 0.0)) / 2.0,
-                f"kappa={kappa:.6g} vs sqrt(lambda2={lam2:.6g})/2="
-                f"{math.sqrt(max(lam2, 0.0)) / 2.0:.6g}",
-            )
-        )
-        checks.append(
-            AssumptionCheck(
-                "connected",
-                lam2 > 1e-9 or N == 1,
-                f"lambda2 of the fixed graph is {lam2:.6g}",
-            )
-        )
+    # the fixed report is the switching report of one mode: the first
+    # graph alone, with pi_min/pi_max = 1
+    if switching:
+        mode, gate, laplacians = "switching", "_switching", network.laplacians
+        ratio = None if pi is None else pi.p_min / pi.p_max
     else:
-        mode = "switching"
-        if pi is not None:
-            ratio = pi.p_min / pi.p_max
-            bound = math.inf if kappa == 0.0 else (2.0 / 3.0) * ratio / kappa**2
-            checks.append(
-                AssumptionCheck(
-                    "coupling_bound_switching",
-                    0.0 < c < bound,
-                    f"c={c:.6g} must lie in (0, {bound:.6g}) "
-                    f"(pi_min/pi_max={ratio:.6g})",
-                )
-            )
-        else:
-            checks.append(
-                AssumptionCheck(
-                    "coupling_bound_switching",
-                    c > 0.0,
-                    "stationary distribution not supplied; only positivity "
-                    f"of c={c:.6g} checked",
-                )
-            )
-        total = sum(laplacian(g) for g in network.graphs)
-        lam2_bar = lambda2(total)
-        checks.append(
-            AssumptionCheck(
-                "spectral_gate_switching",
-                kappa <= math.sqrt(max(lam2_bar, 0.0)) / 2.0,
-                f"kappa={kappa:.6g} vs sqrt(lambda2_bar={lam2_bar:.6g})/2="
-                f"{math.sqrt(max(lam2_bar, 0.0)) / 2.0:.6g}",
-            )
-        )
-        checks.append(
-            AssumptionCheck(
-                "jointly_connected",
-                lam2_bar > 1e-9,
-                f"lambda2 of the summed Laplacian is {lam2_bar:.6g}",
-            )
-        )
+        mode, gate, laplacians, ratio = "fixed", "", network.laplacians[:1], 1.0
+    lam2 = lambda2(laplacians.sum(axis=0))
+    checks = [AssumptionCheck("noise_bound", sig_max <= kappa + 1e-15,
+                              f"max sigma {sig_max:.6g} vs kappa {kappa:.6g}")]
+    if ratio is None:
+        checks.append(AssumptionCheck(
+            "coupling_bound_switching", c > 0.0,
+            f"stationary distribution not supplied; only positivity of c={c:.6g} checked"))
+    else:
+        bound = math.inf if kappa == 0.0 else (2.0 / 3.0) * ratio / kappa**2
+        note = f" (pi_min/pi_max={ratio:.6g})" if switching else ""
+        checks.append(AssumptionCheck("coupling_bound" + gate, 0.0 < c < bound,
+                                      f"c={c:.6g} must lie in (0, {bound:.6g}){note}"))
+    root = math.sqrt(max(lam2, 0.0)) / 2.0
+    name = "lambda2_bar" if switching else "lambda2"
+    checks.append(AssumptionCheck("spectral_gate" + gate, kappa <= root,
+                                  f"kappa={kappa:.6g} vs sqrt({name}={lam2:.6g})/2={root:.6g}"))
+    checks.append(AssumptionCheck(
+        "jointly_connected" if switching else "connected", lam2 > 1e-9 or N == 1,
+        f"lambda2 of the {'summed Laplacian' if switching else 'fixed graph'} is {lam2:.6g}"))
     return AssumptionReport(mode=mode, checks=checks)
 
 
@@ -553,22 +488,11 @@ def build_equilibrium(
     bad = {k: v for k, v in cert.residuals.items() if v > tol}
     if bad:
         raise ValueError(f"certificate residuals above {tol}: {bad}")
-    N = problem.n_agents
-    n = problem.n
-    x_star = np.asarray(cert.x_star, dtype=float)
-    x = np.tile(x_star, (N, 1))
-    theta = np.zeros((N, n))
-    pt = tuple(x_star)
-    pos_g = 0
-    pos_h = 0
-    for i, a in enumerate(problem.agents):
-        theta[i] = -np.asarray(a.f.grad(pt))
-        for e in a.g:
-            theta[i] -= cert.lambda_star[pos_g] * np.asarray(e.grad(pt))
-            pos_g += 1
-        for e in a.h:
-            theta[i] -= cert.nu_star[pos_h] * np.asarray(e.grad(pt))
-            pos_h += 1
+    x = np.tile(np.asarray(cert.x_star, dtype=float), (problem.n_agents, 1))
+    # theta_i = -(grad f_i + sum lam_k grad g_k + sum nu_k grad h_k), agent i's terms
+    grad_terms, _, _ = problem.kernel(x.tolist(), cert.lambda_star.tolist(),
+                                      cert.nu_star.tolist())
+    theta = -np.array(grad_terms, dtype=float)
     total = np.linalg.norm(theta.sum(axis=0))
     if total > 10.0 * max(tol, cert.residuals["stationarity"]) + 1e-12:
         raise ValueError(
@@ -596,7 +520,7 @@ def simulate(
     cfg.strict, in which case they raise.  A list of noise seeds in
     ``cfg.seed`` runs a batch, with a list of paths (see ``_integrate``).
     """
-    model = _Model(problem, network, cfg.eta_vector(problem.r))
+    model = _Model(problem, network, cfg.eta)
     report = check_assumptions(
         problem, network, pi, switching=chain_path is not None
     )

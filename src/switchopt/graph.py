@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -141,7 +142,24 @@ class Network:
     def n_modes(self) -> int:
         return len(self.graphs)
 
-    def receive_coeffs(self, mode: int) -> np.ndarray:
-        """R[i, j] = adjacency * sigma_{j->i}: the diffusion coefficient on
-        what receiver i hears from neighbor j in the given mode."""
-        return adjacency(self.graphs[mode]) * self.sigma.T
+    @cached_property
+    def laplacians(self) -> np.ndarray:
+        """The mode Laplacians stacked (S, N, N); computed once, read-only."""
+        return _read_only([laplacian(g) for g in self.graphs])
+
+    @cached_property
+    def receive(self) -> np.ndarray:
+        """R[s, i, j] = adjacency * sigma_{j->i} in mode s: the diffusion
+        coefficient on what receiver i hears from neighbor j; computed once,
+        read-only."""
+        return _read_only([adjacency(g) * self.sigma.T for g in self.graphs])
+
+    def __getstate__(self):
+        # the cached stacks derive from the fields: pickle the fields alone
+        return {k: v for k, v in self.__dict__.items() if k not in ("laplacians", "receive")}
+
+
+def _read_only(blocks) -> np.ndarray:
+    out = np.array(blocks)
+    out.flags.writeable = False
+    return out

@@ -10,11 +10,11 @@ multiplier recovery and the residuals of the first-order optimality system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
-from .expr import Emitter, Expr, ExprError
+from .expr import DomainError, Emitter, Expr, ExprError
 
 __all__ = [
     "AgentSpec",
@@ -25,6 +25,7 @@ __all__ = [
     "active_set",
     "check_licq",
     "derive_multipliers",
+    "domain_error_detail",
     "convexity_lint",
 ]
 
@@ -139,6 +140,35 @@ def _compile_kernel(problem: Problem):
                       f"[{rows}], [{', '.join(gvals)}], [{', '.join(hvals)}]")
 
 
+def domain_error_detail(problem: Problem, rows, exc: DomainError) -> str:
+    """``exc``'s message led by the first expression, in kernel order (the
+    costs, then the inequalities and the equalities in stacked order), that
+    leaves its domain at the agent points ``rows``: "agent 1 cost '<expr>':
+    <error>".  The bare message when every expression evaluates."""
+    labelled = [(i, "cost", a.f) for i, a in enumerate(problem.agents)]
+    labelled += [(i, f"inequality {j + 1}", e) for i, j, e in problem.ineq_index()]
+    labelled += [(i, f"equality {j + 1}", e) for i, j, e in problem.eq_index()]
+    for i, label, e in labelled:
+        try:
+            e.value_and_grad(rows[i])
+        except DomainError as err:
+            return f"agent {i + 1} {label} {str(e)!r}: {err}"
+    return str(exc)
+
+
+def _names_domain_errors(certify):
+    """``certify(problem, x, ...)`` whose DomainError names the expression
+    that left its domain at the point x (see ``domain_error_detail``)."""
+    @wraps(certify)
+    def wrapper(problem, x, *args, **kwargs):
+        try:
+            return certify(problem, x, *args, **kwargs)
+        except DomainError as exc:
+            rows = [x] * problem.n_agents
+            raise DomainError(domain_error_detail(problem, rows, exc)) from exc
+    return wrapper
+
+
 @dataclass
 class KktCertificate:
     """First-order optimality evidence at a candidate point.
@@ -204,6 +234,7 @@ def _qualification_matrix(agent: AgentSpec, x, active):
     return np.array(rows, dtype=float)
 
 
+@_names_domain_errors
 def check_licq(
     problem: Problem,
     x,
@@ -227,6 +258,7 @@ def check_licq(
     return True
 
 
+@_names_domain_errors
 def derive_multipliers(
     problem: Problem, x_star, tol_active: float = DEFAULT_TOL_ACTIVE
 ) -> KktCertificate:
@@ -239,30 +271,17 @@ def derive_multipliers(
     """
     x_star = np.asarray(x_star, dtype=float)
     actives = active_set(problem, x_star, tol_active)
+    ineq = problem.ineq_index()
+    g_grads = [np.asarray(e.grad(x_star)) for _, _, e in ineq]
+    h_grads = [np.asarray(e.grad(x_star)) for _, _, e in problem.eq_index()]
 
     grad_f_sum = np.zeros(problem.n)
     for a in problem.agents:
         grad_f_sum += np.asarray(a.f.grad(x_star))
 
     # columns of the stationarity system: active g gradients, then all h
-    cols = []
-    col_ids = []  # ("g", stacked ineq position) / ("h", stacked eq position)
-    g_positions = {}
-    pos = 0
-    for i, a in enumerate(problem.agents):
-        for j in range(len(a.g)):
-            g_positions[(i, j)] = pos
-            pos += 1
-    for i, a in enumerate(problem.agents):
-        for j in actives[i]:
-            cols.append(np.asarray(a.g[j].grad(x_star)))
-            col_ids.append(("g", g_positions[(i, j)]))
-    pos = 0
-    for i, a in enumerate(problem.agents):
-        for j in range(len(a.h)):
-            cols.append(np.asarray(a.h[j].grad(x_star)))
-            col_ids.append(("h", pos))
-            pos += 1
+    active = [k for k, (i, j, _) in enumerate(ineq) if j in actives[i]]
+    cols = [g_grads[k] for k in active] + h_grads
 
     lam = np.zeros(problem.r)
     nu = np.zeros(problem.s)
@@ -278,11 +297,8 @@ def derive_multipliers(
                 f"(rank {rank} < {A.shape[1]} unknowns)"
             )
         sol, *_ = np.linalg.lstsq(A, -grad_f_sum, rcond=None)
-        for value, (kind, p) in zip(sol, col_ids):
-            if kind == "g":
-                lam[p] = value
-            else:
-                nu[p] = value
+        lam[active] = sol[:len(active)]
+        nu[:] = sol[len(active):]
         if lam.size and lam.min() < -tol_active:
             warnings.append(
                 f"negative inequality multiplier {lam.min():.6g}: "
@@ -291,17 +307,14 @@ def derive_multipliers(
 
     # residuals of the optimality system with the derived multipliers
     stat = grad_f_sum.copy()
-    gvals = np.zeros(problem.r)
+    gvals = np.array([e.value(x_star) for _, _, e in ineq], dtype=float)
     comp = 0.0
-    for i, j, e in problem.ineq_index():
-        p = g_positions[(i, j)]
-        gvals[p] = e.value(x_star)
-        stat += lam[p] * np.asarray(e.grad(x_star))
-        comp = max(comp, abs(lam[p] * gvals[p]))
-    hvals = np.zeros(problem.s)
-    for p, (i, j, e) in enumerate(problem.eq_index()):
-        hvals[p] = e.value(x_star)
-        stat += nu[p] * np.asarray(e.grad(x_star))
+    for k, grad in enumerate(g_grads):
+        stat += lam[k] * grad
+        comp = max(comp, abs(lam[k] * gvals[k]))
+    hvals = np.array([e.value(x_star) for _, _, e in problem.eq_index()], dtype=float)
+    for k, grad in enumerate(h_grads):
+        stat += nu[k] * grad
 
     residuals = {
         "stationarity": float(np.linalg.norm(stat)),

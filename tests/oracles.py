@@ -11,7 +11,10 @@ the reference in law for the library's channel factor.  The weak-convergence
 study has its one-member-at-a-time loop, the reference the batched study
 must match on every field bit for bit.  Expressions have the tree walk,
 the reference the compiled evaluator of ``switchopt.expr`` must match bit
-for bit, domain errors included.
+for bit, domain errors included.  The assumption gates keep their separate
+fixed and switching branches, and the equilibrium its per-expression
+gradients, the references for the one-mode gate path and the kernel-built
+equilibrium.
 """
 
 import math
@@ -334,3 +337,86 @@ def serial_weak_convergence(problem, network, gen, alphas, ensemble, T, seed, in
         "separated": first["err"] - last["err"] > sep_threshold,
         "clamp_count_total": clamp_total,
     }
+
+
+def check_assumptions_reference(problem, network, pi=None, *, switching=None):
+    """``dynamics.check_assumptions`` as it was with a fixed branch and a
+    switching branch of its own, each building its Laplacians from the
+    graphs.  The one-mode path must give the same report, except that one
+    agent now counts as connected in the switching report too."""
+    from switchopt.dynamics import AssumptionCheck, AssumptionReport
+    from switchopt.graph import lambda2, laplacian
+
+    if switching is None:
+        switching = pi is not None
+    checks = []
+    kappa = network.kappa
+    c = network.coupling
+    N = network.n_nodes
+    off = network.sigma[~np.eye(N, dtype=bool)]
+    sig_max = float(off.max()) if off.size else 0.0
+    checks.append(AssumptionCheck("noise_bound", sig_max <= kappa + 1e-15,
+                                  f"max sigma {sig_max:.6g} vs kappa {kappa:.6g}"))
+    if not switching:
+        mode = "fixed"
+        bound = math.inf if kappa == 0.0 else (2.0 / 3.0) / kappa**2
+        checks.append(AssumptionCheck("coupling_bound", 0.0 < c < bound,
+                                      f"c={c:.6g} must lie in (0, {bound:.6g})"))
+        lam2 = lambda2(laplacian(network.graphs[0]))
+        checks.append(AssumptionCheck(
+            "spectral_gate", kappa <= math.sqrt(max(lam2, 0.0)) / 2.0,
+            f"kappa={kappa:.6g} vs sqrt(lambda2={lam2:.6g})/2="
+            f"{math.sqrt(max(lam2, 0.0)) / 2.0:.6g}"))
+        checks.append(AssumptionCheck("connected", lam2 > 1e-9 or N == 1,
+                                      f"lambda2 of the fixed graph is {lam2:.6g}"))
+    else:
+        mode = "switching"
+        if pi is not None:
+            ratio = pi.p_min / pi.p_max
+            bound = math.inf if kappa == 0.0 else (2.0 / 3.0) * ratio / kappa**2
+            checks.append(AssumptionCheck(
+                "coupling_bound_switching", 0.0 < c < bound,
+                f"c={c:.6g} must lie in (0, {bound:.6g}) (pi_min/pi_max={ratio:.6g})"))
+        else:
+            checks.append(AssumptionCheck(
+                "coupling_bound_switching", c > 0.0,
+                "stationary distribution not supplied; only positivity "
+                f"of c={c:.6g} checked"))
+        lam2_bar = lambda2(sum(laplacian(g) for g in network.graphs))
+        checks.append(AssumptionCheck(
+            "spectral_gate_switching", kappa <= math.sqrt(max(lam2_bar, 0.0)) / 2.0,
+            f"kappa={kappa:.6g} vs sqrt(lambda2_bar={lam2_bar:.6g})/2="
+            f"{math.sqrt(max(lam2_bar, 0.0)) / 2.0:.6g}"))
+        checks.append(AssumptionCheck("jointly_connected", lam2_bar > 1e-9,
+                                      f"lambda2 of the summed Laplacian is {lam2_bar:.6g}"))
+    return AssumptionReport(mode=mode, checks=checks)
+
+
+def build_equilibrium_reference(problem, cert, tol=1e-6):
+    """``dynamics.build_equilibrium`` as it was: theta per agent from each
+    expression's own gradient, walking the stacked multiplier order with
+    its own counters."""
+    from switchopt.dynamics import Equilibrium
+
+    bad = {k: v for k, v in cert.residuals.items() if v > tol}
+    if bad:
+        raise ValueError(f"certificate residuals above {tol}: {bad}")
+    N = problem.n_agents
+    x_star = np.asarray(cert.x_star, dtype=float)
+    x = np.tile(x_star, (N, 1))
+    theta = np.zeros((N, problem.n))
+    pt = tuple(x_star)
+    pos_g = 0
+    pos_h = 0
+    for i, a in enumerate(problem.agents):
+        theta[i] = -np.asarray(a.f.grad(pt))
+        for e in a.g:
+            theta[i] -= cert.lambda_star[pos_g] * np.asarray(e.grad(pt))
+            pos_g += 1
+        for e in a.h:
+            theta[i] -= cert.nu_star[pos_h] * np.asarray(e.grad(pt))
+            pos_h += 1
+    total = np.linalg.norm(theta.sum(axis=0))
+    if total > 10.0 * max(tol, cert.residuals["stationarity"]) + 1e-12:
+        raise ValueError(f"theta blocks do not balance: |sum theta| = {total:.3e}")
+    return Equilibrium(x=x, theta=theta, lam=cert.lambda_star.copy(), nu=cert.nu_star.copy())

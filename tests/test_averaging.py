@@ -223,7 +223,7 @@ def test_channel_factor_run_matches_the_psd_factor_run_in_law(five_agent, six_mo
     pi = stationary(six_mode_generator)
     avg = average_laplacian(six_mode_network, pi)
     model = _AveragedModel(five_agent, avg, np.ones(2))
-    wsq = sum(p * six_mode_network.receive_coeffs(m) ** 2 for m, p in enumerate(pi.pi))
+    wsq = sum(p * six_mode_network.receive[m] ** 2 for m, p in enumerate(pi.pi))
     members, h, T = 200, 1e-3, 0.5
     ours = np.empty((members, 10))
     ref = np.empty((members, 10))

@@ -26,8 +26,8 @@ from switchopt.expr import parse
 from switchopt.graph import Graph, Network
 from switchopt.problem import AgentSpec, Problem, derive_multipliers
 
-from conftest import SIX_MODE_Q, X_INIT, complete_graph
-from oracles import rk4
+from conftest import SIX_GRAPHS, SIX_MODE_Q, X_INIT, complete_graph
+from oracles import build_equilibrium_reference, check_assumptions_reference, rk4
 
 
 def single_agent_problem(cost="0.5*x1^2", g=(), h=()):
@@ -123,6 +123,64 @@ def test_apply_diffusion_matches_explicit_matrix(six_mode_network):
         via_matrix = (six_mode_network.coupling * (M @ W.ravel())).reshape(5, 2)
         direct = apply_diffusion(st, mode, six_mode_network, W)
         assert np.max(np.abs(via_matrix - direct)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (7,), (5, 4)])
+def test_helpers_reject_misshaped_increments(shape, five_agent, k5_network, reference_init):
+    W = np.zeros(shape)
+    message = re.escape("noise increment must have shape (5,5) or (25,)")
+    with pytest.raises(ValueError, match=message):
+        apply_diffusion(reference_init, 0, k5_network, W)
+    with pytest.raises(ValueError, match=message):
+        em_step(reference_init, 0, 1e-3, W, five_agent, k5_network, IntegratorConfig())
+
+
+# ---------------------------------------------------------------------------
+# public helpers are views of the one model
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["fixed", "switching"])
+def test_public_helpers_equal_the_model_bit_for_bit(kind, request):
+    scn = request.getfixturevalue(f"{kind}_scenario")
+    problem, network, cfg = scn.build_problem(), scn.build_network(), scn.build_config()
+    N, n = problem.n_agents, problem.n
+    rng = np.random.default_rng(5)
+    st = SystemState(rng.normal(size=(N, n)), rng.normal(size=(N, n)),
+                     rng.uniform(0.5, 2.0, problem.r), rng.normal(size=problem.s), t=0.25)
+    model = _Model(problem, network, cfg.eta)
+    for mode in range(network.n_modes):
+        W = rng.normal(0.0, math.sqrt(cfg.h), (N, N))
+        core = model.drift(st.x, st.theta, st.lam, st.nu, mode)
+        view = drift(st, mode, problem, network, cfg.eta)
+        assert [a.tobytes() for a in view] == [a.tobytes() for a in core]
+        noise = model.noise_term(st.x, mode, W)
+        assert apply_diffusion(st, mode, network, W).tobytes() == noise.tobytes()
+        *new, clamped = model.step(st.x, st.pair, st.lam, st.nu, st.t, cfg.h, mode, W,
+                                   cfg.lambda_floor)
+        nxt = em_step(st, mode, cfg.h, W.ravel(), problem, network, cfg)
+        assert [a.tobytes() for a in (nxt.x, nxt.pair, nxt.lam, nxt.nu)] == [
+            a.tobytes() for a in new]
+        assert (nxt.t, nxt.clamp_count) == (st.t + cfg.h, clamped)
+
+
+def test_repeated_drift_makes_no_graph_computation(monkeypatch, five_agent):
+    from switchopt import graph
+
+    calls = []
+    for name in ("adjacency", "laplacian"):
+        def counting(g, original=getattr(graph, name), name=name):
+            calls.append(name)
+            return original(g)
+        monkeypatch.setattr(graph, name, counting)
+    net = Network(graphs=SIX_GRAPHS, sigma=0.15, coupling=1.0, kappa=0.5)
+    st = SystemState(X_INIT, np.zeros_like(X_INIT), [3.0, 3.0], [3.0])
+    first = drift(st, 0, five_agent, net)
+    calls.clear()
+    for mode in (0, 3, 5, 0):
+        again = drift(st, mode, five_agent, net)
+    assert calls == []
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +513,41 @@ def test_assumptions_switching_gates(five_agent, six_mode_network, six_mode_gene
     assert not names["spectral_gate_switching"]  # 0.8 > sqrt(2)/2
 
 
+def test_one_agent_counts_as_connected_in_both_reports():
+    p = single_agent_problem()
+    net = Network(graphs=(Graph(1), Graph(1)), sigma=0.0, coupling=1.0, kappa=0.0)
+    pi = chain.StationaryDist(pi=np.array([0.5, 0.5]))
+    fixed = check_assumptions(p, net, switching=False)
+    switching = check_assumptions(p, net, pi)
+    assert fixed.checks[-1].name == "connected" and fixed.all_passed
+    assert switching.checks[-1].name == "jointly_connected" and switching.all_passed
+
+
+def _gate_grid(kind, scn):
+    """Networks and gate arguments over kappa, c, pi and ``switching``."""
+    base = scn.build_network()
+    pi = (chain.stationary(scn.build_generator()) if kind == "switching"
+          else chain.StationaryDist(pi=np.array([1.0])))
+    for kappa in (base.kappa, 0.0, 5.0):
+        for c in (base.coupling, 1e-3, 50.0):
+            net = Network(graphs=base.graphs, sigma=base.sigma if kappa else 0.0,
+                          coupling=c, kappa=kappa)
+            for given in (None, pi):
+                for switching in (None, False, True):
+                    yield net, given, switching
+
+
+@pytest.mark.parametrize("kind", ["fixed", "switching"])
+def test_gates_equal_the_two_branch_reference(kind, request):
+    scn = request.getfixturevalue(f"{kind}_scenario")
+    problem = scn.build_problem()
+    grid = list(_gate_grid(kind, scn))
+    assert len(grid) == 54
+    for net, pi, switching in grid:
+        got = check_assumptions(problem, net, pi, switching=switching).as_dict()
+        assert got == check_assumptions_reference(problem, net, pi, switching=switching).as_dict()
+
+
 # ---------------------------------------------------------------------------
 # equilibrium construction
 # ---------------------------------------------------------------------------
@@ -483,6 +576,16 @@ def test_equilibrium_linear_cost_agent():
     eq2 = build_equilibrium(p2, cert2)
     assert np.allclose(eq2.theta[0], [-4.0, 0.0], atol=1e-14)
     assert np.allclose(eq2.theta[1], [4.0, 0.0], atol=1e-14)
+
+
+def test_equilibrium_equals_the_per_expression_reference(fixed_scenario, switching_scenario):
+    pair = Problem(n=2, agents=(AgentSpec(f=parse("4*x1", 2)), AgentSpec(f=parse("-4*x1", 2))))
+    cases = [(scn.build_problem(), scn.candidate()) for scn in (fixed_scenario, switching_scenario)]
+    for problem, x in cases + [(pair, (0.0, 0.0))]:
+        cert = derive_multipliers(problem, x)
+        got, ref = build_equilibrium(problem, cert), build_equilibrium_reference(problem, cert)
+        for name in ("x", "theta", "lam", "nu"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
 
 
 def test_equilibrium_refuses_bad_certificate(five_agent):

@@ -1,9 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from switchopt.graph import (
     Graph,
     Network,
+    adjacency,
     jointly_connected,
     lambda2,
     laplacian,
@@ -148,7 +151,23 @@ def test_receive_coeffs_direction():
     sigma[0, 1] = 0.4
     sigma[1, 0] = 0.1
     net = Network(graphs=(PATH3,), sigma=sigma, coupling=1.0, kappa=0.5)
-    R = net.receive_coeffs(0)
+    R = net.receive[0]
     assert R[1, 0] == 0.4  # receiver 1 hears sender 0
     assert R[0, 1] == 0.1
     assert R[2, 1] == 0.0  # edge exists but sigma zero there
+
+
+def test_network_mode_stacks_are_cached_read_only_and_not_fields():
+    net = Network(graphs=(PATH3, Graph(3)), sigma=0.2, coupling=1.0, kappa=0.5)
+    unread = pickle.dumps(net)
+    assert net.laplacians is net.laplacians and net.receive is net.receive
+    assert np.array_equal(net.laplacians, [laplacian(PATH3), laplacian(Graph(3))])
+    assert np.array_equal(net.receive, [adjacency(g) * net.sigma.T for g in net.graphs])
+    for stack in (net.laplacians, net.receive):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 1] = 1.0
+    # derived, so pickled and printed as the fields alone
+    assert pickle.dumps(net) == unread
+    assert "laplacians" not in repr(net) and "receive" not in repr(net)
+    twin = pickle.loads(unread)
+    assert np.array_equal(twin.laplacians, net.laplacians)

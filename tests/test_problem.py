@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from switchopt.expr import parse
+from switchopt.expr import DomainError, parse
 from switchopt.problem import (
     AgentSpec,
     Problem,
@@ -232,3 +233,22 @@ def test_convexity_lint_flags_concave_cost():
 def test_convexity_lint_clean_on_reference_problem(five_agent):
     findings = convexity_lint(five_agent, np.random.default_rng(3))
     assert findings == []
+
+
+@pytest.mark.parametrize("certify", [check_licq, derive_multipliers])
+def test_certification_names_the_expression_that_leaves_its_domain(certify, five_agent):
+    # agent 1's inequality overflows too, but its cost comes first in kernel order
+    with pytest.raises(DomainError, match=re.escape(
+            "agent 1 cost '4.0*x1^2.0 + 2.0*x2': power 1e+200^2.0 overflows")):
+        certify(five_agent, (1e200, 1.0))
+
+
+@pytest.mark.parametrize("certify", [check_licq, derive_multipliers])
+@pytest.mark.parametrize("kind", ["inequality", "equality"])
+def test_certification_names_a_constraint_by_kind_and_index(certify, kind):
+    ln = parse("ln(x1)", 1)
+    constraints = (parse("x1 - 1", 1), ln)
+    second = AgentSpec(f=parse("x1", 1), **{"g" if kind == "inequality" else "h": constraints})
+    p = Problem(n=1, agents=(AgentSpec(f=parse("x1^2", 1)), second))
+    with pytest.raises(DomainError, match=re.escape(f"agent 2 {kind} 2 {str(ln)!r}: ")):
+        certify(p, (-1.0,))

@@ -284,7 +284,8 @@ def test_compare_bad_design_exits_1(extra, message, switching_scenario_path, tmp
     (["kkt", "fixed", "--x", "1"], "expected a point of dimension 2, got 1"),
     (["kkt", "fixed", "--x", "nan,1"], "error: --x entry 1 must be finite, got nan\n"),
     (["kkt", "fixed", "--x", "1,-inf"], "error: --x entry 2 must be finite, got -inf\n"),
-    (["kkt", "fixed", "--x", "1e200,1"], "error: power 1e+200^2.0 overflows\n"),
+    (["kkt", "fixed", "--x", "1e200,1"],
+     "error: agent 1 cost '4.0*x1^2.0 + 2.0*x2': power 1e+200^2.0 overflows\n"),
 ], ids=["simulate-horizon-neg", "simulate-horizon-nan", "simulate-seed-neg",
         "compare-horizon-neg", "compare-horizon-inf", "kkt-x-str", "kkt-x-short",
         "kkt-x-nan", "kkt-x-inf", "kkt-x-overflow"])
