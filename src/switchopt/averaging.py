@@ -6,11 +6,12 @@ stationary-weighted average L_pi of the mode Laplacians, and agent i's
 squared diffusion becomes Gamma_i = sum_j w_ij d_ij d_ij^T, with
 w = sum_s pi_s R_s^2 and d_ij = x_j - x_i.  The n x N factor
 G_i = [sqrt(w_ij) d_ij]_j gives G_i G_i^T = Gamma_i exactly, and a weak
-solution depends on the diffusion only through that product.  So the run is
-the channel noise of a one-mode network with coefficients sqrt(w), one
-increment per ordered channel, through the switching system's own step: the
-pair sum stays noise-free, and a one-mode network reproduces the fixed run
-bit for bit.
+solution depends on the diffusion only through that product.  So the
+averaged system is one more mode S of the switching system, with coupling
+L_pi and channel coefficients sqrt(w), one increment per ordered channel:
+an averaged run holds mode S throughout, through the switching system's own
+step.  The pair sum stays noise-free, and a one-mode network reproduces the
+fixed run bit for bit.
 
 ``averaged_diffusion_factor`` is the square (nN x nN) factor instead, the
 symmetric PSD root of Gamma built on per-agent blocks.  It checks the
@@ -67,20 +68,10 @@ class AveragedNetwork:
 
 def average_laplacian(network: Network, pi: StationaryDist) -> AveragedNetwork:
     """Weighted sum of the mode Laplacians under the stationary weights."""
-    if len(pi.pi) != network.n_modes:
-        raise ValueError(
-            f"stationary distribution has {len(pi.pi)} entries for "
-            f"{network.n_modes} modes"
-        )
-    L_pi = sum(p * L for p, L in zip(pi.pi, network.laplacians))
+    L_pi, _ = network.average(pi.pi)
     return AveragedNetwork(
         L_pi=L_pi, pi=pi, source=network, lambda2_pi=lambda2(L_pi)
     )
-
-
-def _squared_coeffs(network: Network, pi: StationaryDist) -> np.ndarray:
-    """W[i, j] = sum_s pi_s * (mode-s channel coefficient j->i)^2."""
-    return sum(p * R**2 for p, R in zip(pi.pi, network.receive))
 
 
 def _diffusion_blocks(x: np.ndarray, wsq: np.ndarray):
@@ -106,7 +97,7 @@ def averaged_diffusion_factor(
     diffusion at this state to FACTOR_TOL in Frobenius norm."""
     x = state.x
     N, n = x.shape
-    wsq = _squared_coeffs(network, pi)
+    _, wsq = network.average(pi.pi)
     gamma, roots = _diffusion_blocks(x, wsq)
     out = np.zeros((N * n, N * n))
     for i in range(N):
@@ -122,19 +113,6 @@ def averaged_diffusion_factor(
     return out
 
 
-class _AveragedModel(_Model):
-    """The averaged system as a one-mode channel network: mode 0 couples
-    through L_pi, and the channel j->i carries the coefficient sqrt(w_ij)."""
-
-    def __init__(self, problem: Problem, avg: AveragedNetwork, eta):
-        super().__init__(problem, avg.source, eta)
-        self.L = avg.L_pi[None]
-        self.R = np.sqrt(_squared_coeffs(avg.source, avg.pi))[None]
-
-    def where(self, mode):
-        return "averaged"
-
-
 def simulate_averaged(
     problem: Problem,
     avg: AveragedNetwork,
@@ -145,12 +123,14 @@ def simulate_averaged(
 
     Drift matches the switching drift with the averaged Laplacian; the
     multiplier dynamics are unchanged.  The noise is the channel noise with
-    coefficients sqrt(w) (see the module docstring).  A list of noise seeds
-    in ``cfg.seed`` runs a batch (see ``dynamics._integrate``).
+    coefficients sqrt(w) (see the module docstring).  The switching
+    system's model runs held in its averaged mode S (see
+    ``dynamics._Model``).  A list of noise seeds in ``cfg.seed`` runs a
+    batch (see ``dynamics._integrate``).
     """
-    model = _AveragedModel(problem, avg, cfg.eta)
+    model = _Model(problem, avg.source, cfg.eta, avg.pi)
     report = check_assumptions(problem, avg.source, avg.pi)
-    return _integrate(model, None, cfg, init, report)
+    return _integrate(model, model.averaged, cfg, init, report)
 
 
 def _observables(problem: Problem, x: np.ndarray) -> np.ndarray:
@@ -181,9 +161,11 @@ def weak_convergence_experiment(
     delta-method projection of the component-mean variances onto the
     difference direction; the monotonicity verdicts allow 2 combined sems of
     slack.  Statistical definitions, not assertions: the report carries the
-    verdicts, the clamp total and the run warnings, each once.  Each
-    ensemble runs as one batch, member m on its own streams, bit for bit
-    as if each member ran alone.
+    verdicts, the clamp total and the run warnings, each once.  All
+    ensembles run as one batch, member m of each on its own streams, as if
+    it ran alone (see ``dynamics._integrate``); the averaged members hold
+    the averaged mode S.  A failure message numbers the batch members: the
+    averaged ensemble first, then each alpha's in turn.
 
     Only ``h``, ``eta`` and ``lambda_floor`` are read from ``cfg``.  The
     design and the horizon are checked before any trajectory runs:
@@ -205,26 +187,23 @@ def weak_convergence_experiment(
     # set once the constructor has checked T: round() fails on nan and inf
     member_cfg.output_stride = max(1, int(round(T / cfg.h)))
 
+    # one batch: the averaged ensemble, held in the averaged mode S, then
+    # each alpha's switched ensemble, member m of each on its own streams
     pi = stationary(gen)
-    avg = average_laplacian(network, pi)
-
+    paths = [network.n_modes] * ensemble
     noise = [trajectory_seeds(seed, m)[1] for m in range(ensemble)]
-    run = simulate_averaged(problem, avg, replace(member_cfg, seed=noise), init)
-    clamp_total = run.clamp_count
-    warnings = dict.fromkeys(run.warnings)
-    avg_obs = np.array([_observables(problem, traj.x[-1]) for traj in run.members])
+    for a_idx, alpha in enumerate(alphas):
+        streams = [trajectory_seeds(seed + 1 + a_idx, m) for m in range(ensemble)]
+        paths += [sample_path(gen, 0, alpha, T + cfg.h, chain_ss) for chain_ss, _ in streams]
+        noise += [noise_ss for _, noise_ss in streams]
+    run = simulate(problem, network, paths, replace(member_cfg, seed=noise), init, pi=pi)
+    obs = np.array([_observables(problem, traj.x[-1]) for traj in run.members])
+    avg_obs, *sw_ensembles = obs.reshape(1 + len(alphas), ensemble, -1)
     avg_mean = avg_obs.mean(axis=0)
     avg_var = avg_obs.var(axis=0, ddof=1) / ensemble
 
     per_alpha = []
-    for a_idx, alpha in enumerate(alphas):
-        streams = [trajectory_seeds(seed + 1 + a_idx, m) for m in range(ensemble)]
-        paths = [sample_path(gen, 0, alpha, T + cfg.h, chain_ss) for chain_ss, _ in streams]
-        run_cfg = replace(member_cfg, seed=[noise_ss for _, noise_ss in streams])
-        run = simulate(problem, network, paths, run_cfg, init, pi=pi)
-        clamp_total += run.clamp_count
-        warnings.update(dict.fromkeys(run.warnings))
-        sw_obs = np.array([_observables(problem, traj.x[-1]) for traj in run.members])
+    for alpha, sw_obs in zip(alphas, sw_ensembles):
         diff = sw_obs.mean(axis=0) - avg_mean
         err = float(np.linalg.norm(diff))
         var_diff = sw_obs.var(axis=0, ddof=1) / ensemble + avg_var
@@ -273,7 +252,7 @@ def weak_convergence_experiment(
         "separation": first["err"] - last["err"],
         "separation_threshold_2sem": sep_threshold,
         "separated": first["err"] - last["err"] > sep_threshold,
-        "clamp_count_total": clamp_total,
-        "warnings": list(warnings),
+        "clamp_count_total": run.clamp_count,
+        "warnings": list(run.warnings),
     }
     return report

@@ -233,7 +233,7 @@ def cmd_simulate(args) -> int:
         "mode": mode,
         "clamp_count": traj.clamp_count,
         "warnings": traj.warnings,
-        "assumptions": dynamics.check_assumptions(problem, network, pi).as_dict(),
+        "assumptions": traj.assumptions.as_dict(),
         "final": {
             "t": final.t,
             "x": [[float(v) for v in row] for row in final.x],

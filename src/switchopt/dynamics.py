@@ -179,6 +179,7 @@ class Trajectory:
     clamp_count: int
     warnings: list[str] = field(default_factory=list)
     final_state: SystemState | None = None
+    assumptions: AssumptionReport | None = None
 
 
 @dataclass
@@ -225,15 +226,26 @@ class AssumptionReport:
         }
 
 
+# A batch round of at least this many members runs its drift on
+# Problem.batch_kernel, one numpy call, instead of one scalar kernel call per
+# member.  A step of the bundled switching problem costs the same both ways
+# between 20 and 24 members (median of interleaved timings, 2-CPU x86-64,
+# numpy 2.4); the numpy kernel agrees within a few ulp, not bit for bit.
+BATCH_KERNEL_ROWS = 24
+
+
 class _Model:
     """Precomputed structure shared by every step of one run.
 
     Methods take one member's state, x (N, n), or a batch stacked on a
     leading axis, x (M, N, n), with ``mode`` an int or one per member.
-    ``eta`` is a scalar or one weight per inequality multiplier.
+    ``eta`` is a scalar or one weight per inequality multiplier.  Given the
+    stationary distribution ``pi``, the stacks gain the averaged system as
+    mode S = ``averaged``: L_pi and the channel coefficients sqrt(w),
+    w = sum_s pi_s R_s^2 (see ``averaging``).
     """
 
-    def __init__(self, problem: Problem, network: Network, eta):
+    def __init__(self, problem: Problem, network: Network, eta, pi: StationaryDist | None = None):
         if network.n_nodes != problem.n_agents:
             raise ValueError(
                 f"network has {network.n_nodes} nodes but problem has "
@@ -247,6 +259,12 @@ class _Model:
         # stacked over modes, so that one index picks a mode or one per member
         self.L = network.laplacians
         self.R = network.receive
+        self.averaged = None
+        if pi is not None:
+            L_pi, w = network.average(pi.pi)
+            self.L = np.concatenate([self.L, L_pi[None]])
+            self.R = np.concatenate([self.R, np.sqrt(w)[None]])
+            self.averaged = network.n_modes
         self.r = problem.r
         self.s = problem.s
         self.eta = _eta_vector(eta, self.r)
@@ -254,7 +272,7 @@ class _Model:
 
     def where(self, mode):
         """Label of ``mode`` in failure messages."""
-        return f"mode {mode}"
+        return "averaged" if mode == self.averaged else f"mode {mode}"
 
     def drift(self, x, theta, lam, nu, mode):
         """Drift blocks (dx, dtheta, dlam, dnu); only the coupling Laplacian
@@ -269,15 +287,22 @@ class _Model:
             try:
                 dlam = np.array([v / (1.0 + e * v) * g
                                  for v, e, g in zip(lams, self.eta_list, gvals)], dtype=float)
-            except ZeroDivisionError:  # a multiplier at -1/eta: numpy gives inf or nan
-                dlam = lam / (1.0 + self.eta * lam) * np.array(gvals, dtype=float)
-        else:  # the compiled kernel is scalar: one call per member
-            grad_terms, gvals, hvals = zip(*map(self.kernel, x.tolist(), lam.tolist(),
-                                                nu.tolist()))
-            dlam = lam / (1.0 + self.eta * lam) * np.array(gvals, dtype=float)
-        dx = -self.c * Lx - theta - np.array(grad_terms)
+            except ZeroDivisionError:
+                # a multiplier at -1/eta: inf or nan, and the step fails on
+                # its nonfinite state, with no numpy warning (as below)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    dlam = lam / (1.0 + self.eta * lam) * np.array(gvals, dtype=float)
+        else:
+            if len(x) >= BATCH_KERNEL_ROWS:
+                grad_terms, gvals, hvals = self.problem.batch_kernel(x, lam, nu)
+            else:  # one scalar kernel call per member
+                grad_terms, gvals, hvals = zip(*map(self.kernel, x.tolist(), lam.tolist(),
+                                                    nu.tolist()))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dlam = lam / (1.0 + self.eta * lam) * np.asarray(gvals, dtype=float)
+        dx = -self.c * Lx - theta - np.asarray(grad_terms)
         dtheta = self.c * Lx
-        return dx, dtheta, dlam, np.array(hvals, dtype=float)
+        return dx, dtheta, dlam, np.asarray(hvals, dtype=float)
 
     def failure(self, what, detail, t, h, mode, members, row):
         """IntegrationError "<what> at t=<t + h> (<mode>): <detail>"; in a
@@ -515,12 +540,14 @@ def simulate(
     """Integrate the switching dynamics over cfg.horizon.
 
     Fixed topology when ``chain_path`` is None (mode 0 throughout).  Substep
-    boundaries land exactly on the path's jump instants.  Gate failures and
-    noncompliant initial conditions downgrade to warnings unless
-    cfg.strict, in which case they raise.  A list of noise seeds in
-    ``cfg.seed`` runs a batch, with a list of paths (see ``_integrate``).
+    boundaries land exactly on the path's jump instants.  Given ``pi``, a
+    path may also be the int S, the averaged system held throughout (see
+    ``_Model``).  Gate failures and noncompliant initial conditions
+    downgrade to warnings unless cfg.strict, in which case they raise.  A
+    list of noise seeds in ``cfg.seed`` runs a batch, with a list of paths
+    (see ``_integrate``).
     """
-    model = _Model(problem, network, cfg.eta)
+    model = _Model(problem, network, cfg.eta, pi)
     report = check_assumptions(
         problem, network, pi, switching=chain_path is not None
     )
@@ -573,13 +600,15 @@ def _integrate(
 
     ``model`` supplies the drift and the channel noise, driven by one
     Gaussian increment per ordered channel; ``chain_path`` the mode schedule
-    (mode 0 throughout when None).  A list of noise seeds in ``cfg.seed``
-    runs a batch and returns an ``Ensemble``: member k draws from seed k,
-    follows ``chain_path[k]`` (or the one path given) and starts from
-    ``init`` (or its row k, given a leading member axis), bit for bit as
-    if it ran alone.  A batch raises the error of its earliest failing
-    substep, the lowest member on a tie.  Warnings point at the caller of
-    the public entry point.
+    (mode 0 throughout when None, that mode throughout when an int).  A
+    list of noise seeds in ``cfg.seed`` runs a batch and returns an
+    ``Ensemble``: member k draws from seed k, follows ``chain_path[k]`` (or
+    the one path given) and starts from ``init`` (or its row k, given a
+    leading member axis), as if it ran alone: bit for bit while its rounds
+    stay below ``BATCH_KERNEL_ROWS`` members, within a few ulp per drift
+    above.  A batch raises the error of its earliest failing substep, the
+    lowest member on a tie.  Warnings point at the caller of the public
+    entry point.
     """
     seeds = cfg.seed if isinstance(cfg.seed, (list, tuple)) else [cfg.seed]
     M = len(seeds)
@@ -618,7 +647,7 @@ def _integrate(
     for w in warnings:
         _warnings.warn(w, TrajectoryWarning, stacklevel=3)
 
-    if any(p is not None and p.horizon < n_steps * h - 1e-12 for p in paths):
+    if any(isinstance(p, SwitchPath) and p.horizon < n_steps * h - 1e-12 for p in paths):
         raise ValueError("chain path horizon shorter than the integration")
     rngs = [np.random.default_rng(s) for s in seeds]
     clamp_floor = cfg.lambda_floor
@@ -666,7 +695,7 @@ def _integrate(
                                      int(_row(clamps, m)))
         # times, x, theta, lam, nu, clamp count, warnings, final state
         members.append(Trajectory(T, *(a[:, m] for a in recorded), end.clamp_count,
-                                  warnings, end))
+                                  warnings, end, report))
     if isinstance(cfg.seed, (list, tuple)):
         return Ensemble(members, warnings)
     return members[0]

@@ -39,6 +39,8 @@ import re
 import textwrap
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Expr",
     "ExprError",
@@ -164,7 +166,7 @@ class Div(_Node):
     def _emit(self, em, xs, grad):
         a, ta = self.lhs._emit(em, xs, grad)
         b, tb = self.rhs._emit(em, xs, grad)
-        em.line(f"if {b} == 0.0: raise DomainError('division by zero')")
+        em.check(f"{b} == 0.0", "division by zero")
         val = em.temp(f"{a} / {b}")
         return val, tuple(em.temp(f"({u} - {val} * {v}) / {b}") for u, v in zip(ta, tb))
 
@@ -196,31 +198,19 @@ class Pow(_Node):
         # decided here; the tests on the base are emitted in evaluation order.
         a, ta = self.base._emit(em, xs, grad)
         k = self.exponent
-
-        def power(p, message):
-            # float ** raises OverflowError where * and / give inf; an inline
-            # handler keeps a power that does not overflow at its bare cost
-            name = em.fresh()
-            em.line(f"try:\n    {name} = {a} ** {_lit(p)}\nexcept OverflowError:\n"
-                    f"    raise DomainError({message}) from None")
-            return name
-
         if k != int(k):
-            em.line(f"if {a} < 0.0: raise DomainError("
-                    f"f'negative base {{{a}!r}} with fractional exponent {k!r}')")
+            em.check(f"{a} < 0.0", f"negative base {{!r}} with fractional exponent {k!r}", a)
         if k < 0.0:
-            em.line(f"if {a} == 0.0: raise DomainError("
-                    f"'zero base with negative exponent {k!r}')")
-        val = power(k, f"f'power {{{a}!r}}^{k!r} overflows'")
+            em.check(f"{a} == 0.0", f"zero base with negative exponent {k!r}")
+        val = em.power(a, k, f"power {{!r}}^{k!r} overflows")
         if not grad:
             return val, ()
         if k < 1.0 and k != 0.0:
-            em.line(f"if {a} == 0.0: raise DomainError("
-                    f"'derivative of x^{k!r} undefined at 0')")
+            em.check(f"{a} == 0.0", f"derivative of x^{k!r} undefined at 0")
         if k == 0.0:
             dcoef = "0.0"
         else:
-            slope = power(k - 1.0, f"f'derivative of x^{k!r} overflows at {{{a}!r}}'")
+            slope = em.power(a, k - 1.0, f"derivative of x^{k!r} overflows at {{!r}}")
             dcoef = em.temp(f"{_lit(k)} * {slope}")
         return val, tuple(em.temp(f"{dcoef} * {u}") for u in ta)
 
@@ -249,7 +239,7 @@ class Ln(_Node):
 
     def _emit(self, em, xs, grad):
         a, ta = self.operand._emit(em, xs, grad)
-        em.line(f"if {a} <= 0.0: raise DomainError(f'ln of nonpositive value {{{a}!r}}')")
+        em.check(f"{a} <= 0.0", "ln of nonpositive value {!r}", a)
         val = em.temp(f"log({a})")
         return val, tuple(em.temp(f"{u} / {a}") for u in ta)
 
@@ -268,12 +258,17 @@ def _lit(v):
 
 
 class Emitter:
-    """Straight-line Python statements compiled into one function.
+    """Straight-line Python statements compiled into one function, on floats.
 
     Code is generated only from AST fields (float literals through ``repr``
     and variable indices) and from the names chosen by the caller, never
-    from expression source text.
+    from expression source text.  Domain tests go through ``check`` and
+    powers through ``power``, so that ``BatchEmitter`` can lower the same
+    ``_emit`` code to numpy columns.
     """
+
+    namespace = {"exp": math.exp, "log": math.log, "inf": math.inf, "nan": math.nan,
+                 "DomainError": DomainError}
 
     def __init__(self):
         self.lines: list[str] = []
@@ -292,14 +287,63 @@ class Emitter:
         self.lines.append(f"{name} = {code}")
         return name
 
+    def check(self, cond: str, message: str, value: str = "None"):
+        """Raise DomainError(message.format(value)) where ``cond`` holds."""
+        self.line(f"if {cond}: raise DomainError({message!r}.format({value}))")
+
+    def power(self, a: str, k: float, message: str) -> str:
+        """``a ** k``, raising DomainError(message.format(a)) where it
+        overflows.  Float ``**`` raises OverflowError where * and / give
+        inf; an inline handler keeps a power that does not at its bare cost."""
+        name = self.fresh()
+        self.line(f"try:\n    {name} = {a} ** {_lit(k)}\nexcept OverflowError:\n"
+                  f"    raise DomainError({message!r}.format({a})) from None")
+        return name
+
     def compile(self, name: str, params: str, result: str):
         """``def name(params): <lines>; return result`` as a function."""
         body = "\n".join([*self.lines, f"return {result}"])
         source = f"def {name}({params}):\n" + textwrap.indent(body, "    ") + "\n"
-        namespace = {"exp": math.exp, "log": math.log, "inf": math.inf,
-                     "nan": math.nan, "DomainError": DomainError}
+        namespace = dict(self.namespace)
         exec(compile(source, f"<switchopt {name}>", "exec"), namespace)
         return namespace[name]
+
+
+def _check_rows(cond, value, message):
+    """DomainError(message.format(value)) with the value at the first row
+    where ``cond`` holds (every row, for a test on constants alone), naming
+    that row as the member."""
+    if cond is False or cond is not True and not cond.any():
+        return
+    row = int(np.argmax(cond)) if np.ndim(cond) else 0
+    if value is not None:
+        value = float(value[row] if np.ndim(value) else value)
+    raise DomainError(f"{message.format(value)} (member {row})")
+
+
+def _power_rows(a, k, message):
+    """``a ** k`` on columns, where an overflow is a domain test."""
+    v = np.power(a, k)
+    if not math.isfinite(v.sum()):
+        _check_rows(np.isinf(v) & np.isfinite(a), a, message)
+    return v
+
+
+class BatchEmitter(Emitter):
+    """The same statements on numpy columns, one entry per batch member:
+    ``exp``, ``log`` and powers are numpy's, within a few ulp of libm's, and
+    a domain test fails if any member fails it.  Run the function with
+    numpy's floating-point warnings off (``exp`` overflows to ``inf``), as
+    Python floats raise none."""
+
+    namespace = {"exp": np.exp, "log": np.log, "inf": math.inf, "nan": math.nan,
+                 "check": _check_rows, "power": _power_rows, "empty": np.empty}
+
+    def check(self, cond, message, value="None"):
+        self.line(f"check({cond}, {value}, {message!r})")
+
+    def power(self, a, k, message):
+        return self.temp(f"power({a}, {_lit(k)}, {message!r})")
 
 
 class Expr:

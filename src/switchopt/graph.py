@@ -154,6 +154,14 @@ class Network:
         read-only."""
         return _read_only([adjacency(g) * self.sigma.T for g in self.graphs])
 
+    def average(self, weights) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted Laplacian sum_s w_s L_s and squared channel
+        coefficients sum_s w_s R_s^2 over the modes, summed in mode order."""
+        if len(weights) != self.n_modes:
+            raise ValueError(f"{len(weights)} mode weights for {self.n_modes} modes")
+        return (sum(w * L for w, L in zip(weights, self.laplacians)),
+                sum(w * R**2 for w, R in zip(weights, self.receive)))
+
     def __getstate__(self):
         # the cached stacks derive from the fields: pickle the fields alone
         return {k: v for k, v in self.__dict__.items() if k not in ("laplacians", "receive")}

@@ -14,7 +14,7 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from .expr import DomainError, Emitter, Expr, ExprError
+from .expr import BatchEmitter, DomainError, Emitter, Expr, ExprError
 
 __all__ = [
     "AgentSpec",
@@ -109,20 +109,33 @@ class Problem:
         an expression's domain raises the same DomainError.
         Compiled on first use and kept for the life of the problem.
         """
-        return _compile_kernel(self)
+        return _compile_kernel(self, Emitter())
+
+    @cached_property
+    def batch_kernel(self):
+        """``kernel`` over M members on numpy columns: (M, N, n), (M, r) and
+        (M, s) arrays in and out, each value within a few ulp of the scalar
+        kernel's.  The first domain test that any member fails raises the
+        scalar kernel's DomainError plus " (member m)", m the first such
+        member.  Compiled on first use.
+        """
+        return _compile_kernel(self, BatchEmitter())
 
 
-def _compile_kernel(problem: Problem):
+def _compile_kernel(problem: Problem, em: Emitter):
     def unpack(names):
         return "".join(f"{name}, " for name in names)
 
-    em = Emitter()
-    xs = [[f"x{i}_{j}" for j in range(problem.n)] for i in range(problem.n_agents)]
+    N, n, r, s = problem.n_agents, problem.n, problem.r, problem.s
+    batch = isinstance(em, BatchEmitter)
+    if batch:  # one column per agent coordinate and per multiplier
+        em.line("rows, lam, nu, M = x.transpose(1, 2, 0), lam.T, nu.T, len(x)")
+    xs = [[f"x{i}_{j}" for j in range(n)] for i in range(N)]
     em.line(f"{unpack(f'({unpack(row)})' for row in xs)}= rows")
-    if problem.r:
-        em.line(f"{unpack(f'lam{k}' for k in range(problem.r))}= lam")
-    if problem.s:
-        em.line(f"{unpack(f'nu{k}' for k in range(problem.s))}= nu")
+    if r:
+        em.line(f"{unpack(f'lam{k}' for k in range(r))}= lam")
+    if s:
+        em.line(f"{unpack(f'nu{k}' for k in range(s))}= nu")
     grads = [list(a.f.emit(em, xs[i])[1]) for i, a in enumerate(problem.agents)]
 
     def accumulate(index, mult):
@@ -135,9 +148,20 @@ def _compile_kernel(problem: Problem):
 
     gvals = accumulate(problem.ineq_index(), "lam")
     hvals = accumulate(problem.eq_index(), "nu")
-    rows = ", ".join(f"[{', '.join(g)}]" for g in grads)
-    return em.compile("kernel", "rows, lam, nu",
-                      f"[{rows}], [{', '.join(gvals)}], [{', '.join(hvals)}]")
+    if not batch:
+        rows = ", ".join(f"[{', '.join(g)}]" for g in grads)
+        return em.compile("kernel", "rows, lam, nu",
+                          f"[{rows}], [{', '.join(gvals)}], [{', '.join(hvals)}]")
+    # a column may be a float, broadcast over M as it is written
+    em.line(f"G, gv, hv = empty(({N}, {n}, M)), empty(({r}, M)), empty(({s}, M))")
+    for i, g in enumerate(grads):
+        for j, d in enumerate(g):
+            em.line(f"G[{i}, {j}] = {d}")
+    for out, values in (("gv", gvals), ("hv", hvals)):
+        for k, v in enumerate(values):
+            em.line(f"{out}[{k}] = {v}")
+    kernel = em.compile("batch_kernel", "x, lam, nu", "G.transpose(2, 0, 1), gv.T, hv.T")
+    return np.errstate(all="ignore")(kernel)
 
 
 def domain_error_detail(problem: Problem, rows, exc: DomainError) -> str:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .chain import SwitchPath
+
 CHUNK_STEPS = 256
 
 
@@ -37,7 +39,8 @@ def chunk(paths, rngs, k0, k1, h, N):
     """Channel increments Z (each scaled by the root of its substep's
     length) and substep rounds of the steps k0..k1-1 of a batch.
 
-    A round (t, h, mode, rows, draws, k_done) is one substep of the members
+    ``paths`` holds each member's SwitchPath, None (mode 0) or the int mode
+    it holds.  A round (t, h, mode, rows, draws, k_done) is one substep of the members
     ``rows`` (None: all) from t, of length h, in mode (scalars, or one per
     member), driven by ``Z[draws]``; k_done is k + 1 on the last round of
     step k, else 0.  A batch of one gets plain floats and ints.
@@ -52,7 +55,8 @@ def chunk(paths, rngs, k0, k1, h, N):
     split = [False] * C
     later = {}  # (step, round) -> [(member, start, length, mode), ...]
     for m, path in enumerate(paths):
-        if path is None:
+        if not isinstance(path, SwitchPath):  # None (mode 0) or a mode held
+            first_mode[m] = path or 0
             continue
         times = path.times
         jp = np.searchsorted(times, starts + 1e-15, side="right")
@@ -81,8 +85,8 @@ def chunk(paths, rngs, k0, k1, h, N):
         hs, modes, draws = first_h[0].tolist(), first_mode[0].tolist(), first_draw[0].tolist()
     else:
         hs = [float(row[0]) if not cut else row for row, cut in zip(first_h.T.copy(), split)]
-        pathless = all(p is None for p in paths)
-        modes = [0] * C if pathless else list(first_mode.T.copy())
+        held = (first_mode == first_mode[0, 0]).all()  # one mode: index by an int
+        modes = [int(first_mode[0, 0])] * C if held else list(first_mode.T.copy())
         draws = list(first_draw.T.copy())
     rounds = []
     for i, (t, k_done) in enumerate(zip(starts.tolist(), range(k0 + 1, k1 + 1))):

@@ -71,17 +71,14 @@ def test_criterion_02_fixed_network_convergence(five_agent):
     # the reference initial states, T=50, 20 seeds, target 0.05 for >= 19/20
     net = Network(graphs=(complete_graph(5),), sigma=0.3, coupling=1.0, kappa=0.5)
     t0 = time.monotonic()
-    errors = []
-    clamps = 0
-    for seed_index in range(20):
-        noise_ss = chain.trajectory_seeds(20260801, seed_index)[1]
-        cfg = IntegratorConfig(h=1e-3, horizon=50.0, eta=1.0, lambda_floor=0.0,
-                               seed=noise_ss, output_stride=50_000)
-        traj = dynamics.simulate(five_agent, net, None, cfg, fresh_init())
-        clamps += traj.clamp_count
-        errors.append(
-            float(np.linalg.norm(traj.final_state.x - X_STAR, axis=1).max())
-        )
+    # the 20 seeds as one batch, member k bit for bit its serial run
+    noise = [chain.trajectory_seeds(20260801, seed_index)[1] for seed_index in range(20)]
+    cfg = IntegratorConfig(h=1e-3, horizon=50.0, eta=1.0, lambda_floor=0.0,
+                           seed=noise, output_stride=50_000)
+    run = dynamics.simulate(five_agent, net, None, cfg, fresh_init())
+    clamps = run.clamp_count
+    errors = [float(np.linalg.norm(traj.final_state.x - X_STAR, axis=1).max())
+              for traj in run.members]
     elapsed = time.monotonic() - t0
     RESULTS["clamp_counts"]["criterion_02"] = clamps
     passes = sum(e <= 0.05 for e in errors)
@@ -108,27 +105,20 @@ def test_criterion_03_switching_and_averaged_convergence(five_agent,
     pi = chain.stationary(six_mode_generator)
     avg = averaging.average_laplacian(six_mode_network, pi)
     t0 = time.monotonic()
-    avg_errors = []
-    sw_errors = []
-    clamps = 0
-    for seed_index in range(20):
-        chain_ss, noise_ss = chain.trajectory_seeds(77, seed_index)
-        cfg = IntegratorConfig(h=1e-3, horizon=T, eta=1.0, lambda_floor=0.0,
-                               seed=noise_ss, output_stride=int(T * 1000))
-        traj = averaging.simulate_averaged(five_agent, avg, cfg, fresh_init())
-        clamps += traj.clamp_count
-        avg_errors.append(
-            float(np.linalg.norm(traj.final_state.x - X_STAR, axis=1).max())
-        )
-        path = chain.sample_path(six_mode_generator, 0, 0.01, T + 1e-3, chain_ss)
-        cfg2 = IntegratorConfig(h=1e-3, horizon=T, eta=1.0, lambda_floor=0.0,
-                                seed=noise_ss, output_stride=int(T * 1000))
-        traj2 = dynamics.simulate(five_agent, six_mode_network, path, cfg2,
-                                  fresh_init(), pi=pi)
-        clamps += traj2.clamp_count
-        sw_errors.append(
-            float(np.linalg.norm(traj2.final_state.x - X_STAR, axis=1).max())
-        )
+    # one batch over the mode-S stacks: 20 averaged members held in the
+    # averaged mode S, then 20 switched ones, seed k driving both member k's
+    streams = [chain.trajectory_seeds(77, seed_index) for seed_index in range(20)]
+    paths = [six_mode_network.n_modes] * 20 + [
+        chain.sample_path(six_mode_generator, 0, 0.01, T + 1e-3, chain_ss)
+        for chain_ss, _ in streams]
+    cfg = IntegratorConfig(h=1e-3, horizon=T, eta=1.0, lambda_floor=0.0,
+                           seed=[noise_ss for _, noise_ss in streams] * 2,
+                           output_stride=int(T * 1000))
+    run = dynamics.simulate(five_agent, six_mode_network, paths, cfg, fresh_init(), pi=pi)
+    clamps = run.clamp_count
+    errors = [float(np.linalg.norm(traj.final_state.x - X_STAR, axis=1).max())
+              for traj in run.members]
+    avg_errors, sw_errors = errors[:20], errors[20:]
     elapsed = time.monotonic() - t0
     RESULTS["clamp_counts"]["criterion_03"] = clamps
     avg_passes = sum(e <= 0.05 for e in avg_errors)

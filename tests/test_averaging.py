@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from switchopt import chain
+from switchopt import chain, dynamics
 from switchopt.averaging import (
     FactorizationError,
     average_laplacian,
@@ -105,17 +105,17 @@ def test_averaged_drift_is_mode_mixture(five_agent, six_mode_network, six_mode_g
     pi = stationary(six_mode_generator)
     avg = average_laplacian(six_mode_network, pi)
     rng = np.random.default_rng(4)
-    from switchopt.averaging import _AveragedModel
     from switchopt.dynamics import _Model
 
-    model = _Model(five_agent, six_mode_network, np.ones(2))
-    avg_model = _AveragedModel(five_agent, avg, np.ones(2))
+    # the averaged system is mode S of the model built with pi
+    model = _Model(five_agent, six_mode_network, np.ones(2), pi)
+    assert np.array_equal(model.L[model.averaged], avg.L_pi)
     for _ in range(100):
         x = rng.normal(0.0, 1.5, (5, 2))
         theta = rng.normal(0.0, 1.5, (5, 2))
         lam = rng.uniform(0.1, 3.0, 2)
         nu = rng.normal(0.0, 1.0, 1)
-        davg = avg_model.drift(x, theta, lam, nu, 0)
+        davg = model.drift(x, theta, lam, nu, model.averaged)
         mix = None
         for m, p in enumerate(pi.pi):
             parts = model.drift(x, theta, lam, nu, m)
@@ -193,21 +193,22 @@ def test_channel_factor_squares_to_the_averaged_diffusion(five_agent, six_mode_n
                                                          six_mode_generator):
     # G_i = [sqrt(w_ij) d_ij]_j, the factor the averaged run applies to the
     # channel increments, reproduces the PSD path's Gamma_i
-    from switchopt.averaging import _AveragedModel, _diffusion_blocks, _squared_coeffs
+    from switchopt.averaging import _diffusion_blocks
+    from switchopt.dynamics import _Model
 
     pi = stationary(six_mode_generator)
-    avg = average_laplacian(six_mode_network, pi)
-    model = _AveragedModel(five_agent, avg, np.ones(2))
-    wsq = _squared_coeffs(six_mode_network, pi)
+    model = _Model(five_agent, six_mode_network, np.ones(2), pi)
+    S = model.averaged
+    _, wsq = six_mode_network.average(pi.pi)
     rng = np.random.default_rng(2026)
     for _ in range(200):
         x = rng.normal(0.0, 2.0, (5, 2))
         gamma, _ = _diffusion_blocks(x, wsq)
-        G = model.R[0][:, None, :] * (x[None, :, :] - x[:, None, :]).transpose(0, 2, 1)
+        G = model.R[S][:, None, :] * (x[None, :, :] - x[:, None, :]).transpose(0, 2, 1)
         GGt = G @ G.transpose(0, 2, 1)
         assert np.max(np.abs(GGt - gamma)) <= 1e-12 * np.max(np.abs(gamma))
         W = rng.standard_normal((5, 5))
-        noise = model.noise_term(x, 0, W)
+        noise = model.noise_term(x, S, W)
         expected = model.c * np.einsum("inj,ij->in", G, W)
         assert np.max(np.abs(noise - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -217,12 +218,12 @@ def test_channel_factor_run_matches_the_psd_factor_run_in_law(five_agent, six_mo
                                                              reference_init):
     # the two factors share G G^T, so the terminal states agree in law; 200
     # members each at T=0.5, independent streams
-    from switchopt.averaging import _AveragedModel
+    from switchopt.dynamics import _Model
     from oracles import psd_factor_averaged_run
 
     pi = stationary(six_mode_generator)
     avg = average_laplacian(six_mode_network, pi)
-    model = _AveragedModel(five_agent, avg, np.ones(2))
+    model = _Model(five_agent, six_mode_network, np.ones(2), pi)
     wsq = sum(p * six_mode_network.receive[m] ** 2 for m, p in enumerate(pi.pi))
     members, h, T = 200, 1e-3, 0.5
     ours = np.empty((members, 10))
@@ -233,7 +234,7 @@ def test_channel_factor_run_matches_the_psd_factor_run_in_law(five_agent, six_mo
                                output_stride=500)
         ours[m] = simulate_averaged(five_agent, avg, cfg, reference_init.copy()).x[-1].ravel()
         ref[m] = psd_factor_averaged_run(
-            lambda x, th, lam, nu: model.drift(x, th, lam, nu, 0), model.c, wsq,
+            lambda x, th, lam, nu: model.drift(x, th, lam, nu, model.averaged), model.c, wsq,
             reference_init.x, reference_init.theta, reference_init.lam, reference_init.nu,
             h, 500, np.random.default_rng([42, m]),
         ).ravel()
@@ -306,6 +307,66 @@ def test_batched_study_equals_the_serial_loop(floor, five_agent, six_mode_networ
     assert report.pop("warnings") == []
     assert report == serial
     assert (report["clamp_count_total"] > 0) == (floor > 0.0)
+
+
+def _study_args(five_agent, six_mode_network, six_mode_generator, ensemble):
+    init = SystemState(X_INIT, np.zeros_like(X_INIT), [3.0, 3.0], [3.0])
+    cfg = IntegratorConfig(h=1e-3, horizon=1.0, lambda_floor=0.0)
+    return (five_agent, six_mode_network, six_mode_generator, [0.5, 0.1, 0.02], ensemble,
+            0.06, 21, init), cfg
+
+
+def test_merged_scalar_kernel_batch_equals_the_serial_loop(monkeypatch, five_agent,
+                                                           six_mode_network,
+                                                           six_mode_generator):
+    # the averaged ensemble and three switched ones run as one batch of 40;
+    # on the scalar kernel (the threshold raised past the batch) member k is
+    # its serial run, so every field of the report is equal, floats bit for bit
+    from oracles import serial_weak_convergence
+
+    monkeypatch.setattr(dynamics, "BATCH_KERNEL_ROWS", 41)
+    args, cfg = _study_args(five_agent, six_mode_network, six_mode_generator, 10)
+    report = weak_convergence_experiment(*args, cfg=cfg)
+    assert report.pop("warnings") == []
+    assert report == serial_weak_convergence(*args, cfg)
+
+
+def _close(got, want, rel=1e-12):
+    """Floats within ``rel`` at the scale max(1, |v|), all else equal."""
+    if isinstance(want, float):
+        return isinstance(got, float) and abs(got - want) <= rel * max(1.0, abs(want))
+    if isinstance(want, (list, dict)):
+        keys = range(len(want)) if isinstance(want, list) else want
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(_close(got[k], want[k], rel) for k in keys))
+    return got == want
+
+
+def test_merged_numpy_kernel_batch_agrees_with_the_serial_loop(monkeypatch, five_agent,
+                                                               six_mode_network,
+                                                               six_mode_generator):
+    # every round on the numpy kernel, the small jump-split rounds too: the
+    # report agrees with the serial loop within 1e-12 relative, and its
+    # verdicts, counts and warnings are equal
+    from oracles import serial_weak_convergence
+
+    monkeypatch.setattr(dynamics, "BATCH_KERNEL_ROWS", 1)
+    args, cfg = _study_args(five_agent, six_mode_network, six_mode_generator, 10)
+    report = weak_convergence_experiment(*args, cfg=cfg)
+    assert report.pop("warnings") == []
+    assert _close(report, serial_weak_convergence(*args, cfg))
+
+
+def test_study_failure_names_the_averaged_member(six_mode_network, six_mode_generator):
+    # every member starts outside the domain of ln, so the batch fails at
+    # t=0 on its lowest member: member 0 of the averaged ensemble, first
+    p = Problem(n=2, agents=tuple(AgentSpec(f=parse("ln(x1)", 2)) for _ in range(5)))
+    init = SystemState(-np.ones((5, 2)), np.zeros((5, 2)), [], [])
+    with pytest.raises(IntegrationError, match=(
+        r"^expression left its domain at t=0 \(averaged, member 0\): agent 1 cost"
+    )):
+        weak_convergence_experiment(p, six_mode_network, six_mode_generator, [0.5, 0.1],
+                                    ensemble=3, T=0.01, seed=1, init=init)
 
 
 def test_weak_convergence_linear_problem_matrix_exponential_oracle():

@@ -9,6 +9,7 @@ import pytest
 from switchopt import chain, schedule
 from switchopt.averaging import average_laplacian, simulate_averaged
 from switchopt.dynamics import (
+    BATCH_KERNEL_ROWS,
     IntegrationError,
     IntegratorConfig,
     SystemState,
@@ -353,6 +354,22 @@ def test_multiplier_drift_at_minus_one_over_eta_is_nonfinite():
     cfg = IntegratorConfig(h=1e-3, horizon=1e-3)
     with pytest.raises(IntegrationError, match=r"^nonfinite state at t=0\.001 \(mode 0\)"):
         em_step(st, 0, cfg.h, np.zeros((1, 1)), p, net, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [None, 2, BATCH_KERNEL_ROWS])
+def test_multiplier_at_minus_one_over_eta_fails_without_a_numpy_warning(rows):
+    # the step stops with its nonfinite-state error alone, serial or in a
+    # batch on either kernel: numpy's divide-by-zero warning stays silent
+    p = single_agent_problem(g=("x1 - 1",))
+    model = _Model(p, single_node_network(), 1.0)
+    state = [np.zeros((1, 1)), np.zeros((1, 1)), np.array([-1.0]), np.zeros(0)]
+    W, members = np.zeros((1, 1)), None
+    if rows is not None:
+        state = [np.repeat(a[None], rows, axis=0) for a in state]
+        W, members = np.zeros((rows, 1, 1)), np.arange(rows)
+    with pytest.raises(IntegrationError, match=r"^nonfinite state at t=0\.001 \(mode 0"):
+        model.step(*state, 0.0, 1e-3, 0, W, 0.0, members)
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +735,20 @@ def test_batch_domain_failure_names_the_member():
     )) as info:
         simulate(p, single_node_network(), None, cfg, _member_axis_init([1.0, 2.0, -1.0, 3.0]))
     assert (info.value.member, info.value.start) == (2, 0.0)
+
+
+def test_batch_failure_in_an_averaged_member_names_it():
+    # members 0-2 hold the averaged mode S = 1 of a one-node network, 3-5
+    # run mode 0; averaged member 2 starts outside the domain of ln
+    p = single_agent_problem(cost="ln(x1)")
+    pi = chain.StationaryDist(np.array([1.0]))
+    cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=list(range(6)))
+    init = _member_axis_init([1.0, 2.0, -1.0, 3.0, 4.0, 5.0])
+    with pytest.raises(IntegrationError, match=(
+        r"^expression left its domain at t=0 \(averaged, member 2\): "
+        r"agent 1 cost 'ln\(x1\)': ln of nonpositive value -1\.0$"
+    )):
+        simulate(p, single_node_network(), [1, 1, 1, None, None, None], cfg, init, pi=pi)
 
 
 def test_batch_nonfinite_failure_names_the_member():

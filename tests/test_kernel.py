@@ -7,7 +7,10 @@ Equality is bitwise throughout (``float.hex`` and raw array bytes), so
 type and message.
 """
 
+import dataclasses
+import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -15,12 +18,13 @@ import pytest
 from switchopt import averaging, chain, cli, dynamics
 from switchopt import expr as expr_mod
 from switchopt import problem as problem_mod
+from switchopt.dynamics import IntegratorConfig
 from switchopt.expr import DomainError, parse
 from switchopt.graph import laplacian
 from switchopt.problem import AgentSpec, Problem
 from switchopt.scenario import load_scenario
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, make_five_agent_problem
 from oracles import tree_value, tree_value_and_grad
 from test_expr import SPECIAL_POINTS, random_expr_text
 
@@ -115,7 +119,7 @@ def test_random_expressions_bit_equal_to_tree():
     assert {"inf", "-inf", "nan", "-0x0.0p+0"} <= seen_methods
 
 
-@pytest.mark.parametrize("text, n, point", [
+DOMAIN_CASES = [
     ("ln(x1)", 1, (-1.0,)),
     ("ln(x1)", 1, (0.0,)),
     ("x1/x2", 2, (1.0, 0.0)),
@@ -128,7 +132,10 @@ def test_random_expressions_bit_equal_to_tree():
     ("x1^2", 1, (1e200,)),
     ("(x1 - 1)^3", 1, (-1e200,)),
     ("x1^-1", 1, (1e-160,)),
-])
+]
+
+
+@pytest.mark.parametrize("text, n, point", DOMAIN_CASES)
 def test_domain_errors_match_tree(text, n, point):
     p = probe_problem(parse(text, n))
     rows = [list(point)] * 2
@@ -223,8 +230,7 @@ def test_model_drift_bit_equal_to_tree_walk(switching_scenario):
     net = switching_scenario.build_network()
     pi = chain.stationary(switching_scenario.build_generator())
     avg = averaging.average_laplacian(net, pi)
-    model = dynamics._Model(p, net, np.array([1.0, 0.5]))
-    avg_model = averaging._AveragedModel(p, avg, np.array([1.0, 0.5]))
+    model = dynamics._Model(p, net, np.array([1.0, 0.5]), pi)
     rng = np.random.default_rng(11)
     for trial in range(60):
         x = rng.normal(0.0, 2.0, (p.n_agents, p.n))
@@ -233,7 +239,7 @@ def test_model_drift_bit_equal_to_tree_walk(switching_scenario):
         nu = rng.normal(0.0, 3.0, p.s)
         mode = trial % net.n_modes
         cases = [(model.drift(x, theta, lam, nu, mode), laplacian(net.graphs[mode])),
-                 (avg_model.drift(x, theta, lam, nu, 0), avg.L_pi)]
+                 (model.drift(x, theta, lam, nu, model.averaged), avg.L_pi)]
         for got, L in cases:
             want = tree_drift(model, x, theta, lam, nu, L)
             for a, b in zip(got, want):
@@ -248,23 +254,144 @@ def test_kernel_cached_per_problem(five_agent):
 
 
 def test_one_compile_per_compare_command(monkeypatch, switching_scenario_path, tmp_path):
-    compiles, builds = [], []
+    compiles, builds, runs = [], [], []
     compile_kernel = problem_mod._compile_kernel
     model_init = dynamics._Model.__init__
+    integrate = dynamics._integrate
 
-    def counting_compile(p):
-        compiles.append(p)
-        return compile_kernel(p)
+    def counting_compile(p, em):
+        compiles.append(type(em))
+        return compile_kernel(p, em)
 
     def counting_init(self, *args, **kwargs):
         builds.append(self)
         model_init(self, *args, **kwargs)
 
+    def counting_integrate(*args):
+        runs.append(args)
+        return integrate(*args)
+
     monkeypatch.setattr(problem_mod, "_compile_kernel", counting_compile)
     monkeypatch.setattr(dynamics._Model, "__init__", counting_init)
+    monkeypatch.setattr(dynamics, "_integrate", counting_integrate)
     rc = cli.main(["compare", str(switching_scenario_path), "--alpha", "0.5",
                    "--alpha", "0.1", "--ensemble", "3", "--horizon", "0.005",
                    "--out-dir", str(tmp_path)])
     assert rc == 0
-    assert len(compiles) == 1
-    assert len(builds) == 1 + 2  # one model per ensemble, each run as one batch
+    # the scalar kernel alone: 9 members stay below BATCH_KERNEL_ROWS, and
+    # the numpy kernel is compiled only when a round reaches it
+    assert compiles == [expr_mod.Emitter]
+    assert len(builds) == 1  # one model: every ensemble runs in one batch
+    assert len(runs) == 1
+
+
+# ---------------------------------------------------------------------------
+# the numpy backend of the same lowering, over a member axis
+# ---------------------------------------------------------------------------
+
+
+def within_ulps(got, want, ulps=4):
+    """``got`` within ``ulps`` ulp of ``want`` at the scale max(1, |want|);
+    infinities and nans must match exactly."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if got.shape != want.shape:
+        return False
+    finite = np.isfinite(want)
+    same = np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    scale = np.maximum(1.0, np.abs(want[finite]))
+    return same and bool(np.all(np.abs(got[finite] - want[finite])
+                                <= ulps * np.finfo(float).eps * scale))
+
+
+def batch_outcome(problem, x, lam, nu):
+    """The numpy kernel's arrays, or the raised error."""
+    try:
+        return problem.batch_kernel(np.array(x), np.array(lam), np.array(nu))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_batch_matches_scalar(problem, x, lam, nu):
+    """The numpy kernel over the members ``x`` agrees with the scalar kernel
+    of each: within 4 ulp, or the same DomainError as the scalar kernel of
+    the member it names.  Returns the floats reached (empty on an error)."""
+    got = batch_outcome(problem, x, lam, nu)
+    scalar = [outcome(problem.kernel, *args) for args in zip(x, lam, nu)]
+    raised = [m for m, out in enumerate(scalar) if isinstance(out[0], type)]
+    if raised:
+        assert got[0] is DomainError, (got, scalar)
+        text, member = re.fullmatch(r"(.*) \(member (\d+)\)", got[1]).groups()
+        assert scalar[int(member)] == (DomainError, text)
+        return set()
+    want = [problem.kernel(*args) for args in zip(x, lam, nu)]
+    for k, part in enumerate(got):
+        assert within_ulps(part, [w[k] for w in want]), (k, part, [w[k] for w in want])
+    return {float.hex(float(v)) for part in got for v in np.ravel(part)}
+
+
+@pytest.mark.filterwarnings("error")
+def test_batch_kernel_within_4_ulp_over_random_expressions():
+    # the sweep of the scalar kernel's parity test, each expression's points
+    # as the members of one batch, with numpy warnings turned into errors
+    rng = np.random.default_rng(2026)
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 4))
+        p = probe_problem(parse(random_expr_text(rng, n), n))
+        points = [rng.uniform(-1.0, 1.0, n).tolist(),
+                  [float(v) for v in rng.choice(SPECIAL_POINTS, n)]]
+        lam, nu = [float(rng.uniform(0.1, 3.0))], [float(rng.normal())]
+        for members in ([points[0]], [points[1]], points):
+            seen |= assert_batch_matches_scalar(
+                p, [[pt, pt] for pt in members], [lam] * len(members), [nu] * len(members))
+    assert {"inf", "-inf", "nan", "-0x0.0p+0"} <= seen
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["five_agent_fixed.json", "five_agent_switching.json"])
+def test_batch_kernel_within_4_ulp_on_bundled_problems(name):
+    p = load_scenario(SCENARIO_DIR / name).build_problem()
+    rng = np.random.default_rng(5)
+    for scale in (0.5, 3.0, 300.0):
+        x = rng.normal(0.0, scale, (50, p.n_agents, p.n))
+        lam = rng.uniform(0.0, 5.0, (50, p.r))
+        nu = rng.normal(0.0, 5.0, (50, p.s))
+        assert_batch_matches_scalar(p, x.tolist(), lam.tolist(), nu.tolist())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, n, point", DOMAIN_CASES)
+def test_batch_kernel_domain_errors_name_the_member(text, n, point):
+    # member 1 of three leaves the domain: the scalar kernel's message
+    # for that member, plus its index
+    p = probe_problem(parse(text, n))
+    fine = [2.0] * n
+    x = [[fine, fine], [list(point), list(point)], [fine, fine]]
+    with pytest.raises(DomainError) as scalar_exc:
+        p.kernel(x[1], [1.0], [1.0])
+    with pytest.raises(DomainError) as batch_exc:
+        p.batch_kernel(np.array(x), np.ones((3, 1)), np.ones((3, 1)))
+    assert str(batch_exc.value) == f"{scalar_exc.value} (member 1)"
+
+
+@pytest.mark.filterwarnings("error")
+def test_batch_kernel_exp_overflow_is_inf():
+    p = probe_problem(parse("exp(x1) - x2", 2))
+    x = np.array([[[1000.0, 1.0]] * 2, [[1.0, 1.0]] * 2])
+    G, gv, _ = p.batch_kernel(x, np.ones((2, 1)), np.zeros((2, 1)))
+    assert gv[0].tolist() == [math.inf] and G[0, 0].tolist()[0] == math.inf
+    assert math.isnan(G[0, 0, 1])  # inf * 0.0 kept, as in the scalar kernel
+    assert np.isfinite(G[1]).all()
+
+
+def test_numpy_kernel_compiled_only_for_a_large_round(k5_network, reference_init):
+    # serial runs and rounds below BATCH_KERNEL_ROWS keep the scalar kernel
+    five_agent = make_five_agent_problem()
+    small = dataclasses.replace(IntegratorConfig(h=1e-3, horizon=2e-3),
+                                seed=list(range(dynamics.BATCH_KERNEL_ROWS - 1)))
+    for cfg in (IntegratorConfig(h=1e-3, horizon=2e-3), small):
+        dynamics.simulate(five_agent, k5_network, None, cfg, reference_init)
+        assert "batch_kernel" not in vars(five_agent)
+    big = dataclasses.replace(small, seed=list(range(dynamics.BATCH_KERNEL_ROWS)))
+    dynamics.simulate(five_agent, k5_network, None, big, reference_init)
+    assert "batch_kernel" in vars(five_agent)

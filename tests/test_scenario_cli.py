@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from switchopt import dynamics
+from switchopt import averaging, dynamics
 from switchopt.cli import main
 from switchopt.scenario import Scenario, ScenarioError, load_scenario, scenario_hash
 
@@ -226,6 +226,30 @@ def test_simulate_switching_and_averaged_modes(switching_scenario_path, tmp_path
     assert rc == 0
     assert (tmp_path / "five_agent_switching.switching.trajectory.csv").exists()
     assert (tmp_path / "five_agent_switching.averaged.trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("scenario, mode", [
+    ("fixed", "fixed"), ("switching", "switching"), ("switching", "averaged"),
+])
+def test_simulate_builds_one_assumption_report(scenario, mode, request, monkeypatch,
+                                               tmp_path):
+    # the report the run warns from is the one meta.json records
+    calls = []
+    check = dynamics.check_assumptions
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "check_assumptions", counting)
+    monkeypatch.setattr(averaging, "check_assumptions", counting)
+    path = request.getfixturevalue(f"{scenario}_scenario_path")
+    rc = main(["simulate", str(path), "--mode", mode, "--horizon", "0.01",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0 and len(calls) == 1
+    meta = json.loads((tmp_path / f"five_agent_{scenario}.{mode}.meta.json").read_text())
+    args, kwargs = calls[0]
+    assert meta["assumptions"] == check(*args, **kwargs).as_dict()
 
 
 def test_simulate_strict_gate(tmp_scenario_file):
