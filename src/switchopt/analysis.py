@@ -183,7 +183,7 @@ def convergence_metrics(
     p_star = total_cost(problem, tuple(eq.x[0]))
     energy = _energy(trajectory.x, trajectory.x + trajectory.theta,
                      trajectory.lam, trajectory.nu, eq, eta, omega)
-    cost_gap = [total_cost(problem, m) - p_star for m in trajectory.x.mean(axis=1)]
+    cost_gap = [total_cost(problem, m) - p_star for m in trajectory.x.mean(axis=1).tolist()]
     return {"t": np.array(trajectory.times), **energy, "cost_gap": np.array(cost_gap)}
 
 

@@ -22,13 +22,14 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .chain import StationaryDist, SwitchPath
-from .expr import DomainError
+from .expr import DomainError, Emitter
 from .graph import Network, lambda2
-from .problem import KktCertificate, Problem, domain_error_detail
+from .problem import KktCertificate, Problem, domain_error_detail, emit_kernel
 from .schedule import CHUNK_STEPS, chunk
 
 __all__ = [
@@ -237,12 +238,13 @@ BATCH_KERNEL_ROWS = 24
 class _Model:
     """Precomputed structure shared by every step of one run.
 
-    Methods take one member's state, x (N, n), or a batch stacked on a
-    leading axis, x (M, N, n), with ``mode`` an int or one per member.
-    ``eta`` is a scalar or one weight per inequality multiplier.  Given the
-    stationary distribution ``pi``, the stacks gain the averaged system as
-    mode S = ``averaged``: L_pi and the channel coefficients sqrt(w),
-    w = sum_s pi_s R_s^2 (see ``averaging``).
+    ``drift`` and ``step`` take a batch stacked on a leading member axis, x
+    (M, N, n), with ``mode`` an int or one per member, or a lone member as
+    flat float lists (x and pair agent-major), which runs on the compiled
+    substep ``lone``.  ``eta`` is a scalar or one weight per inequality
+    multiplier.  Given the stationary distribution ``pi``, the stacks gain
+    the averaged system as mode S = ``averaged``: L_pi and the channel
+    coefficients sqrt(w), w = sum_s pi_s R_s^2 (see ``averaging``).
     """
 
     def __init__(self, problem: Problem, network: Network, eta, pi: StationaryDist | None = None):
@@ -268,7 +270,12 @@ class _Model:
         self.r = problem.r
         self.s = problem.s
         self.eta = _eta_vector(eta, self.r)
-        self.eta_list = self.eta.tolist()
+
+    @cached_property
+    def lone(self):
+        """A lone member's compiled substep, generated on first use (see
+        ``_compile_lone``)."""
+        return _compile_lone(self)
 
     def where(self, mode):
         """Label of ``mode`` in failure messages."""
@@ -276,42 +283,35 @@ class _Model:
 
     def drift(self, x, theta, lam, nu, mode):
         """Drift blocks (dx, dtheta, dlam, dnu); only the coupling Laplacian
-        depends on the mode."""
+        depends on the mode.  L[mode] @ x is one numpy matmul on both paths:
+        a Python sum would round differently from BLAS."""
+        if isinstance(x, list):  # a lone member
+            Lx = self.L[mode] @ np.array(x).reshape(self.N, self.n)
+            return self.lone[0](x, theta, lam, nu, Lx.ravel().tolist())
         Lx = self.L[mode] @ x
-        if x.ndim == 2:
-            lams = lam.tolist()
-            grad_terms, gvals, hvals = self.kernel(x.tolist(), lams, nu.tolist())
-            # float by float, in the order of the array expression below:
-            # IEEE + * / give the same bits as the numpy ufuncs, without
-            # their overhead on a few values
-            try:
-                dlam = np.array([v / (1.0 + e * v) * g
-                                 for v, e, g in zip(lams, self.eta_list, gvals)], dtype=float)
-            except ZeroDivisionError:
-                # a multiplier at -1/eta: inf or nan, and the step fails on
-                # its nonfinite state, with no numpy warning (as below)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    dlam = lam / (1.0 + self.eta * lam) * np.array(gvals, dtype=float)
-        else:
-            if len(x) >= BATCH_KERNEL_ROWS:
-                grad_terms, gvals, hvals = self.problem.batch_kernel(x, lam, nu)
-            else:  # one scalar kernel call per member
-                grad_terms, gvals, hvals = zip(*map(self.kernel, x.tolist(), lam.tolist(),
-                                                    nu.tolist()))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dlam = lam / (1.0 + self.eta * lam) * np.asarray(gvals, dtype=float)
+        if len(x) >= BATCH_KERNEL_ROWS:
+            grad_terms, gvals, hvals = self.problem.batch_kernel(x, lam, nu)
+        else:  # one scalar kernel call per member
+            grad_terms, gvals, hvals = zip(*map(self.kernel, x.tolist(), lam.tolist(),
+                                                nu.tolist()))
+        # a multiplier at -1/eta: inf or nan, and the step fails on its
+        # nonfinite state, with no numpy warning
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dlam = lam / (1.0 + self.eta * lam) * np.asarray(gvals, dtype=float)
         dx = -self.c * Lx - theta - np.asarray(grad_terms)
         dtheta = self.c * Lx
         return dx, dtheta, dlam, np.asarray(hvals, dtype=float)
 
     def failure(self, what, detail, t, h, mode, members, row):
         """IntegrationError "<what> at t=<t + h> (<mode>): <detail>"; in a
-        batch, for member ``members[row]``, named and carried with the start
-        of its substep."""
-        if row is None:
+        batch, of its row ``row``: for member ``members[row]``, named and
+        carried with the start of its substep (unnamed if ``members`` is
+        None)."""
+        if row is not None:
+            t, h, mode = (_row(v, row) for v in (t, h, mode))
+        if members is None:
             return IntegrationError(f"{what} at t={t + h:.6g} ({self.where(mode)}): {detail}")
-        t, h, mode = (_row(v, row) for v in (t, h, mode))
-        member = row if members is None else int(members[row])
+        member = int(members[row])
         err = IntegrationError(f"{what} at t={t + h:.6g} "
                                f"({self.where(int(mode))}, member {member}): {detail}")
         err.start, err.member = float(t), member
@@ -322,34 +322,44 @@ class _Model:
         at the agent points of ``x`` (in a batch, of the first member whose
         kernel raises), found by evaluating the expressions one at a time in
         the kernel's order (cold path, after the kernel raised ``exc``)."""
-        row = None
-        if x.ndim == 3:
+        if isinstance(x, list):  # a lone member
+            row, rows = None, np.reshape(x, (self.N, self.n)).tolist()
+        else:
             for row, args in enumerate(zip(x.tolist(), lam.tolist(), nu.tolist())):
                 try:
                     self.kernel(*args)
                 except DomainError as err:
                     exc = err
                     break
-        detail = domain_error_detail(self.problem, (x if row is None else x[row]).tolist(), exc)
+            rows = x[row].tolist()
+        detail = domain_error_detail(self.problem, rows, exc)
         return self.failure("expression left its domain", detail, t, 0.0, mode, members, row)
 
     def noise_term(self, x, mode, W):
-        """c * M_mode(x) applied to the channel increments W (N x N, one per
-        member of a batch), W[..., i, j] being the increment on the channel
-        carrying j to i."""
+        """c * M_mode(x) applied to the channel increments W (M, N, N),
+        W[m, i, j] being member m's increment on the channel carrying j to i."""
         return _channel_noise(self.c, self.R[mode], x, W)
 
     def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
-        """One Euler-Maruyama substep; returns new arrays and clamp count.
+        """One Euler-Maruyama substep; returns the new state and clamp count.
 
-        In a batch, ``t``, ``h`` and ``mode`` are scalars or one per member,
-        ``members`` names the rows in failure messages and the clamp count
-        is per member.  The pair-sum update deliberately contains no noise
-        term; see the module docstring.
+        A lone member's state is four flat float lists and ``W`` its flat
+        channel increments.  In a batch, ``t``, ``h`` and ``mode`` are
+        scalars or one per member, ``members`` names the rows in failure
+        messages and the clamp count is per member.  The pair-sum update
+        deliberately contains no noise term; see the module docstring.
         """
-        theta = pair - x
+        if isinstance(x, list):  # a lone member
+            _, update, receive = self.lone
+            try:
+                blocks = self.drift(x, [p - q for p, q in zip(pair, x)], lam, nu, mode)
+                return update(x, pair, lam, nu, *blocks, receive[mode], W, h, clamp_floor)
+            except DomainError as exc:
+                raise self.domain_failure(x, lam, nu, t, mode, None, exc) from exc
+            except ArithmeticError:  # a multiplier at -1/eta, or a nonfinite state
+                raise self.failure("nonfinite state", _STIFF, t, h, mode, None, None) from None
         try:
-            dx, dtheta, dlam, dnu = self.drift(x, theta, lam, nu, mode)
+            dx, dtheta, dlam, dnu = self.drift(x, pair - x, lam, nu, mode)
         except DomainError as exc:
             raise self.domain_failure(x, lam, nu, t, mode, members, exc) from exc
         noise = self.noise_term(x, mode, W)
@@ -364,35 +374,94 @@ class _Model:
         if lam_new.size and lam_new.min() < clamp_floor:
             crossed = (lam_new < clamp_floor) & (lam >= clamp_floor)
             clamped = np.count_nonzero(crossed, axis=-1)
-            clamped = int(clamped) if x.ndim == 2 else clamped
             lam_new = np.where(crossed, clamp_floor, lam_new)
         nu_new = nu + hv * dnu
         new = (x_new, pair_new, lam_new, nu_new)
-        if x.ndim == 2:
-            # A nonfinite entry makes this float total nonfinite; the
-            # per-array tests tell a finite state whose total overflows apart.
-            ok = math.isfinite(sum(sum(a.ravel().tolist()) for a in new))
-        else:
-            ok = all(np.isfinite(a).all() for a in new)
-        if not ok:
-            finite = (np.isfinite(x_new).all(axis=(-2, -1))
-                      & np.isfinite(pair_new).all(axis=(-2, -1))
-                      & np.isfinite(lam_new).all(axis=-1)
-                      & np.isfinite(nu_new).all(axis=-1))
-            if not finite.all():
-                raise self.failure(
-                    "nonfinite state", "step size too large for this problem's stiffness",
-                    t, h, mode, members, None if x.ndim == 2 else int(np.argmin(finite)))
+        if not all(np.isfinite(a).all() for a in new):
+            finite = (np.isfinite(x_new).all(axis=(1, 2)) & np.isfinite(pair_new).all(axis=(1, 2))
+                      & np.isfinite(lam_new).all(axis=1) & np.isfinite(nu_new).all(axis=1))
+            raise self.failure("nonfinite state", _STIFF, t, h, mode, members,
+                               int(np.argmin(finite)))
         return x_new, pair_new, lam_new, nu_new, clamped
 
 
+_STIFF = "step size too large for this problem's stiffness"
+
+
+def _compile_lone(model: _Model):
+    """The substep of a lone member as straight-line float code, generated
+    once per model with ``expr.Emitter``, as ``Problem.kernel`` is.  The
+    state is four flat float lists: x and pair agent-major, lam, nu.
+
+    Returns ``(drift, update, receive)``: ``drift(x, theta, lam, nu, Lx)``
+    gives the blocks (dx, dtheta, dlam, dnu); ``update(x, pair, lam, nu,
+    dx, dtheta, dlam, dnu, R, W, h, floor)`` the new state and the clamp
+    count, summing the channel noise over the senders j left to right from
+    0.0 as ``_channel_noise`` does; ``receive[mode]`` is the mode's R, flat.
+    Every value takes the batch's float operations in the batch's order, so
+    the bits match a batch of one.  The noise sum leaves out the channels
+    whose R is zero in every mode: at finite increments their terms are
+    +-0.0, which leave a sum begun at 0.0 unchanged (a nonfinite x fails the
+    step either way).  A nonfinite new state, or a multiplier at exactly
+    -1/eta, raises ArithmeticError.
+    """
+    N, n, r, s, c = model.N, model.n, model.r, model.s, float(model.c)
+    cells = [(i, k, f"{i}_{k}") for i in range(N) for k in range(n)]
+    flat, lams, nus = [v for _, _, v in cells], list(range(r)), list(range(s))
+    senders = [[j for j in range(N) if model.R[:, i, j].any()] for i in range(N)]
+
+    def bind(em, *pairs):  # unpack each parameter ``name`` into name<v> locals
+        for name, names in pairs:
+            if names:
+                em.line(f"{''.join(f'{name}{v}, ' for v in names)}= {name}")
+
+    def lists(*blocks):
+        return ", ".join(f"[{', '.join(b)}]" for b in blocks)
+
+    em = Emitter()
+    G, gvals, hvals = emit_kernel(model.problem, em, flat=True)
+    bind(em, ("th", flat), ("Lx", flat))
+    dx = [f"({-c!r}) * Lx{v} - th{v} - {G[i][k]}" for i, k, v in cells]
+    dtheta = [f"{c!r} * Lx{v}" for v in flat]
+    dlam = [f"lam{k} / (1.0 + {e!r} * lam{k}) * {g}"
+            for k, (e, g) in enumerate(zip(model.eta.tolist(), gvals))]
+    drift = em.compile("lone_drift", "x, th, lam, nu, Lx", lists(dx, dtheta, dlam, hvals))
+
+    em = Emitter()
+    bind(em, ("x", flat), ("p", flat), ("l", lams), ("m", nus), ("dx", flat), ("dt", flat),
+         ("dl", lams), ("dn", nus))
+    for i in range(N):
+        for j in senders[i]:
+            em.line(f"q{i}_{j} = R[{i * N + j}] * W[{i * N + j}]")
+    for i, k, v in cells:
+        noise = " + ".join(["0.0"] + [f"q{i}_{j} * (x{j}_{k} - x{v})" for j in senders[i]])
+        em.line(f"xn{v} = x{v} + (h * dx{v} + {c!r} * ({noise}))")
+        em.line(f"pn{v} = p{v} + h * (dx{v} + dt{v})")
+    em.line("clamped = 0")
+    for k in lams:
+        em.line(f"ln{k} = l{k} + h * dl{k}")
+        em.line(f"if ln{k} < floor and l{k} >= floor:\n    ln{k} = floor\n    clamped += 1")
+    for k in nus:
+        em.line(f"mn{k} = m{k} + h * dn{k}")
+    new = ([f"xn{v}" for v in flat], [f"pn{v}" for v in flat], [f"ln{k}" for k in lams],
+           [f"mn{k}" for k in nus])
+    em.line(f"if not all(map(isfinite, ({''.join(f'{v}, ' for b in new for v in b)}))):\n"
+            "    raise ArithmeticError")
+    update = em.compile("lone_update", "x, p, l, m, dx, dt, dl, dn, R, W, h, floor",
+                        f"{lists(*new)}, clamped")
+    return drift, update, model.R.reshape(len(model.R), -1).tolist()
+
+
 def _channel_noise(c, R, x, W):
-    """c * sum_j R[..., i, j] W[..., i, j] (x_j - x_i) for each receiver i."""
-    if x.ndim == 2:
-        diffs = x[None, :, :] - x[:, None, :]
-    else:
-        diffs = x[:, None, :, :] - x[:, :, None, :]
-    return c * np.einsum("...ij,...ijn->...in", R * W, diffs)
+    """c * sum_j R[..., i, j] W[m, i, j] (x[m, j] - x[m, i]) for each
+    receiver i of each member m, summed over the senders j left to right
+    from 0.0, as a lone member's compiled substep sums it (einsum's order
+    depends on the shape)."""
+    RW = R * W
+    total = np.zeros_like(x)
+    for j in range(x.shape[1]):
+        total += RW[:, :, j, None] * (x[:, j, None, :] - x)
+    return c * total
 
 
 def _channel_increments(W, N: int) -> np.ndarray:
@@ -407,7 +476,9 @@ def _channel_increments(W, N: int) -> np.ndarray:
 
 def drift(state: SystemState, mode: int, problem: Problem, network: Network, eta=1.0):
     """Drift blocks (dx, dtheta, dlam, dnu) of the switching dynamics."""
-    return _Model(problem, network, eta).drift(state.x, state.theta, state.lam, state.nu, mode)
+    blocks = _Model(problem, network, eta).drift(
+        *(a[None] for a in (state.x, state.theta, state.lam, state.nu)), mode)
+    return tuple(a[0] for a in blocks)
 
 
 def diffusion_matrix(state: SystemState, mode: int, network: Network) -> np.ndarray:
@@ -431,7 +502,7 @@ def diffusion_matrix(state: SystemState, mode: int, network: Network) -> np.ndar
 def apply_diffusion(state: SystemState, mode: int, network: Network, W) -> np.ndarray:
     """c * M(x) @ w for channel increments W given as (N, N) or flat (N^2,)."""
     W = _channel_increments(W, state.x.shape[0])
-    return _channel_noise(network.coupling, network.receive[mode], state.x, W)
+    return _channel_noise(network.coupling, network.receive[mode], state.x[None], W[None])[0]
 
 
 def em_step(
@@ -450,8 +521,10 @@ def em_step(
     """
     W = _channel_increments(noise_increment, state.x.shape[0])
     *new, clamped = _Model(problem, network, cfg.eta).step(
-        state.x, state.pair, state.lam, state.nu, state.t, h, mode, W, cfg.lambda_floor)
-    return SystemState._from_pair(*new, state.t + h, state.clamp_count + clamped)
+        *(a[None] for a in (state.x, state.pair, state.lam, state.nu)), state.t, h, mode,
+        W[None], cfg.lambda_floor)
+    return SystemState._from_pair(*(a[0] for a in new), state.t + h,
+                                  state.clamp_count + int(np.sum(clamped)))
 
 
 def check_assumptions(
@@ -607,8 +680,9 @@ def _integrate(
     leading member axis), as if it ran alone: bit for bit while its rounds
     stay below ``BATCH_KERNEL_ROWS`` members, within a few ulp per drift
     above.  A batch raises the error of its earliest failing substep, the
-    lowest member on a tie.  Warnings point at the caller of the public
-    entry point.
+    lowest member on a tie.  A lone member carries its state as flat float
+    lists between substeps, on the compiled substep.  Warnings point at the
+    caller of the public entry point.
     """
     seeds = cfg.seed if isinstance(cfg.seed, (list, tuple)) else [cfg.seed]
     M = len(seeds)
@@ -617,17 +691,16 @@ def _integrate(
         raise ValueError(f"{len(paths)} chain paths for {M} members")
     N, n = model.N, model.n
     shapes = ((N, n), (N, n), (model.r,), (model.s,))
-    # a lone member runs without the member axis, at less overhead
-    lead = (M,) if M > 1 else ()
-    x, pair, lam, nu = (np.broadcast_to(a, (M, *shape)).reshape(lead + shape).copy()
-                        for a, shape in zip((init.x, init.pair, init.lam, init.nu), shapes))
+    start = [np.broadcast_to(a, (M, *shape))
+             for a, shape in zip((init.x, init.pair, init.lam, init.nu), shapes)]
+    x, pair, lam, nu = start
 
     warnings: list[str] = []
     if lam.size and lam.min() <= 0.0:
         warnings.append(
             f"initial multiplier min {lam.min():.6g} is not positive"
         )
-    theta_sum = max(np.linalg.norm(th.sum(axis=0)) for th in (pair - x).reshape(M, N, n))
+    theta_sum = max(np.linalg.norm(th.sum(axis=0)) for th in pair - x)
     if theta_sum > 1e-9:
         warnings.append(
             f"initial theta blocks sum to {theta_sum:.3e}, not zero; the "
@@ -651,24 +724,28 @@ def _integrate(
         raise ValueError("chain path horizon shorter than the integration")
     rngs = [np.random.default_rng(s) for s in seeds]
     clamp_floor = cfg.lambda_floor
-    clamps = init.clamp_count if M == 1 else np.full(M, init.clamp_count, dtype=np.int64)
-    everyone = None if M == 1 else np.arange(M)
+    if M == 1:  # a lone member: flat float lists
+        x, pair, lam, nu = (a.ravel().tolist() for a in start)
+        clamps, everyone = init.clamp_count, None
+    else:
+        x, pair, lam, nu = (a.copy() for a in start)
+        clamps, everyone = np.full(M, init.clamp_count, dtype=np.int64), np.arange(M)
 
     stride = cfg.output_stride
     n_samples = n_steps // stride + 1
     T = np.empty(n_samples)
-    X, TH, LM, NU = (np.empty((n_samples, *a.shape)) for a in (x, x, lam, nu))
+    X, P, LM, NU = (np.empty((n_samples, M, *shape)) for shape in shapes)
 
     def record(slot, t):
         T[slot] = t
-        X[slot] = x
-        TH[slot] = pair - x
-        LM[slot] = lam
-        NU[slot] = nu
+        for rec, a in zip((X, P, LM, NU), (x, pair, lam, nu)):
+            rec[slot].flat = a
 
     record(0, 0.0)
     for k0 in range(0, n_steps, CHUNK_STEPS):
         Z, rounds = chunk(paths, rngs, k0, min(k0 + CHUNK_STEPS, n_steps), h, N)
+        if M == 1:
+            Z = Z.reshape(len(Z), N * N).tolist()
         for i, (t, h_sub, mode, rows, draws, k_done) in enumerate(rounds):
             try:
                 if rows is None:
@@ -687,8 +764,8 @@ def _integrate(
             if k_done and k_done % stride == 0:
                 record(k_done // stride, k_done * h)
 
-    final = [a.reshape(M, *shape) for a, shape in zip((x, pair, lam, nu), shapes)]
-    recorded = [a.reshape(n_samples, M, *shape) for a, shape in zip((X, TH, LM, NU), shapes)]
+    final = [np.reshape(a, (M, *shape)) for a, shape in zip((x, pair, lam, nu), shapes)]
+    recorded = (X, P - X, LM, NU)
     members = []
     for m in range(M):
         end = SystemState._from_pair(*(a[m].copy() for a in final), n_steps * h,

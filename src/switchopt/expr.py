@@ -268,7 +268,7 @@ class Emitter:
     """
 
     namespace = {"exp": math.exp, "log": math.log, "inf": math.inf, "nan": math.nan,
-                 "DomainError": DomainError}
+                 "isfinite": math.isfinite, "DomainError": DomainError}
 
     def __init__(self):
         self.lines: list[str] = []

@@ -122,16 +122,20 @@ class Problem:
         return _compile_kernel(self, BatchEmitter())
 
 
-def _compile_kernel(problem: Problem, em: Emitter):
+def emit_kernel(problem: Problem, em: Emitter, flat: bool = False):
+    """Write the kernel's statements into ``em``: the agent points bound from
+    the local ``rows`` (from the flat local ``x``, agent-major, given
+    ``flat``), the multipliers from ``lam`` and ``nu``.  Returns the code of
+    grad_terms (a list per agent), gvals and hvals."""
     def unpack(names):
         return "".join(f"{name}, " for name in names)
 
     N, n, r, s = problem.n_agents, problem.n, problem.r, problem.s
-    batch = isinstance(em, BatchEmitter)
-    if batch:  # one column per agent coordinate and per multiplier
-        em.line("rows, lam, nu, M = x.transpose(1, 2, 0), lam.T, nu.T, len(x)")
     xs = [[f"x{i}_{j}" for j in range(n)] for i in range(N)]
-    em.line(f"{unpack(f'({unpack(row)})' for row in xs)}= rows")
+    if flat:
+        em.line(f"{unpack(v for row in xs for v in row)}= x")
+    else:
+        em.line(f"{unpack(f'({unpack(row)})' for row in xs)}= rows")
     if r:
         em.line(f"{unpack(f'lam{k}' for k in range(r))}= lam")
     if s:
@@ -146,8 +150,15 @@ def _compile_kernel(problem: Problem, em: Emitter):
             grads[i] = [em.temp(f"{acc} + {mult}{k} * {d}") for acc, d in zip(grads[i], g)]
         return values
 
-    gvals = accumulate(problem.ineq_index(), "lam")
-    hvals = accumulate(problem.eq_index(), "nu")
+    return grads, accumulate(problem.ineq_index(), "lam"), accumulate(problem.eq_index(), "nu")
+
+
+def _compile_kernel(problem: Problem, em: Emitter):
+    N, n, r, s = problem.n_agents, problem.n, problem.r, problem.s
+    batch = isinstance(em, BatchEmitter)
+    if batch:  # one column per agent coordinate and per multiplier
+        em.line("rows, lam, nu, M = x.transpose(1, 2, 0), lam.T, nu.T, len(x)")
+    grads, gvals, hvals = emit_kernel(problem, em)
     if not batch:
         rows = ", ".join(f"[{', '.join(g)}]" for g in grads)
         return em.compile("kernel", "rows, lam, nu",

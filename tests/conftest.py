@@ -34,6 +34,11 @@ def make_five_agent_problem() -> Problem:
     )
 
 
+def drift_of_one(model, x, theta, lam, nu, mode):
+    """``_Model.drift`` at one state (N, n), (N, n), (r,), (s,): a batch of one."""
+    return [a[0] for a in model.drift(x[None], theta[None], lam[None], nu[None], mode)]
+
+
 def complete_graph(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 

@@ -17,7 +17,7 @@ from switchopt.expr import parse
 from switchopt.graph import Graph, Network, lambda2, laplacian
 from switchopt.problem import AgentSpec, Problem
 
-from conftest import X_INIT
+from conftest import X_INIT, drift_of_one
 
 
 def test_single_mode_average_is_identity(k5_network):
@@ -115,10 +115,10 @@ def test_averaged_drift_is_mode_mixture(five_agent, six_mode_network, six_mode_g
         theta = rng.normal(0.0, 1.5, (5, 2))
         lam = rng.uniform(0.1, 3.0, 2)
         nu = rng.normal(0.0, 1.0, 1)
-        davg = model.drift(x, theta, lam, nu, model.averaged)
+        davg = drift_of_one(model, x, theta, lam, nu, model.averaged)
         mix = None
         for m, p in enumerate(pi.pi):
-            parts = model.drift(x, theta, lam, nu, m)
+            parts = drift_of_one(model, x, theta, lam, nu, m)
             if mix is None:
                 mix = [p * q for q in parts]
             else:
@@ -208,7 +208,7 @@ def test_channel_factor_squares_to_the_averaged_diffusion(five_agent, six_mode_n
         GGt = G @ G.transpose(0, 2, 1)
         assert np.max(np.abs(GGt - gamma)) <= 1e-12 * np.max(np.abs(gamma))
         W = rng.standard_normal((5, 5))
-        noise = model.noise_term(x, S, W)
+        noise = model.noise_term(x[None], S, W[None])[0]
         expected = model.c * np.einsum("inj,ij->in", G, W)
         assert np.max(np.abs(noise - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -234,7 +234,8 @@ def test_channel_factor_run_matches_the_psd_factor_run_in_law(five_agent, six_mo
                                output_stride=500)
         ours[m] = simulate_averaged(five_agent, avg, cfg, reference_init.copy()).x[-1].ravel()
         ref[m] = psd_factor_averaged_run(
-            lambda x, th, lam, nu: model.drift(x, th, lam, nu, model.averaged), model.c, wsq,
+            lambda x, th, lam, nu: drift_of_one(model, x, th, lam, nu, model.averaged), model.c,
+            wsq,
             reference_init.x, reference_init.theta, reference_init.lam, reference_init.nu,
             h, 500, np.random.default_rng([42, m]),
         ).ravel()
@@ -289,13 +290,17 @@ def test_weak_convergence_single_mode_control_is_null(five_agent):
 
 
 @pytest.mark.parametrize("floor", [0.0, 2.999])
-def test_batched_study_equals_the_serial_loop(floor, five_agent, six_mode_network,
-                                              six_mode_generator):
+def test_batched_study_equals_the_serial_loop(monkeypatch, floor, five_agent,
+                                              six_mode_network, six_mode_generator):
     # each ensemble runs as one batch; every field of the report, floats bit
     # for bit, and the clamp total must equal the one-member-at-a-time
     # loop's.  Started at the optimum, agent 2's multiplier decays (its
     # constraint value is -3), so the high floor clamps it on every step.
+    # The batch of 6 x 4 = 24 members stays on the scalar kernel, which
+    # promises bit equality (the numpy kernel promises a few ulp).
     from oracles import serial_weak_convergence
+
+    monkeypatch.setattr(dynamics, "BATCH_KERNEL_ROWS", 25)
 
     x0 = X_INIT if floor == 0.0 else np.tile([1.0, 2.0], (5, 1))
     init = SystemState(x0, np.zeros_like(x0), [3.0, 3.0], [3.0])

@@ -27,7 +27,7 @@ from switchopt.expr import parse
 from switchopt.graph import Graph, Network
 from switchopt.problem import AgentSpec, Problem, derive_multipliers
 
-from conftest import SIX_GRAPHS, SIX_MODE_Q, X_INIT, complete_graph
+from conftest import SIX_GRAPHS, SIX_MODE_Q, X_INIT, complete_graph, drift_of_one
 from oracles import build_equilibrium_reference, check_assumptions_reference, rk4
 
 
@@ -41,6 +41,25 @@ def single_agent_problem(cost="0.5*x1^2", g=(), h=()):
 
 def single_node_network(sigma=0.0, kappa=0.0, coupling=1.0):
     return Network(graphs=(Graph(1),), sigma=sigma, coupling=coupling, kappa=kappa)
+
+
+# the two paths of _Model.step: a lone member on its compiled substep, or a
+# batch (here of one, its member unnamed) on the array code
+STEP_PATHS = ["lone", "batch"]
+
+
+def model_step(model, path, x, pair, lam, nu, t, h, mode, W, floor):
+    """``model.step`` from one state on ``path``: the new state as arrays of
+    the shapes given, and the clamp count."""
+    state = [np.asarray(a, dtype=float) for a in (x, pair, lam, nu)]
+    W = np.asarray(W, dtype=float)
+    if path == "lone":
+        *new, clamped = model.step(*(a.ravel().tolist() for a in state), t, h, mode,
+                                   W.ravel().tolist(), floor)
+    else:
+        *new, clamped = model.step(*(a[None] for a in state), t, h, mode, W[None], floor)
+        new, clamped = [a[0] for a in new], int(np.sum(clamped))
+    return (*(np.reshape(a, b.shape) for a, b in zip(new, state)), clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +171,18 @@ def test_public_helpers_equal_the_model_bit_for_bit(kind, request):
     model = _Model(problem, network, cfg.eta)
     for mode in range(network.n_modes):
         W = rng.normal(0.0, math.sqrt(cfg.h), (N, N))
-        core = model.drift(st.x, st.theta, st.lam, st.nu, mode)
+        core = drift_of_one(model, st.x, st.theta, st.lam, st.nu, mode)
         view = drift(st, mode, problem, network, cfg.eta)
         assert [a.tobytes() for a in view] == [a.tobytes() for a in core]
-        noise = model.noise_term(st.x, mode, W)
+        noise = model.noise_term(st.x[None], mode, W[None])[0]
         assert apply_diffusion(st, mode, network, W).tobytes() == noise.tobytes()
-        *new, clamped = model.step(st.x, st.pair, st.lam, st.nu, st.t, cfg.h, mode, W,
-                                   cfg.lambda_floor)
         nxt = em_step(st, mode, cfg.h, W.ravel(), problem, network, cfg)
-        assert [a.tobytes() for a in (nxt.x, nxt.pair, nxt.lam, nxt.nu)] == [
-            a.tobytes() for a in new]
-        assert (nxt.t, nxt.clamp_count) == (st.t + cfg.h, clamped)
+        for path in STEP_PATHS:
+            *new, clamped = model_step(model, path, st.x, st.pair, st.lam, st.nu, st.t,
+                                       cfg.h, mode, W, cfg.lambda_floor)
+            assert [a.tobytes() for a in (nxt.x, nxt.pair, nxt.lam, nxt.nu)] == [
+                a.tobytes() for a in new]
+            assert (nxt.t, nxt.clamp_count) == (st.t + cfg.h, clamped)
 
 
 def test_repeated_drift_makes_no_graph_computation(monkeypatch, five_agent):
@@ -288,18 +308,19 @@ class _GivenDrift(_Model):
         self.blocks = (dx, dtheta, dlam, dnu)
 
     def drift(self, x, theta, lam, nu, mode):
-        return self.blocks
+        if isinstance(x, list):  # a lone member: flat float lists
+            return [b.ravel().tolist() for b in self.blocks]
+        return [b[None] for b in self.blocks]
 
 
-def _given_drift_step(five_agent, k5_network, x=X_INIT, lam=(-1.0, 3.0), W=None,
-                     **blocks):
+def _given_drift_step(five_agent, k5_network, path, x=X_INIT, lam=(-1.0, 3.0), W=None,
+                      **blocks):
     parts = {"dx": np.zeros((5, 2)), "dtheta": np.zeros((5, 2)),
              "dlam": np.zeros(2), "dnu": np.zeros(1)}
     parts.update(blocks)
     model = _GivenDrift(five_agent, k5_network, **parts)
-    x = np.array(x, dtype=float)
     W = np.zeros((5, 5)) if W is None else W
-    return model.step(x, x.copy(), np.array(lam), np.zeros(1), 0.5, 1e-3, 0, W, 0.0)
+    return model_step(model, path, x, x, lam, np.zeros(1), 0.5, 1e-3, 0, W, 0.0)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -315,32 +336,35 @@ def test_step_rejects_a_nonfinite_entry_in_each_block(target, value, five_agent,
         W[0, 1] = value
     else:
         blocks[{"pair": "dtheta", "lam": "dlam", "nu": "dnu"}[target]].flat[0] = value
-    with pytest.raises(IntegrationError, match=(
-        r"^nonfinite state at t=0\.501 \(mode 0\): "
-        r"step size too large for this problem's stiffness$"
-    )):
-        _given_drift_step(five_agent, k5_network, W=W, **blocks)
+    for path in STEP_PATHS:
+        with pytest.raises(IntegrationError, match=(
+            r"^nonfinite state at t=0\.501 \(mode 0\): "
+            r"step size too large for this problem's stiffness$"
+        )):
+            _given_drift_step(five_agent, k5_network, path, W=W, **blocks)
 
 
 def test_step_accepts_a_finite_state_whose_total_overflows(five_agent, k5_network):
     # every entry is 1e308: each is finite, their sum is not; the test
     # raises nothing and warns nothing
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        x_new, pair_new, lam_new, nu_new, clamped = _given_drift_step(
-            five_agent, k5_network, x=np.full((5, 2), 1e308), lam=(1e308, 1e308)
-        )
-    assert np.all(x_new == 1e308) and np.all(pair_new == 1e308)
-    assert np.all(lam_new == 1e308) and clamped == 0
+    for path in STEP_PATHS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_new, pair_new, lam_new, nu_new, clamped = _given_drift_step(
+                five_agent, k5_network, path, x=np.full((5, 2), 1e308), lam=(1e308, 1e308)
+            )
+        assert np.all(x_new == 1e308) and np.all(pair_new == 1e308)
+        assert np.all(lam_new == 1e308) and clamped == 0
 
 
 def test_step_clamps_and_counts_only_crossings(five_agent, k5_network):
     # lam[0] starts below the floor and is left alone; lam[1] crosses it
-    _, _, lam_new, _, clamped = _given_drift_step(
-        five_agent, k5_network, dlam=np.array([-1.0, -1e4])
-    )
-    assert clamped == 1
-    assert lam_new.tolist() == [-1.0 + 1e-3 * -1.0, 0.0]
+    for path in STEP_PATHS:
+        _, _, lam_new, _, clamped = _given_drift_step(
+            five_agent, k5_network, path, dlam=np.array([-1.0, -1e4])
+        )
+        assert clamped == 1
+        assert lam_new.tolist() == [-1.0 + 1e-3 * -1.0, 0.0]
 
 
 def test_multiplier_drift_at_minus_one_over_eta_is_nonfinite():
@@ -357,19 +381,74 @@ def test_multiplier_drift_at_minus_one_over_eta_is_nonfinite():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("rows", [None, 2, BATCH_KERNEL_ROWS])
+@pytest.mark.parametrize("rows", [None, 1, 2, BATCH_KERNEL_ROWS])
 def test_multiplier_at_minus_one_over_eta_fails_without_a_numpy_warning(rows):
-    # the step stops with its nonfinite-state error alone, serial or in a
-    # batch on either kernel: numpy's divide-by-zero warning stays silent
+    # the step stops with its nonfinite-state error alone, lone (rows None,
+    # flat float lists) or in a batch on either kernel: numpy's
+    # divide-by-zero warning stays silent
     p = single_agent_problem(g=("x1 - 1",))
     model = _Model(p, single_node_network(), 1.0)
     state = [np.zeros((1, 1)), np.zeros((1, 1)), np.array([-1.0]), np.zeros(0)]
-    W, members = np.zeros((1, 1)), None
-    if rows is not None:
+    if rows is None:
+        state, W, members = [a.ravel().tolist() for a in state], [0.0], None
+    else:
         state = [np.repeat(a[None], rows, axis=0) for a in state]
         W, members = np.zeros((rows, 1, 1)), np.arange(rows)
     with pytest.raises(IntegrationError, match=r"^nonfinite state at t=0\.001 \(mode 0"):
         model.step(*state, 0.0, 1e-3, 0, W, 0.0, members)
+
+
+def _no_multiplier_problem():
+    """Five agents over n = 2 with costs alone: r = s = 0."""
+    costs = ("4*x1^2 + 2*x2", "2*x2^2", "exp(x1 - x2)", "(x1 + 1)^2", "ln(x1^2 + x2^2 + 1)")
+    return Problem(n=2, agents=tuple(AgentSpec(f=parse(c, 2)) for c in costs))
+
+
+@pytest.mark.parametrize("kind", ["fixed", "switching", "no-multipliers"])
+def test_lone_substep_equals_a_batch_of_one_bit_for_bit(kind, request):
+    # random states in every mode, the averaged one too; a large step and a
+    # floor of 0.5 make some multipliers cross it, so clamps are compared
+    scn = request.getfixturevalue(f"{'fixed' if kind == 'fixed' else 'switching'}_scenario")
+    problem, network = scn.build_problem(), scn.build_network()
+    if kind == "no-multipliers":
+        problem = _no_multiplier_problem()
+    pi = chain.StationaryDist(np.full(network.n_modes, 1.0 / network.n_modes))
+    model = _Model(problem, network, np.linspace(0.5, 2.0, problem.r), pi)
+    N, n, r, s = problem.n_agents, problem.n, problem.r, problem.s
+    rng = np.random.default_rng(17)
+    clamps = 0
+    for trial in range(240):
+        mode = trial % (network.n_modes + 1)
+        h = (1e-3, 0.2)[trial % 2]
+        state = (rng.normal(0.0, 1.5, (N, n)), rng.normal(0.0, 1.5, (N, n)),
+                 rng.uniform(0.0, 1.5, r), rng.normal(0.0, 2.0, s))
+        W = rng.normal(0.0, math.sqrt(h), (N, N))
+        lone = model_step(model, "lone", *state, 0.5, h, mode, W, 0.5)
+        batch = model_step(model, "batch", *state, 0.5, h, mode, W, 0.5)
+        assert [a.tobytes() for a in lone[:4]] == [a.tobytes() for a in batch[:4]]
+        assert lone[4] == batch[4]
+        clamps += lone[4]
+    assert (clamps > 0) == (r > 0)
+
+
+def test_lone_substep_keeps_signed_zeros_of_a_batch_member():
+    # n = 1, N = 6, every agent at -0.0 (a consensus) with negative channel
+    # increments: each noise term is -0.0, and the sum over senders that
+    # starts from 0.0 gives +0.0 on both paths, so x becomes +0.0; member 0
+    # of a batch of three (the others at a nonzero consensus and off it)
+    # equals the lone step bit for bit
+    problem = Problem(n=1, agents=tuple(AgentSpec(f=parse("0.5*x1^2", 1)) for _ in range(6)))
+    network = Network(graphs=(complete_graph(6),), sigma=0.3, coupling=1.0, kappa=0.5)
+    model = _Model(problem, network, 1.0)
+    W = -np.abs(np.random.default_rng(3).normal(0.0, 0.03, (6, 6)))
+    starts = [np.full((6, 1), -0.0), np.full((6, 1), 1.5), np.arange(6.0)[:, None]]
+    batch = model.step(np.array(starts), np.array(starts), np.zeros((3, 0)), np.zeros((3, 0)),
+                       0.0, 1e-3, 0, np.array([W, W, W]), 0.0, np.arange(3))
+    for m, x in enumerate(starts):
+        lone = model_step(model, "lone", x, x, [], [], 0.0, 1e-3, 0, W, 0.0)
+        assert [a.tobytes() for a in lone[:4]] == [a[m].tobytes() for a in batch[:4]]
+        if m == 0:
+            assert lone[0].tolist() == [[0.0]] * 6 and not np.signbit(lone[0]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +462,16 @@ def test_power_overflow_names_time_mode_agent_and_expression(five_agent, k5_netw
     x[0, 0] = 1e160
     init = SystemState(x, np.zeros_like(x), np.array([3.0, 3.0]), np.array([3.0]))
     cfg = IntegratorConfig(h=1e-3, horizon=1e-3, seed=1)
-    with pytest.raises(IntegrationError, match="^" + re.escape(
-        "expression left its domain at t=0 (mode 0): "
-        "agent 1 cost '4.0*x1^2.0 + 2.0*x2': power 1e+160^2.0 overflows"
-    ) + "$"):
-        simulate(five_agent, k5_network, None, cfg, init)
+    for path in ["simulate", *STEP_PATHS]:
+        with pytest.raises(IntegrationError, match="^" + re.escape(
+            "expression left its domain at t=0 (mode 0): "
+            "agent 1 cost '4.0*x1^2.0 + 2.0*x2': power 1e+160^2.0 overflows"
+        ) + "$"):
+            if path == "simulate":
+                simulate(five_agent, k5_network, None, cfg, init)
+            else:
+                model_step(_Model(five_agent, k5_network, cfg.eta), path, init.x, init.pair,
+                           init.lam, init.nu, 0.0, cfg.h, 0, np.zeros((5, 5)), 0.0)
 
 
 def test_simulate_stays_at_equilibrium_without_noise(five_agent, equilibrium):

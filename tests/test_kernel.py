@@ -24,7 +24,7 @@ from switchopt.graph import laplacian
 from switchopt.problem import AgentSpec, Problem
 from switchopt.scenario import load_scenario
 
-from conftest import SCENARIO_DIR, make_five_agent_problem
+from conftest import SCENARIO_DIR, drift_of_one, make_five_agent_problem
 from oracles import tree_value, tree_value_and_grad
 from test_expr import SPECIAL_POINTS, random_expr_text
 
@@ -238,13 +238,15 @@ def test_model_drift_bit_equal_to_tree_walk(switching_scenario):
         lam = rng.uniform(0.01, 4.0, p.r)
         nu = rng.normal(0.0, 3.0, p.s)
         mode = trial % net.n_modes
-        cases = [(model.drift(x, theta, lam, nu, mode), laplacian(net.graphs[mode])),
-                 (model.drift(x, theta, lam, nu, model.averaged), avg.L_pi)]
-        for got, L in cases:
+        for mode, L in ((mode, laplacian(net.graphs[mode])), (model.averaged, avg.L_pi)):
             want = tree_drift(model, x, theta, lam, nu, L)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+            # a batch of one, and a lone member's compiled drift on float lists
+            lone = model.drift(*(a.ravel().tolist() for a in (x, theta, lam, nu)), mode)
+            for got in (drift_of_one(model, x, theta, lam, nu, mode),
+                        [np.reshape(v, w.shape) for v, w in zip(lone, want)]):
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
 
 
 def test_kernel_cached_per_problem(five_agent):
@@ -283,6 +285,32 @@ def test_one_compile_per_compare_command(monkeypatch, switching_scenario_path, t
     assert compiles == [expr_mod.Emitter]
     assert len(builds) == 1  # one model: every ensemble runs in one batch
     assert len(runs) == 1
+
+
+@pytest.mark.parametrize("mode", ["fixed", "switching", "averaged"])
+def test_one_lone_substep_compile_per_simulate_command(monkeypatch, mode, tmp_path):
+    # a simulate command runs one member on one model: its substep (the
+    # functions lone_drift and lone_update) is generated once, for the run
+    names, builds = [], []
+    compile_fn = expr_mod.Emitter.compile
+    model_init = dynamics._Model.__init__
+
+    def counting_compile(em, name, params, result):
+        names.append(name)
+        return compile_fn(em, name, params, result)
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        model_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(expr_mod.Emitter, "compile", counting_compile)
+    monkeypatch.setattr(dynamics._Model, "__init__", counting_init)
+    scenario = SCENARIO_DIR / f"five_agent_{'fixed' if mode == 'fixed' else 'switching'}.json"
+    assert cli.main(["simulate", str(scenario), "--mode", mode, "--horizon", "0.3",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert len(builds) == 1
+    assert [n for n in names if n.startswith("lone")] == ["lone_drift", "lone_update"]
+    assert names.count("kernel") == 1
 
 
 # ---------------------------------------------------------------------------
