@@ -9,6 +9,7 @@ discretization source downstream.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -164,6 +165,10 @@ def sample_path(gen: Generator, s0: int, alpha: float, horizon: float, seed) -> 
     S = Q.shape[0]
     if not 0 <= s0 < S:
         raise ChainError(f"initial mode {s0} outside 0..{S - 1}")
+    # at most horizon * (the largest exit rate) / alpha jumps are expected
+    if not math.isfinite(horizon * float(-Q.diagonal().min()) / alpha):
+        raise ChainError(f"the expected jump count over horizon {horizon} "
+                         f"overflows at alpha {alpha}")
     rng = np.random.default_rng(seed)
 
     # per-mode cumulative jump distributions, built once

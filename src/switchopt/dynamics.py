@@ -147,6 +147,13 @@ class IntegratorConfig:
             raise ValueError(f"step size must be positive and finite, got {self.h}")
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        steps = self.horizon / self.h  # the integrator runs round(steps) steps
+        if not math.isfinite(steps):
+            raise ValueError(f"step size {self.h} is too small for horizon {self.horizon}: "
+                             "the step count overflows")
+        if round(steps) < 1:
+            raise ValueError(f"step size {self.h} is too large for horizon {self.horizon}: "
+                             "no step would run")
         if self.lambda_floor < 0.0:
             raise ValueError("lambda_floor must be nonnegative")
         if self.output_stride < 1:
@@ -283,12 +290,12 @@ class _Model:
 
     def drift(self, x, theta, lam, nu, mode):
         """Drift blocks (dx, dtheta, dlam, dnu); only the coupling Laplacian
-        depends on the mode.  L[mode] @ x is one numpy matmul on both paths:
-        a Python sum would round differently from BLAS."""
+        depends on the mode.  Both paths sum L[mode] @ x over the senders
+        left to right from 0.0 (see ``_laplacian_product``)."""
         if isinstance(x, list):  # a lone member
-            Lx = self.L[mode] @ np.array(x).reshape(self.N, self.n)
-            return self.lone[0](x, theta, lam, nu, Lx.ravel().tolist())
-        Lx = self.L[mode] @ x
+            drift, _, laplacians, _ = self.lone
+            return drift(x, theta, lam, nu, laplacians[mode])
+        Lx = _laplacian_product(self.L[mode], x)
         if len(x) >= BATCH_KERNEL_ROWS:
             grad_terms, gvals, hvals = self.problem.batch_kernel(x, lam, nu)
         else:  # one scalar kernel call per member
@@ -350,7 +357,7 @@ class _Model:
         deliberately contains no noise term; see the module docstring.
         """
         if isinstance(x, list):  # a lone member
-            _, update, receive = self.lone
+            _, update, _, receive = self.lone
             try:
                 blocks = self.drift(x, [p - q for p, q in zip(pair, x)], lam, nu, mode)
                 return update(x, pair, lam, nu, *blocks, receive[mode], W, h, clamp_floor)
@@ -393,22 +400,26 @@ def _compile_lone(model: _Model):
     once per model with ``expr.Emitter``, as ``Problem.kernel`` is.  The
     state is four flat float lists: x and pair agent-major, lam, nu.
 
-    Returns ``(drift, update, receive)``: ``drift(x, theta, lam, nu, Lx)``
-    gives the blocks (dx, dtheta, dlam, dnu); ``update(x, pair, lam, nu,
-    dx, dtheta, dlam, dnu, R, W, h, floor)`` the new state and the clamp
-    count, summing the channel noise over the senders j left to right from
-    0.0 as ``_channel_noise`` does; ``receive[mode]`` is the mode's R, flat.
-    Every value takes the batch's float operations in the batch's order, so
-    the bits match a batch of one.  The noise sum leaves out the channels
-    whose R is zero in every mode: at finite increments their terms are
-    +-0.0, which leave a sum begun at 0.0 unchanged (a nonfinite x fails the
-    step either way).  A nonfinite new state, or a multiplier at exactly
-    -1/eta, raises ArithmeticError.
+    Returns ``(drift, update, laplacians, receive)``: ``drift(x, theta, lam,
+    nu, L)`` gives the blocks (dx, dtheta, dlam, dnu), summing L @ x over
+    the senders j left to right from 0.0 as ``_laplacian_product`` does;
+    ``update(x, pair, lam, nu, dx, dtheta, dlam, dnu, R, W, h, floor)`` the
+    new state and the clamp count, summing the channel noise in the same
+    order as ``_channel_noise`` does; ``laplacians[mode]`` and
+    ``receive[mode]`` are the mode's L and R, flat.  Every value takes the
+    batch's float operations in the batch's order, so the bits match a
+    batch of one.  Both sums leave out the senders whose entry is zero in
+    every mode: at finite states their terms are +-0.0, which leave a sum
+    begun at 0.0 unchanged (a nonfinite x fails the step either way).  A
+    nonfinite new state, or a multiplier at exactly -1/eta, raises
+    ArithmeticError.
     """
     N, n, r, s, c = model.N, model.n, model.r, model.s, float(model.c)
     cells = [(i, k, f"{i}_{k}") for i in range(N) for k in range(n)]
     flat, lams, nus = [v for _, _, v in cells], list(range(r)), list(range(s))
-    senders = [[j for j in range(N) if model.R[:, i, j].any()] for i in range(N)]
+
+    def senders(stack):  # per receiver i, the j with a nonzero entry in some mode
+        return [[j for j in range(N) if stack[:, i, j].any()] for i in range(N)]
 
     def bind(em, *pairs):  # unpack each parameter ``name`` into name<v> locals
         for name, names in pairs:
@@ -420,22 +431,25 @@ def _compile_lone(model: _Model):
 
     em = Emitter()
     G, gvals, hvals = emit_kernel(model.problem, em, flat=True)
-    bind(em, ("th", flat), ("Lx", flat))
-    dx = [f"({-c!r}) * Lx{v} - th{v} - {G[i][k]}" for i, k, v in cells]
-    dtheta = [f"{c!r} * Lx{v}" for v in flat]
+    coupled = senders(model.L)
+    bind(em, ("th", flat), ("L", [f"{i}_{j}" for i in range(N) for j in range(N)]))
+    Lx = [em.left_sum([f"L{i}_{j} * x{j}_{k}" for j in coupled[i]]) for i, k, _ in cells]
+    dx = [f"({-c!r}) * {p} - th{v} - {G[i][k]}" for (i, k, v), p in zip(cells, Lx)]
+    dtheta = [f"{c!r} * {p}" for p in Lx]
     dlam = [f"lam{k} / (1.0 + {e!r} * lam{k}) * {g}"
             for k, (e, g) in enumerate(zip(model.eta.tolist(), gvals))]
-    drift = em.compile("lone_drift", "x, th, lam, nu, Lx", lists(dx, dtheta, dlam, hvals))
+    drift = em.compile("lone_drift", "x, th, lam, nu, L", lists(dx, dtheta, dlam, hvals))
 
     em = Emitter()
+    heard = senders(model.R)
     bind(em, ("x", flat), ("p", flat), ("l", lams), ("m", nus), ("dx", flat), ("dt", flat),
          ("dl", lams), ("dn", nus))
     for i in range(N):
-        for j in senders[i]:
+        for j in heard[i]:
             em.line(f"q{i}_{j} = R[{i * N + j}] * W[{i * N + j}]")
     for i, k, v in cells:
-        noise = " + ".join(["0.0"] + [f"q{i}_{j} * (x{j}_{k} - x{v})" for j in senders[i]])
-        em.line(f"xn{v} = x{v} + (h * dx{v} + {c!r} * ({noise}))")
+        noise = em.left_sum([f"q{i}_{j} * (x{j}_{k} - x{v})" for j in heard[i]])
+        em.line(f"xn{v} = x{v} + (h * dx{v} + {c!r} * {noise})")
         em.line(f"pn{v} = p{v} + h * (dx{v} + dt{v})")
     em.line("clamped = 0")
     for k in lams:
@@ -449,7 +463,18 @@ def _compile_lone(model: _Model):
             "    raise ArithmeticError")
     update = em.compile("lone_update", "x, p, l, m, dx, dt, dl, dn, R, W, h, floor",
                         f"{lists(*new)}, clamped")
-    return drift, update, model.R.reshape(len(model.R), -1).tolist()
+    return drift, update, *(stack.reshape(len(stack), -1).tolist() for stack in (model.L, model.R))
+
+
+def _laplacian_product(L, x):
+    """L @ x for each member m of x (M, N, n), L one (N, N) Laplacian or
+    one per member, summed over the senders j left to right from 0.0, as a
+    lone member's compiled drift sums it (a BLAS matmul picks its order, and
+    its kernel, per CPU)."""
+    total = np.zeros_like(x)
+    for j in range(x.shape[1]):
+        total += L[..., j, None] * x[:, j, None, :]
+    return total
 
 
 def _channel_noise(c, R, x, W):

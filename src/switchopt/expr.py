@@ -257,6 +257,10 @@ def _lit(v):
     return f"({float(v)!r})"
 
 
+# the most terms that ``Emitter.left_sum`` writes into one expression
+SUM_TERMS = 200
+
+
 class Emitter:
     """Straight-line Python statements compiled into one function, on floats.
 
@@ -285,6 +289,18 @@ class Emitter:
         """Assign ``code`` to a fresh local and return its name."""
         name = self.fresh()
         self.lines.append(f"{name} = {code}")
+        return name
+
+    def left_sum(self, terms) -> str:
+        """A fresh local holding the code ``terms`` added left to right from
+        0.0, written as a chain of partial sums of at most ``SUM_TERMS``
+        terms each: CPython's compiler recurses once per operator of one
+        expression, so a single sum of a few thousand terms would not
+        compile.  The chain adds in the same order, so the bits match."""
+        name, total = self.fresh(), "0.0"
+        for k in range(0, max(len(terms), 1), SUM_TERMS):
+            self.line(f"{name} = {' + '.join([total, *terms[k:k + SUM_TERMS]])}")
+            total = name
         return name
 
     def check(self, cond: str, message: str, value: str = "None"):

@@ -78,12 +78,13 @@ def _require(cond, msg):
 
 def _section(name, build, *args):
     """Run one builder; a mistyped field surfaces as a TypeError or
-    ValueError from numpy or a constructor, reported under its section."""
+    ValueError from numpy or a constructor, or as the OverflowError of
+    ``int(inf)``, reported under its section."""
     try:
         return build(*args)
     except ScenarioError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{name}: {exc}") from exc
 
 
@@ -130,6 +131,7 @@ class Scenario:
                     value.shape == (problem.n,),
                     f"{key} dimension does not match the problem",
                 )
+                _require(np.isfinite(value).all(), f"{key} must be finite")
         return scn
 
     # -- builders ----------------------------------------------------------
@@ -221,6 +223,8 @@ class Scenario:
         if nu.ndim == 0:
             nu = np.full(problem.s, float(nu))
         _require(nu.shape == (problem.s,), f"init.nu must be scalar or length {problem.s}")
+        for key, value in (("x", x), ("theta", theta), ("lambda", lam), ("nu", nu)):
+            _require(np.isfinite(value).all(), f"init.{key} must be finite")
         return SystemState(x, theta, lam, nu)
 
     def candidate(self):
@@ -236,7 +240,11 @@ class Scenario:
         return np.asarray(probe, dtype=float)
 
     def root_seed(self) -> int:
-        return int(self.raw["integrator"].get("seed", 0))
+        seed = self.raw["integrator"].get("seed", 0)
+        # a float or a bool would pass int() and run as another seed
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        return seed
 
     # -- serialization -----------------------------------------------------
 

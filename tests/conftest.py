@@ -43,6 +43,14 @@ def complete_graph(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def cubic_graph(rng, N):
+    """A random degree-3 graph on an even N >= 4: a Moebius ladder (a cycle
+    and its long diagonals) under a random relabelling."""
+    label = rng.permutation(N).tolist()
+    edges = [(i, (i + 1) % N) for i in range(N)] + [(i, i + N // 2) for i in range(N // 2)]
+    return Graph.from_edges(N, [(label[i], label[j]) for i, j in edges])
+
+
 SIX_GRAPHS = (
     Graph.from_edges(5, [(0, 1)]),
     Graph.from_edges(5, [(1, 2)]),

@@ -120,6 +120,14 @@ def test_sample_path_rejects_nonpositive_and_nan(alpha, horizon, message):
         sample_path(validate_generator(SIX_MODE_Q), 0, alpha, horizon, seed=0)
 
 
+@pytest.mark.parametrize("alpha, horizon", [(1e-320, 1.0), (1.0, float("inf"))],
+                         ids=["alpha-subnormal", "horizon-inf"])
+def test_sample_path_rejects_an_overflowing_jump_count(alpha, horizon):
+    # holding times of mean 1e-320 / 3 would grow the path without end
+    with pytest.raises(ChainError, match="^the expected jump count over horizon .* overflows"):
+        sample_path(validate_generator(SIX_MODE_Q), 0, alpha, horizon, seed=0)
+
+
 def test_mode_at_matches_linear_scan():
     gen = validate_generator(SIX_MODE_Q)
     path = sample_path(gen, 2, 1.0, 30.0, seed=11)

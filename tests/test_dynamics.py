@@ -27,7 +27,7 @@ from switchopt.expr import parse
 from switchopt.graph import Graph, Network
 from switchopt.problem import AgentSpec, Problem, derive_multipliers
 
-from conftest import SIX_GRAPHS, SIX_MODE_Q, X_INIT, complete_graph, drift_of_one
+from conftest import SIX_GRAPHS, SIX_MODE_Q, X_INIT, complete_graph, cubic_graph, drift_of_one
 from oracles import build_equilibrium_reference, check_assumptions_reference, rk4
 
 
@@ -404,15 +404,31 @@ def _no_multiplier_problem():
     return Problem(n=2, agents=tuple(AgentSpec(f=parse(c, 2)) for c in costs))
 
 
-@pytest.mark.parametrize("kind", ["fixed", "switching", "no-multipliers"])
+def _weighted_case():
+    """Eight agents over n = 2 on three random degree-3 graphs under a
+    random pi: the averaged mode couples through non-integer weights."""
+    rng = np.random.default_rng(29)
+    network = Network(graphs=tuple(cubic_graph(rng, 8) for _ in range(3)), sigma=0.2,
+                      coupling=1.3, kappa=0.5)
+    problem = Problem(n=2, agents=tuple(AgentSpec(f=parse(f"{k + 1}*x1^2 + x2^2", 2),
+                                                  g=(parse("x1 - 1", 2),)) for k in range(8)))
+    return problem, network, chain.StationaryDist(rng.dirichlet(np.ones(3)))
+
+
+@pytest.mark.parametrize("kind", ["fixed", "switching", "no-multipliers", "weighted"])
 def test_lone_substep_equals_a_batch_of_one_bit_for_bit(kind, request):
     # random states in every mode, the averaged one too; a large step and a
-    # floor of 0.5 make some multipliers cross it, so clamps are compared
-    scn = request.getfixturevalue(f"{'fixed' if kind == 'fixed' else 'switching'}_scenario")
-    problem, network = scn.build_problem(), scn.build_network()
-    if kind == "no-multipliers":
-        problem = _no_multiplier_problem()
-    pi = chain.StationaryDist(np.full(network.n_modes, 1.0 / network.n_modes))
+    # floor of 0.5 make some multipliers cross it, so clamps are compared.
+    # "weighted": a weighted averaged mode and x entries at +-0.0, where a
+    # matmul on either path rounds, or signs a zero, differently
+    if kind == "weighted":
+        problem, network, pi = _weighted_case()
+    else:
+        scn = request.getfixturevalue(f"{'fixed' if kind == 'fixed' else 'switching'}_scenario")
+        problem, network = scn.build_problem(), scn.build_network()
+        if kind == "no-multipliers":
+            problem = _no_multiplier_problem()
+        pi = chain.StationaryDist(np.full(network.n_modes, 1.0 / network.n_modes))
     model = _Model(problem, network, np.linspace(0.5, 2.0, problem.r), pi)
     N, n, r, s = problem.n_agents, problem.n, problem.r, problem.s
     rng = np.random.default_rng(17)
@@ -422,6 +438,8 @@ def test_lone_substep_equals_a_batch_of_one_bit_for_bit(kind, request):
         h = (1e-3, 0.2)[trial % 2]
         state = (rng.normal(0.0, 1.5, (N, n)), rng.normal(0.0, 1.5, (N, n)),
                  rng.uniform(0.0, 1.5, r), rng.normal(0.0, 2.0, s))
+        if kind == "weighted":
+            state[0][rng.random((N, n)) < 0.4] = (0.0, -0.0)[trial % 2]
         W = rng.normal(0.0, math.sqrt(h), (N, N))
         lone = model_step(model, "lone", *state, 0.5, h, mode, W, 0.5)
         batch = model_step(model, "batch", *state, 0.5, h, mode, W, 0.5)

@@ -20,11 +20,11 @@ from switchopt import expr as expr_mod
 from switchopt import problem as problem_mod
 from switchopt.dynamics import IntegratorConfig
 from switchopt.expr import DomainError, parse
-from switchopt.graph import laplacian
+from switchopt.graph import Network, laplacian
 from switchopt.problem import AgentSpec, Problem
 from switchopt.scenario import load_scenario
 
-from conftest import SCENARIO_DIR, drift_of_one, make_five_agent_problem
+from conftest import SCENARIO_DIR, cubic_graph, drift_of_one, make_five_agent_problem
 from oracles import tree_value, tree_value_and_grad
 from test_expr import SPECIAL_POINTS, random_expr_text
 
@@ -204,9 +204,27 @@ def test_bundled_problems_bit_equal_to_tree(name):
                 assert_methods_match_tree(e, rows[i], set())
 
 
+def left_sum(terms):
+    """The floats ``terms`` added left to right from 0.0 (from Python 3.12
+    on, ``sum`` of floats compensates its rounding)."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def coupling(L, x):
+    """L @ x with each entry summed over the senders j left to right from
+    0.0, the order of both drift paths."""
+    L, x = L.tolist(), x.tolist()
+    return np.array([[left_sum(L[i][j] * x[j][k] for j in range(len(x)))
+                      for k in range(len(x[0]))] for i in range(len(x))])
+
+
 def tree_drift(model, x, theta, lam, nu, L):
-    """The drift as it was computed before the kernel, one tree at a time."""
-    Lx = L @ x
+    """The drift as it was computed before the kernel, one tree at a time,
+    with the coupling summed in the drift's order."""
+    Lx = coupling(L, x)
     grad_terms = np.zeros((model.N, model.n))
     for i, a in enumerate(model.problem.agents):
         grad_terms[i] = tree_value_and_grad(a.f, tuple(x[i]))[1]
@@ -247,6 +265,39 @@ def test_model_drift_bit_equal_to_tree_walk(switching_scenario):
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert a.tobytes() == b.tobytes()
+
+
+def test_long_left_sum_compiles_and_adds_in_order():
+    # 5000 terms: as one expression, CPython's compiler raises RecursionError
+    rng = np.random.default_rng(8)
+    values = (rng.normal(size=5000) * 10.0 ** rng.integers(-8, 9, 5000)).tolist()
+    for terms in (values, values[:1], []):
+        em = expr_mod.Emitter()
+        total = em.left_sum([f"t[{k}]" for k in range(len(terms))])
+        got = em.compile("long_sum", "t", total)(terms)
+        assert float.hex(got) == float.hex(left_sum(terms))
+
+
+def test_coupling_within_1e_12_of_blas():
+    # three degree-3 Laplacians and their weighted average under a random
+    # pi: the left-to-right sum and a BLAS matmul round differently there,
+    # within 1e-12 relative (scale max(1, |v|)), on both drift paths
+    rng = np.random.default_rng(21)
+    for trial in range(30):
+        N, n = 2 * int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        network = Network(graphs=tuple(cubic_graph(rng, N) for _ in range(3)), sigma=0.0,
+                          coupling=1.0, kappa=0.0)
+        problem = Problem(n=n, agents=(AgentSpec(f=parse("x1^2", n)),) * N)
+        model = dynamics._Model(problem, network, 1.0, chain.StationaryDist(
+            rng.dirichlet(np.ones(3))))
+        none = np.zeros(0)
+        for mode in range(4):
+            x = rng.normal(0.0, 3.0, (N, n))
+            want = model.L[mode] @ x
+            lone = model.drift(x.ravel().tolist(), [0.0] * (N * n), [], [], mode)[1]
+            batch = drift_of_one(model, x, np.zeros_like(x), none, none, mode)[1]
+            for got in (np.reshape(lone, (N, n)), batch):
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_kernel_cached_per_problem(five_agent):

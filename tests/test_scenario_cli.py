@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -540,3 +541,77 @@ def test_simulate_mistyped_chain_exits_1(path, value, switching_scenario, tmp_pa
     scenario.write_text(json.dumps(data))
     assert main(["simulate", str(scenario), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: chain: ")
+
+
+@pytest.mark.parametrize("seed", [math.inf, 2.5, True, -1],
+                         ids=["infinity", "fraction", "bool", "negative"])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_seed_that_is_not_a_nonnegative_integer_exits_1(command, seed, tmp_scenario_file,
+                                                        tmp_path, capsys):
+    # int() would raise OverflowError on inf, run 2.5 as seed 2 and True
+    # as seed 1; SeedSequence rejects -1 only once a run starts
+    path = tmp_scenario_file(_set(("integrator", "seed"), seed))
+    argv = [command, str(path)]
+    if command == "simulate":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: integrator: seed must be a nonnegative integer, got {seed!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _write_with(scenario, tmp_path, **integrator):
+    """A copy of ``scenario`` with the integrator entries given, as a file."""
+    data = json.loads(json.dumps(scenario.raw))
+    data["integrator"].update(integrator)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+# simulate runs the fixed scenario, compare the switching one (with two
+# members): a chain path sampled over a huge horizon would not end
+COMMANDS = {"simulate": ("fixed_scenario", []),
+            "compare": ("switching_scenario", ["--ensemble", "2"])}
+
+
+@pytest.mark.parametrize("step, horizon, flag, message", [
+    (1e-320, 50.0, "0.01", "integrator: step size 1e-320 is too small for horizon 50.0"),
+    (1e-300, 1e-290, "1e10", "step size 1e-300 is too small for horizon 10000000000.0"),
+], ids=["in-the-file", "by-the-flag"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_step_too_small_for_the_horizon_exits_1(command, step, horizon, flag, message,
+                                                request, tmp_path, capsys):
+    # round(horizon / step) would raise OverflowError on the infinite ratio
+    fixture, extra = COMMANDS[command]
+    scenario = _write_with(request.getfixturevalue(fixture), tmp_path, step=step,
+                           horizon=horizon)
+    assert main([command, str(scenario), "--horizon", flag, *extra,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}: the step count overflows\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_step_that_runs_no_step_exits_1(command, request, tmp_path, capsys):
+    # horizon / step rounds to no step; a switching run would also sample
+    # its chain path over the horizon plus that step
+    fixture, extra = COMMANDS[command]
+    scenario = _write_with(request.getfixturevalue(fixture), tmp_path, step=0.5)
+    assert main([command, str(scenario), "--horizon", "0.2", *extra,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: step size 0.5 is too large for horizon 0.2: no step would run\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("init", "x", 2, 0), math.inf, "init.x must be finite"),
+    (("init", "lambda"), math.nan, "init.lambda must be finite"),
+    (("candidate", 1), -math.inf, "candidate must be finite"),
+], ids=["x-inf", "lambda-nan", "candidate-inf"])
+def test_nonfinite_initial_state_or_point_exits_1(path, value, message, tmp_scenario_file,
+                                                  capsys):
+    # a run from it could only fail, after numpy warned on inf - inf
+    assert main(["validate", str(tmp_scenario_file(_set(path, value)))]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
