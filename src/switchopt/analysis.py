@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import StationaryDist
 from .dynamics import Equilibrium, SystemState, Trajectory, _eta_vector
-from .problem import KktCertificate, Problem, total_cost
+from .problem import TOL_ACTIVE, KktCertificate, Problem, total_cost
 
 __all__ = [
     "LyapunovReport",
@@ -49,10 +49,11 @@ def bregman_divergence(a: float, b: float) -> float:
     return a * math.log(a / b) - a + b
 
 
-def omega_from_certificate(cert: KktCertificate, tol: float = 1e-8) -> frozenset:
-    """Stacked inequality indices whose equilibrium multiplier is positive."""
+def omega_from_certificate(cert: KktCertificate) -> frozenset:
+    """Stacked inequality indices whose equilibrium multiplier is above
+    ``TOL_ACTIVE``."""
     return frozenset(
-        int(k) for k, v in enumerate(cert.lambda_star) if v > tol
+        int(k) for k, v in enumerate(cert.lambda_star) if v > TOL_ACTIVE
     )
 
 
@@ -194,7 +195,6 @@ def saddle_point_samples(
     L: np.ndarray,
     n_samples: int,
     rng,
-    scale: float = 1.0,
 ) -> dict:
     """Sampled two-sided saddle inequality around the equilibrium.
 
@@ -208,14 +208,14 @@ def saddle_point_samples(
     min_left = math.inf
     min_right = math.inf
     for _ in range(n_samples):
-        theta = eq.theta + rng.normal(0.0, scale, eq.theta.shape)
-        lam = np.abs(eq.lam + rng.normal(0.0, scale, eq.lam.shape))
-        nu = eq.nu + rng.normal(0.0, scale, eq.nu.shape)
+        theta = eq.theta + rng.normal(0.0, 1.0, eq.theta.shape)
+        lam = np.abs(eq.lam + rng.normal(0.0, 1.0, eq.lam.shape))
+        nu = eq.nu + rng.normal(0.0, 1.0, eq.nu.shape)
         left_state = SystemState(eq.x, theta, lam, nu)
         phi_left = lagrangian_phi(left_state, problem, x_star, hbar, L)
         min_left = min(min_left, phi_center - phi_left)
 
-        x = eq.x + rng.normal(0.0, scale, eq.x.shape)
+        x = eq.x + rng.normal(0.0, 1.0, eq.x.shape)
         right_state = SystemState(x, eq.theta, eq.lam, eq.nu)
         phi_right = lagrangian_phi(right_state, problem, x_star, hbar, L)
         min_right = min(min_right, phi_right - phi_center)

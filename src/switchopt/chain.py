@@ -9,7 +9,6 @@ discretization source downstream.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-12
+MAX_EXPECTED_JUMPS = 10**7
 
 
 class ChainError(ValueError):
@@ -165,10 +165,12 @@ def sample_path(gen: Generator, s0: int, alpha: float, horizon: float, seed) -> 
     S = Q.shape[0]
     if not 0 <= s0 < S:
         raise ChainError(f"initial mode {s0} outside 0..{S - 1}")
-    # at most horizon * (the largest exit rate) / alpha jumps are expected
-    if not math.isfinite(horizon * float(-Q.diagonal().min()) / alpha):
-        raise ChainError(f"the expected jump count over horizon {horizon} "
-                         f"overflows at alpha {alpha}")
+    # at most horizon * (the largest exit rate) / alpha jumps are expected; past
+    # the cap the path fills memory, or never ends once t stops advancing
+    expected = horizon * float(-Q.diagonal().min()) / alpha
+    if not expected <= MAX_EXPECTED_JUMPS:
+        raise ChainError(f"the expected jump count over horizon {horizon} at alpha {alpha}, "
+                         f"{expected:.3g}, overflows the cap of {MAX_EXPECTED_JUMPS}")
     rng = np.random.default_rng(seed)
 
     # per-mode cumulative jump distributions, built once

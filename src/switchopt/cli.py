@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, averaging, chain, dynamics
-from .problem import check_licq, check_slater, convexity_lint, derive_multipliers, total_cost
+from .problem import certify, check_licq, check_slater, convexity_lint, total_cost
 from .scenario import load_scenario
 
 EXIT_OK = 0
@@ -110,9 +110,9 @@ def cmd_kkt(args) -> int:
         cand = scn.candidate()
     if cand is None:
         raise ValueError("no candidate point (scenario has none; pass --x)")
-    if not check_licq(problem, cand):
+    cert = certify(problem, cand)
+    if cert is None:
         raise ValueError("LICQ fails at the candidate")
-    cert = derive_multipliers(problem, cand)
     cost = total_cost(problem, cand)
     print(f"candidate x*: {[float(v) for v in cand]}")
     print(f"total cost:   {cost!r}")
@@ -200,9 +200,8 @@ def cmd_simulate(args) -> int:
 
     # certify the candidate before integrating, so a wrong one writes nothing
     cand = scn.candidate()
-    cert = None
-    if cand is not None and check_licq(problem, cand):
-        cert = derive_multipliers(problem, cand)
+    cert = None if cand is None else certify(problem, cand)
+    if cert is not None:
         eq = dynamics.build_equilibrium(problem, cert)
 
     with warnings.catch_warnings():

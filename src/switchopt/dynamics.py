@@ -50,6 +50,8 @@ __all__ = [
     "build_equilibrium",
 ]
 
+EQUILIBRIUM_TOL = 1e-6  # the largest certificate residual build_equilibrium accepts
+
 
 class IntegrationError(RuntimeError):
     """A run that left a domain, went nonfinite or failed the strict gate;
@@ -604,20 +606,18 @@ def check_assumptions(
     return AssumptionReport(mode=mode, checks=checks)
 
 
-def build_equilibrium(
-    problem: Problem, cert: KktCertificate, tol: float = 1e-6
-) -> Equilibrium:
-    """Stationary point from a certificate with residuals within ``tol``."""
-    bad = {k: v for k, v in cert.residuals.items() if v > tol}
+def build_equilibrium(problem: Problem, cert: KktCertificate) -> Equilibrium:
+    """Stationary point from a certificate with residuals within ``EQUILIBRIUM_TOL``."""
+    bad = {k: v for k, v in cert.residuals.items() if v > EQUILIBRIUM_TOL}
     if bad:
-        raise ValueError(f"certificate residuals above {tol}: {bad}")
+        raise ValueError(f"certificate residuals above {EQUILIBRIUM_TOL}: {bad}")
     x = np.tile(np.asarray(cert.x_star, dtype=float), (problem.n_agents, 1))
     # theta_i = -(grad f_i + sum lam_k grad g_k + sum nu_k grad h_k), agent i's terms
     grad_terms, _, _ = problem.kernel(x.tolist(), cert.lambda_star.tolist(),
                                       cert.nu_star.tolist())
     theta = -np.array(grad_terms, dtype=float)
     total = np.linalg.norm(theta.sum(axis=0))
-    if total > 10.0 * max(tol, cert.residuals["stationarity"]) + 1e-12:
+    if total > 10.0 * max(EQUILIBRIUM_TOL, cert.residuals["stationarity"]) + 1e-12:
         raise ValueError(
             f"theta blocks do not balance: |sum theta| = {total:.3e}"
         )

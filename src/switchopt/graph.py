@@ -73,9 +73,9 @@ def lambda2(L: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(L)[1])
 
 
-def jointly_connected(graphs, tol: float = CONNECTIVITY_TOL) -> bool:
-    """True when the union of the graphs is connected, decided spectrally:
-    the summed Laplacian must have its second eigenvalue above ``tol``."""
+def jointly_connected(graphs) -> bool:
+    """True when the union of the graphs is connected, decided spectrally: the
+    summed Laplacian's second eigenvalue must exceed ``CONNECTIVITY_TOL``."""
     graphs = list(graphs)
     if not graphs:
         return False
@@ -83,7 +83,7 @@ def jointly_connected(graphs, tol: float = CONNECTIVITY_TOL) -> bool:
     if any(g.n_nodes != n for g in graphs):
         raise ValueError("all graphs must share the node count")
     total = sum(laplacian(g) for g in graphs)
-    return lambda2(total) > tol
+    return lambda2(total) > CONNECTIVITY_TOL
 
 
 def stack(L: np.ndarray, n: int) -> np.ndarray:

@@ -10,7 +10,7 @@ multiplier recovery and the residuals of the first-order optimality system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property
 
 import numpy as np
 
@@ -25,13 +25,19 @@ __all__ = [
     "active_set",
     "check_licq",
     "derive_multipliers",
+    "certify",
     "domain_error_detail",
     "convexity_lint",
 ]
 
-DEFAULT_TOL_ACTIVE = 1e-8
+# a constraint value or multiplier within this of zero is taken as zero
+TOL_ACTIVE = 1e-8
 # rank cutoff is this factor times the largest singular value
-DEFAULT_RANK_FACTOR = 1e-10
+RANK_FACTOR = 1e-10
+SLATER_TOL = 1e-6  # check_slater's margin of strict feasibility
+# convexity_lint: sample points, directions per point, and the most negative
+# second difference of a cost or inequality still taken as convex
+LINT_POINTS, LINT_DIRECTIONS, CURVATURE_TOL = 20, 5, -1e-6
 
 
 @dataclass(frozen=True)
@@ -175,35 +181,6 @@ def _compile_kernel(problem: Problem, em: Emitter):
     return np.errstate(all="ignore")(kernel)
 
 
-def domain_error_detail(problem: Problem, rows, exc: DomainError) -> str:
-    """``exc``'s message led by the first expression, in kernel order (the
-    costs, then the inequalities and the equalities in stacked order), that
-    leaves its domain at the agent points ``rows``: "agent 1 cost '<expr>':
-    <error>".  The bare message when every expression evaluates."""
-    labelled = [(i, "cost", a.f) for i, a in enumerate(problem.agents)]
-    labelled += [(i, f"inequality {j + 1}", e) for i, j, e in problem.ineq_index()]
-    labelled += [(i, f"equality {j + 1}", e) for i, j, e in problem.eq_index()]
-    for i, label, e in labelled:
-        try:
-            e.value_and_grad(rows[i])
-        except DomainError as err:
-            return f"agent {i + 1} {label} {str(e)!r}: {err}"
-    return str(exc)
-
-
-def _names_domain_errors(certify):
-    """``certify(problem, x, ...)`` whose DomainError names the expression
-    that left its domain at the point x (see ``domain_error_detail``)."""
-    @wraps(certify)
-    def wrapper(problem, x, *args, **kwargs):
-        try:
-            return certify(problem, x, *args, **kwargs)
-        except DomainError as exc:
-            rows = [x] * problem.n_agents
-            raise DomainError(domain_error_detail(problem, rows, exc)) from exc
-    return wrapper
-
-
 @dataclass
 class KktCertificate:
     """First-order optimality evidence at a candidate point.
@@ -236,67 +213,137 @@ def total_cost(problem: Problem, x) -> float:
     return float(sum(a.f.value(x) for a in problem.agents))
 
 
-def check_slater(problem: Problem, x_probe, tol: float = 1e-6) -> bool:
-    """Strict feasibility probe: every inequality strictly inside by ``tol``
-    and every equality within ``tol``.  Domain errors count as infeasible."""
+def check_slater(problem: Problem, x_probe) -> bool:
+    """Strict feasibility probe: every inequality strictly inside by
+    ``SLATER_TOL`` and every equality within it.  Domain errors count as
+    infeasible."""
     try:
         for a in problem.agents:
             for e in a.g:
-                if e.value(x_probe) >= -tol:
+                if e.value(x_probe) >= -SLATER_TOL:
                     return False
             for e in a.h:
-                if abs(e.value(x_probe)) > tol:
+                if abs(e.value(x_probe)) > SLATER_TOL:
                     return False
     except ExprError:
         return False
     return True
 
 
-def active_set(problem: Problem, x, tol_active: float = DEFAULT_TOL_ACTIVE):
-    """Per-agent indices j with |g_ij(x)| <= tol_active."""
-    return [
-        [j for j, e in enumerate(a.g) if abs(e.value(x)) <= tol_active]
-        for a in problem.agents
-    ]
+def _evaluate(problem: Problem, rows):
+    """The certification pass: each expression's ``value_and_grad`` once, at
+    the agent points ``rows``, in kernel order.  Returns lists of (value,
+    grad) for the costs, the inequalities in ``ineq_index`` order and the
+    equalities in ``eq_index`` order.  An expression outside its domain
+    raises a DomainError that names it: "agent 1 cost '<expr>': <error>"."""
+    def evaluate(i, label, e):
+        try:
+            return e.value_and_grad(rows[i])
+        except DomainError as err:
+            raise DomainError(f"agent {i + 1} {label} {str(e)!r}: {err}") from err
+
+    return ([evaluate(i, "cost", a.f) for i, a in enumerate(problem.agents)],
+            [evaluate(i, f"inequality {j + 1}", e) for i, j, e in problem.ineq_index()],
+            [evaluate(i, f"equality {j + 1}", e) for i, j, e in problem.eq_index()])
 
 
-def _qualification_matrix(agent: AgentSpec, x, active):
-    """Rows: equality gradients then active inequality gradients."""
-    rows = [agent.h[j].grad(x) for j in range(len(agent.h))]
-    rows += [agent.g[j].grad(x) for j in active]
-    if not rows:
-        return np.zeros((0, len(tuple(x))))
-    return np.array(rows, dtype=float)
+def domain_error_detail(problem: Problem, rows, exc: DomainError) -> str:
+    """``exc``'s message led by the first expression, in kernel order, that
+    leaves its domain at the agent points ``rows`` (see ``_evaluate``); the
+    bare message when every expression evaluates."""
+    try:
+        _evaluate(problem, rows)
+    except DomainError as err:
+        return str(err)
+    return str(exc)
 
 
-@_names_domain_errors
-def check_licq(
-    problem: Problem,
-    x,
-    tol_active: float = DEFAULT_TOL_ACTIVE,
-    rank_factor: float = DEFAULT_RANK_FACTOR,
-) -> bool:
+def _rank(mat: np.ndarray) -> int:
+    """Numerical rank: the singular values above ``RANK_FACTOR`` times the largest."""
+    svals = np.linalg.svd(mat, compute_uv=False)
+    cutoff = RANK_FACTOR * svals[0] if svals[0] > 0 else 0.0
+    return int(np.sum(svals > cutoff))
+
+
+class _Certification:
+    """One ``_evaluate`` pass at the point ``x`` of every agent, and the
+    stacked indices of the inequalities active there."""
+
+    def __init__(self, problem: Problem, x):
+        self.problem, self.x = problem, np.asarray(x, dtype=float)
+        self.costs, self.ineqs, self.eqs = _evaluate(problem, [self.x] * problem.n_agents)
+        self.active = [k for k, (v, _) in enumerate(self.ineqs) if abs(v) <= TOL_ACTIVE]
+
+    def active_sets(self):
+        ineq = self.problem.ineq_index()
+        return [[ineq[k][1] for k in self.active if ineq[k][0] == i]
+                for i in range(self.problem.n_agents)]
+
+    def licq(self) -> bool:
+        ineq, eq = self.problem.ineq_index(), self.problem.eq_index()
+        for agent in range(self.problem.n_agents):
+            rows = [grad for (i, _, _), (_, grad) in zip(eq, self.eqs) if i == agent]
+            rows += [self.ineqs[k][1] for k in self.active if ineq[k][0] == agent]
+            if rows and _rank(np.array(rows, dtype=float)) < len(rows):
+                return False
+        return True
+
+    def certificate(self) -> KktCertificate:
+        problem, active = self.problem, self.active
+        grads = [np.asarray(grad) for _, grad in self.ineqs + self.eqs]
+        grad_f_sum = np.zeros(problem.n)
+        for _, grad in self.costs:
+            grad_f_sum += np.asarray(grad)
+
+        # columns of the stationarity system: active g gradients, then all h
+        cols = [grads[k] for k in active] + grads[problem.r:]
+        lam, nu, warnings = np.zeros(problem.r), np.zeros(problem.s), []
+        if cols:
+            A = np.column_stack(cols)
+            rank = _rank(A)
+            if rank < A.shape[1]:
+                raise ValueError(
+                    "LICQ violated: stationarity system is rank deficient "
+                    f"(rank {rank} < {A.shape[1]} unknowns)"
+                )
+            sol, *_ = np.linalg.lstsq(A, -grad_f_sum, rcond=None)
+            lam[active], nu[:] = sol[:len(active)], sol[len(active):]
+            if lam.size and lam.min() < -TOL_ACTIVE:
+                warnings.append(
+                    f"negative inequality multiplier {lam.min():.6g}: "
+                    "candidate fails dual feasibility"
+                )
+
+        # residuals of the optimality system with the derived multipliers
+        stat = grad_f_sum.copy()
+        for m, grad in zip([*lam, *nu], grads):
+            stat += m * grad
+        gvals = np.array([v for v, _ in self.ineqs], dtype=float)
+        hvals = np.array([v for v, _ in self.eqs], dtype=float)
+        residuals = {
+            "stationarity": float(np.linalg.norm(stat)),
+            "primal_ineq": float(np.max(np.maximum(gvals, 0.0), initial=0.0)),
+            "primal_eq": float(np.max(np.abs(hvals), initial=0.0)),
+            "complementarity": float(max([0.0] + [abs(m * v) for m, v in zip(lam, gvals)])),
+        }
+        return KktCertificate(self.x, lam, nu, self.active_sets(), residuals, warnings)
+
+
+def active_set(problem: Problem, x):
+    """Per-agent indices j with |g_ij(x)| <= TOL_ACTIVE."""
+    return _Certification(problem, x).active_sets()
+
+
+def check_licq(problem: Problem, x) -> bool:
     """Full row rank of [equality grads; active inequality grads] per agent.
 
     The rank cutoff scales with the largest singular value so the decision is
     invariant under rescaling the constraints.
     """
-    actives = active_set(problem, x, tol_active)
-    for agent, act in zip(problem.agents, actives):
-        mat = _qualification_matrix(agent, x, act)
-        if mat.shape[0] == 0:
-            continue
-        svals = np.linalg.svd(mat, compute_uv=False)
-        cutoff = rank_factor * svals[0] if svals[0] > 0 else 0.0
-        if int(np.sum(svals > cutoff)) < mat.shape[0]:
-            return False
-    return True
+    return _Certification(problem, x).licq()
 
 
-@_names_domain_errors
-def derive_multipliers(
-    problem: Problem, x_star, tol_active: float = DEFAULT_TOL_ACTIVE
-) -> KktCertificate:
+def derive_multipliers(problem: Problem, x_star) -> KktCertificate:
     """Recover multipliers at ``x_star`` and report optimality residuals.
 
     Inactive inequality multipliers are pinned to zero, which makes the
@@ -304,90 +351,36 @@ def derive_multipliers(
     and all equality multipliers solve the stationarity system in least
     squares through an SVD, so near-degenerate active sets stay stable.
     """
-    x_star = np.asarray(x_star, dtype=float)
-    actives = active_set(problem, x_star, tol_active)
-    ineq = problem.ineq_index()
-    g_grads = [np.asarray(e.grad(x_star)) for _, _, e in ineq]
-    h_grads = [np.asarray(e.grad(x_star)) for _, _, e in problem.eq_index()]
-
-    grad_f_sum = np.zeros(problem.n)
-    for a in problem.agents:
-        grad_f_sum += np.asarray(a.f.grad(x_star))
-
-    # columns of the stationarity system: active g gradients, then all h
-    active = [k for k, (i, j, _) in enumerate(ineq) if j in actives[i]]
-    cols = [g_grads[k] for k in active] + h_grads
-
-    lam = np.zeros(problem.r)
-    nu = np.zeros(problem.s)
-    warnings = []
-    if cols:
-        A = np.column_stack(cols)
-        svals = np.linalg.svd(A, compute_uv=False)
-        cutoff = DEFAULT_RANK_FACTOR * svals[0] if svals[0] > 0 else 0.0
-        rank = int(np.sum(svals > cutoff))
-        if rank < A.shape[1]:
-            raise ValueError(
-                "LICQ violated: stationarity system is rank deficient "
-                f"(rank {rank} < {A.shape[1]} unknowns)"
-            )
-        sol, *_ = np.linalg.lstsq(A, -grad_f_sum, rcond=None)
-        lam[active] = sol[:len(active)]
-        nu[:] = sol[len(active):]
-        if lam.size and lam.min() < -tol_active:
-            warnings.append(
-                f"negative inequality multiplier {lam.min():.6g}: "
-                "candidate fails dual feasibility"
-            )
-
-    # residuals of the optimality system with the derived multipliers
-    stat = grad_f_sum.copy()
-    gvals = np.array([e.value(x_star) for _, _, e in ineq], dtype=float)
-    comp = 0.0
-    for k, grad in enumerate(g_grads):
-        stat += lam[k] * grad
-        comp = max(comp, abs(lam[k] * gvals[k]))
-    hvals = np.array([e.value(x_star) for _, _, e in problem.eq_index()], dtype=float)
-    for k, grad in enumerate(h_grads):
-        stat += nu[k] * grad
-
-    residuals = {
-        "stationarity": float(np.linalg.norm(stat)),
-        "primal_ineq": float(np.max(np.maximum(gvals, 0.0), initial=0.0)),
-        "primal_eq": float(np.max(np.abs(hvals), initial=0.0)),
-        "complementarity": float(comp),
-    }
-    return KktCertificate(
-        x_star=x_star,
-        lambda_star=lam,
-        nu_star=nu,
-        active_sets=actives,
-        residuals=residuals,
-        warnings=warnings,
-    )
+    return _Certification(problem, x_star).certificate()
 
 
-def convexity_lint(problem: Problem, rng, n_points: int = 20, n_dirs: int = 5,
-                   scale: float = 1.0, tol: float = -1e-6):
+def certify(problem: Problem, x) -> KktCertificate | None:
+    """``derive_multipliers`` at ``x`` where ``check_licq`` holds there, else
+    None, from one evaluation of each expression."""
+    at = _Certification(problem, x)
+    return at.certificate() if at.licq() else None
+
+
+def convexity_lint(problem: Problem, rng):
     """Sampled curvature check, advisory only.
 
     Second central differences of every cost and inequality constraint along
-    random directions must not be materially negative, and equality
+    random directions must not fall below ``CURVATURE_TOL``, and equality
     constraints must have (numerically) zero curvature.  Returns a list of
     human-readable violations; empty means nothing was caught.
     """
     out = []
     step = 1e-3
-    for _ in range(n_points):
-        x0 = rng.normal(0.0, scale, problem.n)
-        for _ in range(n_dirs):
+    for _ in range(LINT_POINTS):
+        x0 = rng.normal(0.0, 1.0, problem.n)
+        for _ in range(LINT_DIRECTIONS):
             d = rng.normal(0.0, 1.0, problem.n)
             d /= np.linalg.norm(d)
             for i, a in enumerate(problem.agents):
-                checks = [("f", a.f, tol)] + [
-                    (f"g[{j}]", e, tol) for j, e in enumerate(a.g)
-                ]
-                for name, e, lo in checks:
+                checks = [("f", a.f, False)] + [
+                    (f"g[{j}]", e, False) for j, e in enumerate(a.g)
+                ] + [(f"h[{j}]", e, True) for j, e in enumerate(a.h)]
+                for name, e, affine in checks:
                     try:
                         c2 = (
                             e.value(x0 + step * d)
@@ -396,23 +389,14 @@ def convexity_lint(problem: Problem, rng, n_points: int = 20, n_dirs: int = 5,
                         ) / step**2
                     except ExprError:
                         continue
-                    if c2 < lo:
+                    if affine and abs(c2) > 1e-4:
+                        out.append(
+                            f"agent {i} {name}: curvature {c2:.3g} != 0, "
+                            "equality constraint is not affine"
+                        )
+                    elif not affine and c2 < CURVATURE_TOL:
                         out.append(
                             f"agent {i} {name}: curvature {c2:.3g} < 0 "
                             f"near {np.round(x0, 3).tolist()}"
-                        )
-                for j, e in enumerate(a.h):
-                    try:
-                        c2 = (
-                            e.value(x0 + step * d)
-                            - 2.0 * e.value(x0)
-                            + e.value(x0 - step * d)
-                        ) / step**2
-                    except ExprError:
-                        continue
-                    if abs(c2) > 1e-4:
-                        out.append(
-                            f"agent {i} h[{j}]: curvature {c2:.3g} != 0, "
-                            "equality constraint is not affine"
                         )
     return out

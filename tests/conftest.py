@@ -1,11 +1,12 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from switchopt import chain, dynamics
-from switchopt.expr import parse
+from switchopt.expr import Expr, parse
 from switchopt.graph import Graph, Network
 from switchopt.problem import AgentSpec, Problem, derive_multipliers
 from switchopt.scenario import load_scenario
@@ -141,3 +142,16 @@ def tmp_scenario_file(tmp_path, fixed_scenario):
         return path
 
     return write
+
+
+@pytest.fixture()
+def evaluations(monkeypatch):
+    """Counts of the ``Expr.value`` and ``Expr.value_and_grad`` calls made
+    from here on, keyed by (method name, id of the expression)."""
+    counts = Counter()
+    for name in ("value", "value_and_grad"):
+        def counting(self, x, name=name, method=getattr(Expr, name)):
+            counts[name, id(self)] += 1
+            return method(self, x)
+        monkeypatch.setattr(Expr, name, counting)
+    return counts

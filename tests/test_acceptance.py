@@ -278,7 +278,7 @@ def test_criterion_10_saddle_point_inequality(five_agent, equilibrium):
     hbar = analysis.hbar_fixed(1.0, 0.5)
     report = analysis.saddle_point_samples(
         five_agent, equilibrium, hbar, L, n_samples=1000,
-        rng=np.random.default_rng(14), scale=1.0,
+        rng=np.random.default_rng(14),
     )
     ok = report["min_left_slack"] >= -1e-9 and report["min_right_slack"] >= -1e-9
     verdict(10, "saddle-point-inequality", ok,

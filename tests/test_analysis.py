@@ -147,7 +147,7 @@ def test_saddle_point_sampled_inequalities(five_agent, equilibrium):
     hbar = hbar_fixed(1.0, 0.5)
     report = saddle_point_samples(
         five_agent, equilibrium, hbar, L, n_samples=1000,
-        rng=np.random.default_rng(2), scale=1.0,
+        rng=np.random.default_rng(2),
     )
     assert report["min_left_slack"] >= -1e-9
     assert report["min_right_slack"] >= -1e-9
@@ -158,7 +158,7 @@ def test_saddle_point_right_side_needs_positive_hbar(five_agent, equilibrium):
     L = laplacian(complete_graph(5))
     report = saddle_point_samples(
         five_agent, equilibrium, -0.5, L, n_samples=200,
-        rng=np.random.default_rng(2), scale=1.0,
+        rng=np.random.default_rng(2),
     )
     assert report["min_right_slack"] < 0.0
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,16 @@ def test_sample_path_rejects_an_overflowing_jump_count(alpha, horizon):
     # holding times of mean 1e-320 / 3 would grow the path without end
     with pytest.raises(ChainError, match="^the expected jump count over horizon .* overflows"):
         sample_path(validate_generator(SIX_MODE_Q), 0, alpha, horizon, seed=0)
+
+
+@pytest.mark.parametrize("alpha, count", [(1e-300, "3e+300"), (2.9e-7, "1.03e+07")],
+                         ids=["alpha-tiny", "just-above-the-cap"])
+def test_sample_path_refuses_a_jump_count_above_the_cap(alpha, count):
+    # finite holding times of mean 1e-300 / 3 fall below the resolution of t,
+    # so the path would never end
+    with pytest.raises(ChainError, match=re.escape(
+            f"over horizon 1.0 at alpha {alpha}, {count}, overflows the cap of 10000000")):
+        sample_path(validate_generator(SIX_MODE_Q), 0, alpha, 1.0, seed=0)
 
 
 def test_mode_at_matches_linear_scan():

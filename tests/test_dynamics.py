@@ -713,6 +713,49 @@ def test_equilibrium_refuses_bad_certificate(five_agent):
         build_equilibrium(five_agent, cert)
 
 
+def test_equilibrium_refuses_unbalanced_theta_blocks(five_agent, certificate):
+    # residuals within tolerance, but lambda moved off the stationary solve
+    moved = dataclasses.replace(certificate, lambda_star=certificate.lambda_star + 1.0)
+    with pytest.raises(ValueError, match=r"^theta blocks do not balance: \|sum theta\| = "):
+        build_equilibrium(five_agent, moved)
+
+
+# ---------------------------------------------------------------------------
+# refusals of malformed integrator inputs
+# ---------------------------------------------------------------------------
+
+
+def test_config_refuses_a_negative_lambda_floor():
+    with pytest.raises(ValueError, match="^lambda_floor must be nonnegative$"):
+        IntegratorConfig(lambda_floor=-1)
+
+
+def test_model_refuses_an_eta_of_the_wrong_length(five_agent, k5_network):
+    with pytest.raises(ValueError, match="^eta must be scalar or length 2$"):
+        _Model(five_agent, k5_network, [1.0, 1.0, 1.0])
+
+
+def test_model_refuses_a_network_of_another_node_count(five_agent):
+    with pytest.raises(ValueError, match="^network has 1 nodes but problem has 5 agents$"):
+        _Model(five_agent, single_node_network(), 1.0)
+
+
+def test_simulate_refuses_a_path_per_member_of_the_wrong_count(
+        five_agent, six_mode_network, six_mode_generator, reference_init):
+    path = chain.sample_path(six_mode_generator, 0, 0.1, 0.2, 0)
+    cfg = IntegratorConfig(h=1e-3, horizon=0.1, seed=[1, 2])
+    with pytest.raises(ValueError, match="^1 chain paths for 2 members$"):
+        simulate(five_agent, six_mode_network, [path], cfg, reference_init)
+
+
+def test_simulate_refuses_a_path_shorter_than_the_integration(
+        five_agent, six_mode_network, six_mode_generator, reference_init):
+    path = chain.sample_path(six_mode_generator, 0, 0.1, 0.05, 0)
+    cfg = IntegratorConfig(h=1e-3, horizon=0.1)
+    with pytest.raises(ValueError, match="^chain path horizon shorter than the integration$"):
+        simulate(five_agent, six_mode_network, path, cfg, reference_init)
+
+
 # ---------------------------------------------------------------------------
 # batches: members stacked on a leading axis
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from switchopt.problem import (
     AgentSpec,
     Problem,
     active_set,
+    certify,
     check_licq,
     check_slater,
     convexity_lint,
@@ -42,17 +44,17 @@ def test_centralized_penalty_oracle_confirms_optimum(five_agent):
 
 def test_slater_probe_requires_equality(five_agent):
     # strict inequality holds at (1, 2.5) but the equality is off by 0.5
-    assert not check_slater(five_agent, (1.0, 2.5), tol=1e-6)
+    assert not check_slater(five_agent, (1.0, 2.5))
 
 
 def test_slater_probe_infeasible_inequality(five_agent):
     # on the equality line but outside the inequality region
-    assert not check_slater(five_agent, (0.5, 1.0), tol=1e-6)
+    assert not check_slater(five_agent, (0.5, 1.0))
 
 
 def test_slater_probe_feasible_point(five_agent):
     # x1=2, x2=4 lies on the line, g1 = -3 < 0, g2 = -4 < 0
-    assert check_slater(five_agent, (2.0, 4.0), tol=1e-6)
+    assert check_slater(five_agent, (2.0, 4.0))
 
 
 def test_slater_vacuous_without_constraints():
@@ -61,14 +63,14 @@ def test_slater_vacuous_without_constraints():
 
 
 def test_active_set_at_optimum(five_agent):
-    J = active_set(five_agent, X_STAR, tol_active=1e-8)
+    J = active_set(five_agent, X_STAR)
     assert J[0] == [0]
     assert J[1] == []
     assert J[2] == J[3] == J[4] == []
 
 
 def test_active_set_interior_point(five_agent):
-    J = active_set(five_agent, (2.0, 4.0), tol_active=1e-8)
+    J = active_set(five_agent, (2.0, 4.0))
     assert all(not j for j in J)
 
 
@@ -252,3 +254,30 @@ def test_certification_names_a_constraint_by_kind_and_index(certify, kind):
     p = Problem(n=1, agents=(AgentSpec(f=parse("x1^2", 1)), second))
     with pytest.raises(DomainError, match=re.escape(f"agent 2 {kind} 2 {str(ln)!r}: ")):
         certify(p, (-1.0,))
+
+
+@pytest.mark.parametrize("view", [active_set, check_licq, derive_multipliers, certify])
+def test_certification_evaluates_each_expression_once(view, five_agent, evaluations):
+    view(five_agent, X_STAR)
+    expected = Counter(("value_and_grad", id(e))
+                       for a in five_agent.agents for e in (a.f, *a.g, *a.h))
+    assert evaluations == expected
+
+
+def test_certify_is_the_certificate_where_licq_holds_else_none(five_agent):
+    cert = certify(five_agent, X_STAR)
+    assert cert.as_dict() == derive_multipliers(five_agent, X_STAR).as_dict()
+    p = Problem(n=2, agents=(AgentSpec(f=parse("x1^2 + x2^2", 2),
+                                       g=(parse("x1 + x2", 2), parse("x1 + x2", 2))),))
+    assert not check_licq(p, (0.5, -0.5))
+    assert certify(p, (0.5, -0.5)) is None
+
+
+@pytest.mark.parametrize("view", [active_set, check_licq, certify])
+def test_certification_names_a_cost_that_leaves_its_domain(view):
+    # no constraint needs agent 2's cost, but the one pass evaluates it too
+    ln = parse("ln(x1)", 1)
+    p = Problem(n=1, agents=(AgentSpec(f=parse("x1^2", 1), g=(parse("x1 + 1", 1),)),
+                             AgentSpec(f=ln)))
+    with pytest.raises(DomainError, match=re.escape(f"agent 2 cost {str(ln)!r}: ")):
+        view(p, (-1.0,))

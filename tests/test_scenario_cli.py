@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from switchopt import averaging, dynamics
+from switchopt import averaging, cli, dynamics
 from switchopt.cli import main
 from switchopt.scenario import Scenario, ScenarioError, load_scenario, scenario_hash
 
@@ -615,3 +615,97 @@ def test_nonfinite_initial_state_or_point_exits_1(path, value, message, tmp_scen
     # a run from it could only fail, after numpy warned on inf - inf
     assert main(["validate", str(tmp_scenario_file(_set(path, value)))]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _duplicate_agent_1_inequality(d):
+    # both copies are active at the candidate [1, 2], so LICQ fails there
+    agent = d["problem"]["agents"][0]
+    agent["inequalities"] = agent["inequalities"] * 2
+
+
+def test_kkt_without_a_candidate_exits_1(tmp_scenario_file, tmp_path, capsys):
+    path = tmp_scenario_file(lambda d: d.pop("candidate"))
+    assert main(["kkt", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: no candidate point (scenario has none; pass --x)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_kkt_where_licq_fails_exits_1(tmp_scenario_file, tmp_path, capsys):
+    path = tmp_scenario_file(_duplicate_agent_1_inequality)
+    assert main(["kkt", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: LICQ fails at the candidate\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_warns_where_licq_fails(tmp_scenario_file, capsys):
+    assert main(["validate", str(tmp_scenario_file(_duplicate_agent_1_inequality))]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "[WARN] licq_at_candidate: [1.0, 2.0]" in out
+    assert out[-1] == "validate: 1 warning(s): licq_at_candidate"
+
+
+def test_validate_warns_on_the_initial_conditions(tmp_scenario_file, capsys):
+    def mutate(d):
+        d["init"]["lambda"] = 0.0
+        d["init"]["theta"] = 0.5
+
+    assert main(["validate", str(tmp_scenario_file(mutate))]) == 2
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "[WARN] initial multipliers must be positive",
+        "[WARN] initial theta blocks sum to 3.536e+00, expected 0",
+        "validate: 2 warning(s): initial_multipliers_nonpositive, initial_theta_sum_nonzero",
+    ]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", []),
+    ("compare", ["--alpha", "0.5", "--alpha", "1e-300", "--ensemble", "2"]),
+])
+def test_alpha_with_too_many_expected_jumps_exits_1(command, flags, switching_scenario,
+                                                    tmp_path, capsys):
+    # the chain path would hold about 3e298 jumps and never end
+    data = json.loads(json.dumps(switching_scenario.raw))
+    data["chain"]["alpha"] = 1e-300
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path), "--horizon", "0.01", *flags,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the expected jump count over horizon 0.011 at alpha 1e-300, 3.3e+298, "
+        "overflows the cap of 10000000\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["kkt"], ["simulate", "--horizon", "0.01"]],
+                         ids=["kkt", "simulate"])
+def test_commands_certify_with_one_evaluation_per_expression(argv, fixed_scenario_path,
+                                                            tmp_path, monkeypatch,
+                                                            evaluations):
+    during = []
+    certify = cli.certify
+
+    def counting(*args):
+        before = evaluations.copy()
+        cert = certify(*args)
+        during.append(evaluations - before)
+        return cert
+
+    monkeypatch.setattr(cli, "certify", counting)
+    command, *flags = argv
+    assert main([command, str(fixed_scenario_path), *flags, "--out-dir", str(tmp_path)]) == 0
+    # 5 costs, 2 inequalities and 1 equality, each evaluated once, all in certify
+    [calls] = during
+    assert len(calls) == 8 and set(calls.values()) == {1}
+    assert {name for name, _ in calls} == {"value_and_grad"}
+    assert sum(n for (name, _), n in evaluations.items() if name == "value_and_grad") == 8
+
+
+def test_validate_names_a_cost_outside_its_domain_at_the_candidate(tmp_scenario_file,
+                                                                  capsys):
+    # LICQ needs no cost, but certification evaluates every expression once,
+    # so validate fails at such a candidate as kkt and simulate do
+    path = tmp_scenario_file(_set(["problem", "agents", 2, "cost"], "ln(x1 - 2)"))
+    for command in ("validate", "kkt"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: agent 3 cost 'ln(x1 - 2.0)': ln of nonpositive value -1.0\n")
