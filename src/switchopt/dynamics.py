@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -236,21 +236,21 @@ class AssumptionReport:
         }
 
 
-# A batch round of at least this many members runs its drift on
-# Problem.batch_kernel, one numpy call, instead of one scalar kernel call per
-# member.  A step of the bundled switching problem costs the same both ways
-# between 20 and 24 members (median of interleaved timings, 2-CPU x86-64,
-# numpy 2.4); the numpy kernel agrees within a few ulp, not bit for bit.
-BATCH_KERNEL_ROWS = 24
+# A batch round of at least this many members steps as one numpy update,
+# within a few ulp of its members' lone runs; a smaller one steps member by
+# member on the lone substep, bit for bit.  Per member, numpy costs less from
+# about 10 members on the bundled fixed problem and 14-16 on the switching
+# one (interleaved timings, 2-CPU x86-64, numpy 2.4).
+BATCH_KERNEL_ROWS = 16
 
 
 class _Model:
     """Precomputed structure shared by every step of one run.
 
-    ``drift`` and ``step`` take a batch stacked on a leading member axis, x
-    (M, N, n), with ``mode`` an int or one per member, or a lone member as
-    flat float lists (x and pair agent-major), which runs on the compiled
-    substep ``lone``.  ``eta`` is a scalar or one weight per inequality
+    ``drift`` and ``step`` take a lone member as flat float lists (x and
+    pair agent-major), which runs on the compiled substep ``lone``, or a
+    batch stacked on a leading member axis, x (M, N, n), with ``mode`` an
+    int or one per member.  ``eta`` is a scalar or one weight per inequality
     multiplier.  Given the stationary distribution ``pi``, the stacks gain
     the averaged system as mode S = ``averaged``: L_pi and the channel
     coefficients sqrt(w), w = sum_s pi_s R_s^2 (see ``averaging``).
@@ -263,10 +263,10 @@ class _Model:
                 f"{problem.n_agents} agents"
             )
         self.problem = problem
-        self.kernel = problem.kernel
         self.N = problem.n_agents
         self.n = problem.n
         self.c = network.coupling
+        self.S = network.n_modes
         # stacked over modes, so that one index picks a mode or one per member
         self.L = network.laplacians
         self.R = network.receive
@@ -275,7 +275,7 @@ class _Model:
             L_pi, w = network.average(pi.pi)
             self.L = np.concatenate([self.L, L_pi[None]])
             self.R = np.concatenate([self.R, np.sqrt(w)[None]])
-            self.averaged = network.n_modes
+            self.averaged = self.S
         self.r = problem.r
         self.s = problem.s
         self.eta = _eta_vector(eta, self.r)
@@ -286,63 +286,30 @@ class _Model:
         ``_compile_lone``)."""
         return _compile_lone(self)
 
-    def where(self, mode):
-        """Label of ``mode`` in failure messages."""
-        return "averaged" if mode == self.averaged else f"mode {mode}"
-
     def drift(self, x, theta, lam, nu, mode):
         """Drift blocks (dx, dtheta, dlam, dnu); only the coupling Laplacian
-        depends on the mode.  Both paths sum L[mode] @ x over the senders
-        left to right from 0.0 (see ``_laplacian_product``)."""
+        depends on the mode."""
         if isinstance(x, list):  # a lone member
             drift, _, laplacians, _ = self.lone
             return drift(x, theta, lam, nu, laplacians[mode])
-        Lx = _laplacian_product(self.L[mode], x)
-        if len(x) >= BATCH_KERNEL_ROWS:
-            grad_terms, gvals, hvals = self.problem.batch_kernel(x, lam, nu)
-        else:  # one scalar kernel call per member
-            grad_terms, gvals, hvals = zip(*map(self.kernel, x.tolist(), lam.tolist(),
-                                                nu.tolist()))
-        # a multiplier at -1/eta: inf or nan, and the step fails on its
-        # nonfinite state, with no numpy warning
+        Lx = self.L[mode] @ x
+        grad_terms, gvals, hvals = self.problem.batch_kernel(x, lam, nu)
+        # a multiplier at -1/eta: inf or nan, and the round is rerun member
+        # by member, with no numpy warning
         with np.errstate(divide="ignore", invalid="ignore"):
-            dlam = lam / (1.0 + self.eta * lam) * np.asarray(gvals, dtype=float)
-        dx = -self.c * Lx - theta - np.asarray(grad_terms)
-        dtheta = self.c * Lx
-        return dx, dtheta, dlam, np.asarray(hvals, dtype=float)
+            dlam = lam / (1.0 + self.eta * lam) * gvals
+        return -self.c * Lx - theta - grad_terms, self.c * Lx, dlam, hvals
 
-    def failure(self, what, detail, t, h, mode, members, row):
-        """IntegrationError "<what> at t=<t + h> (<mode>): <detail>"; in a
-        batch, of its row ``row``: for member ``members[row]``, named and
-        carried with the start of its substep (unnamed if ``members`` is
-        None)."""
-        if row is not None:
-            t, h, mode = (_row(v, row) for v in (t, h, mode))
-        if members is None:
-            return IntegrationError(f"{what} at t={t + h:.6g} ({self.where(mode)}): {detail}")
-        member = int(members[row])
-        err = IntegrationError(f"{what} at t={t + h:.6g} "
-                               f"({self.where(int(mode))}, member {member}): {detail}")
-        err.start, err.member = float(t), member
+    def failure(self, what, detail, t, h, mode, member=None):
+        """IntegrationError "<what> at t=<t + h> (<mode>): <detail>", naming
+        ``member`` (unless None) and carrying it and ``t``, the start of its
+        substep."""
+        where = "averaged" if mode == self.averaged else f"mode {mode}"
+        if member is None:
+            return IntegrationError(f"{what} at t={t + h:.6g} ({where}): {detail}")
+        err = IntegrationError(f"{what} at t={t + h:.6g} ({where}, member {member}): {detail}")
+        err.start, err.member = t, member
         return err
-
-    def domain_failure(self, x, lam, nu, t, mode, members, exc):
-        """IntegrationError naming the first expression that left its domain
-        at the agent points of ``x`` (in a batch, of the first member whose
-        kernel raises), found by evaluating the expressions one at a time in
-        the kernel's order (cold path, after the kernel raised ``exc``)."""
-        if isinstance(x, list):  # a lone member
-            row, rows = None, np.reshape(x, (self.N, self.n)).tolist()
-        else:
-            for row, args in enumerate(zip(x.tolist(), lam.tolist(), nu.tolist())):
-                try:
-                    self.kernel(*args)
-                except DomainError as err:
-                    exc = err
-                    break
-            rows = x[row].tolist()
-        detail = domain_error_detail(self.problem, rows, exc)
-        return self.failure("expression left its domain", detail, t, 0.0, mode, members, row)
 
     def noise_term(self, x, mode, W):
         """c * M_mode(x) applied to the channel increments W (M, N, N),
@@ -352,10 +319,12 @@ class _Model:
     def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
         """One Euler-Maruyama substep; returns the new state and clamp count.
 
-        A lone member's state is four flat float lists and ``W`` its flat
-        channel increments.  In a batch, ``t``, ``h`` and ``mode`` are
-        scalars or one per member, ``members`` names the rows in failure
-        messages and the clamp count is per member.  The pair-sum update
+        A lone member's state is four flat float lists, ``W`` its flat
+        channel increments and ``members`` its index in failure messages
+        (None: unnamed).  In a batch, ``t``, ``h`` and ``mode`` are scalars
+        or one per member, ``members`` names the rows and the clamp count is
+        per member.  A round below ``BATCH_KERNEL_ROWS`` members, or whose
+        numpy update fails, steps member by member.  The pair-sum update
         deliberately contains no noise term; see the module docstring.
         """
         if isinstance(x, list):  # a lone member
@@ -364,13 +333,19 @@ class _Model:
                 blocks = self.drift(x, [p - q for p, q in zip(pair, x)], lam, nu, mode)
                 return update(x, pair, lam, nu, *blocks, receive[mode], W, h, clamp_floor)
             except DomainError as exc:
-                raise self.domain_failure(x, lam, nu, t, mode, None, exc) from exc
+                rows = np.reshape(x, (self.N, self.n)).tolist()
+                detail = domain_error_detail(self.problem, rows, exc)
+                raise self.failure("expression left its domain", detail, t, 0.0, mode,
+                                   members) from exc
             except ArithmeticError:  # a multiplier at -1/eta, or a nonfinite state
-                raise self.failure("nonfinite state", _STIFF, t, h, mode, None, None) from None
+                raise self.failure("nonfinite state", _STIFF, t, h, mode, members) from None
+        args = (x, pair, lam, nu, t, h, mode, W, clamp_floor, members)
+        if len(x) < BATCH_KERNEL_ROWS:
+            return self._each(*args)
         try:
             dx, dtheta, dlam, dnu = self.drift(x, pair - x, lam, nu, mode)
-        except DomainError as exc:
-            raise self.domain_failure(x, lam, nu, t, mode, members, exc) from exc
+        except DomainError:
+            return self._each(*args)
         noise = self.noise_term(x, mode, W)
         if isinstance(h, np.ndarray):  # one substep length per member
             hx, hv = h[:, None, None], h[:, None]
@@ -387,11 +362,21 @@ class _Model:
         nu_new = nu + hv * dnu
         new = (x_new, pair_new, lam_new, nu_new)
         if not all(np.isfinite(a).all() for a in new):
-            finite = (np.isfinite(x_new).all(axis=(1, 2)) & np.isfinite(pair_new).all(axis=(1, 2))
-                      & np.isfinite(lam_new).all(axis=1) & np.isfinite(nu_new).all(axis=1))
-            raise self.failure("nonfinite state", _STIFF, t, h, mode, members,
-                               int(np.argmin(finite)))
-        return x_new, pair_new, lam_new, nu_new, clamped
+            return self._each(*args)
+        return (*new, clamped)
+
+    def _each(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members):
+        """``step`` of a batch, member by member on the lone substep, the
+        state converted to flat float lists once for the round."""
+        M = len(x)
+        state = (x, pair, lam, nu)
+        flat = [a.reshape(M, a[0].size).tolist() for a in (*state, W)]
+        per = [v.tolist() if isinstance(v, np.ndarray) else [v] * M
+               for v in (t, h, mode, members)]
+        out = [self.step(xm, pm, lm, nm, tm, hm, mode_m, Wm, clamp_floor, m)
+               for xm, pm, lm, nm, Wm, tm, hm, mode_m, m in zip(*flat, *per)]
+        *new, clamped = zip(*out)
+        return (*(np.reshape(b, a.shape) for a, b in zip(state, new)), np.array(clamped))
 
 
 _STIFF = "step size too large for this problem's stiffness"
@@ -404,17 +389,14 @@ def _compile_lone(model: _Model):
 
     Returns ``(drift, update, laplacians, receive)``: ``drift(x, theta, lam,
     nu, L)`` gives the blocks (dx, dtheta, dlam, dnu), summing L @ x over
-    the senders j left to right from 0.0 as ``_laplacian_product`` does;
-    ``update(x, pair, lam, nu, dx, dtheta, dlam, dnu, R, W, h, floor)`` the
-    new state and the clamp count, summing the channel noise in the same
-    order as ``_channel_noise`` does; ``laplacians[mode]`` and
-    ``receive[mode]`` are the mode's L and R, flat.  Every value takes the
-    batch's float operations in the batch's order, so the bits match a
-    batch of one.  Both sums leave out the senders whose entry is zero in
-    every mode: at finite states their terms are +-0.0, which leave a sum
-    begun at 0.0 unchanged (a nonfinite x fails the step either way).  A
-    nonfinite new state, or a multiplier at exactly -1/eta, raises
-    ArithmeticError.
+    the senders j left to right from 0.0; ``update(x, pair, lam, nu, dx,
+    dtheta, dlam, dnu, R, W, h, floor)`` the new state and the clamp count,
+    summing the channel noise over the senders in the same order;
+    ``laplacians[mode]`` and ``receive[mode]`` are the mode's L and R, flat.
+    Both sums leave out the senders whose entry is zero in every mode: at
+    finite states their terms are +-0.0, which leave a sum begun at 0.0
+    unchanged (a nonfinite x fails the step either way).  A nonfinite new
+    state, or a multiplier at exactly -1/eta, raises ArithmeticError.
     """
     N, n, r, s, c = model.N, model.n, model.r, model.s, float(model.c)
     cells = [(i, k, f"{i}_{k}") for i in range(N) for k in range(n)]
@@ -468,27 +450,10 @@ def _compile_lone(model: _Model):
     return drift, update, *(stack.reshape(len(stack), -1).tolist() for stack in (model.L, model.R))
 
 
-def _laplacian_product(L, x):
-    """L @ x for each member m of x (M, N, n), L one (N, N) Laplacian or
-    one per member, summed over the senders j left to right from 0.0, as a
-    lone member's compiled drift sums it (a BLAS matmul picks its order, and
-    its kernel, per CPU)."""
-    total = np.zeros_like(x)
-    for j in range(x.shape[1]):
-        total += L[..., j, None] * x[:, j, None, :]
-    return total
-
-
 def _channel_noise(c, R, x, W):
     """c * sum_j R[..., i, j] W[m, i, j] (x[m, j] - x[m, i]) for each
-    receiver i of each member m, summed over the senders j left to right
-    from 0.0, as a lone member's compiled substep sums it (einsum's order
-    depends on the shape)."""
-    RW = R * W
-    total = np.zeros_like(x)
-    for j in range(x.shape[1]):
-        total += RW[:, :, j, None] * (x[:, j, None, :] - x)
-    return c * total
+    receiver i of each member m of x (M, N, n)."""
+    return c * np.einsum("mij,mijk->mik", R * W, x[:, None, :, :] - x[:, :, None, :])
 
 
 def _channel_increments(W, N: int) -> np.ndarray:
@@ -502,10 +467,11 @@ def _channel_increments(W, N: int) -> np.ndarray:
 
 
 def drift(state: SystemState, mode: int, problem: Problem, network: Network, eta=1.0):
-    """Drift blocks (dx, dtheta, dlam, dnu) of the switching dynamics."""
-    blocks = _Model(problem, network, eta).drift(
-        *(a[None] for a in (state.x, state.theta, state.lam, state.nu)), mode)
-    return tuple(a[0] for a in blocks)
+    """Drift blocks (dx, dtheta, dlam, dnu) of the switching dynamics, as
+    the lone substep computes them."""
+    arrays = (state.x, state.theta, state.lam, state.nu)
+    blocks = _shared_model(problem, network, eta).drift(*_flat(arrays), mode)
+    return tuple(np.reshape(b, a.shape) for a, b in zip(arrays, blocks))
 
 
 def diffusion_matrix(state: SystemState, mode: int, network: Network) -> np.ndarray:
@@ -547,11 +513,27 @@ def em_step(
     channel, shaped (N, N) or flat (N^2,), already scaled to variance h.
     """
     W = _channel_increments(noise_increment, state.x.shape[0])
-    *new, clamped = _Model(problem, network, cfg.eta).step(
-        *(a[None] for a in (state.x, state.pair, state.lam, state.nu)), state.t, h, mode,
-        W[None], cfg.lambda_floor)
-    return SystemState._from_pair(*(a[0] for a in new), state.t + h,
-                                  state.clamp_count + int(np.sum(clamped)))
+    arrays = (state.x, state.pair, state.lam, state.nu)
+    *new, clamped = _shared_model(problem, network, cfg.eta).step(
+        *_flat(arrays), state.t, h, mode, W.ravel().tolist(), cfg.lambda_floor)
+    return SystemState._from_pair(*(np.reshape(b, a.shape) for a, b in zip(arrays, new)),
+                                  state.t + h, state.clamp_count + clamped)
+
+
+def _shared_model(problem: Problem, network: Network, eta) -> _Model:
+    """The model of the public helpers: one per (problem, network, eta),
+    kept across calls (the 16 most recent), so that repeated calls generate
+    the lone substep once."""
+    return _cached_model(problem, network, float(eta) if np.ndim(eta) == 0
+                         else tuple(np.ravel(eta).tolist()))
+
+
+_cached_model = lru_cache(maxsize=16)(_Model)
+
+
+def _flat(arrays):
+    """Each array as a flat list of floats: a lone member's state."""
+    return [a.ravel().tolist() for a in arrays]
 
 
 def check_assumptions(
@@ -703,17 +685,25 @@ def _integrate(
     ``Ensemble``: member k draws from seed k, follows ``chain_path[k]`` (or
     the one path given) and starts from ``init`` (or its row k, given a
     leading member axis), as if it ran alone: bit for bit while its rounds
-    stay below ``BATCH_KERNEL_ROWS`` members, within a few ulp per drift
-    above.  A batch raises the error of its earliest failing substep, the
-    lowest member on a tie.  A lone member carries its state as flat float
-    lists between substeps, on the compiled substep.  Warnings point at the
-    caller of the public entry point.
+    stay below ``BATCH_KERNEL_ROWS`` members, within a few ulp per step
+    above (see ``_Model.step``).  A batch raises the error of its earliest
+    failing substep, the lowest member on a tie.  A lone member carries its
+    state as flat float lists between substeps, on the compiled substep.  A
+    path outside the model's modes is refused before any step.  Warnings
+    point at the caller of the public entry point.
     """
     seeds = cfg.seed if isinstance(cfg.seed, (list, tuple)) else [cfg.seed]
     M = len(seeds)
     paths = chain_path if isinstance(chain_path, (list, tuple)) else [chain_path] * M
     if len(paths) != M:
         raise ValueError(f"{len(paths)} chain paths for {M} members")
+    for m, path in enumerate(paths):  # modes 0..S-1, and S given pi
+        if isinstance(path, SwitchPath) and path.n_modes != model.S:
+            raise ValueError(f"chain path of member {m} switches among {path.n_modes} "
+                             f"modes; the network has {model.S} (modes 0..{model.S - 1})")
+        if not isinstance(path, (SwitchPath, type(None))) and path not in range(len(model.L)):
+            raise ValueError(f"chain path of member {m}: mode {path!r} is outside "
+                             f"0..{len(model.L) - 1}")
     N, n = model.N, model.n
     shapes = ((N, n), (N, n), (model.r,), (model.s,))
     start = [np.broadcast_to(a, (M, *shape))
@@ -750,7 +740,7 @@ def _integrate(
     rngs = [np.random.default_rng(s) for s in seeds]
     clamp_floor = cfg.lambda_floor
     if M == 1:  # a lone member: flat float lists
-        x, pair, lam, nu = (a.ravel().tolist() for a in start)
+        x, pair, lam, nu = _flat(start)
         clamps, everyone = init.clamp_count, None
     else:
         x, pair, lam, nu = (a.copy() for a in start)

@@ -91,7 +91,7 @@ def stack(L: np.ndarray, n: int) -> np.ndarray:
     return np.kron(np.asarray(L, dtype=float), np.eye(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Switching communication topology with multiplicative channel noise.
 
@@ -99,7 +99,8 @@ class Network:
     state j to receiver i; the two directions of an undirected edge are
     independent channels and may carry different intensities.  kappa is the
     certified upper bound on every intensity and coupling is the consensus
-    gain.
+    gain.  A network equals and hashes as itself alone (its sigma is an
+    array), so it can key a cache.
     """
 
     graphs: tuple[Graph, ...]

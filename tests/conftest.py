@@ -36,8 +36,11 @@ def make_five_agent_problem() -> Problem:
 
 
 def drift_of_one(model, x, theta, lam, nu, mode):
-    """``_Model.drift`` at one state (N, n), (N, n), (r,), (s,): a batch of one."""
-    return [a[0] for a in model.drift(x[None], theta[None], lam[None], nu[None], mode)]
+    """``_Model.drift`` at one state (N, n), (N, n), (r,), (s,), on a lone
+    member's flat float lists, as arrays of those shapes."""
+    state = [np.asarray(a, dtype=float) for a in (x, theta, lam, nu)]
+    blocks = model.drift(*(a.ravel().tolist() for a in state), mode)
+    return [np.reshape(b, a.shape) for a, b in zip(state, blocks)]
 
 
 def complete_graph(n):

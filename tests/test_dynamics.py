@@ -27,7 +27,8 @@ from switchopt.expr import parse
 from switchopt.graph import Graph, Network
 from switchopt.problem import AgentSpec, Problem, derive_multipliers
 
-from conftest import SIX_GRAPHS, SIX_MODE_Q, X_INIT, complete_graph, cubic_graph, drift_of_one
+from conftest import (SIX_GRAPHS, SIX_MODE_Q, X_INIT, complete_graph, cubic_graph, drift_of_one,
+                      make_five_agent_problem)
 from oracles import build_equilibrium_reference, check_assumptions_reference, rk4
 
 
@@ -43,8 +44,9 @@ def single_node_network(sigma=0.0, kappa=0.0, coupling=1.0):
     return Network(graphs=(Graph(1),), sigma=sigma, coupling=coupling, kappa=kappa)
 
 
-# the two paths of _Model.step: a lone member on its compiled substep, or a
-# batch (here of one, its member unnamed) on the array code
+# the two entries of _Model.step: a lone member on its compiled substep, or a
+# batch (here of one, its member unnamed), whose rounds below
+# BATCH_KERNEL_ROWS step each member on that substep
 STEP_PATHS = ["lone", "batch"]
 
 
@@ -299,6 +301,30 @@ def test_lambda_clamp_counts_crossings():
     assert st.clamp_count == 1
 
 
+def test_repeated_helper_calls_generate_the_lone_substep_once(monkeypatch):
+    # drift and em_step share one model per (problem, network, eta) across
+    # calls, so 1000 of each generate its substep once
+    from switchopt import dynamics
+
+    compiles = []
+    compile_lone = dynamics._compile_lone
+
+    def counting(model):
+        compiles.append(model)
+        return compile_lone(model)
+
+    monkeypatch.setattr(dynamics, "_compile_lone", counting)
+    problem = make_five_agent_problem()
+    network = Network(graphs=SIX_GRAPHS, sigma=0.15, coupling=1.0, kappa=0.5)
+    cfg = IntegratorConfig(h=1e-3, eta=np.array([1.0, 0.5]))
+    rng = np.random.default_rng(9)
+    st = SystemState(X_INIT, np.zeros_like(X_INIT), [3.0, 3.0], [3.0])
+    for k in range(1000):
+        drift(st, k % 6, problem, network, cfg.eta)
+        st = em_step(st, k % 6, cfg.h, rng.normal(0.0, 0.03, (5, 5)), problem, network, cfg)
+    assert len(compiles) == 1
+
+
 class _GivenDrift(_Model):
     """A model whose drift returns given blocks, so a test can put one
     nonfinite value into exactly one block of the new state."""
@@ -368,13 +394,13 @@ def test_step_clamps_and_counts_only_crossings(five_agent, k5_network):
 
 
 def test_multiplier_drift_at_minus_one_over_eta_is_nonfinite():
-    # 1 + eta * lam = 0: the drift is IEEE inf, as in the array expression,
-    # and the step stops with the nonfinite-state error
+    # 1 + eta * lam = 0: the drift, float code as in the lone substep,
+    # divides by zero, and the step stops with the nonfinite-state error
     p = single_agent_problem(g=("x1 - 1",))
     net = single_node_network()
     st = SystemState([[0.0]], [[0.0]], [-1.0], [])
-    dlam = drift(st, 0, p, net, eta=1.0)[2]
-    assert dlam.tolist() == [math.inf]
+    with pytest.raises(ZeroDivisionError):
+        drift(st, 0, p, net, eta=1.0)
     cfg = IntegratorConfig(h=1e-3, horizon=1e-3)
     with pytest.raises(IntegrationError, match=r"^nonfinite state at t=0\.001 \(mode 0\)"):
         em_step(st, 0, cfg.h, np.zeros((1, 1)), p, net, cfg)
@@ -446,6 +472,40 @@ def test_lone_substep_equals_a_batch_of_one_bit_for_bit(kind, request):
         assert [a.tobytes() for a in lone[:4]] == [a.tobytes() for a in batch[:4]]
         assert lone[4] == batch[4]
         clamps += lone[4]
+    assert (clamps > 0) == (r > 0)
+
+
+@pytest.mark.parametrize("kind", ["fixed", "switching", "no-multipliers", "weighted"])
+def test_numpy_round_within_1e_12_of_the_lone_substeps(kind, request):
+    # a round of BATCH_KERNEL_ROWS members, one mode each (the averaged one
+    # too), steps as one numpy update: each member within 1e-12 relative
+    # (scale max(1, |v|)) of its lone substep, with the same clamps
+    if kind == "weighted":
+        problem, network, pi = _weighted_case()
+    else:
+        scn = request.getfixturevalue(f"{'fixed' if kind == 'fixed' else 'switching'}_scenario")
+        problem, network = scn.build_problem(), scn.build_network()
+        if kind == "no-multipliers":
+            problem = _no_multiplier_problem()
+        pi = chain.StationaryDist(np.full(network.n_modes, 1.0 / network.n_modes))
+    model = _Model(problem, network, np.linspace(0.5, 2.0, problem.r), pi)
+    N, n, r, s, M = problem.n_agents, problem.n, problem.r, problem.s, BATCH_KERNEL_ROWS
+    rng = np.random.default_rng(23)
+    clamps = 0
+    for trial in range(20):
+        h = (1e-3, 0.2)[trial % 2]
+        state = [rng.normal(0.0, 1.5, (M, N, n)), rng.normal(0.0, 1.5, (M, N, n)),
+                 rng.uniform(0.0, 1.5, (M, r)), rng.normal(0.0, 2.0, (M, s))]
+        mode = rng.integers(0, network.n_modes + 1, M)
+        W = rng.normal(0.0, math.sqrt(h), (M, N, N))
+        *batch, clamped = model.step(*state, 0.5, h, mode, W, 0.5, np.arange(M))
+        for m in range(M):
+            lone = model_step(model, "lone", *(a[m] for a in state), 0.5, h, int(mode[m]), W[m],
+                              0.5)
+            for got, want in zip((a[m] for a in batch), lone[:4]):
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            assert np.broadcast_to(clamped, M)[m] == lone[4]
+            clamps += lone[4]
     assert (clamps > 0) == (r > 0)
 
 
@@ -756,6 +816,32 @@ def test_simulate_refuses_a_path_shorter_than_the_integration(
         simulate(five_agent, six_mode_network, path, cfg, reference_init)
 
 
+@pytest.mark.parametrize("path, pi, message", [
+    (-1, False, r"chain path of member 0: mode -1 is outside 0\.\.5"),
+    (6, False, r"chain path of member 0: mode 6 is outside 0\.\.5"),
+    (7, True, r"chain path of member 0: mode 7 is outside 0\.\.6"),
+    ("three-mode", False, r"chain path of member 0 switches among 3 modes; "
+                          r"the network has 6 \(modes 0\.\.5\)"),
+], ids=["mode-minus-1", "mode-6", "mode-7-given-pi", "three-mode-path"])
+def test_simulate_refuses_a_path_the_network_cannot_follow(
+        path, pi, message, five_agent, six_mode_network, six_mode_generator, reference_init):
+    # before any step: a mode outside the stacks (the averaged mode S counts
+    # given pi), or a path sampled from a generator of another mode count
+    if path == "three-mode":
+        three = chain.validate_generator([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
+        path = chain.sample_path(three, 0, 0.1, 0.1, 0)
+    cfg = IntegratorConfig(h=1e-3, horizon=0.1, seed=1)
+    stationary = chain.stationary(six_mode_generator) if pi else None
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate(five_agent, six_mode_network, path, cfg, reference_init, pi=stationary)
+
+
+def test_batch_refusal_names_the_member(five_agent, six_mode_network, reference_init):
+    cfg = IntegratorConfig(h=1e-3, horizon=0.1, seed=[1, 2, 3])
+    with pytest.raises(ValueError, match=r"^chain path of member 2: mode 6 is outside 0\.\.5$"):
+        simulate(five_agent, six_mode_network, [0, 5, 6], cfg, reference_init)
+
+
 # ---------------------------------------------------------------------------
 # batches: members stacked on a leading axis
 # ---------------------------------------------------------------------------
@@ -896,41 +982,56 @@ def test_batch_failure_in_an_averaged_member_names_it():
         simulate(p, single_node_network(), [1, 1, 1, None, None, None], cfg, init, pi=pi)
 
 
-def test_batch_nonfinite_failure_names_the_member():
+def _padded(x_rows, padded):
+    """``x_rows``, padded with healthy members (at 0.5) to BATCH_KERNEL_ROWS
+    when ``padded``: a round that runs the numpy update, fails there and is
+    rerun member by member."""
+    return x_rows + [0.5] * (BATCH_KERNEL_ROWS - len(x_rows)) if padded else x_rows
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["as-is", "padded"])
+def test_batch_nonfinite_failure_names_the_member(padded):
     # exp overflows to inf at x=1000: member 1's state goes nonfinite at t=h
     p = single_agent_problem(cost="exp(x1)")
-    cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=[0, 1, 2])
+    x_rows = _padded([0.0, 1000.0, 0.5], padded)
+    cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=list(range(len(x_rows))))
     with pytest.raises(IntegrationError, match=(
         r"^nonfinite state at t=0\.001 \(mode 0, member 1\): "
         r"step size too large for this problem's stiffness$"
-    )):
-        simulate(p, single_node_network(), None, cfg, _member_axis_init([0.0, 1000.0, 0.5]))
+    )) as info:
+        simulate(p, single_node_network(), None, cfg, _member_axis_init(x_rows))
+    assert (info.value.member, info.value.start) == (1, 0.0)
+    assert ("batch_kernel" in vars(p)) == padded
 
 
-def test_batch_failure_ties_go_to_the_lowest_member():
+@pytest.mark.parametrize("padded", [False, True], ids=["as-is", "padded"])
+def test_batch_failure_ties_go_to_the_lowest_member(padded):
     # members 1 and 3 both fail at t=0, member 3 in the drift's domain
     # check and member 1 only after it, in the finiteness check
     p = single_agent_problem(cost="ln(x1 + 2000) + exp(x1)")
-    cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=[0, 1, 2, 3])
-    with pytest.raises(IntegrationError, match=r"\(mode 0, member 1\)") as info:
-        simulate(p, single_node_network(), None, cfg,
-                 _member_axis_init([0.0, 1000.0, 0.5, -3000.0]))
+    x_rows = _padded([0.0, 1000.0, 0.5, -3000.0], padded)
+    cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=list(range(len(x_rows))))
+    with pytest.raises(IntegrationError, match=(
+        r"^nonfinite state at t=0\.001 \(mode 0, member 1\): "
+        r"step size too large for this problem's stiffness$"
+    )) as info:
+        simulate(p, single_node_network(), None, cfg, _member_axis_init(x_rows))
     assert info.value.member == 1 and info.value.start == 0.0
+    assert ("batch_kernel" in vars(p)) == padded
 
 
 class _FailsAt(_Model):
     """A model whose step fails for member m at the substep starting at
-    ``fail_at[m]``, whatever the state."""
+    ``fail_at[m]``, whatever the state.  It fails the member's own step:
+    a round below BATCH_KERNEL_ROWS steps each member alone."""
 
     def __init__(self, problem, network, fail_at):
         super().__init__(problem, network, np.ones(problem.r))
         self.fail_at = fail_at
 
     def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
-        for row, m in enumerate(members):
-            start = t[row] if isinstance(t, np.ndarray) else t
-            if start == self.fail_at.get(int(m)):
-                raise self.failure("scripted failure", "test", t, 0.0, mode, members, row)
+        if isinstance(x, list) and t == self.fail_at.get(members):
+            raise self.failure("scripted failure", "test", t, 0.0, mode, members)
         return super().step(x, pair, lam, nu, t, h, mode, W, clamp_floor, members)
 
 

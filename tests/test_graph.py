@@ -171,3 +171,12 @@ def test_network_mode_stacks_are_cached_read_only_and_not_fields():
     assert "laplacians" not in repr(net) and "receive" not in repr(net)
     twin = pickle.loads(unread)
     assert np.array_equal(twin.laplacians, net.laplacians)
+
+
+def test_network_equals_and_hashes_as_itself_alone():
+    # its sigma is an array: a field-wise == would raise on the array's
+    # truth value, and a field-wise hash on the unhashable array
+    net = Network(graphs=(PATH3,), sigma=0.2, coupling=1.0, kappa=0.5)
+    twin = Network(graphs=(PATH3,), sigma=0.2, coupling=1.0, kappa=0.5)
+    assert net == net and net != twin and not (net == twin)
+    assert len({net, twin, net}) == 2 and hash(net) == hash(net)

@@ -258,7 +258,7 @@ def test_model_drift_bit_equal_to_tree_walk(switching_scenario):
         mode = trial % net.n_modes
         for mode, L in ((mode, laplacian(net.graphs[mode])), (model.averaged, avg.L_pi)):
             want = tree_drift(model, x, theta, lam, nu, L)
-            # a batch of one, and a lone member's compiled drift on float lists
+            # drift_of_one, and the flat-list call it makes, on float lists
             lone = model.drift(*(a.ravel().tolist() for a in (x, theta, lam, nu)), mode)
             for got in (drift_of_one(model, x, theta, lam, nu, mode),
                         [np.reshape(v, w.shape) for v, w in zip(lone, want)]):
@@ -307,14 +307,19 @@ def test_kernel_cached_per_problem(five_agent):
 
 
 def test_one_compile_per_compare_command(monkeypatch, switching_scenario_path, tmp_path):
-    compiles, builds, runs = [], [], []
+    compiles, names, builds, runs = [], [], [], []
     compile_kernel = problem_mod._compile_kernel
+    compile_fn = expr_mod.Emitter.compile
     model_init = dynamics._Model.__init__
     integrate = dynamics._integrate
 
     def counting_compile(p, em):
         compiles.append(type(em))
         return compile_kernel(p, em)
+
+    def counting_emit(em, name, params, result):
+        names.append(name)
+        return compile_fn(em, name, params, result)
 
     def counting_init(self, *args, **kwargs):
         builds.append(self)
@@ -325,15 +330,17 @@ def test_one_compile_per_compare_command(monkeypatch, switching_scenario_path, t
         return integrate(*args)
 
     monkeypatch.setattr(problem_mod, "_compile_kernel", counting_compile)
+    monkeypatch.setattr(expr_mod.Emitter, "compile", counting_emit)
     monkeypatch.setattr(dynamics._Model, "__init__", counting_init)
     monkeypatch.setattr(dynamics, "_integrate", counting_integrate)
     rc = cli.main(["compare", str(switching_scenario_path), "--alpha", "0.5",
                    "--alpha", "0.1", "--ensemble", "3", "--horizon", "0.005",
                    "--out-dir", str(tmp_path)])
     assert rc == 0
-    # the scalar kernel alone: 9 members stay below BATCH_KERNEL_ROWS, and
-    # the numpy kernel is compiled only when a round reaches it
-    assert compiles == [expr_mod.Emitter]
+    # the lone substep alone: 9 members stay below BATCH_KERNEL_ROWS, so
+    # every round steps member by member, and neither kernel is compiled
+    assert compiles == []
+    assert [n for n in names if n.startswith("lone")] == ["lone_drift", "lone_update"]
     assert len(builds) == 1  # one model: every ensemble runs in one batch
     assert len(runs) == 1
 
@@ -464,7 +471,7 @@ def test_batch_kernel_exp_overflow_is_inf():
 
 
 def test_numpy_kernel_compiled_only_for_a_large_round(k5_network, reference_init):
-    # serial runs and rounds below BATCH_KERNEL_ROWS keep the scalar kernel
+    # serial runs and rounds below BATCH_KERNEL_ROWS step on the lone substep
     five_agent = make_five_agent_problem()
     small = dataclasses.replace(IntegratorConfig(h=1e-3, horizon=2e-3),
                                 seed=list(range(dynamics.BATCH_KERNEL_ROWS - 1)))
