@@ -123,11 +123,12 @@ def lyapunov(
     ``omega`` selects the inequality indices treated with the divergence
     potential (positive equilibrium multiplier); the rest contribute plain
     squared deviations.  Multipliers in omega must be positive here.
+    ``bregman_terms`` maps each k in omega to its term of V3, D(lam*_k, lam_k).
     """
     e = _energy(state.x[None], state.pair[None], state.lam[None], state.nu[None],
                 eq, eta, omega)
     bregman = {
-        k: bregman_divergence(float(state.lam[k]), float(eq.lam[k]))
+        k: bregman_divergence(float(eq.lam[k]), float(state.lam[k]))
         for k in range(state.lam.shape[0]) if k in omega
     }
     return LyapunovReport(bregman_terms=bregman, **{k: float(v[0]) for k, v in e.items()})

@@ -21,7 +21,7 @@ diffusion at a state and does not drive the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,13 +35,11 @@ from .dynamics import (
     check_assumptions,
     simulate,
 )
-from .graph import Network, lambda2
+from .graph import Network
 from .problem import Problem, total_cost
 
 __all__ = [
-    "AveragedNetwork",
     "FactorizationError",
-    "average_laplacian",
     "averaged_diffusion_factor",
     "simulate_averaged",
     "weak_convergence_experiment",
@@ -53,25 +51,6 @@ EIG_CLIP = -1e-12
 
 class FactorizationError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class AveragedNetwork:
-    """Stationary-weighted Laplacian plus everything needed to rebuild the
-    averaged diffusion at any state."""
-
-    L_pi: np.ndarray
-    pi: StationaryDist
-    source: Network
-    lambda2_pi: float
-
-
-def average_laplacian(network: Network, pi: StationaryDist) -> AveragedNetwork:
-    """Weighted sum of the mode Laplacians under the stationary weights."""
-    L_pi, _ = network.average(pi.pi)
-    return AveragedNetwork(
-        L_pi=L_pi, pi=pi, source=network, lambda2_pi=lambda2(L_pi)
-    )
 
 
 def _diffusion_blocks(x: np.ndarray, wsq: np.ndarray):
@@ -115,21 +94,22 @@ def averaged_diffusion_factor(
 
 def simulate_averaged(
     problem: Problem,
-    avg: AveragedNetwork,
+    network: Network,
+    pi: StationaryDist,
     cfg: IntegratorConfig,
     init: SystemState,
 ) -> Trajectory:
-    """Integrate the averaged system.
+    """Integrate the averaged system of ``network`` under stationary ``pi``.
 
-    Drift matches the switching drift with the averaged Laplacian; the
+    Drift matches the switching drift with the averaged Laplacian L_pi; the
     multiplier dynamics are unchanged.  The noise is the channel noise with
     coefficients sqrt(w) (see the module docstring).  The switching
     system's model runs held in its averaged mode S (see
     ``dynamics._Model``).  A list of noise seeds in ``cfg.seed`` runs a
     batch (see ``dynamics._integrate``).
     """
-    model = _Model(problem, avg.source, cfg.eta, avg.pi)
-    report = check_assumptions(problem, avg.source, avg.pi)
+    model = _Model(problem, network, cfg.eta, pi)
+    report = check_assumptions(problem, network, pi)
     return _integrate(model, model.averaged, cfg, init, report)
 
 
@@ -215,39 +195,23 @@ def weak_convergence_experiment(
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.abs(diff) / np.sqrt(var_diff)
         z = z[np.isfinite(z)]
-        per_alpha.append(
-            {
-                "alpha": alpha,
-                "err": err,
-                "sem": sem,
-                "max_component_z": float(z.max()) if z.size else 0.0,
-                "mean": diff + avg_mean,
-            }
-        )
+        per_alpha.append({"alpha": alpha, "err": err, "sem": sem,
+                          "max_component_z": float(z.max()) if z.size else 0.0,
+                          "mean": (diff + avg_mean).tolist()})
 
-    monotone = True
-    for a, b in zip(per_alpha, per_alpha[1:]):
-        slack = 2.0 * math.sqrt(a["sem"] ** 2 + b["sem"] ** 2)
-        if b["err"] > a["err"] + slack:
-            monotone = False
+    monotone = not any(
+        b["err"] > a["err"] + 2.0 * math.sqrt(a["sem"] ** 2 + b["sem"] ** 2)
+        for a, b in zip(per_alpha, per_alpha[1:])
+    )
     first, last = per_alpha[0], per_alpha[-1]
     sep_threshold = 2.0 * math.sqrt(first["sem"] ** 2 + last["sem"] ** 2)
-    report = {
+    return {
         "alphas": alphas,
         "ensemble": ensemble,
         "horizon": T,
-        "per_alpha": [
-            {
-                "alpha": e["alpha"],
-                "err": e["err"],
-                "sem": e["sem"],
-                "max_component_z": e["max_component_z"],
-                "mean": [float(v) for v in e["mean"]],
-            }
-            for e in per_alpha
-        ],
-        "averaged_mean": [float(v) for v in avg_mean],
-        "averaged_sem": [float(v) for v in np.sqrt(avg_var)],
+        "per_alpha": per_alpha,
+        "averaged_mean": avg_mean.tolist(),
+        "averaged_sem": np.sqrt(avg_var).tolist(),
         "monotone_within_2sem": monotone,
         "separation": first["err"] - last["err"],
         "separation_threshold_2sem": sep_threshold,
@@ -255,4 +219,3 @@ def weak_convergence_experiment(
         "clamp_count_total": run.clamp_count,
         "warnings": list(run.warnings),
     }
-    return report

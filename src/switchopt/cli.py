@@ -208,8 +208,7 @@ def cmd_simulate(args) -> int:
         # each one is in traj.warnings too, printed once on stdout below
         warnings.simplefilter("ignore", dynamics.TrajectoryWarning)
         if mode == "averaged":
-            avg = averaging.average_laplacian(network, pi)
-            traj = averaging.simulate_averaged(problem, avg, cfg, init)
+            traj = averaging.simulate_averaged(problem, network, pi, cfg, init)
         else:
             path = None if gen is None else chain.sample_path(
                 gen, scn.initial_mode(), scn.alpha(), cfg.horizon + cfg.h, chain_ss

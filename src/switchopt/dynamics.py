@@ -28,7 +28,7 @@ import numpy as np
 
 from .chain import StationaryDist, SwitchPath
 from .expr import DomainError, Emitter
-from .graph import Network, lambda2
+from .graph import Network, connected, lambda2
 from .problem import KktCertificate, Problem, domain_error_detail, emit_kernel
 from .schedule import CHUNK_STEPS, chunk
 
@@ -523,12 +523,31 @@ def em_step(
 def _shared_model(problem: Problem, network: Network, eta) -> _Model:
     """The model of the public helpers: one per (problem, network, eta),
     kept across calls (the 16 most recent), so that repeated calls generate
-    the lone substep once."""
-    return _cached_model(problem, network, float(eta) if np.ndim(eta) == 0
+    the lone substep once.  The problem keys by identity: its hash walks
+    every expression tree."""
+    return _cached_model(_ByIdentity(problem), network, float(eta) if np.ndim(eta) == 0
                          else tuple(np.ravel(eta).tolist()))
 
 
-_cached_model = lru_cache(maxsize=16)(_Model)
+@lru_cache(maxsize=16)
+def _cached_model(problem: _ByIdentity, network: Network, eta) -> _Model:
+    return _Model(problem.obj, network, eta)
+
+
+class _ByIdentity:
+    """An object that equals and hashes as itself alone.  A cache entry
+    holds it, so its id is not reused while the entry lives."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __eq__(self, other):
+        return self.obj is other.obj
+
+    def __hash__(self):
+        return id(self.obj)
 
 
 def _flat(arrays):
@@ -566,7 +585,8 @@ def check_assumptions(
         ratio = None if pi is None else pi.p_min / pi.p_max
     else:
         mode, gate, laplacians, ratio = "fixed", "", network.laplacians[:1], 1.0
-    lam2 = lambda2(laplacians.sum(axis=0))
+    summed = laplacians.sum(axis=0)
+    lam2 = lambda2(summed)
     checks = [AssumptionCheck("noise_bound", sig_max <= kappa + 1e-15,
                               f"max sigma {sig_max:.6g} vs kappa {kappa:.6g}")]
     if ratio is None:
@@ -583,7 +603,7 @@ def check_assumptions(
     checks.append(AssumptionCheck("spectral_gate" + gate, kappa <= root,
                                   f"kappa={kappa:.6g} vs sqrt({name}={lam2:.6g})/2={root:.6g}"))
     checks.append(AssumptionCheck(
-        "jointly_connected" if switching else "connected", lam2 > 1e-9 or N == 1,
+        "jointly_connected" if switching else "connected", connected(summed),
         f"lambda2 of the {'summed Laplacian' if switching else 'fixed graph'} is {lam2:.6g}"))
     return AssumptionReport(mode=mode, checks=checks)
 

@@ -13,6 +13,7 @@ __all__ = [
     "laplacian",
     "adjacency",
     "lambda2",
+    "connected",
     "jointly_connected",
     "stack",
 ]
@@ -73,17 +74,22 @@ def lambda2(L: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(L)[1])
 
 
+def connected(L: np.ndarray) -> bool:
+    """Whether the graph of Laplacian ``L`` is connected: a single node is,
+    and otherwise the second eigenvalue must exceed ``CONNECTIVITY_TOL``."""
+    return len(L) == 1 or lambda2(L) > CONNECTIVITY_TOL
+
+
 def jointly_connected(graphs) -> bool:
-    """True when the union of the graphs is connected, decided spectrally: the
-    summed Laplacian's second eigenvalue must exceed ``CONNECTIVITY_TOL``."""
+    """True when the union of the graphs is connected (see ``connected``,
+    on the summed Laplacian)."""
     graphs = list(graphs)
     if not graphs:
         return False
     n = graphs[0].n_nodes
     if any(g.n_nodes != n for g in graphs):
         raise ValueError("all graphs must share the node count")
-    total = sum(laplacian(g) for g in graphs)
-    return lambda2(total) > CONNECTIVITY_TOL
+    return connected(sum(laplacian(g) for g in graphs))
 
 
 def stack(L: np.ndarray, n: int) -> np.ndarray:

@@ -233,7 +233,7 @@ def lyapunov_reference(state, eq, eta, omega):
             V3 += (lam_k - lam_star) - lam_star * (
                 math.log(lam_k) - math.log(lam_star)
             )
-            bregman[k] = lam_k * math.log(lam_k / lam_star) - lam_k + lam_star
+            bregman[k] = lam_star * math.log(lam_star / lam_k) - lam_star + lam_k
         else:
             V3 += (lam_k - lam_star) ** 2
     dnu = state.nu - eq.nu
@@ -272,7 +272,7 @@ def serial_weak_convergence(problem, network, gen, alphas, ensemble, T, seed, in
     """``averaging.weak_convergence_experiment`` as it ran before batching:
     each member a separate ``simulate`` or ``simulate_averaged`` call.
     Returns the report without its ``warnings`` key."""
-    from switchopt.averaging import average_laplacian, simulate_averaged, _observables
+    from switchopt.averaging import simulate_averaged, _observables
     from switchopt.chain import sample_path, stationary, trajectory_seeds
     from switchopt.dynamics import IntegratorConfig, simulate
 
@@ -281,13 +281,13 @@ def serial_weak_convergence(problem, network, gen, alphas, ensemble, T, seed, in
                                   lambda_floor=cfg.lambda_floor)
     member_cfg.output_stride = max(1, int(round(T / cfg.h)))
     pi = stationary(gen)
-    avg = average_laplacian(network, pi)
 
     clamp_total = 0
     avg_obs = np.empty((ensemble, problem.n_agents * problem.n + 1))
     for m in range(ensemble):
         _, noise_ss = trajectory_seeds(seed, m)
-        traj = simulate_averaged(problem, avg, replace(member_cfg, seed=noise_ss), init.copy())
+        traj = simulate_averaged(problem, network, pi, replace(member_cfg, seed=noise_ss),
+                                 init.copy())
         clamp_total += traj.clamp_count
         avg_obs[m] = _observables(problem, traj.x[-1])
     avg_mean = avg_obs.mean(axis=0)

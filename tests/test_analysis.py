@@ -97,9 +97,20 @@ def test_lyapunov_reports_bregman_terms(equilibrium, omega):
     rep = lyapunov(st_, equilibrium, 1.0, omega)
     assert set(rep.bregman_terms) == {0}
     assert rep.bregman_terms[0] == pytest.approx(
-        bregman_divergence(lam[0], equilibrium.lam[0]), rel=1e-12
+        bregman_divergence(equilibrium.lam[0], lam[0]), rel=1e-12
     )
     assert rep.V > 0.0
+
+
+def test_bregman_terms_and_squared_deviations_sum_to_v3(equilibrium, omega):
+    # V3 is D(lam*_k, lam_k) over omega plus (lam_k - lam*_k)^2 elsewhere
+    lam = 2.0 * equilibrium.lam
+    lam[1] = equilibrium.lam[1] + 0.7
+    st_ = SystemState(equilibrium.x, equilibrium.theta, lam, equilibrium.nu)
+    rep = lyapunov(st_, equilibrium, 1.0, omega)
+    rest = sum((lam[k] - equilibrium.lam[k]) ** 2 for k in range(lam.size) if k not in omega)
+    assert rest > 0.0
+    assert sum(rep.bregman_terms.values()) + rest == pytest.approx(rep.V3, rel=1e-12)
 
 
 def test_lyapunov_requires_positive_multiplier_in_omega(equilibrium, omega):

@@ -6,7 +6,6 @@ import pytest
 from switchopt import chain, dynamics
 from switchopt.averaging import (
     FactorizationError,
-    average_laplacian,
     averaged_diffusion_factor,
     simulate_averaged,
     weak_convergence_experiment,
@@ -22,8 +21,8 @@ from conftest import X_INIT, drift_of_one
 
 def test_single_mode_average_is_identity(k5_network):
     pi = chain.StationaryDist(np.array([1.0]))
-    avg = average_laplacian(k5_network, pi)
-    assert np.allclose(avg.L_pi, laplacian(k5_network.graphs[0]), atol=1e-15)
+    L_pi, _ = k5_network.average(pi.pi)
+    assert np.allclose(L_pi, laplacian(k5_network.graphs[0]), atol=1e-15)
 
 
 def test_uniform_average_of_three_edges_is_scaled_triangle():
@@ -34,10 +33,10 @@ def test_uniform_average_of_three_edges_is_scaled_triangle():
     )
     net = Network(graphs=graphs, sigma=0.1, coupling=1.0, kappa=0.2)
     pi = chain.StationaryDist(np.full(3, 1.0 / 3.0))
-    avg = average_laplacian(net, pi)
+    L_pi, _ = net.average(pi.pi)
     triangle = laplacian(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
-    assert np.allclose(avg.L_pi, triangle / 3.0, atol=1e-15)
-    assert avg.lambda2_pi == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(L_pi, triangle / 3.0, atol=1e-15)
+    assert lambda2(L_pi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_disconnected_modes_jointly_connected_average():
@@ -45,20 +44,19 @@ def test_disconnected_modes_jointly_connected_average():
     g2 = Graph.from_edges(4, [(0, 2), (1, 3)])
     net = Network(graphs=(g1, g2), sigma=0.1, coupling=1.0, kappa=0.2)
     pi = chain.StationaryDist(np.array([0.5, 0.5]))
-    avg = average_laplacian(net, pi)
+    L_pi, _ = net.average(pi.pi)
     assert lambda2(laplacian(g1)) == pytest.approx(0.0, abs=1e-12)
     assert lambda2(laplacian(g2)) == pytest.approx(0.0, abs=1e-12)
-    assert avg.lambda2_pi > 0.4
+    assert lambda2(L_pi) > 0.4
 
 
 def test_average_laplacian_structure(six_mode_network, six_mode_generator):
     pi = stationary(six_mode_generator)
-    avg = average_laplacian(six_mode_network, pi)
-    L = avg.L_pi
+    L, _ = six_mode_network.average(pi.pi)
     assert np.max(np.abs(L - L.T)) == 0.0
     assert np.max(np.abs(L.sum(axis=1))) <= 1e-14
     assert np.linalg.eigvalsh(L)[0] >= -1e-12
-    assert avg.lambda2_pi > 0.25
+    assert lambda2(L) > 0.25
 
 
 def test_diffusion_factor_zero_at_consensus(six_mode_network, six_mode_generator):
@@ -103,13 +101,13 @@ def test_diffusion_factor_random_states_reconstruction(six_mode_network, six_mod
 
 def test_averaged_drift_is_mode_mixture(five_agent, six_mode_network, six_mode_generator):
     pi = stationary(six_mode_generator)
-    avg = average_laplacian(six_mode_network, pi)
+    L_pi, _ = six_mode_network.average(pi.pi)
     rng = np.random.default_rng(4)
     from switchopt.dynamics import _Model
 
     # the averaged system is mode S of the model built with pi
     model = _Model(five_agent, six_mode_network, np.ones(2), pi)
-    assert np.array_equal(model.L[model.averaged], avg.L_pi)
+    assert np.array_equal(model.L[model.averaged], L_pi)
     for _ in range(100):
         x = rng.normal(0.0, 1.5, (5, 2))
         theta = rng.normal(0.0, 1.5, (5, 2))
@@ -133,11 +131,10 @@ def test_simulate_averaged_single_step_pair_noise_free(five_agent, six_mode_netw
     # over one step from a shared state, the pair update carries no noise:
     # different seeds move x differently but the pair lands on the same bits
     pi = stationary(six_mode_generator)
-    avg = average_laplacian(six_mode_network, pi)
     finals = []
     for seed in (3, 999):
         cfg = IntegratorConfig(h=1e-3, horizon=1e-3, seed=seed, output_stride=1)
-        traj = simulate_averaged(five_agent, avg, cfg, reference_init.copy())
+        traj = simulate_averaged(five_agent, six_mode_network, pi, cfg, reference_init.copy())
         finals.append(traj.final_state)
         # the diffusion factor reconstructs at every state the step visited
         for x, theta, lam, nu in zip(traj.x, traj.theta, traj.lam, traj.nu):
@@ -151,10 +148,9 @@ def test_simulate_averaged_single_step_pair_noise_free(five_agent, six_mode_netw
 def test_simulate_averaged_deterministic_given_seed(five_agent, six_mode_network,
                                                     six_mode_generator, reference_init):
     pi = stationary(six_mode_generator)
-    avg = average_laplacian(six_mode_network, pi)
     cfg = IntegratorConfig(h=1e-3, horizon=0.2, seed=3, output_stride=200)
-    t1 = simulate_averaged(five_agent, avg, cfg, reference_init.copy())
-    t2 = simulate_averaged(five_agent, avg, cfg, reference_init.copy())
+    t1 = simulate_averaged(five_agent, six_mode_network, pi, cfg, reference_init.copy())
+    t2 = simulate_averaged(five_agent, six_mode_network, pi, cfg, reference_init.copy())
     assert np.array_equal(t1.x, t2.x)
     assert np.array_equal(t1.theta, t2.theta)
 
@@ -166,12 +162,11 @@ def test_simulate_averaged_sigma_zero_matches_switched_stepper(five_agent):
     g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     net = Network(graphs=(g, g), sigma=0.0, coupling=1.0, kappa=0.0)
     pi = chain.StationaryDist(np.array([0.5, 0.5]))
-    avg = average_laplacian(net, pi)
     cfg = IntegratorConfig(h=1e-3, horizon=0.5, seed=12, output_stride=100)
     init = SystemState(X_INIT, np.zeros_like(X_INIT), [3.0, 3.0], [3.0])
-    t_avg = simulate_averaged(five_agent, avg, cfg, init.copy())
+    t_avg = simulate_averaged(five_agent, net, pi, cfg, init.copy())
     t_fix = simulate(five_agent, net, None, cfg, init.copy())
-    assert np.array_equal(avg.L_pi, laplacian(g))
+    assert np.array_equal(net.average(pi.pi)[0], laplacian(g))
     assert len(t_avg.times) == 6
     assert np.array_equal(t_avg.x, t_fix.x)
     assert np.array_equal(t_avg.theta, t_fix.theta)
@@ -180,9 +175,9 @@ def test_simulate_averaged_sigma_zero_matches_switched_stepper(five_agent):
 def test_one_mode_averaged_run_equals_the_fixed_run(five_agent, k5_network, reference_init):
     # for one mode sqrt(w) is R and L_pi is L to the bit, so the averaged
     # run is the fixed run: same channel increments, same step
-    avg = average_laplacian(k5_network, chain.StationaryDist(pi=np.array([1.0])))
+    pi = chain.StationaryDist(pi=np.array([1.0]))
     cfg = IntegratorConfig(h=1e-3, horizon=0.3, seed=17, output_stride=10)
-    t_avg = simulate_averaged(five_agent, avg, cfg, reference_init.copy())
+    t_avg = simulate_averaged(five_agent, k5_network, pi, cfg, reference_init.copy())
     t_fix = simulate(five_agent, k5_network, None, cfg, reference_init.copy())
     for key in ("x", "theta", "lam", "nu"):
         assert np.array_equal(getattr(t_avg, key), getattr(t_fix, key)), key
@@ -222,7 +217,6 @@ def test_channel_factor_run_matches_the_psd_factor_run_in_law(five_agent, six_mo
     from oracles import psd_factor_averaged_run
 
     pi = stationary(six_mode_generator)
-    avg = average_laplacian(six_mode_network, pi)
     model = _Model(five_agent, six_mode_network, np.ones(2), pi)
     wsq = sum(p * six_mode_network.receive[m] ** 2 for m, p in enumerate(pi.pi))
     members, h, T = 200, 1e-3, 0.5
@@ -232,7 +226,8 @@ def test_channel_factor_run_matches_the_psd_factor_run_in_law(five_agent, six_mo
         _, noise_ss = chain.trajectory_seeds(41, m)
         cfg = IntegratorConfig(h=h, horizon=T, seed=noise_ss, lambda_floor=0.0,
                                output_stride=500)
-        ours[m] = simulate_averaged(five_agent, avg, cfg, reference_init.copy()).x[-1].ravel()
+        ours[m] = simulate_averaged(five_agent, six_mode_network, pi, cfg,
+                                    reference_init.copy()).x[-1].ravel()
         ref[m] = psd_factor_averaged_run(
             lambda x, th, lam, nu: drift_of_one(model, x, th, lam, nu, model.averaged), model.c,
             wsq,
@@ -248,10 +243,10 @@ def test_channel_factor_run_matches_the_psd_factor_run_in_law(five_agent, six_mo
 
 def test_simulate_averaged_keeps_the_runtime_warning(five_agent, six_mode_network,
                                                      six_mode_generator, reference_init):
-    avg = average_laplacian(six_mode_network, stationary(six_mode_generator))
+    pi = stationary(six_mode_generator)
     cfg = IntegratorConfig(h=1e-3, horizon=0.0105)
     with pytest.warns(RuntimeWarning, match="not a multiple of h"):
-        simulate_averaged(five_agent, avg, cfg, reference_init.copy())
+        simulate_averaged(five_agent, six_mode_network, pi, cfg, reference_init.copy())
 
 
 @pytest.mark.parametrize("g, h, lam, nu", [
@@ -265,11 +260,11 @@ def test_simulate_averaged_rejects_nonfinite_multipliers(g, h, lam, nu, six_mode
     agent = AgentSpec(f=parse("x1^2", 2), g=tuple(parse(s, 2) for s in g),
                       h=tuple(parse(s, 2) for s in h))
     p = Problem(n=2, agents=(agent,) + tuple(AgentSpec(f=parse("x2^2", 2)) for _ in range(4)))
-    avg = average_laplacian(six_mode_network, stationary(six_mode_generator))
+    pi = stationary(six_mode_generator)
     init = SystemState(np.ones((5, 2)), np.zeros((5, 2)), lam, nu)
     cfg = IntegratorConfig(h=1e-3, horizon=1e-3)
     with pytest.raises(IntegrationError, match=r"nonfinite state at t=0\.001 \(averaged\)"):
-        simulate_averaged(p, avg, cfg, init)
+        simulate_averaged(p, six_mode_network, pi, cfg, init)
 
 
 def test_weak_convergence_single_mode_control_is_null(five_agent):
@@ -417,10 +412,9 @@ def test_weak_convergence_linear_problem_matrix_exponential_oracle():
     mean = finals.mean(axis=0)
     assert np.max(np.abs(mean - z_ref[:3])) <= 1e-3 + 3.0 * finals.std(axis=0).max() / math.sqrt(ens)
     # the averaged integrator itself matches the exponential tightly
-    avg = average_laplacian(net, pi)
-    t_avg = simulate_averaged(p, avg, IntegratorConfig(h=1e-4, horizon=T,
-                                                       lambda_floor=0.0,
-                                                       output_stride=10_000),
+    t_avg = simulate_averaged(p, net, pi, IntegratorConfig(h=1e-4, horizon=T,
+                                                           lambda_floor=0.0,
+                                                           output_stride=10_000),
                               init.copy())
     assert np.max(np.abs(t_avg.x[-1][:, 0] - z_ref[:3])) <= 1e-3
 

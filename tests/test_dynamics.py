@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from switchopt import chain, schedule
-from switchopt.averaging import average_laplacian, simulate_averaged
+from switchopt.averaging import simulate_averaged
 from switchopt.dynamics import (
     BATCH_KERNEL_ROWS,
     IntegrationError,
@@ -393,14 +393,21 @@ def test_step_clamps_and_counts_only_crossings(five_agent, k5_network):
         assert lam_new.tolist() == [-1.0 + 1e-3 * -1.0, 0.0]
 
 
-def test_multiplier_drift_at_minus_one_over_eta_is_nonfinite():
+def test_multiplier_drift_at_minus_one_over_eta_divides_by_zero():
     # 1 + eta * lam = 0: the drift, float code as in the lone substep,
-    # divides by zero, and the step stops with the nonfinite-state error
+    # divides by zero
     p = single_agent_problem(g=("x1 - 1",))
     net = single_node_network()
     st = SystemState([[0.0]], [[0.0]], [-1.0], [])
     with pytest.raises(ZeroDivisionError):
         drift(st, 0, p, net, eta=1.0)
+
+
+def test_em_step_at_minus_one_over_eta_stops_with_a_nonfinite_state():
+    # 1 + eta * lam = 0: the step stops with the nonfinite-state error
+    p = single_agent_problem(g=("x1 - 1",))
+    net = single_node_network()
+    st = SystemState([[0.0]], [[0.0]], [-1.0], [])
     cfg = IntegratorConfig(h=1e-3, horizon=1e-3)
     with pytest.raises(IntegrationError, match=r"^nonfinite state at t=0\.001 \(mode 0\)"):
         em_step(st, 0, cfg.h, np.zeros((1, 1)), p, net, cfg)
@@ -702,6 +709,25 @@ def test_one_agent_counts_as_connected_in_both_reports():
     assert switching.checks[-1].name == "jointly_connected" and switching.all_passed
 
 
+def test_repeated_helper_calls_do_not_hash_the_expressions(five_agent, k5_network,
+                                                          reference_init, monkeypatch):
+    # the helpers' model cache keys the problem by identity: hashing a
+    # problem walks every expression tree
+    from switchopt.expr import Expr
+
+    cfg = IntegratorConfig(h=1e-3, horizon=1e-3)
+    W = np.zeros((5, 5))
+    want = drift(reference_init, 0, five_agent, k5_network)
+    em_step(reference_init, 0, cfg.h, W, five_agent, k5_network, cfg)
+    hashes = []
+    monkeypatch.setattr(Expr, "__hash__", lambda self: hashes.append(self) or 0)
+    got = drift(reference_init, 0, five_agent, k5_network)
+    em_step(reference_init, 0, cfg.h, W, five_agent, k5_network, cfg)
+    assert hashes == []
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 def _gate_grid(kind, scn):
     """Networks and gate arguments over kappa, c, pi and ``switching``."""
     base = scn.build_network()
@@ -920,13 +946,13 @@ def test_batch_with_a_jump_on_a_step_boundary(five_agent, six_mode_network):
 def test_averaged_batch_members_equal_their_serial_runs(five_agent, six_mode_network,
                                                         six_mode_generator,
                                                         reference_init):
-    avg = average_laplacian(six_mode_network, chain.stationary(six_mode_generator))
+    pi = chain.stationary(six_mode_generator)
     seeds = [chain.trajectory_seeds(3, m)[1] for m in range(5)]
     cfg = IntegratorConfig(h=1e-3, horizon=0.3, seed=seeds, output_stride=7)
-    batch = simulate_averaged(five_agent, avg, cfg, reference_init)
+    batch = simulate_averaged(five_agent, six_mode_network, pi, cfg, reference_init)
     for member, seed in zip(batch.members, seeds):
-        serial = simulate_averaged(five_agent, avg, dataclasses.replace(cfg, seed=seed),
-                                   reference_init)
+        serial = simulate_averaged(five_agent, six_mode_network, pi,
+                                   dataclasses.replace(cfg, seed=seed), reference_init)
         _assert_member_equals_serial(member, serial)
 
 

@@ -7,6 +7,7 @@ from switchopt.graph import (
     Graph,
     Network,
     adjacency,
+    connected,
     jointly_connected,
     lambda2,
     laplacian,
@@ -67,6 +68,22 @@ def test_jointly_connected_two_edges_make_a_path():
     g1 = Graph.from_edges(3, [(0, 1)])
     g2 = Graph.from_edges(3, [(1, 2)])
     assert jointly_connected([g1, g2])
+
+
+def test_one_node_is_connected_by_the_graph_rule_and_the_assumption_report():
+    from switchopt.chain import StationaryDist
+    from switchopt.dynamics import check_assumptions
+    from switchopt.expr import parse
+    from switchopt.problem import AgentSpec, Problem
+
+    one = Graph(1)
+    assert connected(laplacian(one))
+    assert jointly_connected([one]) and jointly_connected([one, one])
+    p = Problem(n=1, agents=(AgentSpec(f=parse("x1^2", 1)),))
+    net = Network(graphs=(one, one), sigma=0.0, coupling=1.0, kappa=0.0)
+    pi = StationaryDist(pi=np.array([0.5, 0.5]))
+    for report in (check_assumptions(p, net, switching=False), check_assumptions(p, net, pi)):
+        assert report.checks[-1].passed == jointly_connected(net.graphs)
 
 
 def test_jointly_connected_permutation_invariant():

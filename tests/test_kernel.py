@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from switchopt import averaging, chain, cli, dynamics
+from switchopt import chain, cli, dynamics
 from switchopt import expr as expr_mod
 from switchopt import problem as problem_mod
 from switchopt.dynamics import IntegratorConfig
@@ -247,7 +247,7 @@ def test_model_drift_bit_equal_to_tree_walk(switching_scenario):
     p = switching_scenario.build_problem()
     net = switching_scenario.build_network()
     pi = chain.stationary(switching_scenario.build_generator())
-    avg = averaging.average_laplacian(net, pi)
+    L_pi, _ = net.average(pi.pi)
     model = dynamics._Model(p, net, np.array([1.0, 0.5]), pi)
     rng = np.random.default_rng(11)
     for trial in range(60):
@@ -256,7 +256,7 @@ def test_model_drift_bit_equal_to_tree_walk(switching_scenario):
         lam = rng.uniform(0.01, 4.0, p.r)
         nu = rng.normal(0.0, 3.0, p.s)
         mode = trial % net.n_modes
-        for mode, L in ((mode, laplacian(net.graphs[mode])), (model.averaged, avg.L_pi)):
+        for mode, L in ((mode, laplacian(net.graphs[mode])), (model.averaged, L_pi)):
             want = tree_drift(model, x, theta, lam, nu, L)
             # drift_of_one, and the flat-list call it makes, on float lists
             lone = model.drift(*(a.ravel().tolist() for a in (x, theta, lam, nu)), mode)
