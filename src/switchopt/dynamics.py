@@ -30,7 +30,7 @@ from .chain import StationaryDist, SwitchPath
 from .expr import DomainError, Emitter
 from .graph import Network, connected, lambda2
 from .problem import KktCertificate, Problem, domain_error_detail, emit_kernel
-from .schedule import CHUNK_STEPS, chunk
+from .schedule import chunk, chunk_steps
 
 __all__ = [
     "SystemState",
@@ -777,8 +777,9 @@ def _integrate(
             rec[slot].flat = a
 
     record(0, 0.0)
-    for k0 in range(0, n_steps, CHUNK_STEPS):
-        Z, rounds = chunk(paths, rngs, k0, min(k0 + CHUNK_STEPS, n_steps), h, N)
+    span = chunk_steps(M, N)
+    for k0 in range(0, n_steps, span):
+        Z, rounds = chunk(paths, rngs, k0, min(k0 + span, n_steps), h, N)
         if M == 1:
             Z = Z.reshape(len(Z), N * N).tolist()
         for i, (t, h_sub, mode, rows, draws, k_done) in enumerate(rounds):

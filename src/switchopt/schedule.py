@@ -5,8 +5,8 @@ splits it at the jumps, as a serial run does.  Round 0 of a step is every
 member's first substep, round r the (r+1)-th substep of the members whose
 path jumps r times inside it.  Each member draws its own increments in its
 substep order, so every stream is consumed as in a serial run.  Working a
-chunk at a time bounds the noise buffer at CHUNK_STEPS draws per member,
-plus one per jump split.
+chunk at a time bounds the noise buffer: a chunk holds ``chunk_steps``
+draws per member, plus one per jump split.
 """
 
 from __future__ import annotations
@@ -16,6 +16,13 @@ import numpy as np
 from .chain import SwitchPath
 
 CHUNK_STEPS = 256
+CHUNK_BYTES = 32 * 2**20  # a chunk's draws, unless one step's alone exceed it
+
+
+def chunk_steps(M: int, N: int) -> int:
+    """Steps per chunk of M members of N agents: at most CHUNK_STEPS, and
+    at least one, with their draws (8 M N^2 bytes a step) within CHUNK_BYTES."""
+    return min(CHUNK_STEPS, max(1, CHUNK_BYTES // (8 * M * N * N)))
 
 
 def split_step(times, modes, j, cur, t_end):

@@ -1046,6 +1046,42 @@ def test_batch_failure_ties_go_to_the_lowest_member(padded):
     assert ("batch_kernel" in vars(p)) == padded
 
 
+# cost, failing start, healthy start, jump and the exact message: one agent,
+# no noise, x falls past ln's domain edge or blows up through exp.  Each
+# failure falls in the second chunk of steps, off the samples of stride 11,
+# in the substep just after a jump 0.9 h into its step
+LONE_FAILURES = {
+    "domain": ("5*x1 + ln(x1)", 2.0, 3.0, 0.3059,
+               "expression left its domain at t=0.3059 (mode 1{}): agent 1 cost "
+               "'5.0*x1 + ln(x1)': ln of nonpositive value -0.04369364776740328"),
+    "nonfinite": ("x1 - exp(x1)", 1.2, 0.5, 0.3639,
+                  "nonfinite state at t=0.364 (mode 1{}): "
+                  "step size too large for this problem's stiffness"),
+}
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["lone", "batch"])
+@pytest.mark.parametrize("kind", list(LONE_FAILURES))
+def test_failure_after_a_jump_split_keeps_its_message(kind, batch):
+    # a lone run raises at the failing substep with its time, mode and
+    # expression; in a batch below BATCH_KERNEL_ROWS it also names member 1
+    cost, x0, healthy, jump, message = LONE_FAILURES[kind]
+    network = Network(graphs=(Graph(1), Graph(1)), sigma=0.0, coupling=1.0, kappa=0.0)
+
+    def path(*jumps):
+        return chain.SwitchPath(times=np.array([0.0, *jumps]), modes=np.arange(1 + len(jumps)),
+                                alpha=1.0, horizon=2.0, n_modes=2)
+
+    cfg = IntegratorConfig(h=1e-3, horizon=1.0, seed=1, output_stride=11)
+    paths, init = path(jump), SystemState([[x0]], [[0.0]], [], [])
+    if batch:
+        cfg.seed, paths = [1, 2, 3], [path(), paths, path(0.5)]
+        init = _member_axis_init([healthy, x0, healthy])
+    with pytest.raises(IntegrationError, match="^" + re.escape(
+            message.format(", member 1" if batch else "")) + "$"):
+        simulate(single_agent_problem(cost), network, paths, cfg, init)
+
+
 class _FailsAt(_Model):
     """A model whose step fails for member m at the substep starting at
     ``fail_at[m]``, whatever the state.  It fails the member's own step:
