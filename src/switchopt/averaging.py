@@ -9,9 +9,9 @@ G_i = [sqrt(w_ij) d_ij]_j gives G_i G_i^T = Gamma_i exactly, and a weak
 solution depends on the diffusion only through that product.  So the
 averaged system is one more mode S of the switching system, with coupling
 L_pi and channel coefficients sqrt(w), one increment per ordered channel:
-an averaged run holds mode S throughout, through the switching system's own
-step.  The pair sum stays noise-free, and a one-mode network reproduces the
-fixed run bit for bit.
+an averaged run is ``simulate`` held in mode S throughout, on the switching
+system's own step.  The pair sum stays noise-free, and a one-mode network
+reproduces the fixed run bit for bit.
 
 ``averaged_diffusion_factor`` is the square (nN x nN) factor instead, the
 symmetric PSD root of Gamma built on per-agent blocks.  It checks the
@@ -26,15 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from .chain import Generator, StationaryDist, sample_path, stationary, trajectory_seeds
-from .dynamics import (
-    IntegratorConfig,
-    SystemState,
-    Trajectory,
-    _integrate,
-    _Model,
-    check_assumptions,
-    simulate,
-)
+from .dynamics import IntegratorConfig, SystemState, Trajectory, simulate
 from .graph import Network
 from .problem import Problem, total_cost
 
@@ -99,18 +91,16 @@ def simulate_averaged(
     cfg: IntegratorConfig,
     init: SystemState,
 ) -> Trajectory:
-    """Integrate the averaged system of ``network`` under stationary ``pi``.
+    """Integrate the averaged system of ``network`` under stationary ``pi``:
+    ``simulate`` held in the averaged mode S throughout.
 
     Drift matches the switching drift with the averaged Laplacian L_pi; the
     multiplier dynamics are unchanged.  The noise is the channel noise with
-    coefficients sqrt(w) (see the module docstring).  The switching
-    system's model runs held in its averaged mode S (see
-    ``dynamics._Model``).  A list of noise seeds in ``cfg.seed`` runs a
-    batch (see ``dynamics._integrate``).
+    coefficients sqrt(w) (see the module docstring).  The run carries the
+    switching assumption report under ``pi``.  A list of noise seeds in
+    ``cfg.seed`` runs a batch (see ``dynamics._integrate``).
     """
-    model = _Model(problem, network, cfg.eta, pi)
-    report = check_assumptions(problem, network, pi)
-    return _integrate(model, model.averaged, cfg, init, report)
+    return simulate(problem, network, network.n_modes, cfg, init, pi=pi)
 
 
 def _observables(problem: Problem, x: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ the switch instants of the mode path so no step straddles a topology change.
 from __future__ import annotations
 
 import math
+import sys
 import warnings as _warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -319,7 +320,7 @@ class _Model:
     def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
         """One Euler-Maruyama substep; returns the new state and clamp count.
 
-        A lone member's state is four flat float lists, ``W`` its flat
+        A lone member's state is four flat float lists, ``W`` its (N, N)
         channel increments and ``members`` its index in failure messages
         (None: unnamed).  In a batch, ``t``, ``h`` and ``mode`` are scalars
         or one per member, ``members`` names the rows and the clamp count is
@@ -331,7 +332,8 @@ class _Model:
             _, update, _, receive = self.lone
             try:
                 blocks = self.drift(x, [p - q for p, q in zip(pair, x)], lam, nu, mode)
-                return update(x, pair, lam, nu, *blocks, receive[mode], W, h, clamp_floor)
+                return update(x, pair, lam, nu, *blocks, receive[mode], W.ravel().tolist(), h,
+                              clamp_floor)
             except DomainError as exc:
                 rows = np.reshape(x, (self.N, self.n)).tolist()
                 detail = domain_error_detail(self.problem, rows, exc)
@@ -370,11 +372,11 @@ class _Model:
         state converted to flat float lists once for the round."""
         M = len(x)
         state = (x, pair, lam, nu)
-        flat = [a.reshape(M, a[0].size).tolist() for a in (*state, W)]
+        flat = [a.reshape(M, a[0].size).tolist() for a in state]
         per = [v.tolist() if isinstance(v, np.ndarray) else [v] * M
                for v in (t, h, mode, members)]
         out = [self.step(xm, pm, lm, nm, tm, hm, mode_m, Wm, clamp_floor, m)
-               for xm, pm, lm, nm, Wm, tm, hm, mode_m, m in zip(*flat, *per)]
+               for xm, pm, lm, nm, Wm, tm, hm, mode_m, m in zip(*flat, W, *per)]
         *new, clamped = zip(*out)
         return (*(np.reshape(b, a.shape) for a, b in zip(state, new)), np.array(clamped))
 
@@ -515,7 +517,7 @@ def em_step(
     W = _channel_increments(noise_increment, state.x.shape[0])
     arrays = (state.x, state.pair, state.lam, state.nu)
     *new, clamped = _shared_model(problem, network, cfg.eta).step(
-        *_flat(arrays), state.t, h, mode, W.ravel().tolist(), cfg.lambda_floor)
+        *_flat(arrays), state.t, h, mode, W, cfg.lambda_floor)
     return SystemState._from_pair(*(np.reshape(b, a.shape) for a, b in zip(arrays, new)),
                                   state.t + h, state.clamp_count + clamped)
 
@@ -659,36 +661,6 @@ def _row(v, row):
     return v[row] if isinstance(v, np.ndarray) else v
 
 
-def _earliest_failure(err, model, arrays, Z, rounds, clamp_floor, clamps):
-    """The earliest failure of the step in which ``err`` arose: the other
-    members take the rest of its ``rounds``, each failing one dropping out;
-    the earliest substep start wins, the lowest member on a tie."""
-    failures = [err]
-    for t, h, mode, rows, draws, k_done in rounds:
-        rows = np.arange(len(arrays[0])) if rows is None else rows
-        keep = ~np.isin(rows, [f.member for f in failures])
-        while keep.any():
-            sel = (_row(v, keep) for v in (t, h, mode))
-            try:
-                _advance(model, arrays, rows[keep], *sel, Z[draws][keep], clamp_floor, clamps)
-                break
-            except IntegrationError as exc:
-                failures.append(exc)
-                keep &= rows != exc.member
-        if k_done:
-            break
-    return min(failures, key=lambda f: (f.start, f.member))
-
-
-def _advance(model, arrays, rows, t, h, mode, W, clamp_floor, clamps):
-    """One substep of the members ``rows`` of a batch, written back into
-    the state ``arrays`` (x, pair, lam, nu) and the clamp counts."""
-    *new, clamped = model.step(*(a[rows] for a in arrays), t, h, mode, W, clamp_floor, rows)
-    for a, b in zip(arrays, new):
-        a[rows] = b
-    clamps[rows] += clamped
-
-
 def _integrate(
     model: _Model,
     chain_path: SwitchPath | list | None,
@@ -706,11 +678,13 @@ def _integrate(
     the one path given) and starts from ``init`` (or its row k, given a
     leading member axis), as if it ran alone: bit for bit while its rounds
     stay below ``BATCH_KERNEL_ROWS`` members, within a few ulp per step
-    above (see ``_Model.step``).  A batch raises the error of its earliest
-    failing substep, the lowest member on a tie.  A lone member carries its
-    state as flat float lists between substeps, on the compiled substep.  A
-    path outside the model's modes is refused before any step.  Warnings
-    point at the caller of the public entry point.
+    above (see ``_Model.step``).  A lone run raises at its failing substep;
+    a batch retakes a failing round without the failing member, and at the
+    end of the step raises the error of its earliest failing substep, the
+    lowest member on a tie.  A lone member carries its state as flat float
+    lists between substeps, on the compiled substep, and its draws as the
+    chunk's numpy array.  A path outside the model's modes is refused before
+    any step.  Warnings point at the first caller outside this package.
     """
     seeds = cfg.seed if isinstance(cfg.seed, (list, tuple)) else [cfg.seed]
     M = len(seeds)
@@ -752,8 +726,11 @@ def _integrate(
         )
     if warnings and cfg.strict:
         raise IntegrationError("; ".join(warnings))
+    caller, level = sys._getframe(1), 2  # the first frame outside this package
+    while caller.f_back and caller.f_globals.get("__package__") == __package__:
+        caller, level = caller.f_back, level + 1
     for w in warnings:
-        _warnings.warn(w, TrajectoryWarning, stacklevel=3)
+        _warnings.warn(w, TrajectoryWarning, stacklevel=level)
 
     if any(isinstance(p, SwitchPath) and p.horizon < n_steps * h - 1e-12 for p in paths):
         raise ValueError("chain path horizon shorter than the integration")
@@ -777,26 +754,35 @@ def _integrate(
             rec[slot].flat = a
 
     record(0, 0.0)
+    failures = []  # a batch's failures in the step under way
     span = chunk_steps(M, N)
     for k0 in range(0, n_steps, span):
         Z, rounds = chunk(paths, rngs, k0, min(k0 + span, n_steps), h, N)
-        if M == 1:
-            Z = Z.reshape(len(Z), N * N).tolist()
-        for i, (t, h_sub, mode, rows, draws, k_done) in enumerate(rounds):
-            try:
-                if rows is None:
-                    x, pair, lam, nu, clamped = model.step(
-                        x, pair, lam, nu, t, h_sub, mode, Z[draws], clamp_floor, everyone
-                    )
-                    clamps += clamped
-                else:
-                    _advance(model, (x, pair, lam, nu), rows, t, h_sub, mode, Z[draws],
-                             clamp_floor, clamps)
-            except IntegrationError as err:
-                if M == 1:
-                    raise
-                raise _earliest_failure(err, model, (x, pair, lam, nu), Z, rounds[i:],
-                                        clamp_floor, clamps) from None
+        for t, h_sub, mode, rows, draws, k_done in rounds:
+            W = Z[draws]
+            while True:  # a batch retakes a failing round without the failing member
+                try:
+                    if rows is None:
+                        x, pair, lam, nu, clamped = model.step(
+                            x, pair, lam, nu, t, h_sub, mode, W, clamp_floor, everyone)
+                        clamps += clamped
+                    else:
+                        *new, clamped = model.step(x[rows], pair[rows], lam[rows], nu[rows],
+                                                   t, h_sub, mode, W, clamp_floor, rows)
+                        x[rows], pair[rows], lam[rows], nu[rows] = new
+                        clamps[rows] += clamped
+                    break
+                except IntegrationError as err:
+                    if M == 1:
+                        raise
+                    failures.append(err)
+                    rows = everyone if rows is None else rows
+                    keep = rows != err.member
+                    if not keep.any():
+                        break
+                    rows, t, h_sub, mode, W = (_row(v, keep) for v in (rows, t, h_sub, mode, W))
+            if k_done and failures:  # the earliest start wins, the lowest member on a tie
+                raise min(failures, key=lambda f: (f.start, f.member)) from None
             if k_done and k_done % stride == 0:
                 record(k_done // stride, k_done * h)
 

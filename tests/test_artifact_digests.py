@@ -6,6 +6,7 @@ them.  A change that alters the arithmetic updates the digests and states
 its tolerance.
 """
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -13,7 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from switchopt import cli, schedule
+from switchopt import cli, dynamics, schedule
+from switchopt.expr import parse
+from switchopt.graph import Graph, Network
+from switchopt.problem import AgentSpec, Problem
 
 from conftest import SCENARIO_DIR
 
@@ -106,3 +110,31 @@ def test_chunk_peak_stays_under_the_byte_budget(M, N):
         tracemalloc.stop()
     assert Z.shape == (M * steps, N, N) and len(rounds) == steps
     assert peak <= schedule.CHUNK_BYTES + 8 * M * N * N
+
+
+def test_lone_run_peak_stays_near_its_chunk():
+    # a lone run steps on its chunk's numpy draws (one chunk of 64 steps,
+    # 0.8 MB); a copy of them as Python floats would take about four times
+    # that.  The traced steps run about 150 times slower, hence so few
+    N, steps = 40, 64
+    assert schedule.chunk_steps(1, N) > steps
+    ring = Graph.from_edges(N, [(i, (i + 1) % N) for i in range(N)])
+    # sigma <= kappa <= sqrt(lambda2)/2 = 0.078: the run warns of nothing
+    network = Network(graphs=(ring,), sigma=0.05, coupling=1.0, kappa=0.05)
+    problem = Problem(n=1, agents=tuple(AgentSpec(f=parse(f"0.5*(x1 - {i % 3})^2", 1))
+                                        for i in range(N)))
+    model = dynamics._Model(problem, network, 1.0)
+    cfg = dynamics.IntegratorConfig(h=1e-3, horizon=steps * 1e-3, seed=1)
+    init = dynamics.SystemState(np.zeros((N, 1)), np.zeros((N, 1)), [], [])
+    report = dynamics.check_assumptions(problem, network)
+    # one untraced step compiles model.lone and loads the modules numpy
+    # imports on first use
+    dynamics._integrate(model, None, dataclasses.replace(cfg, horizon=1e-3), init, report)
+    tracemalloc.start()
+    try:
+        traj = dynamics._integrate(model, None, cfg, init, report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == steps + 1 and not traj.warnings
+    assert peak < 2 * 8 * steps * N * N

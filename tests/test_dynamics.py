@@ -13,6 +13,7 @@ from switchopt.dynamics import (
     IntegrationError,
     IntegratorConfig,
     SystemState,
+    TrajectoryWarning,
     _integrate,
     _Model,
     build_equilibrium,
@@ -57,7 +58,7 @@ def model_step(model, path, x, pair, lam, nu, t, h, mode, W, floor):
     W = np.asarray(W, dtype=float)
     if path == "lone":
         *new, clamped = model.step(*(a.ravel().tolist() for a in state), t, h, mode,
-                                   W.ravel().tolist(), floor)
+                                   W.reshape(model.N, model.N), floor)
     else:
         *new, clamped = model.step(*(a[None] for a in state), t, h, mode, W[None], floor)
         new, clamped = [a[0] for a in new], int(np.sum(clamped))
@@ -423,7 +424,7 @@ def test_multiplier_at_minus_one_over_eta_fails_without_a_numpy_warning(rows):
     model = _Model(p, single_node_network(), 1.0)
     state = [np.zeros((1, 1)), np.zeros((1, 1)), np.array([-1.0]), np.zeros(0)]
     if rows is None:
-        state, W, members = [a.ravel().tolist() for a in state], [0.0], None
+        state, W, members = [a.ravel().tolist() for a in state], np.zeros((1, 1)), None
     else:
         state = [np.repeat(a[None], rows, axis=0) for a in state]
         W, members = np.zeros((rows, 1, 1)), np.arange(rows)
@@ -642,6 +643,20 @@ def test_simulate_off_grid_horizon_warns_and_strict_raises(five_agent, k5_networ
     cfg.strict = True
     with pytest.raises(IntegrationError, match="not a multiple of h"):
         simulate(five_agent, k5_network, None, cfg, reference_init.copy())
+
+
+@pytest.mark.parametrize("view", ["simulate", "simulate_averaged"])
+def test_run_warnings_point_at_the_caller(view, five_agent, six_mode_network,
+                                          six_mode_generator, reference_init):
+    # simulate_averaged runs through simulate, yet both warn from this line
+    cfg = IntegratorConfig(h=1e-3, horizon=0.0105)
+    pi = chain.stationary(six_mode_generator)
+    with pytest.warns(TrajectoryWarning) as record:
+        if view == "simulate":
+            simulate(five_agent, six_mode_network, None, cfg, reference_init.copy())
+        else:
+            simulate_averaged(five_agent, six_mode_network, pi, cfg, reference_init.copy())
+    assert {w.filename for w in record} == {__file__}
 
 
 def test_simulate_strict_mode_rejects_bad_init(five_agent, k5_network):
@@ -1083,38 +1098,54 @@ def test_failure_after_a_jump_split_keeps_its_message(kind, batch):
 
 
 class _FailsAt(_Model):
-    """A model whose step fails for member m at the substep starting at
-    ``fail_at[m]``, whatever the state.  It fails the member's own step:
-    a round below BATCH_KERNEL_ROWS steps each member alone."""
+    """A model whose step fails for member m at each substep starting at a
+    time in ``fail_at[m]``, whatever the state.  It fails the member's own
+    step: a round below BATCH_KERNEL_ROWS steps each member alone."""
 
     def __init__(self, problem, network, fail_at):
         super().__init__(problem, network, np.ones(problem.r))
         self.fail_at = fail_at
 
     def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
-        if isinstance(x, list) and t == self.fail_at.get(members):
+        if isinstance(x, list) and t in self.fail_at.get(members, ()):
             raise self.failure("scripted failure", "test", t, 0.0, mode, members)
         return super().step(x, pair, lam, nu, t, h, mode, W, clamp_floor, members)
 
 
-def test_batch_failure_earliest_in_time_wins_across_rounds(five_agent, six_mode_network):
-    # in step 3, member 0 splits once (at 3.5h) and member 1 twice (3.1h,
-    # 3.2h).  Member 0's second substep (round 1, from 3.5h) fails before
-    # member 1's third (round 2, from 3.2h) is taken, yet member 1's
-    # failure is the earlier in time
-    h = 2.0 ** -10
-    T = 8 * h
+# in step 3, member 0 splits once (at 3.5h), member 1 twice (3.1h, 3.2h) and
+# member 2 not at all: round 0 (from 3h) holds all three with one substep
+# length and mode each, round 1 members 0 and 1, round 2 member 1
+H = 2.0 ** -10
+BATCH_FAILURES = {
+    # member 0's second substep (round 1, from 3.5h) fails before member
+    # 1's third (round 2, from 3.2h) is taken, yet member 1's failure is
+    # the earlier in time
+    "later-round-earlier-in-time": ({0: (3.5 * H,), 1: (3.2 * H,)}, 0.003125, 3, 1),
+    # member 1 fails in the first, full round; members 0 and 2 retake it
+    "first-round": ({0: (3.5 * H,), 1: (3 * H,)}, 0.00292969, 0, 1),
+    # the whole round fails: the lowest member wins, and no round of no
+    # members is stepped
+    "whole-round": ({0: (3 * H,), 1: (3 * H,), 2: (3 * H,)}, 0.00292969, 0, 0),
+    # member 0 fails twice in the step, member 1 in between
+    "twice-in-one-step": ({0: (3 * H, 3.5 * H), 1: (3.2 * H,)}, 0.00292969, 0, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_FAILURES))
+def test_batch_failure_earliest_in_time_wins_across_rounds(case, five_agent, six_mode_network):
+    fail_at, t, mode, member = BATCH_FAILURES[case]
+    T = 8 * H
 
     def path(times, modes):
         return chain.SwitchPath(times=np.array(times), modes=np.array(modes),
-                                alpha=1.0, horizon=T + h, n_modes=6)
+                                alpha=1.0, horizon=T + H, n_modes=6)
 
-    paths = [path([0.0, 3.5 * h], [0, 1]), path([0.0, 3.1 * h, 3.2 * h], [0, 2, 3]),
+    paths = [path([0.0, 3.5 * H], [0, 1]), path([0.0, 3.1 * H, 3.2 * H], [0, 2, 3]),
              path([0.0], [4])]
-    model = _FailsAt(five_agent, six_mode_network, {0: 3.5 * h, 1: 3.2 * h})
-    cfg = IntegratorConfig(h=h, horizon=T, seed=[1, 2, 3])
+    model = _FailsAt(five_agent, six_mode_network, fail_at)
+    cfg = IntegratorConfig(h=H, horizon=T, seed=[1, 2, 3])
     init = SystemState(X_INIT, np.zeros_like(X_INIT), [3.0, 3.0], [3.0])
     report = check_assumptions(five_agent, six_mode_network, switching=True)
-    with pytest.raises(IntegrationError, match=r"^scripted failure at t=0\.003125 "
-                                               r"\(mode 3, member 1\): test$"):
+    with pytest.raises(IntegrationError, match="^" + re.escape(
+            f"scripted failure at t={t} (mode {mode}, member {member}): test") + "$"):
         _integrate(model, paths, cfg, init, report)

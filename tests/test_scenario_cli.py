@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from switchopt import averaging, cli, dynamics
+from switchopt import cli, dynamics
 from switchopt.cli import main
 from switchopt.scenario import Scenario, ScenarioError, load_scenario, scenario_hash
 
@@ -243,7 +243,6 @@ def test_simulate_builds_one_assumption_report(scenario, mode, request, monkeypa
         return check(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "check_assumptions", counting)
-    monkeypatch.setattr(averaging, "check_assumptions", counting)
     path = request.getfixturevalue(f"{scenario}_scenario_path")
     rc = main(["simulate", str(path), "--mode", mode, "--horizon", "0.01",
                "--out-dir", str(tmp_path)])
