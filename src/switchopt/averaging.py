@@ -103,13 +103,6 @@ def simulate_averaged(
     return simulate(problem, network, network.n_modes, cfg, init, pi=pi)
 
 
-def _observables(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """Terminal observable vector: stacked agent states plus the total cost
-    at the agent mean."""
-    mean = x.mean(axis=0)
-    return np.concatenate([x.ravel(), [total_cost(problem, mean)]])
-
-
 def weak_convergence_experiment(
     problem: Problem,
     network: Network,
@@ -167,7 +160,11 @@ def weak_convergence_experiment(
         paths += [sample_path(gen, 0, alpha, T + cfg.h, chain_ss) for chain_ss, _ in streams]
         noise += [noise_ss for _, noise_ss in streams]
     run = simulate(problem, network, paths, replace(member_cfg, seed=noise), init, pi=pi)
-    obs = np.array([_observables(problem, traj.x[-1]) for traj in run.members])
+    # each member's terminal observables: its stacked agent states, then the
+    # total cost at its agent mean
+    final = np.array([traj.x[-1] for traj in run.members])
+    costs = [total_cost(problem, mean) for mean in final.mean(axis=1).tolist()]
+    obs = np.column_stack([final.reshape(len(final), -1), costs])
     avg_obs, *sw_ensembles = obs.reshape(1 + len(alphas), ensemble, -1)
     avg_mean = avg_obs.mean(axis=0)
     avg_var = avg_obs.var(axis=0, ddof=1) / ensemble

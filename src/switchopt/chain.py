@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,19 @@ class Generator:
     @property
     def n_modes(self) -> int:
         return self.Q.shape[0]
+
+    @cached_property
+    def jump_tables(self):
+        """Per mode, its exit rate and the cumulative distribution of the
+        mode it jumps to (None where it exits at rate 0), as float lists;
+        built once, as ``Q`` is read-only."""
+        cum = []
+        for s, row in enumerate(self.Q):
+            row = row.copy()
+            row[s] = 0.0
+            tot = row.sum()
+            cum.append((np.cumsum(row) / tot).tolist() if tot > 0.0 else None)
+        return (-self.Q.diagonal()).tolist(), cum
 
 
 def validate_generator(Q) -> Generator:
@@ -161,25 +175,17 @@ def sample_path(gen: Generator, s0: int, alpha: float, horizon: float, seed) -> 
         raise ChainError("alpha must be positive")
     if not horizon > 0.0:
         raise ChainError("horizon must be positive")
-    Q = gen.Q
-    S = Q.shape[0]
+    S = gen.n_modes
     if not 0 <= s0 < S:
         raise ChainError(f"initial mode {s0} outside 0..{S - 1}")
+    exit_rates, cum = gen.jump_tables
     # at most horizon * (the largest exit rate) / alpha jumps are expected; past
     # the cap the path fills memory, or never ends once t stops advancing
-    expected = horizon * float(-Q.diagonal().min()) / alpha
+    expected = horizon * max(exit_rates) / alpha
     if not expected <= MAX_EXPECTED_JUMPS:
         raise ChainError(f"the expected jump count over horizon {horizon} at alpha {alpha}, "
                          f"{expected:.3g}, overflows the cap of {MAX_EXPECTED_JUMPS}")
     rng = np.random.default_rng(seed)
-
-    # per-mode cumulative jump distributions, built once
-    cum = []
-    for s in range(S):
-        row = Q[s].copy()
-        row[s] = 0.0
-        tot = row.sum()
-        cum.append(np.cumsum(row) / tot if tot > 0.0 else None)
 
     times = [0.0]
     modes = [s0]
@@ -187,14 +193,14 @@ def sample_path(gen: Generator, s0: int, alpha: float, horizon: float, seed) -> 
     s = s0
     absorbed = False
     while True:
-        exit_rate = -Q[s, s]
+        exit_rate = exit_rates[s]
         if exit_rate <= 0.0:
             absorbed = True
             break
         t = t + rng.exponential(alpha / exit_rate)
         if t >= horizon:
             break
-        s = int(np.searchsorted(cum[s], rng.random(), side="right"))
+        s = bisect_right(cum[s], rng.random())
         times.append(t)
         modes.append(s)
     return SwitchPath(
@@ -227,10 +233,11 @@ def occupation_fractions(path: SwitchPath) -> np.ndarray:
 def trajectory_seeds(root_seed: int, index: int):
     """Derived, order-independent seeds for ensemble member ``index``.
 
-    The scheme is a documented counter: SeedSequence([root_seed, index])
-    spawned into (chain, noise) children, so members can run in any order or
-    concurrently and reproduce bit-identical results.
+    The scheme is a documented counter: the (chain, noise) children of
+    SeedSequence([root_seed, index]), spawn keys (0,) and (1,), exactly
+    what its ``spawn(2)`` returns, built without the parent.  Members can
+    run in any order or concurrently and reproduce bit-identical results.
     """
-    ss = np.random.SeedSequence([int(root_seed), int(index)])
-    chain_ss, noise_ss = ss.spawn(2)
+    entropy = [int(root_seed), int(index)]
+    chain_ss, noise_ss = (np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(2))
     return chain_ss, noise_ss

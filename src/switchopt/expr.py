@@ -10,9 +10,10 @@ not finite differencing.
 The package has one evaluator.  Each node lowers its forward pass into
 generated straight-line Python (``_emit`` into an ``Emitter``: forward mode by
 source transformation).  ``Expr.value`` and ``Expr.value_and_grad`` run a
-function compiled from that lowering once per expression, on first use, and
+function compiled from that lowering once per expression, on first use;
 ``Problem.kernel`` fuses the same lowerings of a whole problem into the
-integrator's drift.  The reference tree walk that the tests hold this
+integrator's drift, and ``Problem.cost`` the costs' value passes into the
+total cost.  The reference tree walk that the tests hold this
 against lives in ``tests/oracles.py``.
 
 Grammar (infix, whitespace insensitive)::
@@ -380,12 +381,12 @@ class Expr:
 
     def value(self, x) -> float:
         """Evaluate at ``x`` (sequence of length n)."""
-        xs = self._coerce(x)
+        xs = coerce(x, self.n)
         return (self._value or self._compile(False))(*xs)
 
     def value_and_grad(self, x):
         """Evaluate value and full gradient in a single forward pass."""
-        xs = self._coerce(x)
+        xs = coerce(x, self.n)
         return (self._value_and_grad or self._compile(True))(*xs)
 
     def grad(self, x):
@@ -397,24 +398,19 @@ class Expr:
         gives the value, or with ``grad`` the value and the gradient tuple."""
         em = Emitter()
         xs = [f"x{k}" for k in range(self.n)]
-        v, t = self.root._emit(em, xs, grad)
+        v, t = self.emit(em, xs, grad)
         name = "_value_and_grad" if grad else "_value"
         result = f"{v}, ({''.join(f'{u}, ' for u in t)})" if grad else v
         fn = em.compile(name, ", ".join(xs), result)
         setattr(self, name, fn)
         return fn
 
-    def emit(self, em: Emitter, xs):
-        """Write the value-and-gradient pass into ``em`` with the variables
-        bound to the local names ``xs``; return the code of the value and of
-        each gradient entry (local names or literals)."""
-        return self.root._emit(em, tuple(xs), True)
-
-    def _coerce(self, x):
-        xs = tuple(float(v) for v in x)
-        if len(xs) != self.n:
-            raise ExprError(f"expected a point of dimension {self.n}, got {len(xs)}")
-        return xs
+    def emit(self, em: Emitter, xs, grad: bool = True):
+        """Write the value-and-gradient pass (the value pass, without
+        ``grad``) into ``em`` with the variables bound to the local names
+        ``xs``; return the code of the value and of each gradient entry
+        (local names or literals; none without ``grad``)."""
+        return self.root._emit(em, tuple(xs), grad)
 
     def __str__(self):
         return self._text
@@ -433,6 +429,14 @@ class Expr:
     def __reduce__(self):
         # the compiled functions do not pickle; a copy compiles its own
         return Expr, (self.root, self.n)
+
+
+def coerce(x, n: int) -> tuple:
+    """The point ``x`` as a tuple of n floats; ExprError on another length."""
+    xs = tuple(float(v) for v in x)
+    if len(xs) != n:
+        raise ExprError(f"expected a point of dimension {n}, got {len(xs)}")
+    return xs
 
 
 # ---------------------------------------------------------------------------

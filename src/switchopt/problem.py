@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import BatchEmitter, DomainError, Emitter, Expr, ExprError
+from .expr import BatchEmitter, DomainError, Emitter, Expr, ExprError, coerce
 
 __all__ = [
     "AgentSpec",
@@ -127,6 +127,24 @@ class Problem:
         """
         return _compile_kernel(self, BatchEmitter())
 
+    @cached_property
+    def cost(self):
+        """The agents' costs fused into one compiled function
+        ``cost(x1, ..., xn) -> float`` of the n coordinates: each cost's
+        value pass, as its ``Expr.value`` runs it, in agent order, added left
+        to right from 0.0 (as ``sum`` adds floats before Python 3.12).  So
+        the bits match the agents' ``Expr.value`` summed that way, and a
+        point outside a domain raises the DomainError of the first agent
+        whose ``Expr.value`` would.  Compiled on first use."""
+        em = Emitter()
+        xs = [f"x{k}" for k in range(self.n)]
+        values = [a.f.emit(em, xs, grad=False)[0] for a in self.agents]
+        return em.compile("cost", ", ".join(xs), em.left_sum(values))
+
+    def __getstate__(self):
+        # the compiled functions derive from the fields: pickle the fields alone
+        return {"n": self.n, "agents": self.agents}
+
 
 def emit_kernel(problem: Problem, em: Emitter, flat: bool = False):
     """Write the kernel's statements into ``em``: the agent points bound from
@@ -209,8 +227,8 @@ class KktCertificate:
 
 
 def total_cost(problem: Problem, x) -> float:
-    """Sum of the agents' costs at ``x``."""
-    return float(sum(a.f.value(x) for a in problem.agents))
+    """Sum of the agents' costs at ``x`` (``Problem.cost``)."""
+    return problem.cost(*coerce(x, problem.n))
 
 
 def check_slater(problem: Problem, x_probe) -> bool:

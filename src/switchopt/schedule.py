@@ -61,16 +61,20 @@ def chunk(paths, rngs, k0, k1, h, N):
     extra = np.zeros((M, C), dtype=np.int64)
     split = [False] * C
     later = {}  # (step, round) -> [(member, start, length, mode), ...]
+    after, before = starts + 1e-15, ends - 1e-15
     for m, path in enumerate(paths):
         if not isinstance(path, SwitchPath):  # None (mode 0) or a mode held
             first_mode[m] = path or 0
             continue
         times = path.times
-        jp = np.searchsorted(times, starts + 1e-15, side="right")
+        jp = np.searchsorted(times, after, side="right")
         first_mode[m] = path.modes[jp - 1]
         nxt = times[np.minimum(jp, len(times) - 1)]
-        for i in np.flatnonzero((jp < len(times)) & (nxt < ends - 1e-15)).tolist():
-            subs = split_step(times, path.modes, int(jp[i]), float(starts[i]), float(ends[i]))
+        cut = np.flatnonzero((jp < len(times)) & (nxt < before)).tolist()
+        if cut:  # split_step runs on lists: numpy scalars cost more
+            times, entered = times.tolist(), path.modes.tolist()
+        for i in cut:
+            subs = split_step(times, entered, int(jp[i]), float(starts[i]), float(ends[i]))
             first_h[m, i] = subs[0][1]
             extra[m, i] = len(subs) - 1
             split[i] = True

@@ -14,7 +14,8 @@ the reference the compiled evaluator of ``switchopt.expr`` must match bit
 for bit, domain errors included.  The assumption gates keep their separate
 fixed and switching branches, and the equilibrium its per-expression
 gradients, the references for the one-mode gate path and the kernel-built
-equilibrium.
+equilibrium.  Chain paths have their per-call sampler, the reference for the
+jump tables each ``Generator`` builds once.
 """
 
 import math
@@ -268,11 +269,19 @@ def psd_factor_averaged_run(drift, c, wsq, x, theta, lam, nu, h, n_steps, rng):
     return x
 
 
+def _observables(problem, x):
+    """Terminal observables of one member, as the study took them before
+    batching: the stacked agent states, then the agents' costs summed at
+    the agent mean, one ``Expr.value`` each."""
+    mean = x.mean(axis=0)
+    return np.concatenate([x.ravel(), [sum(a.f.value(mean) for a in problem.agents)]])
+
+
 def serial_weak_convergence(problem, network, gen, alphas, ensemble, T, seed, init, cfg):
     """``averaging.weak_convergence_experiment`` as it ran before batching:
     each member a separate ``simulate`` or ``simulate_averaged`` call.
     Returns the report without its ``warnings`` key."""
-    from switchopt.averaging import simulate_averaged, _observables
+    from switchopt.averaging import simulate_averaged
     from switchopt.chain import sample_path, stationary, trajectory_seeds
     from switchopt.dynamics import IntegratorConfig, simulate
 
@@ -420,3 +429,30 @@ def build_equilibrium_reference(problem, cert, tol=1e-6):
     if total > 10.0 * max(tol, cert.residuals["stationarity"]) + 1e-12:
         raise ValueError(f"theta blocks do not balance: |sum theta| = {total:.3e}")
     return Equilibrium(x=x, theta=theta, lam=cert.lambda_star.copy(), nu=cert.nu_star.copy())
+
+
+def sample_path_reference(gen, s0, alpha, horizon, seed):
+    """``chain.sample_path`` as it was, without its argument checks: jump
+    tables built per call, the exit rate read as ``-Q[s, s]`` and the next
+    mode picked by ``np.searchsorted``.  Returns (times, modes, absorbed)."""
+    Q = gen.Q
+    rng = np.random.default_rng(seed)
+    cum = []
+    for s in range(Q.shape[0]):
+        row = Q[s].copy()
+        row[s] = 0.0
+        tot = row.sum()
+        cum.append(np.cumsum(row) / tot if tot > 0.0 else None)
+    times, modes, t, s, absorbed = [0.0], [s0], 0.0, s0, False
+    while True:
+        exit_rate = -Q[s, s]
+        if exit_rate <= 0.0:
+            absorbed = True
+            break
+        t = t + rng.exponential(alpha / exit_rate)
+        if t >= horizon:
+            break
+        s = int(np.searchsorted(cum[s], rng.random(), side="right"))
+        times.append(t)
+        modes.append(s)
+    return np.array(times), np.array(modes, dtype=np.int64), absorbed

@@ -16,6 +16,7 @@ from switchopt.chain import (
 )
 
 from conftest import SIX_MODE_Q
+from oracles import sample_path_reference
 
 
 def test_validate_accepts_two_state():
@@ -204,6 +205,51 @@ def test_trajectory_seeds_order_independent():
     # different indices decorrelate
     c_chain, _ = trajectory_seeds(42, 4)
     assert c_chain.entropy != a_chain.entropy or c_chain.spawn_key != a_chain.spawn_key
+
+
+@pytest.mark.parametrize("root_seed, k", [(0, 0), (42, 3), (20260801, 19), (2**40 + 7, 12345)])
+def test_trajectory_seeds_are_the_spawn_children(root_seed, k):
+    children = np.random.SeedSequence([root_seed, k]).spawn(2)
+    for got, want in zip(trajectory_seeds(root_seed, k), children, strict=True):
+        assert got.entropy == want.entropy and got.spawn_key == want.spawn_key
+        assert np.array_equal(got.generate_state(8), want.generate_state(8))
+        a, b = np.random.default_rng(got), np.random.default_rng(want)
+        assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
+        assert np.array_equal(a.random(3), b.random(3))
+
+
+# (generator, whether it has an absorbing mode)
+ORACLE_GENERATORS = {
+    "six-mode": (SIX_MODE_Q, False),
+    "two-mode": ([[-1.0, 1.0], [2.0, -2.0]], False),
+    "absorbing": ([[-1.0, 0.5, 0.5], [1.0, -1.5, 0.5], [0.0, 0.0, 0.0]], True),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_GENERATORS)
+@pytest.mark.parametrize("alpha", [1.0, 0.1, 0.02])
+def test_sample_path_bit_equal_to_the_per_call_sampler(name, alpha):
+    Q, absorbing = ORACLE_GENERATORS[name]
+    gen = validate_generator(Q)
+    absorbed = 0
+    for seed in range(20):
+        path = sample_path(gen, 0, alpha, 5.0, seed)
+        times, modes, was_absorbed = sample_path_reference(gen, 0, alpha, 5.0, seed)
+        assert path.times.tobytes() == times.tobytes()
+        assert path.modes.dtype == modes.dtype and np.array_equal(path.modes, modes)
+        assert path.absorbed == was_absorbed
+        absorbed += was_absorbed
+    # the absorbing generator reaches its absorbing mode on some seeds
+    assert (absorbed > 0) == absorbing
+
+
+def test_reused_jump_tables_give_a_fresh_generator_s_paths():
+    gen = validate_generator(SIX_MODE_Q)
+    for seed in (3, 4):
+        reused = sample_path(gen, 1, 0.1, 10.0, seed)
+        fresh = sample_path(validate_generator(SIX_MODE_Q), 1, 0.1, 10.0, seed)
+        assert reused.times.tobytes() == fresh.times.tobytes()
+        assert np.array_equal(reused.modes, fresh.modes)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.01, max_value=0.99))

@@ -19,12 +19,12 @@ from switchopt import chain, cli, dynamics
 from switchopt import expr as expr_mod
 from switchopt import problem as problem_mod
 from switchopt.dynamics import IntegratorConfig
-from switchopt.expr import DomainError, parse
+from switchopt.expr import DomainError, ExprError, parse
 from switchopt.graph import Network, laplacian
 from switchopt.problem import AgentSpec, Problem
 from switchopt.scenario import load_scenario
 
-from conftest import SCENARIO_DIR, cubic_graph, drift_of_one, make_five_agent_problem
+from conftest import SCENARIO_DIR, X_INIT, cubic_graph, drift_of_one, make_five_agent_problem
 from oracles import tree_value, tree_value_and_grad
 from test_expr import SPECIAL_POINTS, random_expr_text
 
@@ -306,6 +306,63 @@ def test_kernel_cached_per_problem(five_agent):
     assert twin == five_agent and twin.kernel is not five_agent.kernel
 
 
+def cost_sum(problem, x):
+    """The agents' costs at ``x``, one ``Expr.value`` each, added as
+    ``total_cost`` once added them: ``sum`` in agent order (left to right
+    from 0.0 before Python 3.12)."""
+    return left_sum(a.f.value(x) for a in problem.agents)
+
+
+COST_PROBLEMS = {
+    name: lambda name=name: load_scenario(SCENARIO_DIR / name).build_problem()
+    for name in ("five_agent_fixed.json", "five_agent_switching.json")
+}
+COST_PROBLEMS["constant"] = lambda: Problem(n=2, agents=tuple(
+    AgentSpec(f=parse(text, 2)) for text in ("3", "x1*x2 - 0.1", "3")))
+
+
+@pytest.mark.parametrize("name", COST_PROBLEMS)
+def test_total_cost_bit_equal_to_the_per_expression_sum(name):
+    p = COST_PROBLEMS[name]()
+    rng = np.random.default_rng(19)
+    points = rng.normal(0.0, 1.0, (200, p.n)) * rng.choice([0.5, 3.0, 300.0], (200, 1))
+    for x in [*points, *points.tolist()]:
+        assert float.hex(problem_mod.total_cost(p, x)) == float.hex(cost_sum(p, x))
+
+
+def test_total_cost_raises_the_first_failing_agent_s_domain_error():
+    p = Problem(n=2, agents=tuple(
+        AgentSpec(f=parse(text, 2)) for text in ("x1 + x2", "ln(x1)", "ln(x2)")))
+    for x, failing in (((-1.0, -2.0), 1), ((1.0, -2.0), 2), ((0.0, 5.0), 1)):
+        with pytest.raises(DomainError) as want:
+            p.agents[failing].f.value(x)
+        with pytest.raises(DomainError) as got:
+            problem_mod.total_cost(p, x)
+        assert str(got.value) == str(want.value)
+    assert problem_mod.total_cost(p, (1.0, 1.0)) == 2.0
+
+
+@pytest.mark.parametrize("x", [(1.0,), (1.0, 2.0, 3.0), ()], ids=["short", "long", "empty"])
+def test_total_cost_of_a_point_of_the_wrong_dimension(five_agent, x):
+    with pytest.raises(ExprError, match=f"expected a point of dimension 2, got {len(x)}"):
+        problem_mod.total_cost(five_agent, x)
+
+
+def test_compiled_problem_pickles(five_agent):
+    fresh = pickle.dumps(Problem(n=five_agent.n, agents=five_agent.agents))
+    rows, lam, nu = X_INIT.tolist(), [0.5, 0.25], [-1.25]
+    five_agent.kernel(rows, lam, nu), five_agent.cost(0.5, 1.0)
+    five_agent.batch_kernel(X_INIT[None], np.array([lam]), np.array([nu]))
+    # the compiled functions derive from the fields: the fields alone pickle
+    assert pickle.dumps(five_agent) == fresh
+    twin = pickle.loads(fresh)
+    assert twin == five_agent
+    assert outcome(twin.kernel, rows, lam, nu) == outcome(five_agent.kernel, rows, lam, nu)
+    for x in X_INIT:
+        assert float.hex(problem_mod.total_cost(twin, x)) == float.hex(
+            problem_mod.total_cost(five_agent, x))
+
+
 def test_one_compile_per_compare_command(monkeypatch, switching_scenario_path, tmp_path):
     compiles, names, builds, runs = [], [], [], []
     compile_kernel = problem_mod._compile_kernel
@@ -343,6 +400,7 @@ def test_one_compile_per_compare_command(monkeypatch, switching_scenario_path, t
     assert [n for n in names if n.startswith("lone")] == ["lone_drift", "lone_update"]
     assert len(builds) == 1  # one model: every ensemble runs in one batch
     assert len(runs) == 1
+    assert names.count("cost") == 1  # one fused total cost for every member
 
 
 @pytest.mark.parametrize("mode", ["fixed", "switching", "averaged"])
