@@ -96,22 +96,11 @@ class StationaryDist:
 
 
 def _strongly_connected(Q: np.ndarray) -> bool:
-    """The digraph of positive rates must be strongly connected."""
+    """The digraph of positive rates must be strongly connected: every mode
+    reaches every other in at most S - 1 jumps (an empty digraph is not)."""
     S = Q.shape[0]
-
-    def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in range(S):
-                if adj[u, v] > 0.0 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == S
-
-    mask = Q > 0.0
-    return reach(mask) and reach(mask.T)
+    return S > 0 and bool(
+        np.linalg.matrix_power(np.eye(S, dtype=bool) | (Q > 0.0), S - 1).all())
 
 
 def stationary(gen: Generator) -> StationaryDist:

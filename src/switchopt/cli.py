@@ -218,12 +218,6 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     base = f"{scn.name}.{mode}"
     header = f"# scenario_hash={scn.hash} root_seed={root_seed} mode={mode}"
-    lam_names, nu_names = _multiplier_names(problem)
-    _write_text(out_dir / f"{base}.trajectory.csv",
-                _trajectory_csv(header, traj, problem.n))
-    _write_text(out_dir / f"{base}.multipliers.csv",
-                _multipliers_csv(header, traj, lam_names, nu_names))
-
     final = traj.final_state
     meta = {
         "scenario_hash": scn.hash,
@@ -239,10 +233,9 @@ def cmd_simulate(args) -> int:
     }
 
     written = ["trajectory.csv", "multipliers.csv", "meta.json"]
-    if cert is not None:
+    if cert is not None:  # both metric passes precede the writes: a failing one writes nothing
         omega = analysis.omega_from_certificate(cert)
-        metrics = analysis.convergence_metrics(traj, eq, problem, cfg.eta, omega)
-        _write_text(out_dir / f"{base}.metrics.csv", _metrics_csv(header, metrics))
+        metrics = end = analysis.convergence_metrics(traj, eq, problem, cfg.eta, omega)
         written.append("metrics.csv")
         if traj.times[-1] != final.t:
             # the horizon is not a multiple of the output stride: the last
@@ -251,13 +244,20 @@ def cmd_simulate(args) -> int:
                 times=np.array([final.t]), x=final.x[None], theta=final.theta[None],
                 lam=final.lam[None], nu=final.nu[None], clamp_count=final.clamp_count,
             )
-            metrics = analysis.convergence_metrics(last, eq, problem, cfg.eta, omega)
+            end = analysis.convergence_metrics(last, eq, problem, cfg.eta, omega)
         for key in ("opt_error", "consensus_error", "cost_gap"):
-            meta["final"][key] = float(metrics[key][-1])
+            meta["final"][key] = float(end[key][-1])
         meta["certificate_residuals"] = {
             k: float(v) for k, v in cert.residuals.items()
         }
 
+    lam_names, nu_names = _multiplier_names(problem)
+    _write_text(out_dir / f"{base}.trajectory.csv",
+                _trajectory_csv(header, traj, problem.n))
+    _write_text(out_dir / f"{base}.multipliers.csv",
+                _multipliers_csv(header, traj, lam_names, nu_names))
+    if cert is not None:
+        _write_text(out_dir / f"{base}.metrics.csv", _metrics_csv(header, metrics))
     _write_text(out_dir / f"{base}.meta.json",
                 json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_dir}/{base}." + ", .".join(written))

@@ -322,11 +322,12 @@ class _Model:
 
         A lone member's state is four flat float lists, ``W`` its (N, N)
         channel increments and ``members`` its index in failure messages
-        (None: unnamed).  In a batch, ``t``, ``h`` and ``mode`` are scalars
-        or one per member, ``members`` names the rows and the clamp count is
-        per member.  A round below ``BATCH_KERNEL_ROWS`` members, or whose
-        numpy update fails, steps member by member.  The pair-sum update
-        deliberately contains no noise term; see the module docstring.
+        (None: unnamed).  In a batch, ``t``, ``h``, ``mode`` and ``members``
+        (the rows' names) are each shared or one per member, and broadcast;
+        the clamp count is per member.  A round below ``BATCH_KERNEL_ROWS``
+        members, or whose numpy update fails, steps member by member.  The
+        pair-sum update deliberately contains no noise term; see the module
+        docstring.
         """
         if isinstance(x, list):  # a lone member
             _, update, _, receive = self.lone
@@ -349,10 +350,7 @@ class _Model:
         except DomainError:
             return self._each(*args)
         noise = self.noise_term(x, mode, W)
-        if isinstance(h, np.ndarray):  # one substep length per member
-            hx, hv = h[:, None, None], h[:, None]
-        else:
-            hx = hv = h
+        hx, hv = np.reshape(h, (-1, 1, 1)), np.reshape(h, (-1, 1))
         x_new = x + (hx * dx + noise)
         pair_new = pair + hx * (dx + dtheta)
         lam_new = lam + hv * dlam
@@ -373,8 +371,8 @@ class _Model:
         M = len(x)
         state = (x, pair, lam, nu)
         flat = [a.reshape(M, a[0].size).tolist() for a in state]
-        per = [v.tolist() if isinstance(v, np.ndarray) else [v] * M
-               for v in (t, h, mode, members)]
+        # np.full broadcasts a shared value as np.broadcast_to does, at a quarter of its cost
+        per = [np.full(M, v).tolist() for v in (t, h, mode, members)]
         out = [self.step(xm, pm, lm, nm, tm, hm, mode_m, Wm, clamp_floor, m)
                for xm, pm, lm, nm, Wm, tm, hm, mode_m, m in zip(*flat, W, *per)]
         *new, clamped = zip(*out)
@@ -656,11 +654,6 @@ def simulate(
     return _integrate(model, chain_path, cfg, init, report)
 
 
-def _row(v, row):
-    """Entries ``row`` of a per-member array, or the shared scalar ``v``."""
-    return v[row] if isinstance(v, np.ndarray) else v
-
-
 def _integrate(
     model: _Model,
     chain_path: SwitchPath | list | None,
@@ -780,7 +773,9 @@ def _integrate(
                     keep = rows != err.member
                     if not keep.any():
                         break
-                    rows, t, h_sub, mode, W = (_row(v, keep) for v in (rows, t, h_sub, mode, W))
+                    rows, t, h_sub, mode = (np.full(len(keep), v)[keep]
+                                            for v in (rows, t, h_sub, mode))
+                    W = W[keep]
             if k_done and failures:  # the earliest start wins, the lowest member on a tie
                 raise min(failures, key=lambda f: (f.start, f.member)) from None
             if k_done and k_done % stride == 0:
@@ -789,9 +784,8 @@ def _integrate(
     final = [np.reshape(a, (M, *shape)) for a, shape in zip((x, pair, lam, nu), shapes)]
     recorded = (X, P - X, LM, NU)
     members = []
-    for m in range(M):
-        end = SystemState._from_pair(*(a[m].copy() for a in final), n_steps * h,
-                                     int(_row(clamps, m)))
+    for m, count in enumerate(np.full(M, clamps).tolist()):
+        end = SystemState._from_pair(*(a[m].copy() for a in final), n_steps * h, count)
         # times, x, theta, lam, nu, clamp count, warnings, final state
         members.append(Trajectory(T, *(a[:, m] for a in recorded), end.clamp_count,
                                   warnings, end, report))

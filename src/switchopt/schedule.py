@@ -48,8 +48,8 @@ def chunk(paths, rngs, k0, k1, h, N):
 
     ``paths`` holds each member's SwitchPath, None (mode 0) or the int mode
     it holds.  A round (t, h, mode, rows, draws, k_done) is one substep of the members
-    ``rows`` (None: all) from t, of length h, in mode (scalars, or one per
-    member), driven by ``Z[draws]``; k_done is k + 1 on the last round of
+    ``rows`` (None: all) from t, of length h, in mode (each shared, or one
+    per member), driven by ``Z[draws]``; k_done is k + 1 on the last round of
     step k, else 0.  A batch of one gets plain floats and ints.
     """
     M, C = len(paths), k1 - k0
@@ -59,7 +59,6 @@ def chunk(paths, rngs, k0, k1, h, N):
     first_h[:] = ends - starts
     first_mode = np.zeros((M, C), dtype=np.int64)
     extra = np.zeros((M, C), dtype=np.int64)
-    split = [False] * C
     later = {}  # (step, round) -> [(member, start, length, mode), ...]
     after, before = starts + 1e-15, ends - 1e-15
     for m, path in enumerate(paths):
@@ -77,7 +76,6 @@ def chunk(paths, rngs, k0, k1, h, N):
             subs = split_step(times, entered, int(jp[i]), float(starts[i]), float(ends[i]))
             first_h[m, i] = subs[0][1]
             extra[m, i] = len(subs) - 1
-            split[i] = True
             for r, sub in enumerate(subs[1:], 1):
                 later.setdefault((i, r), []).append((m, *sub))
 
@@ -95,13 +93,13 @@ def chunk(paths, rngs, k0, k1, h, N):
     if M == 1:
         hs, modes, draws = first_h[0].tolist(), first_mode[0].tolist(), first_draw[0].tolist()
     else:
-        hs = [float(row[0]) if not cut else row for row, cut in zip(first_h.T.copy(), split)]
+        hs = list(first_h.T.copy())
         held = (first_mode == first_mode[0, 0]).all()  # one mode: index by an int
         modes = [int(first_mode[0, 0])] * C if held else list(first_mode.T.copy())
         draws = list(first_draw.T.copy())
     rounds = []
     for i, (t, k_done) in enumerate(zip(starts.tolist(), range(k0 + 1, k1 + 1))):
-        rounds.append((t, hs[i], modes[i], None, draws[i], 0 if split[i] else k_done))
+        rounds.append((t, hs[i], modes[i], None, draws[i], 0 if (i, 1) in later else k_done))
         r = 1
         while (i, r) in later:
             done = 0 if (i, r + 1) in later else k_done

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from switchopt.chain import (
     ChainError,
+    _strongly_connected,
     mode_at,
     occupation_fractions,
     sample_path,
@@ -70,6 +71,35 @@ def test_stationary_reducible_rejected():
     Q = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ChainError, match="stationary"):
         stationary(validate_generator(Q))
+
+
+def _random_generators(seed):
+    """Seeded generators of 1..9 modes at five rate densities, each also
+    with its mode 0 made absorbing."""
+    rng = np.random.default_rng(seed)
+    for S in range(1, 10):
+        for density in (0.1, 0.25, 0.5, 0.75, 1.0):
+            for _ in range(6):
+                rates = rng.exponential(size=(S, S)) * (rng.random((S, S)) < density)
+                np.fill_diagonal(rates, 0.0)
+                absorbing = rates.copy()
+                absorbing[0] = 0.0
+                for off in (rates, absorbing):
+                    yield off - np.diag(off.sum(axis=1))
+
+
+def test_strongly_connected_agrees_with_scipy():
+    from scipy.sparse.csgraph import connected_components
+
+    verdicts = []
+    for Q in _random_generators(2026):
+        n, _ = connected_components(Q > 0.0, directed=True, connection="strong")
+        verdicts.append(_strongly_connected(Q))
+        assert verdicts[-1] == (n == 1), Q
+    assert any(verdicts) and not all(verdicts)
+    assert _strongly_connected(np.zeros((1, 1)))
+    assert not _strongly_connected(np.array([[0.0, 0.0], [1.0, -1.0]]))  # 0 absorbs
+    assert not _strongly_connected(np.zeros((0, 0)))
 
 
 def test_sample_path_large_alpha_nearly_constant():

@@ -537,6 +537,29 @@ def test_lone_substep_keeps_signed_zeros_of_a_batch_member():
             assert lone[0].tolist() == [[0.0]] * 6 and not np.signbit(lone[0]).any()
 
 
+@pytest.mark.parametrize("M", [BATCH_KERNEL_ROWS, 3], ids=["numpy", "each"])
+def test_shared_round_values_step_as_per_member_ones(M, fixed_scenario, monkeypatch):
+    # a batch round's t, h, mode and members are each one shared value or
+    # one per member, and the step broadcasts them: both forms give the same
+    # bytes and clamp counts, on the numpy update and member by member
+    problem, network = fixed_scenario.build_problem(), fixed_scenario.build_network()
+    model = _Model(problem, network, 1.0)
+    N, n, r, s = problem.n_agents, problem.n, problem.r, problem.s
+    each = []
+    monkeypatch.setattr(model, "_each", lambda *a: each.append(a) or _Model._each(model, *a))
+    rng = np.random.default_rng(27)  # a draw where both sizes clamp
+    t, h = 0.25, 0.2
+    state = [rng.normal(0.0, 1.5, (M, N, n)), rng.normal(0.0, 1.5, (M, N, n)),
+             rng.uniform(0.0, 1.5, (M, r)), rng.normal(0.0, 2.0, (M, s))]
+    W = rng.normal(0.0, math.sqrt(h), (M, N, N))
+    shared = model.step(*state, t, h, 0, W, 0.5)
+    per = model.step(*state, np.full(M, t), np.full(M, h), np.zeros(M, dtype=np.int64), W, 0.5,
+                     np.arange(M))
+    assert len(each) == (2 if M < BATCH_KERNEL_ROWS else 0)
+    assert [a.tobytes() for a in shared[:4]] == [a.tobytes() for a in per[:4]]
+    assert np.array_equal(shared[4], per[4]) and 0 < np.sum(per[4]) < M * r
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -1059,6 +1082,38 @@ def test_batch_failure_ties_go_to_the_lowest_member(padded):
         simulate(p, single_node_network(), None, cfg, _member_axis_init(x_rows))
     assert info.value.member == 1 and info.value.start == 0.0
     assert ("batch_kernel" in vars(p)) == padded
+
+
+def test_held_mode_batch_retakes_a_failing_round_without_the_member(monkeypatch):
+    # 17 members hold mode 0 of a fixed network, and member 5 starts outside
+    # the domain of ln: round 0 fails, and its retake steps the other 16 on
+    # the numpy update before the step raises member 5's error
+    p = single_agent_problem(cost="ln(x1)")
+    x_rows = [-1.0 if m == 5 else 1.0 + m for m in range(17)]
+    net = single_node_network()
+    model = _Model(p, net, np.ones(0))
+    calls, each = [], []
+    monkeypatch.setattr(model, "_each", lambda *a: each.append(a) or _Model._each(model, *a))
+
+    def step(x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
+        out = _Model.step(model, x, pair, lam, nu, t, h, mode, W, clamp_floor, members)
+        if not isinstance(x, list):
+            calls.append((x, t, mode, members, out))
+        return out
+
+    monkeypatch.setattr(model, "step", step)
+    cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=list(range(17)))
+    with pytest.raises(IntegrationError) as info:
+        _integrate(model, None, cfg, _member_axis_init(x_rows), check_assumptions(p, net))
+    assert str(info.value) == ("expression left its domain at t=0 (mode 0, member 5): "
+                               "agent 1 cost 'ln(x1)': ln of nonpositive value -1.0")
+    (x, t, mode, members, out), = calls  # the retake; the first try raised
+    others = [m for m in range(17) if m != 5]
+    assert members.tolist() == others and x[:, 0, 0].tolist() == [x_rows[m] for m in others]
+    assert np.broadcast_to(t, 16).tolist() == [0.0] * 16
+    assert np.broadcast_to(mode, 16).tolist() == [0] * 16
+    assert len(each) == 1  # the first try, member by member after the numpy update failed
+    assert np.allclose(out[0][:, 0, 0], x[:, 0, 0] - 1e-3 / x[:, 0, 0], rtol=1e-15, atol=0.0)
 
 
 # cost, failing start, healthy start, jump and the exact message: one agent,

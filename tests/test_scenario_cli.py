@@ -337,6 +337,20 @@ def test_simulate_wrong_candidate_writes_nothing(tmp_scenario_file, tmp_path, ca
     assert not out.exists()
 
 
+def test_simulate_failing_metrics_writes_nothing(tmp_scenario_file, tmp_path, capsys):
+    # agent 1's first Euler step drives lambda_1 across the floor 0.0, where
+    # it is clamped; the divergence term of the metrics needs it positive
+    def mutate(d):
+        d["init"]["x"][0] = [-2, 5000]
+        d["integrator"].update(horizon=0.01, output_stride=1)
+
+    out = tmp_path / "out"
+    assert main(["simulate", str(tmp_scenario_file(mutate)), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: multiplier 0 must be positive to evaluate the divergence term, got 0.0\n")
+    assert not out.exists()
+
+
 def test_unexpected_errors_keep_their_traceback(monkeypatch, fixed_scenario_path, tmp_path):
     # only input and numerical errors become error: lines; anything else is a bug
     def broken(*args, **kwargs):
