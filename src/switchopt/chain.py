@@ -65,6 +65,8 @@ def validate_generator(Q) -> Generator:
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ChainError("not a generator: matrix must be square")
+    if Q.size == 0:
+        raise ChainError("not a generator: matrix must have at least one mode")
     if not np.all(np.isfinite(Q)):
         raise ChainError("not a generator: nonfinite entry")
     S = Q.shape[0]

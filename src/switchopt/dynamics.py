@@ -676,8 +676,9 @@ def _integrate(
     end of the step raises the error of its earliest failing substep, the
     lowest member on a tie.  A lone member carries its state as flat float
     lists between substeps, on the compiled substep, and its draws as the
-    chunk's numpy array.  A path outside the model's modes is refused before
-    any step.  Warnings point at the first caller outside this package.
+    chunk's numpy array.  A path outside the model's modes, or a held mode
+    that is not an int, is refused before any step.  Warnings point at the
+    first caller outside this package.
     """
     seeds = cfg.seed if isinstance(cfg.seed, (list, tuple)) else [cfg.seed]
     M = len(seeds)
@@ -688,7 +689,9 @@ def _integrate(
         if isinstance(path, SwitchPath) and path.n_modes != model.S:
             raise ValueError(f"chain path of member {m} switches among {path.n_modes} "
                              f"modes; the network has {model.S} (modes 0..{model.S - 1})")
-        if not isinstance(path, (SwitchPath, type(None))) and path not in range(len(model.L)):
+        held = isinstance(path, (int, np.integer)) and not isinstance(path, bool)
+        if not (path is None or isinstance(path, SwitchPath)
+                or held and path in range(len(model.L))):
             raise ValueError(f"chain path of member {m}: mode {path!r} is outside "
                              f"0..{len(model.L) - 1}")
     N, n = model.N, model.n

@@ -1,15 +1,20 @@
 """Substep schedule of a batch of trajectories, one chunk of steps at a time.
 
-All members step on one grid; a member whose mode path jumps inside a step
-splits it at the jumps, as a serial run does.  Round 0 of a step is every
-member's first substep, round r the (r+1)-th substep of the members whose
-path jumps r times inside it.  Each member draws its own increments in its
-substep order, so every stream is consumed as in a serial run.  Working a
-chunk at a time bounds the noise buffer: a chunk holds ``chunk_steps``
-draws per member, plus one per jump split.
+All members step on one grid.  A member's substeps are the intervals
+between consecutive points of the grid and of its cuts: the jumps of its
+mode path that lie more than 1e-15 inside their step and more than 1e-15
+after the previous cut (a jump closer than that cuts nothing).  A substep
+runs in the mode of the last jump up to 1e-15 after its start.  Round 0 of
+a step is every member's first substep, round r the (r+1)-th substep of the
+members whose path cuts it r times.  Each member draws its own increments
+in its substep order, so every stream is consumed as in a serial run.
+Working a chunk at a time bounds the noise buffer: a chunk holds
+``chunk_steps`` draws per member, plus one per cut.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -25,23 +30,6 @@ def chunk_steps(M: int, N: int) -> int:
     return min(CHUNK_STEPS, max(1, CHUNK_BYTES // (8 * M * N * N)))
 
 
-def split_step(times, modes, j, cur, t_end):
-    """Substeps (start, length, mode) of the step [cur, t_end) cut at the
-    jumps from index j on; a jump within 1e-15 of a cut cuts nothing."""
-    subs = []
-    while True:
-        while j < len(times) and times[j] <= cur + 1e-15:
-            j += 1
-        if j < len(times) and times[j] < t_end - 1e-15:
-            nxt = float(times[j])
-        else:
-            nxt = t_end
-        subs.append((cur, nxt - cur, int(modes[j - 1])))
-        cur = nxt
-        if cur >= t_end - 1e-15:
-            return subs
-
-
 def chunk(paths, rngs, k0, k1, h, N):
     """Channel increments Z (each scaled by the root of its substep's
     length) and substep rounds of the steps k0..k1-1 of a batch.
@@ -53,64 +41,59 @@ def chunk(paths, rngs, k0, k1, h, N):
     step k, else 0.  A batch of one gets plain floats and ints.
     """
     M, C = len(paths), k1 - k0
-    starts = np.arange(k0, k1, dtype=float) * h
-    ends = np.arange(k0 + 1, k1 + 1, dtype=float) * h
-    first_h = np.empty((M, C))
-    first_h[:] = ends - starts
-    first_mode = np.zeros((M, C), dtype=np.int64)
-    extra = np.zeros((M, C), dtype=np.int64)
-    later = {}  # (step, round) -> [(member, start, length, mode), ...]
-    after, before = starts + 1e-15, ends - 1e-15
+    grid = np.arange(k0, k1 + 1, dtype=float) * h
+    points = grid.tolist()
+    cuts, slots = [], []  # the jumps that cut a step, and member * C + step of each
     for m, path in enumerate(paths):
-        if not isinstance(path, SwitchPath):  # None (mode 0) or a mode held
-            first_mode[m] = path or 0
-            continue
-        times = path.times
-        jp = np.searchsorted(times, after, side="right")
-        first_mode[m] = path.modes[jp - 1]
-        nxt = times[np.minimum(jp, len(times) - 1)]
-        cut = np.flatnonzero((jp < len(times)) & (nxt < before)).tolist()
-        if cut:  # split_step runs on lists: numpy scalars cost more
-            times, entered = times.tolist(), path.modes.tolist()
-        for i in cut:
-            subs = split_step(times, entered, int(jp[i]), float(starts[i]), float(ends[i]))
-            first_h[m, i] = subs[0][1]
-            extra[m, i] = len(subs) - 1
-            for r, sub in enumerate(subs[1:], 1):
-                later.setdefault((i, r), []).append((m, *sub))
+        if isinstance(path, SwitchPath):
+            lo, hi = path.times.searchsorted(grid[[0, -1]])  # the jumps in [grid[0], grid[-1])
+            prev = -np.inf
+            for t in path.times[lo:hi].tolist():
+                i = bisect_right(points, t) - 1
+                if points[i] + 1e-15 < t < points[i + 1] - 1e-15 and t > prev + 1e-15:
+                    cuts.append(t)
+                    slots.append(m * C + i)
+                    prev = t
 
-    # member m's draws fill Z[begin[m]:end[m]], one per substep in order
-    counts = C + extra.sum(axis=1)
-    end = np.cumsum(counts)
-    begin = end - counts
-    first_draw = begin[:, None] + np.arange(C) + np.cumsum(extra, axis=1) - extra
-    Z = np.empty((end[-1], N, N))
-    for rng, a, b in zip(rngs, begin.tolist(), end.tolist()):
-        rng.standard_normal(out=Z[a:b])
-    lengths = np.empty(end[-1])
-    lengths[first_draw] = first_h
-
+    # the table: one row, and one draw, per substep, member after member;
+    # cut k lies after k cuts and the first substeps of slots 0..slots[k]
+    slots, slot = np.array(slots, dtype=np.int64), np.arange(M * C)
+    first = (slot + np.searchsorted(slots, slot)).reshape(M, C)  # row of each step's first substep
+    last = (slot + np.searchsorted(slots, slot, "right")).reshape(M, C)  # and of its last
+    starts = np.empty(M * C + len(cuts))
+    starts[np.arange(len(cuts)) + slots + 1] = cuts
+    starts[first] = grid[:-1]
+    del cuts, slots, slot  # Z, drawn last, is the peak
+    lengths = np.diff(starts, append=grid[-1])
+    lengths[last[:, -1]] = grid[-1] - starts[last[:, -1]]
+    modes = np.empty(len(starts), dtype=np.int64)
+    bounds = first[:, 0].tolist() + [len(starts)]
+    for path, a, b in zip(paths, bounds, bounds[1:]):
+        if isinstance(path, SwitchPath):
+            modes[a:b] = path.modes[np.searchsorted(path.times, starts[a:b] + 1e-15, "right") - 1]
+        else:
+            modes[a:b] = path or 0
+    done = range(k0 + 1, k1 + 1)
     if M == 1:
-        hs, modes, draws = first_h[0].tolist(), first_mode[0].tolist(), first_draw[0].tolist()
+        k_done = np.zeros(len(starts), dtype=np.int64)
+        k_done[last[0]] = done
+        rounds = list(zip(starts.tolist(), lengths.tolist(), modes.tolist(),
+                          [None] * len(starts), range(len(starts)), k_done.tolist()))
     else:
-        hs = list(first_h.T.copy())
-        held = (first_mode == first_mode[0, 0]).all()  # one mode: index by an int
-        modes = [int(first_mode[0, 0])] * C if held else list(first_mode.T.copy())
-        draws = list(first_draw.T.copy())
-    rounds = []
-    for i, (t, k_done) in enumerate(zip(starts.tolist(), range(k0 + 1, k1 + 1))):
-        rounds.append((t, hs[i], modes[i], None, draws[i], 0 if (i, 1) in later else k_done))
-        r = 1
-        while (i, r) in later:
-            done = 0 if (i, r + 1) in later else k_done
-            if M == 1:
-                (_, t_r, h_r, mode_r), = later[(i, r)]
-                draw_r = draws[i] + r
-            else:
-                rows, t_r, h_r, mode_r = (np.array(col) for col in zip(*later[(i, r)]))
-                draw_r = first_draw[rows, i] + r
-            lengths[draw_r] = h_r
-            rounds.append((t_r, h_r, mode_r, None if M == 1 else rows, draw_r, done))
-            r += 1
+        held = (modes[first] == modes[0]).all()  # one mode: index by an int
+        rounds = []
+        for i, (t, k, top) in enumerate(zip(points, done, (last - first).max(axis=0).tolist())):
+            draws = first[:, i]
+            rounds.append((t, lengths[draws], int(modes[0]) if held else modes[draws], None,
+                           draws, 0 if top else k))
+            for r in range(1, top + 1):
+                rows = np.flatnonzero(last[:, i] >= draws + r)
+                later = draws[rows] + r
+                rounds.append((starts[later], lengths[later], modes[later], rows, later,
+                               0 if r < top else k))
+
+    Z = np.empty((len(starts), N, N))
+    for rng, a, b in zip(rngs, bounds, bounds[1:]):
+        rng.standard_normal(out=Z[a:b])
     Z *= np.sqrt(lengths)[:, None, None]
     return Z, rounds

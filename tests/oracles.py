@@ -15,7 +15,9 @@ for bit, domain errors included.  The assumption gates keep their separate
 fixed and switching branches, and the equilibrium its per-expression
 gradients, the references for the one-mode gate path and the kernel-built
 equilibrium.  Chain paths have their per-call sampler, the reference for the
-jump tables each ``Generator`` builds once.
+jump tables each ``Generator`` builds once.  The substep schedule has its
+step-by-step splitter, the reference the one-table ``schedule.chunk`` must
+match bit for bit, in every draw and every round field.
 """
 
 import math
@@ -23,6 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from switchopt.chain import SwitchPath
 from switchopt.expr import Add, Const, Div, DomainError, Exp, Ln, Mul, Neg, Pow, Sub, Var
 
 
@@ -456,3 +459,89 @@ def sample_path_reference(gen, s0, alpha, horizon, seed):
         times.append(t)
         modes.append(s)
     return np.array(times), np.array(modes, dtype=np.int64), absorbed
+
+
+def _split_step_reference(times, modes, j, cur, t_end):
+    """Substeps (start, length, mode) of the step [cur, t_end) cut at the
+    jumps from index j on; a jump within 1e-15 of a cut cuts nothing."""
+    subs = []
+    while True:
+        while j < len(times) and times[j] <= cur + 1e-15:
+            j += 1
+        if j < len(times) and times[j] < t_end - 1e-15:
+            nxt = float(times[j])
+        else:
+            nxt = t_end
+        subs.append((cur, nxt - cur, int(modes[j - 1])))
+        cur = nxt
+        if cur >= t_end - 1e-15:
+            return subs
+
+
+def chunk_reference(paths, rngs, k0, k1, h, N):
+    """``schedule.chunk`` as it was: each step a member's path jumps in is
+    split by ``_split_step_reference``, the later substeps are kept in a
+    (step, round) dictionary and the draws are placed by per-member offsets.
+    Returns the same (Z, rounds) as ``schedule.chunk``."""
+    M, C = len(paths), k1 - k0
+    starts = np.arange(k0, k1, dtype=float) * h
+    ends = np.arange(k0 + 1, k1 + 1, dtype=float) * h
+    first_h = np.empty((M, C))
+    first_h[:] = ends - starts
+    first_mode = np.zeros((M, C), dtype=np.int64)
+    extra = np.zeros((M, C), dtype=np.int64)
+    later = {}  # (step, round) -> [(member, start, length, mode), ...]
+    after, before = starts + 1e-15, ends - 1e-15
+    for m, path in enumerate(paths):
+        if not isinstance(path, SwitchPath):  # None (mode 0) or a mode held
+            first_mode[m] = path or 0
+            continue
+        times = path.times
+        jp = np.searchsorted(times, after, side="right")
+        first_mode[m] = path.modes[jp - 1]
+        nxt = times[np.minimum(jp, len(times) - 1)]
+        cut = np.flatnonzero((jp < len(times)) & (nxt < before)).tolist()
+        if cut:  # split_step runs on lists: numpy scalars cost more
+            times, entered = times.tolist(), path.modes.tolist()
+        for i in cut:
+            subs = _split_step_reference(times, entered, int(jp[i]), float(starts[i]), float(ends[i]))
+            first_h[m, i] = subs[0][1]
+            extra[m, i] = len(subs) - 1
+            for r, sub in enumerate(subs[1:], 1):
+                later.setdefault((i, r), []).append((m, *sub))
+
+    # member m's draws fill Z[begin[m]:end[m]], one per substep in order
+    counts = C + extra.sum(axis=1)
+    end = np.cumsum(counts)
+    begin = end - counts
+    first_draw = begin[:, None] + np.arange(C) + np.cumsum(extra, axis=1) - extra
+    Z = np.empty((end[-1], N, N))
+    for rng, a, b in zip(rngs, begin.tolist(), end.tolist()):
+        rng.standard_normal(out=Z[a:b])
+    lengths = np.empty(end[-1])
+    lengths[first_draw] = first_h
+
+    if M == 1:
+        hs, modes, draws = first_h[0].tolist(), first_mode[0].tolist(), first_draw[0].tolist()
+    else:
+        hs = list(first_h.T.copy())
+        held = (first_mode == first_mode[0, 0]).all()  # one mode: index by an int
+        modes = [int(first_mode[0, 0])] * C if held else list(first_mode.T.copy())
+        draws = list(first_draw.T.copy())
+    rounds = []
+    for i, (t, k_done) in enumerate(zip(starts.tolist(), range(k0 + 1, k1 + 1))):
+        rounds.append((t, hs[i], modes[i], None, draws[i], 0 if (i, 1) in later else k_done))
+        r = 1
+        while (i, r) in later:
+            done = 0 if (i, r + 1) in later else k_done
+            if M == 1:
+                (_, t_r, h_r, mode_r), = later[(i, r)]
+                draw_r = draws[i] + r
+            else:
+                rows, t_r, h_r, mode_r = (np.array(col) for col in zip(*later[(i, r)]))
+                draw_r = first_draw[rows, i] + r
+            lengths[draw_r] = h_r
+            rounds.append((t_r, h_r, mode_r, None if M == 1 else rows, draw_r, done))
+            r += 1
+    Z *= np.sqrt(lengths)[:, None, None]
+    return Z, rounds

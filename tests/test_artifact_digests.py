@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from switchopt import cli, dynamics, schedule
+from switchopt import chain, cli, dynamics, schedule
 from switchopt.expr import parse
 from switchopt.graph import Graph, Network
 from switchopt.problem import AgentSpec, Problem
@@ -110,6 +110,24 @@ def test_chunk_peak_stays_under_the_byte_budget(M, N):
         tracemalloc.stop()
     assert Z.shape == (M * steps, N, N) and len(rounds) == steps
     assert peak <= schedule.CHUNK_BYTES + 8 * M * N * N
+
+
+def test_chunk_peak_with_jump_cuts_stays_under_the_byte_budget(six_mode_generator):
+    # at alpha 0.002 each member's path jumps about 1.4 times a step; each
+    # jump cuts a substep, which takes one draw more than the budget counts
+    M, N = 40, 60
+    steps = schedule.chunk_steps(M, N)
+    paths = [chain.sample_path(six_mode_generator, 0, 0.002, steps * 1e-3, m) for m in range(M)]
+    rngs = [np.random.default_rng(m) for m in range(M)]
+    tracemalloc.start()
+    try:
+        Z, rounds = schedule.chunk(paths, rngs, 0, steps, 1e-3, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cuts = len(Z) - M * steps
+    assert cuts == sum(p.n_jumps for p in paths) > M * steps
+    assert peak <= schedule.CHUNK_BYTES + 8 * M * N * N + 8 * cuts * N * N
 
 
 def test_lone_run_peak_stays_near_its_chunk():

@@ -35,6 +35,12 @@ def test_validate_rejects_negative_rate():
         validate_generator([[-1.0, 1.0], [-0.5, 0.5]])
 
 
+def test_validate_rejects_a_matrix_of_no_modes_and_accepts_one_mode():
+    with pytest.raises(ChainError, match=r"^not a generator: matrix must have at least one mode$"):
+        validate_generator(np.zeros((0, 0)))
+    assert validate_generator([[0.0]]).n_modes == 1
+
+
 def test_validate_accepts_all_zero_but_stationary_rejects():
     gen = validate_generator([[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ChainError, match="stationary"):

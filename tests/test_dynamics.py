@@ -884,13 +884,17 @@ def test_simulate_refuses_a_path_shorter_than_the_integration(
     (-1, False, r"chain path of member 0: mode -1 is outside 0\.\.5"),
     (6, False, r"chain path of member 0: mode 6 is outside 0\.\.5"),
     (7, True, r"chain path of member 0: mode 7 is outside 0\.\.6"),
+    (2.0, False, r"chain path of member 0: mode 2\.0 is outside 0\.\.5"),
+    (True, False, r"chain path of member 0: mode True is outside 0\.\.5"),
     ("three-mode", False, r"chain path of member 0 switches among 3 modes; "
                           r"the network has 6 \(modes 0\.\.5\)"),
-], ids=["mode-minus-1", "mode-6", "mode-7-given-pi", "three-mode-path"])
+], ids=["mode-minus-1", "mode-6", "mode-7-given-pi", "mode-float", "mode-bool",
+        "three-mode-path"])
 def test_simulate_refuses_a_path_the_network_cannot_follow(
         path, pi, message, five_agent, six_mode_network, six_mode_generator, reference_init):
     # before any step: a mode outside the stacks (the averaged mode S counts
-    # given pi), or a path sampled from a generator of another mode count
+    # given pi), a mode that is not an int, or a path sampled from a
+    # generator of another mode count
     if path == "three-mode":
         three = chain.validate_generator([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
         path = chain.sample_path(three, 0, 0.1, 0.1, 0)
@@ -898,6 +902,13 @@ def test_simulate_refuses_a_path_the_network_cannot_follow(
     stationary = chain.stationary(six_mode_generator) if pi else None
     with pytest.raises(ValueError, match=f"^{message}$"):
         simulate(five_agent, six_mode_network, path, cfg, reference_init, pi=stationary)
+
+
+def test_a_numpy_int_mode_runs_as_that_mode(five_agent, six_mode_network, reference_init):
+    cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=1)
+    held, plain = (simulate(five_agent, six_mode_network, mode, cfg, reference_init)
+                   for mode in (np.int64(2), 2))
+    assert held.x.tobytes() == plain.x.tobytes()
 
 
 def test_batch_refusal_names_the_member(five_agent, six_mode_network, reference_init):
