@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import StationaryDist, SwitchPath
 from .expr import DomainError, Emitter
-from .graph import Network, connected, lambda2
+from .graph import Network, connected, is_integer, lambda2
 from .problem import KktCertificate, Problem, domain_error_detail, emit_kernel
 from .schedule import chunk, chunk_steps
 
@@ -157,6 +157,8 @@ class IntegratorConfig:
         if round(steps) < 1:
             raise ValueError(f"step size {self.h} is too large for horizon {self.horizon}: "
                              "no step would run")
+        if not math.isfinite(self.lambda_floor):
+            raise ValueError(f"lambda_floor must be finite, got {self.lambda_floor}")
         if self.lambda_floor < 0.0:
             raise ValueError("lambda_floor must be nonnegative")
         if self.output_stride < 1:
@@ -167,14 +169,14 @@ class IntegratorConfig:
 
 
 def _eta_vector(eta, r: int) -> np.ndarray:
-    """``eta``, a scalar or length r, as r positive multiplier weights."""
+    """``eta``, a scalar or length r, as r finite positive multiplier weights."""
     eta = np.asarray(eta, dtype=float)
     if eta.ndim == 0:
         eta = np.full(r, float(eta))
     if eta.shape != (r,):
         raise ValueError(f"eta must be scalar or length {r}")
-    if np.any(eta <= 0.0):
-        raise ValueError("eta entries must be positive")
+    if not np.all(np.isfinite(eta) & (eta > 0.0)):
+        raise ValueError("eta entries must be finite and positive")
     return eta
 
 
@@ -689,9 +691,8 @@ def _integrate(
         if isinstance(path, SwitchPath) and path.n_modes != model.S:
             raise ValueError(f"chain path of member {m} switches among {path.n_modes} "
                              f"modes; the network has {model.S} (modes 0..{model.S - 1})")
-        held = isinstance(path, (int, np.integer)) and not isinstance(path, bool)
         if not (path is None or isinstance(path, SwitchPath)
-                or held and path in range(len(model.L))):
+                or is_integer(path) and path in range(len(model.L))):
             raise ValueError(f"chain path of member {m}: mode {path!r} is outside "
                              f"0..{len(model.L) - 1}")
     N, n = model.N, model.n

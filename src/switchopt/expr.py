@@ -13,8 +13,9 @@ source transformation).  ``Expr.value`` and ``Expr.value_and_grad`` run a
 function compiled from that lowering once per expression, on first use;
 ``Problem.kernel`` fuses the same lowerings of a whole problem into the
 integrator's drift, and ``Problem.cost`` the costs' value passes into the
-total cost.  The reference tree walk that the tests hold this
-against lives in ``tests/oracles.py``.
+total cost.  ``Emitter.compile`` compiles each source once per process (a
+bounded cache; a one-shot command gains nothing).  The reference tree walk
+that the tests hold this against lives in ``tests/oracles.py``.
 
 Grammar (infix, whitespace insensitive)::
 
@@ -39,6 +40,7 @@ import math
 import re
 import textwrap
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -262,6 +264,13 @@ def _lit(v):
 SUM_TERMS = 200
 
 
+@lru_cache(maxsize=16)
+def _code(source: str, filename: str):
+    """Generated source compiled.  One command compiles at most 12 (a
+    ``simulate``): 16 keep a repeated command's code, and few outlive it."""
+    return compile(source, filename, "exec")
+
+
 class Emitter:
     """Straight-line Python statements compiled into one function, on floats.
 
@@ -318,11 +327,12 @@ class Emitter:
         return name
 
     def compile(self, name: str, params: str, result: str):
-        """``def name(params): <lines>; return result`` as a function."""
+        """``def name(params): <lines>; return result`` as a function: code
+        compiled once per source per process (``_code``), run in fresh globals."""
         body = "\n".join([*self.lines, f"return {result}"])
         source = f"def {name}({params}):\n" + textwrap.indent(body, "    ") + "\n"
         namespace = dict(self.namespace)
-        exec(compile(source, f"<switchopt {name}>", "exec"), namespace)
+        exec(_code(source, f"<switchopt {name}>"), namespace)
         return namespace[name]
 
 

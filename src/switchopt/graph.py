@@ -29,8 +29,11 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if not is_integer(self.n_nodes) or self.n_nodes < 0:
+            raise ValueError(f"n_nodes must be a nonnegative integer, got {self.n_nodes!r}")
         canon = set()
-        for i, j in self.edges:
+        for edge in self.edges:
+            i, j = map(_endpoint, edge)
             if i == j:
                 raise ValueError(f"self loop at node {i}")
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
@@ -41,7 +44,21 @@ class Graph:
     @classmethod
     def from_edges(cls, n_nodes, pairs, one_based=False):
         off = 1 if one_based else 0
-        return cls(n_nodes, frozenset((i - off, j - off) for i, j in pairs))
+        return cls(n_nodes, frozenset((_endpoint(i) - off, _endpoint(j) - off) for i, j in pairs))
+
+
+def is_integer(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer, not a bool: a node or a
+    mode index.  A bool or a float would pass a range check as another
+    index, or as none."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _endpoint(v):
+    """An edge endpoint, which must be an integer."""
+    if not is_integer(v):
+        raise ValueError(f"edge endpoint {v!r} is not an integer")
+    return v
 
 
 def adjacency(g: Graph) -> np.ndarray:

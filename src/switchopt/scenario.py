@@ -76,6 +76,16 @@ def _require(cond, msg):
         raise ScenarioError(msg)
 
 
+def _integer(section: dict, name: str, key: str, default=None, nonnegative=False) -> int:
+    """``section[key]`` (``default`` if absent), which must be an int: a
+    float or a bool would pass int() and run as another value."""
+    value = section.get(key, default)
+    kind = "a nonnegative integer" if nonnegative else "an integer"
+    _require(type(value) is int and not (nonnegative and value < 0),
+             f"{name}: {key} must be {kind}, got {value!r}")
+    return value
+
+
 def _section(name, build, *args):
     """Run one builder; a mistyped field surfaces as a TypeError or
     ValueError from numpy or a constructor, or as the OverflowError of
@@ -140,7 +150,7 @@ class Scenario:
         section = self.raw["problem"]
         _require("dimension" in section, "problem.dimension missing")
         _require("agents" in section and section["agents"], "problem.agents missing/empty")
-        n = int(section["dimension"])
+        n = _integer(section, "problem", "dimension")
         agents = []
         for idx, a in enumerate(section["agents"]):
             _require("cost" in a, f"agent {idx + 1}: cost missing")
@@ -157,7 +167,7 @@ class Scenario:
         section = self.raw["network"]
         for key in ("nodes", "graphs", "sigma", "kappa", "coupling"):
             _require(key in section, f"network.{key} missing")
-        n_nodes = int(section["nodes"])
+        n_nodes = _integer(section, "network", "nodes")
         graphs = []
         for gi, pairs in enumerate(section["graphs"]):
             try:
@@ -186,21 +196,23 @@ class Scenario:
         return float(self.raw.get("chain", {}).get("alpha", 1.0))
 
     def initial_mode(self) -> int:
-        return int(self.raw.get("chain", {}).get("initial_mode", 1)) - 1
+        return _integer(self.raw.get("chain", {}), "chain", "initial_mode", 1) - 1
 
     def build_config(self, **overrides) -> IntegratorConfig:
         section = dict(self.raw["integrator"])
         section.update(overrides)
         for key in ("step", "horizon"):
             _require(key in section, f"integrator.{key} missing")
+        strict = section.get("strict", False)
+        _require(type(strict) is bool, f"integrator: strict must be true or false, got {strict!r}")
         return IntegratorConfig(
             h=float(section["step"]),
             horizon=float(section["horizon"]),
             eta=section.get("eta", 1.0),
             lambda_floor=float(section.get("lambda_floor", 1e-12)),
             seed=section.get("seed", 0),
-            output_stride=int(section.get("output_stride", 1)),
-            strict=bool(section.get("strict", False)),
+            output_stride=_integer(section, "integrator", "output_stride", 1),
+            strict=strict,
         )
 
     def build_init(self, problem: Problem) -> SystemState:
@@ -240,11 +252,7 @@ class Scenario:
         return np.asarray(probe, dtype=float)
 
     def root_seed(self) -> int:
-        seed = self.raw["integrator"].get("seed", 0)
-        # a float or a bool would pass int() and run as another seed
-        if type(seed) is not int or seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-        return seed
+        return _integer(self.raw["integrator"], "integrator", "seed", 0, nonnegative=True)
 
     # -- serialization -----------------------------------------------------
 

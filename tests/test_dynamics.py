@@ -854,6 +854,24 @@ def test_config_refuses_a_negative_lambda_floor():
         IntegratorConfig(lambda_floor=-1)
 
 
+@pytest.mark.parametrize("floor", [math.nan, math.inf], ids=["nan", "inf"])
+def test_config_refuses_a_nonfinite_lambda_floor(floor):
+    # a nan or inf floor passes `< 0` and never clamps
+    with pytest.raises(ValueError, match=f"^lambda_floor must be finite, got {floor}$"):
+        IntegratorConfig(lambda_floor=floor)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, [1.0, math.nan], [math.inf, 1.0], -1.0],
+                         ids=["nan", "inf", "entry-nan", "entry-inf", "negative"])
+def test_model_refuses_an_eta_that_is_not_finite_and_positive(eta, five_agent, k5_network):
+    # a nan eta ran into a misleading step-size error, an inf one froze
+    # every multiplier
+    with pytest.raises(ValueError, match="^eta entries must be finite and positive$"):
+        _Model(five_agent, k5_network, eta)
+    with pytest.raises(ValueError, match="^eta entries must be finite and positive$"):
+        IntegratorConfig(eta=eta).eta_vector(2)
+
+
 def test_model_refuses_an_eta_of_the_wrong_length(five_agent, k5_network):
     with pytest.raises(ValueError, match="^eta must be scalar or length 2$"):
         _Model(five_agent, k5_network, [1.0, 1.0, 1.0])

@@ -144,6 +144,31 @@ def test_one_based_edge_lists():
     assert g.edges == frozenset({(0, 1), (1, 2)})
 
 
+@pytest.mark.parametrize("edge", [(1.5, 2), (True, 2), (1, 2.0), (np.True_, 2)],
+                         ids=["fraction", "bool", "float", "numpy-bool"])
+@pytest.mark.parametrize("one_based", [False, True])
+def test_edge_endpoints_must_be_integers(edge, one_based):
+    # 1.5 would pass the range check and fail later in adjacency; a bool
+    # (True - 1 == 0 on a one-based list) would run as node 0 or 1
+    with pytest.raises(ValueError, match=r"^edge endpoint .* is not an integer$"):
+        Graph.from_edges(3, [edge], one_based=one_based)
+    with pytest.raises(ValueError, match=r"^edge endpoint .* is not an integer$"):
+        Graph(3, frozenset([edge]))
+
+
+@pytest.mark.parametrize("n_nodes", [2.5, True, -1], ids=["fraction", "bool", "negative"])
+def test_node_count_must_be_a_nonnegative_integer(n_nodes):
+    # 2.5 built and failed later in adjacency; True ran as one node
+    with pytest.raises(ValueError, match=r"^n_nodes must be a nonnegative integer, got "):
+        Graph(n_nodes, frozenset({(0, 1)}))
+
+
+def test_numpy_integer_endpoints_build():
+    g = Graph.from_edges(3, np.array([[1, 2], [2, 3]]), one_based=True)
+    assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert np.array_equal(adjacency(g), adjacency(Graph.from_edges(3, [(0, 1), (1, 2)])))
+
+
 def test_network_scalar_sigma_broadcast():
     net = Network(graphs=(PATH3,), sigma=0.25, coupling=1.0, kappa=0.5)
     assert net.sigma.shape == (3, 3)

@@ -8,6 +8,7 @@ type and message.
 """
 
 import dataclasses
+import inspect
 import math
 import pickle
 import re
@@ -427,6 +428,55 @@ def test_one_lone_substep_compile_per_simulate_command(monkeypatch, mode, tmp_pa
     assert len(builds) == 1
     assert [n for n in names if n.startswith("lone")] == ["lone_drift", "lone_update"]
     assert names.count("kernel") == 1
+
+
+def code_misses():
+    """Generated sources compiled so far in this process."""
+    return expr_mod._code.cache_info().misses
+
+
+def compiled_functions(scenario):
+    """Every generated function of a problem and model built afresh from
+    ``scenario``: the kernels, the total cost, the lone substep pair and
+    agent 1's ``value_and_grad``."""
+    problem = scenario.build_problem()
+    model = dynamics._Model(problem, scenario.build_network(), scenario.build_config().eta)
+    f = problem.agents[0].f
+    f.value_and_grad(X_INIT[0])
+    return [problem.kernel, inspect.unwrap(problem.batch_kernel), problem.cost,
+            *model.lone[:2], f._value_and_grad]
+
+
+def test_a_rebuilt_problem_and_model_reuse_the_compiled_code(switching_scenario):
+    first = compiled_functions(switching_scenario)
+    misses = code_misses()
+    second = compiled_functions(switching_scenario)
+    assert code_misses() == misses
+    for a, b in zip(first, second, strict=True):
+        # one code object, run into separate globals
+        assert a is not b and a.__code__ is b.__code__
+        assert a.__globals__ is not b.__globals__
+
+
+def test_a_repeated_simulate_command_compiles_nothing_and_writes_the_same_bytes(tmp_path):
+    argv = ["simulate", str(SCENARIO_DIR / "five_agent_switching.json"), "--horizon", "0.3"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "a")]) == 0
+    misses = code_misses()
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "b")]) == 0
+    assert code_misses() == misses
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert names and names == sorted(path.name for path in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_the_code_cache_stays_bounded():
+    maxsize = expr_mod._code.cache_info().maxsize
+    for k in range(maxsize + 3):
+        em = expr_mod.Emitter()
+        em.line(f"v = {k}")
+        assert em.compile("probe", "", "v")() == k
+    assert expr_mod._code.cache_info().currsize == maxsize
 
 
 # ---------------------------------------------------------------------------

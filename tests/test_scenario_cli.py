@@ -573,6 +573,41 @@ def test_seed_that_is_not_a_nonnegative_integer_exits_1(command, seed, tmp_scena
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("network", "graphs", 0, 0), [1.5, 2], "network.graphs[0]: edge endpoint 1.5 is not"),
+    (("network", "graphs", 0, 0), [True, 2], "network.graphs[0]: edge endpoint True is not"),
+    (("integrator", "output_stride"), 2.5, "integrator: output_stride must be an integer"),
+    (("problem", "dimension"), 2.5, "problem: dimension must be an integer"),
+    (("network", "nodes"), 5.5, "network: nodes must be an integer"),
+    (("network", "nodes"), True, "network: nodes must be an integer"),
+    (("chain", "initial_mode"), 1.5, "chain: initial_mode must be an integer"),
+    (("integrator", "strict"), "false", "integrator: strict must be true or false"),
+    (("integrator", "strict"), 0, "integrator: strict must be true or false"),
+    (("integrator", "eta"), math.nan, "integrator: eta entries must be finite and positive"),
+    (("integrator", "eta"), math.inf, "integrator: eta entries must be finite and positive"),
+    (("integrator", "lambda_floor"), math.nan, "integrator: lambda_floor must be finite"),
+    (("integrator", "lambda_floor"), math.inf, "integrator: lambda_floor must be finite"),
+], ids=["edge-fraction", "edge-bool", "stride-fraction", "dimension-fraction",
+        "nodes-fraction", "nodes-bool", "initial-mode-fraction", "strict-string",
+        "strict-int", "eta-nan", "eta-inf", "floor-nan", "floor-inf"])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_value_of_the_wrong_kind_exits_1(command, path, value, message, switching_scenario,
+                                         tmp_path, capsys):
+    # each ran as another value (int() truncates, bool("false") is True), or
+    # ended in a traceback (edge 1.5) or a misleading step-size error (eta nan)
+    data = json.loads(json.dumps(switching_scenario.raw))
+    _set(path, value)(data)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    argv = [command, str(scenario)]
+    if command == "simulate":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def _write_with(scenario, tmp_path, **integrator):
     """A copy of ``scenario`` with the integrator entries given, as a file."""
     data = json.loads(json.dumps(scenario.raw))
