@@ -98,14 +98,22 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _x_entry(k: int, text: str) -> float:
+    """Entry k (1-based) of the --x flag as a finite float."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise ValueError(f"--x entry {k} must be a number, got {text!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"--x entry {k} must be finite, got {v!r}")
+    return v
+
+
 def cmd_kkt(args) -> int:
     scn = load_scenario(args.scenario)
     problem = scn.build_problem()
     if args.x is not None:
-        cand = np.array([float(v) for v in args.x.split(",")])
-        for k, v in enumerate(cand.tolist()):
-            if not math.isfinite(v):
-                raise ValueError(f"--x entry {k + 1} must be finite, got {v!r}")
+        cand = np.array([_x_entry(k, text) for k, text in enumerate(args.x.split(","), 1)])
     else:
         cand = scn.candidate()
     if cand is None:
@@ -170,6 +178,13 @@ def _metrics_csv(header: str, metrics: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _root_seed(scn, seed) -> int:
+    """The --seed flag, else the scenario's root seed."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
+    return scn.root_seed() if seed is None else seed
+
+
 def _multiplier_names(problem):
     lam_names = [f"lambda_{i + 1}_{j + 1}" for i, j, _ in problem.ineq_index()]
     nu_names = [f"nu_{i + 1}_{j + 1}" for i, j, _ in problem.eq_index()]
@@ -186,7 +201,7 @@ def cmd_simulate(args) -> int:
             f"fixed mode runs one graph, but the network has {network.n_modes}; "
             "run it in switching or averaged mode"
         )
-    root_seed = scn.root_seed() if args.seed is None else args.seed
+    root_seed = _root_seed(scn, args.seed)
     chain_ss, noise_ss = chain.trajectory_seeds(root_seed, 0)
     overrides = {}
     if args.horizon is not None:
@@ -276,7 +291,7 @@ def cmd_compare(args) -> int:
     problem = scn.build_problem()
     cfg = scn.build_config()
     horizon = cfg.horizon if args.horizon is None else args.horizon
-    seed = scn.root_seed() if args.seed is None else args.seed
+    seed = _root_seed(scn, args.seed)
     with warnings.catch_warnings():
         # each one is in report["warnings"] too, printed once on stdout below
         warnings.simplefilter("ignore", dynamics.TrajectoryWarning)

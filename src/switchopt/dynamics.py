@@ -289,19 +289,19 @@ class _Model:
         ``_compile_lone``)."""
         return _compile_lone(self)
 
-    def drift(self, x, theta, lam, nu, mode):
-        """Drift blocks (dx, dtheta, dlam, dnu); only the coupling Laplacian
-        depends on the mode."""
+    def drift(self, x, pair, lam, nu, mode):
+        """Drift blocks (dx, dtheta, dlam, dnu), theta being pair - x; only
+        the coupling Laplacian depends on the mode."""
         if isinstance(x, list):  # a lone member
             drift, _, laplacians, _ = self.lone
-            return drift(x, theta, lam, nu, laplacians[mode])
+            return drift(x, pair, lam, nu, laplacians[mode])
         Lx = self.L[mode] @ x
         grad_terms, gvals, hvals = self.problem.batch_kernel(x, lam, nu)
         # a multiplier at -1/eta: inf or nan, and the round is rerun member
         # by member, with no numpy warning
         with np.errstate(divide="ignore", invalid="ignore"):
             dlam = lam / (1.0 + self.eta * lam) * gvals
-        return -self.c * Lx - theta - grad_terms, self.c * Lx, dlam, hvals
+        return -self.c * Lx - (pair - x) - grad_terms, self.c * Lx, dlam, hvals
 
     def failure(self, what, detail, t, h, mode, member=None):
         """IntegrationError "<what> at t=<t + h> (<mode>): <detail>", naming
@@ -334,7 +334,7 @@ class _Model:
         if isinstance(x, list):  # a lone member
             _, update, _, receive = self.lone
             try:
-                blocks = self.drift(x, [p - q for p, q in zip(pair, x)], lam, nu, mode)
+                blocks = self.drift(x, pair, lam, nu, mode)
                 return update(x, pair, lam, nu, *blocks, receive[mode], W.ravel().tolist(), h,
                               clamp_floor)
             except DomainError as exc:
@@ -348,7 +348,7 @@ class _Model:
         if len(x) < BATCH_KERNEL_ROWS:
             return self._each(*args)
         try:
-            dx, dtheta, dlam, dnu = self.drift(x, pair - x, lam, nu, mode)
+            dx, dtheta, dlam, dnu = self.drift(x, pair, lam, nu, mode)
         except DomainError:
             return self._each(*args)
         noise = self.noise_term(x, mode, W)
@@ -386,14 +386,14 @@ _STIFF = "step size too large for this problem's stiffness"
 
 def _compile_lone(model: _Model):
     """The substep of a lone member as straight-line float code, generated
-    once per model with ``expr.Emitter``, as ``Problem.kernel`` is.  The
-    state is four flat float lists: x and pair agent-major, lam, nu.
+    once per model with ``expr.Emitter`` around ``emit_kernel``.  The state
+    is four flat float lists: x and pair agent-major, lam, nu.
 
-    Returns ``(drift, update, laplacians, receive)``: ``drift(x, theta, lam,
-    nu, L)`` gives the blocks (dx, dtheta, dlam, dnu), summing L @ x over
-    the senders j left to right from 0.0; ``update(x, pair, lam, nu, dx,
-    dtheta, dlam, dnu, R, W, h, floor)`` the new state and the clamp count,
-    summing the channel noise over the senders in the same order;
+    Returns ``(drift, update, laplacians, receive)``: ``drift(x, pair, lam,
+    nu, L)`` gives the blocks (dx, dtheta, dlam, dnu), summing L @ x over the
+    senders j left to right from 0.0; ``update(x, pair, lam, nu, dx, dtheta,
+    dlam, dnu, R, W, h, floor)`` the new state and the clamp count, summing
+    the channel noise over the senders in the same order;
     ``laplacians[mode]`` and ``receive[mode]`` are the mode's L and R, flat.
     Both sums leave out the senders whose entry is zero in every mode: at
     finite states their terms are +-0.0, which leave a sum begun at 0.0
@@ -416,15 +416,15 @@ def _compile_lone(model: _Model):
         return ", ".join(f"[{', '.join(b)}]" for b in blocks)
 
     em = Emitter()
-    G, gvals, hvals = emit_kernel(model.problem, em, flat=True)
+    G, gvals, hvals = emit_kernel(model.problem, em)
     coupled = senders(model.L)
-    bind(em, ("th", flat), ("L", [f"{i}_{j}" for i in range(N) for j in range(N)]))
+    bind(em, ("p", flat), ("L", [f"{i}_{j}" for i in range(N) for j in range(N)]))
     Lx = [em.left_sum([f"L{i}_{j} * x{j}_{k}" for j in coupled[i]]) for i, k, _ in cells]
-    dx = [f"({-c!r}) * {p} - th{v} - {G[i][k]}" for (i, k, v), p in zip(cells, Lx)]
+    dx = [f"({-c!r}) * {p} - (p{v} - x{v}) - {G[i][k]}" for (i, k, v), p in zip(cells, Lx)]
     dtheta = [f"{c!r} * {p}" for p in Lx]
     dlam = [f"lam{k} / (1.0 + {e!r} * lam{k}) * {g}"
             for k, (e, g) in enumerate(zip(model.eta.tolist(), gvals))]
-    drift = em.compile("lone_drift", "x, th, lam, nu, L", lists(dx, dtheta, dlam, hvals))
+    drift = em.compile("lone_drift", "x, p, lam, nu, L", lists(dx, dtheta, dlam, hvals))
 
     em = Emitter()
     heard = senders(model.R)
@@ -471,7 +471,7 @@ def _channel_increments(W, N: int) -> np.ndarray:
 def drift(state: SystemState, mode: int, problem: Problem, network: Network, eta=1.0):
     """Drift blocks (dx, dtheta, dlam, dnu) of the switching dynamics, as
     the lone substep computes them."""
-    arrays = (state.x, state.theta, state.lam, state.nu)
+    arrays = (state.x, state.pair, state.lam, state.nu)
     blocks = _shared_model(problem, network, eta).drift(*_flat(arrays), mode)
     return tuple(np.reshape(b, a.shape) for a, b in zip(arrays, blocks))
 
@@ -611,24 +611,29 @@ def check_assumptions(
 
 
 def build_equilibrium(problem: Problem, cert: KktCertificate) -> Equilibrium:
-    """Stationary point from a certificate with residuals within ``EQUILIBRIUM_TOL``."""
+    """Stationary point from a certificate of ``problem`` with residuals
+    within ``EQUILIBRIUM_TOL``, summing the certificate's own gradients."""
+    N, n, r, s = problem.n_agents, problem.n, problem.r, problem.s
+    for what, got, want in (("dimension of x*", np.size(cert.x_star), n),
+                            ("inequality multiplier count", np.size(cert.lambda_star), r),
+                            ("equality multiplier count", np.size(cert.nu_star), s),
+                            ("gradient count", len(cert.gradients), N + r + s)):
+        if got != want:
+            raise ValueError(f"certificate of another problem: the {what} is {got}, not {want}")
     bad = {k: v for k, v in cert.residuals.items() if v > EQUILIBRIUM_TOL}
     if bad:
         raise ValueError(f"certificate residuals above {EQUILIBRIUM_TOL}: {bad}")
-    x = np.tile(np.asarray(cert.x_star, dtype=float), (problem.n_agents, 1))
-    # theta_i = -(grad f_i + sum lam_k grad g_k + sum nu_k grad h_k), agent i's terms
-    grad_terms, _, _ = problem.kernel(x.tolist(), cert.lambda_star.tolist(),
-                                      cert.nu_star.tolist())
-    theta = -np.array(grad_terms, dtype=float)
-    total = np.linalg.norm(theta.sum(axis=0))
+    # theta_i = -(grad f_i + sum lam_k grad g_k + sum nu_k grad h_k), agent
+    # i's terms added in the drift's order
+    terms = cert.gradients[:N].copy()
+    owners = [i for i, _, _ in problem.ineq_index() + problem.eq_index()]
+    for i, m, grad in zip(owners, [*cert.lambda_star, *cert.nu_star], cert.gradients[N:]):
+        terms[i] += m * grad
+    total = np.linalg.norm(terms.sum(axis=0))
     if total > 10.0 * max(EQUILIBRIUM_TOL, cert.residuals["stationarity"]) + 1e-12:
-        raise ValueError(
-            f"theta blocks do not balance: |sum theta| = {total:.3e}"
-        )
-    return Equilibrium(
-        x=x, theta=theta,
-        lam=cert.lambda_star.copy(), nu=cert.nu_star.copy(),
-    )
+        raise ValueError(f"theta blocks do not balance: |sum theta| = {total:.3e}")
+    return Equilibrium(np.tile(np.asarray(cert.x_star, dtype=float), (N, 1)), -terms,
+                       cert.lambda_star.copy(), cert.nu_star.copy())
 
 
 def simulate(

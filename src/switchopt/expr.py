@@ -11,9 +11,9 @@ The package has one evaluator.  Each node lowers its forward pass into
 generated straight-line Python (``_emit`` into an ``Emitter``: forward mode by
 source transformation).  ``Expr.value`` and ``Expr.value_and_grad`` run a
 function compiled from that lowering once per expression, on first use;
-``Problem.kernel`` fuses the same lowerings of a whole problem into the
-integrator's drift, and ``Problem.cost`` the costs' value passes into the
-total cost.  ``Emitter.compile`` compiles each source once per process (a
+``problem.emit_kernel`` fuses the same lowerings of a whole problem into the
+integrator's drift, on floats and on numpy columns, and ``Problem.cost`` the
+costs' value passes into the total cost.  ``Emitter.compile`` compiles each source once per process (a
 bounded cache; a one-shot command gains nothing).  The reference tree walk
 that the tests hold this against lives in ``tests/oracles.py``.
 
@@ -266,8 +266,8 @@ SUM_TERMS = 200
 
 @lru_cache(maxsize=16)
 def _code(source: str, filename: str):
-    """Generated source compiled.  One command compiles at most 12 (a
-    ``simulate``): 16 keep a repeated command's code, and few outlive it."""
+    """Generated source compiled.  A ``simulate`` of a bundled scenario
+    compiles 11 sources: 16 keep a repeated command's code, few outlive it."""
     return compile(source, filename, "exec")
 
 

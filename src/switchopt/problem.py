@@ -101,31 +101,28 @@ class Problem:
         ]
 
     @cached_property
-    def kernel(self):
-        """All costs and constraints fused into one compiled function
-        ``kernel(rows, lam, nu) -> (grad_terms, gvals, hvals)``.
-
-        ``rows`` holds the N agent points (lists of n floats), ``lam`` and
-        ``nu`` the stacked multipliers as floats.  ``grad_terms[i]`` is
-        grad f_i, plus lam_k grad g_k over agent i's inequalities in
-        ``ineq_index`` order, plus nu_k grad h_k over its equalities in
-        ``eq_index`` order; ``gvals`` and ``hvals`` are the constraint values.
-        The result is bit-identical to each expression's own
-        ``value_and_grad``, which runs the same lowering, and a point outside
-        an expression's domain raises the same DomainError.
-        Compiled on first use and kept for the life of the problem.
-        """
-        return _compile_kernel(self, Emitter())
-
-    @cached_property
     def batch_kernel(self):
-        """``kernel`` over M members on numpy columns: (M, N, n), (M, r) and
-        (M, s) arrays in and out, each value within a few ulp of the scalar
-        kernel's.  The first domain test that any member fails raises the
-        scalar kernel's DomainError plus " (member m)", m the first such
-        member.  Compiled on first use.
+        """``emit_kernel`` compiled over M members on numpy columns:
+        ``batch_kernel(x, lam, nu) -> (grad_terms, gvals, hvals)`` on (M, N,
+        n), (M, r) and (M, s) arrays, each within a few ulp of the lowering
+        on floats.  The first domain test that any member fails raises its
+        DomainError on floats plus " (member m)", m the first such member.
+        Compiled on first use.
         """
-        return _compile_kernel(self, BatchEmitter())
+        N, n, r, s = self.n_agents, self.n, self.r, self.s
+        em = BatchEmitter()  # one column per agent coordinate and per multiplier
+        em.line("x, lam, nu, M = x.reshape(len(x), -1).T, lam.T, nu.T, len(x)")
+        grads, gvals, hvals = emit_kernel(self, em)
+        # a column may be a float, broadcast over M as it is written
+        em.line(f"G, gv, hv = empty(({N}, {n}, M)), empty(({r}, M)), empty(({s}, M))")
+        for i, g in enumerate(grads):
+            for j, d in enumerate(g):
+                em.line(f"G[{i}, {j}] = {d}")
+        for out, values in (("gv", gvals), ("hv", hvals)):
+            for k, v in enumerate(values):
+                em.line(f"{out}[{k}] = {v}")
+        kernel = em.compile("batch_kernel", "x, lam, nu", "G.transpose(2, 0, 1), gv.T, hv.T")
+        return np.errstate(all="ignore")(kernel)
 
     @cached_property
     def cost(self):
@@ -146,20 +143,19 @@ class Problem:
         return {"n": self.n, "agents": self.agents}
 
 
-def emit_kernel(problem: Problem, em: Emitter, flat: bool = False):
-    """Write the kernel's statements into ``em``: the agent points bound from
-    the local ``rows`` (from the flat local ``x``, agent-major, given
-    ``flat``), the multipliers from ``lam`` and ``nu``.  Returns the code of
-    grad_terms (a list per agent), gvals and hvals."""
+def emit_kernel(problem: Problem, em: Emitter):
+    """Write all costs and constraints fused into ``em``: the agent points
+    bound from the flat, agent-major local ``x``, the multipliers from
+    ``lam`` and ``nu``.  Returns the code of grad_terms (per agent, grad f_i
+    plus lam_k grad g_k over its inequalities, then nu_k grad h_k over its
+    equalities, in stacked order), gvals and hvals; on floats, bit for bit
+    each expression's own ``value_and_grad``, the same lowering."""
     def unpack(names):
         return "".join(f"{name}, " for name in names)
 
     N, n, r, s = problem.n_agents, problem.n, problem.r, problem.s
     xs = [[f"x{i}_{j}" for j in range(n)] for i in range(N)]
-    if flat:
-        em.line(f"{unpack(v for row in xs for v in row)}= x")
-    else:
-        em.line(f"{unpack(f'({unpack(row)})' for row in xs)}= rows")
+    em.line(f"{unpack(v for row in xs for v in row)}= x")
     if r:
         em.line(f"{unpack(f'lam{k}' for k in range(r))}= lam")
     if s:
@@ -177,28 +173,6 @@ def emit_kernel(problem: Problem, em: Emitter, flat: bool = False):
     return grads, accumulate(problem.ineq_index(), "lam"), accumulate(problem.eq_index(), "nu")
 
 
-def _compile_kernel(problem: Problem, em: Emitter):
-    N, n, r, s = problem.n_agents, problem.n, problem.r, problem.s
-    batch = isinstance(em, BatchEmitter)
-    if batch:  # one column per agent coordinate and per multiplier
-        em.line("rows, lam, nu, M = x.transpose(1, 2, 0), lam.T, nu.T, len(x)")
-    grads, gvals, hvals = emit_kernel(problem, em)
-    if not batch:
-        rows = ", ".join(f"[{', '.join(g)}]" for g in grads)
-        return em.compile("kernel", "rows, lam, nu",
-                          f"[{rows}], [{', '.join(gvals)}], [{', '.join(hvals)}]")
-    # a column may be a float, broadcast over M as it is written
-    em.line(f"G, gv, hv = empty(({N}, {n}, M)), empty(({r}, M)), empty(({s}, M))")
-    for i, g in enumerate(grads):
-        for j, d in enumerate(g):
-            em.line(f"G[{i}, {j}] = {d}")
-    for out, values in (("gv", gvals), ("hv", hvals)):
-        for k, v in enumerate(values):
-            em.line(f"{out}[{k}] = {v}")
-    kernel = em.compile("batch_kernel", "x, lam, nu", "G.transpose(2, 0, 1), gv.T, hv.T")
-    return np.errstate(all="ignore")(kernel)
-
-
 @dataclass
 class KktCertificate:
     """First-order optimality evidence at a candidate point.
@@ -206,6 +180,8 @@ class KktCertificate:
     ``lambda_star`` keeps whatever the least-squares solve produced; a
     negative entry beyond tolerance is flagged in ``warnings`` rather than
     clipped, since it is evidence the candidate is not optimal.
+    ``gradients`` holds each expression's gradient at ``x_star``, stacked as
+    the costs, the inequalities, then the equalities; ``as_dict`` omits it.
     """
 
     x_star: np.ndarray
@@ -213,6 +189,7 @@ class KktCertificate:
     nu_star: np.ndarray
     active_sets: list[list[int]]
     residuals: dict[str, float]
+    gradients: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
     def as_dict(self):
@@ -308,10 +285,11 @@ class _Certification:
 
     def certificate(self) -> KktCertificate:
         problem, active = self.problem, self.active
-        grads = [np.asarray(grad) for _, grad in self.ineqs + self.eqs]
+        gradients = np.array([grad for _, grad in self.costs + self.ineqs + self.eqs])
+        grads = list(gradients[problem.n_agents:])
         grad_f_sum = np.zeros(problem.n)
-        for _, grad in self.costs:
-            grad_f_sum += np.asarray(grad)
+        for grad in gradients[:problem.n_agents]:
+            grad_f_sum += grad
 
         # columns of the stationarity system: active g gradients, then all h
         cols = [grads[k] for k in active] + grads[problem.r:]
@@ -344,7 +322,8 @@ class _Certification:
             "primal_eq": float(np.max(np.abs(hvals), initial=0.0)),
             "complementarity": float(max([0.0] + [abs(m * v) for m, v in zip(lam, gvals)])),
         }
-        return KktCertificate(self.x, lam, nu, self.active_sets(), residuals, warnings)
+        return KktCertificate(self.x, lam, nu, self.active_sets(), residuals, gradients,
+                              warnings)
 
 
 def active_set(problem: Problem, x):

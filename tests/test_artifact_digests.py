@@ -36,6 +36,12 @@ SIMULATE = {
 # numpy rounds and lone rounds
 COMPARE = (
     "03219e337fc35adb36fc4d1c466c95879b70bd6dde46da056752663c9229628d")
+# `kkt --out-dir` of each bundled scenario: the certificate's gradients
+# stay out of kkt.json
+KKT = {
+    "fixed": "556292798c0718560d6dbb0ed752564f153dfbfb7299d10b5ff89691dbd73e10",
+    "switching": "acec52956169c1b49a718535fd0e35b7a47032c1234832075ce6865009cce4ff",
+}
 
 
 def artifacts_digest(out_dir):
@@ -71,6 +77,14 @@ def test_simulate_artifacts_match_their_digest(mode, stride, tmp_path):
 
 def test_compare_report_matches_its_digest(tmp_path):
     assert compare_digest(tmp_path) == COMPARE
+
+
+@pytest.mark.parametrize("name", list(KKT))
+def test_kkt_artifacts_match_their_digest(name, tmp_path):
+    out = tmp_path / "out_kkt"
+    assert cli.main(["kkt", str(SCENARIO_DIR / f"five_agent_{name}.json"),
+                     "--out-dir", str(out)]) == 0
+    assert artifacts_digest(out) == KKT[name]
 
 
 @pytest.mark.parametrize("command", ["fixed", "switching", "averaged", "compare"])

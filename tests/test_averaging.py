@@ -110,13 +110,13 @@ def test_averaged_drift_is_mode_mixture(five_agent, six_mode_network, six_mode_g
     assert np.array_equal(model.L[model.averaged], L_pi)
     for _ in range(100):
         x = rng.normal(0.0, 1.5, (5, 2))
-        theta = rng.normal(0.0, 1.5, (5, 2))
+        pair = rng.normal(0.0, 1.5, (5, 2))
         lam = rng.uniform(0.1, 3.0, 2)
         nu = rng.normal(0.0, 1.0, 1)
-        davg = drift_of_one(model, x, theta, lam, nu, model.averaged)
+        davg = drift_of_one(model, x, pair, lam, nu, model.averaged)
         mix = None
         for m, p in enumerate(pi.pi):
-            parts = drift_of_one(model, x, theta, lam, nu, m)
+            parts = drift_of_one(model, x, pair, lam, nu, m)
             if mix is None:
                 mix = [p * q for q in parts]
             else:
@@ -229,8 +229,8 @@ def test_channel_factor_run_matches_the_psd_factor_run_in_law(five_agent, six_mo
         ours[m] = simulate_averaged(five_agent, six_mode_network, pi, cfg,
                                     reference_init.copy()).x[-1].ravel()
         ref[m] = psd_factor_averaged_run(
-            lambda x, th, lam, nu: drift_of_one(model, x, th, lam, nu, model.averaged), model.c,
-            wsq,
+            lambda x, th, lam, nu: drift_of_one(model, x, x + th, lam, nu, model.averaged),
+            model.c, wsq,
             reference_init.x, reference_init.theta, reference_init.lam, reference_init.nu,
             h, 500, np.random.default_rng([42, m]),
         ).ravel()

@@ -174,7 +174,7 @@ def test_public_helpers_equal_the_model_bit_for_bit(kind, request):
     model = _Model(problem, network, cfg.eta)
     for mode in range(network.n_modes):
         W = rng.normal(0.0, math.sqrt(cfg.h), (N, N))
-        core = drift_of_one(model, st.x, st.theta, st.lam, st.nu, mode)
+        core = drift_of_one(model, st.x, st.pair, st.lam, st.nu, mode)
         view = drift(st, mode, problem, network, cfg.eta)
         assert [a.tobytes() for a in view] == [a.tobytes() for a in core]
         noise = model.noise_term(st.x[None], mode, W[None])[0]
@@ -842,6 +842,43 @@ def test_equilibrium_refuses_unbalanced_theta_blocks(five_agent, certificate):
     moved = dataclasses.replace(certificate, lambda_star=certificate.lambda_star + 1.0)
     with pytest.raises(ValueError, match=r"^theta blocks do not balance: \|sum theta\| = "):
         build_equilibrium(five_agent, moved)
+
+
+def balanced_pair():
+    return Problem(n=2, agents=(AgentSpec(f=parse("4*x1", 2)), AgentSpec(f=parse("-4*x1", 2))))
+
+
+def without_the_equality():
+    five = make_five_agent_problem()
+    return Problem(n=2, agents=(dataclasses.replace(five.agents[0], h=()), *five.agents[1:]))
+
+
+@pytest.mark.parametrize("problem, mismatch", [
+    (balanced_pair, "the inequality multiplier count is 2, not 0"),
+    (lambda: Problem(n=3, agents=(AgentSpec(f=parse("x1^2 + x2^2 + x3^2", 3)),)),
+     "the dimension of x* is 2, not 3"),
+    (without_the_equality, "the equality multiplier count is 1, not 0"),
+    (lambda: Problem(n=2, agents=(*make_five_agent_problem().agents,
+                                  AgentSpec(f=parse("x1^2", 2)))),
+     "the gradient count is 8, not 9"),
+], ids=["two-agents", "dimension", "equalities", "six-agents"])
+def test_equilibrium_refuses_a_five_agent_certificate_of_another_problem(
+        problem, mismatch, certificate):
+    # a certificate fits only a problem of its own shape: the first
+    # mismatch, in the order x*, multipliers, gradients, is named
+    with pytest.raises(ValueError) as exc:
+        build_equilibrium(problem(), certificate)
+    assert str(exc.value) == f"certificate of another problem: {mismatch}"
+
+
+def test_equilibrium_refuses_a_two_agent_certificate_of_the_five_agent_problem(five_agent):
+    pair = balanced_pair()
+    cert = derive_multipliers(pair, (0.0, 0.0))
+    assert build_equilibrium(pair, cert).theta.shape == (2, 2)
+    with pytest.raises(ValueError) as exc:
+        build_equilibrium(five_agent, cert)
+    assert str(exc.value) == ("certificate of another problem: the inequality multiplier "
+                              "count is 0, not 2")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The compiled expression evaluators against the tree-walk oracle of
-``tests/oracles.py``: the fused problem kernel, and ``Expr.value``,
-``Expr.grad`` and ``Expr.value_and_grad`` of each expression.
+``tests/oracles.py``: the fused problem kernel (``emit_kernel``) on floats
+and on numpy columns, and ``Expr.value``, ``Expr.grad`` and
+``Expr.value_and_grad`` of each expression.
 
 Equality is bitwise throughout (``float.hex`` and raw array bytes), so
 ``-0.0``, ``inf`` and ``nan`` results count, and domain errors must match in
@@ -30,8 +31,20 @@ from oracles import tree_value, tree_value_and_grad
 from test_expr import SPECIAL_POINTS, random_expr_text
 
 
+def scalar_kernel(problem):
+    """``kernel(rows, lam, nu) -> (grad_terms, gvals, hvals)``: the problem's
+    ``emit_kernel`` compiled on floats, the lowering that the lone substep
+    inlines, with the agent points ``rows`` flattened agent-major."""
+    em = expr_mod.Emitter()
+    grads, gvals, hvals = problem_mod.emit_kernel(problem, em)
+    rows = ", ".join("[" + ", ".join(g) + "]" for g in grads)
+    fn = em.compile("scalar_kernel", "x, lam, nu",
+                    f"[{rows}], [{', '.join(gvals)}], [{', '.join(hvals)}]")
+    return lambda rows, lam, nu: fn([v for row in rows for v in row], lam, nu)
+
+
 def tree_kernel(problem, rows, lam, nu):
-    """Reference of ``Problem.kernel``: every tree walked in drift order."""
+    """Reference of ``scalar_kernel``: every tree walked in drift order."""
     grads = [list(tree_value_and_grad(a.f, rows[i])[1]) for i, a in enumerate(problem.agents)]
     gvals = []
     for k, (i, _, e) in enumerate(problem.ineq_index()):
@@ -105,12 +118,13 @@ def test_random_expressions_bit_equal_to_tree():
     for _ in range(400):
         n = int(rng.integers(1, 4))
         p = probe_problem(parse(random_expr_text(rng, n), n))
+        kernel = scalar_kernel(p)
         points = [rng.uniform(-1.0, 1.0, n).tolist(),
                   [float(v) for v in rng.choice(SPECIAL_POINTS, n)]]
         for point in points:
             rows = [point, point]
             lam, nu = [float(rng.uniform(0.1, 3.0))], [float(rng.normal())]
-            got = outcome(p.kernel, rows, lam, nu)
+            got = outcome(kernel, rows, lam, nu)
             assert got == outcome(tree_kernel, p, rows, lam, nu), (str(p.agents[0].f), point)
             if isinstance(got[0], list):
                 seen.update(flat(got))
@@ -143,7 +157,7 @@ def test_domain_errors_match_tree(text, n, point):
     with pytest.raises(DomainError) as tree_exc:
         tree_kernel(p, rows, [1.0], [1.0])
     with pytest.raises(DomainError) as kernel_exc:
-        p.kernel(rows, [1.0], [1.0])
+        scalar_kernel(p)(rows, [1.0], [1.0])
     assert str(kernel_exc.value) == str(tree_exc.value)
     assert_methods_match_tree(p.agents[0].f, point, set())
 
@@ -184,7 +198,7 @@ def test_evaluated_expr_pickles():
 def test_exp_overflow_is_inf_in_both():
     p = probe_problem(parse("exp(x1) - x2", 2))
     rows = [[1000.0, 1.0]] * 2
-    got = outcome(p.kernel, rows, [1.0], [0.0])
+    got = outcome(scalar_kernel(p), rows, [1.0], [0.0])
     assert got == outcome(tree_kernel, p, rows, [1.0], [0.0])
     assert got[1] == ["inf"] and got[0][0] == ["inf", "nan"]  # inf * 0.0 kept
 
@@ -194,13 +208,14 @@ def test_bundled_problems_bit_equal_to_tree(name):
     p = load_scenario(SCENARIO_DIR / name).build_problem()
     exprs = [(i, a.f) for i, a in enumerate(p.agents)]
     exprs += [(i, e) for i, _, e in p.ineq_index() + p.eq_index()]
+    kernel = scalar_kernel(p)
     rng = np.random.default_rng(5)
     for scale in (0.5, 3.0, 300.0):
         for _ in range(50):
             rows = rng.normal(0.0, scale, (p.n_agents, p.n)).tolist()
             lam = rng.uniform(0.0, 5.0, p.r).tolist()
             nu = rng.normal(0.0, 5.0, p.s).tolist()
-            assert outcome(p.kernel, rows, lam, nu) == outcome(tree_kernel, p, rows, lam, nu)
+            assert outcome(kernel, rows, lam, nu) == outcome(tree_kernel, p, rows, lam, nu)
             for i, e in exprs:
                 assert_methods_match_tree(e, rows[i], set())
 
@@ -253,15 +268,15 @@ def test_model_drift_bit_equal_to_tree_walk(switching_scenario):
     rng = np.random.default_rng(11)
     for trial in range(60):
         x = rng.normal(0.0, 2.0, (p.n_agents, p.n))
-        theta = rng.normal(0.0, 2.0, (p.n_agents, p.n))
+        pair = rng.normal(0.0, 2.0, (p.n_agents, p.n))
         lam = rng.uniform(0.01, 4.0, p.r)
         nu = rng.normal(0.0, 3.0, p.s)
         mode = trial % net.n_modes
         for mode, L in ((mode, laplacian(net.graphs[mode])), (model.averaged, L_pi)):
-            want = tree_drift(model, x, theta, lam, nu, L)
+            want = tree_drift(model, x, pair - x, lam, nu, L)
             # drift_of_one, and the flat-list call it makes, on float lists
-            lone = model.drift(*(a.ravel().tolist() for a in (x, theta, lam, nu)), mode)
-            for got in (drift_of_one(model, x, theta, lam, nu, mode),
+            lone = model.drift(*(a.ravel().tolist() for a in (x, pair, lam, nu)), mode)
+            for got in (drift_of_one(model, x, pair, lam, nu, mode),
                         [np.reshape(v, w.shape) for v, w in zip(lone, want)]):
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.shape == b.shape
@@ -295,16 +310,16 @@ def test_coupling_within_1e_12_of_blas():
         for mode in range(4):
             x = rng.normal(0.0, 3.0, (N, n))
             want = model.L[mode] @ x
-            lone = model.drift(x.ravel().tolist(), [0.0] * (N * n), [], [], mode)[1]
-            batch = drift_of_one(model, x, np.zeros_like(x), none, none, mode)[1]
+            lone = model.drift(x.ravel().tolist(), x.ravel().tolist(), [], [], mode)[1]
+            batch = drift_of_one(model, x, x, none, none, mode)[1]
             for got in (np.reshape(lone, (N, n)), batch):
                 assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_kernel_cached_per_problem(five_agent):
-    assert five_agent.kernel is five_agent.kernel
+    assert five_agent.batch_kernel is five_agent.batch_kernel
     twin = Problem(n=five_agent.n, agents=five_agent.agents)
-    assert twin == five_agent and twin.kernel is not five_agent.kernel
+    assert twin == five_agent and twin.batch_kernel is not five_agent.batch_kernel
 
 
 def cost_sum(problem, x):
@@ -351,29 +366,24 @@ def test_total_cost_of_a_point_of_the_wrong_dimension(five_agent, x):
 
 def test_compiled_problem_pickles(five_agent):
     fresh = pickle.dumps(Problem(n=five_agent.n, agents=five_agent.agents))
-    rows, lam, nu = X_INIT.tolist(), [0.5, 0.25], [-1.25]
-    five_agent.kernel(rows, lam, nu), five_agent.cost(0.5, 1.0)
-    five_agent.batch_kernel(X_INIT[None], np.array([lam]), np.array([nu]))
+    batch = X_INIT[None], np.array([[0.5, 0.25]]), np.array([[-1.25]])
+    five_agent.cost(0.5, 1.0), five_agent.batch_kernel(*batch)
     # the compiled functions derive from the fields: the fields alone pickle
     assert pickle.dumps(five_agent) == fresh
     twin = pickle.loads(fresh)
     assert twin == five_agent
-    assert outcome(twin.kernel, rows, lam, nu) == outcome(five_agent.kernel, rows, lam, nu)
+    assert [a.tobytes() for a in twin.batch_kernel(*batch)] == [
+        a.tobytes() for a in five_agent.batch_kernel(*batch)]
     for x in X_INIT:
         assert float.hex(problem_mod.total_cost(twin, x)) == float.hex(
             problem_mod.total_cost(five_agent, x))
 
 
 def test_one_compile_per_compare_command(monkeypatch, switching_scenario_path, tmp_path):
-    compiles, names, builds, runs = [], [], [], []
-    compile_kernel = problem_mod._compile_kernel
+    names, builds, runs = [], [], []
     compile_fn = expr_mod.Emitter.compile
     model_init = dynamics._Model.__init__
     integrate = dynamics._integrate
-
-    def counting_compile(p, em):
-        compiles.append(type(em))
-        return compile_kernel(p, em)
 
     def counting_emit(em, name, params, result):
         names.append(name)
@@ -387,7 +397,6 @@ def test_one_compile_per_compare_command(monkeypatch, switching_scenario_path, t
         runs.append(args)
         return integrate(*args)
 
-    monkeypatch.setattr(problem_mod, "_compile_kernel", counting_compile)
     monkeypatch.setattr(expr_mod.Emitter, "compile", counting_emit)
     monkeypatch.setattr(dynamics._Model, "__init__", counting_init)
     monkeypatch.setattr(dynamics, "_integrate", counting_integrate)
@@ -396,16 +405,31 @@ def test_one_compile_per_compare_command(monkeypatch, switching_scenario_path, t
                    "--out-dir", str(tmp_path)])
     assert rc == 0
     # the lone substep alone: 9 members stay below BATCH_KERNEL_ROWS, so
-    # every round steps member by member, and neither kernel is compiled
-    assert compiles == []
+    # every round steps member by member, and the numpy kernel is not compiled
+    assert "batch_kernel" not in names
     assert [n for n in names if n.startswith("lone")] == ["lone_drift", "lone_update"]
     assert len(builds) == 1  # one model: every ensemble runs in one batch
     assert len(runs) == 1
     assert names.count("cost") == 1  # one fused total cost for every member
 
 
+@pytest.fixture()
+def sources(monkeypatch):
+    """Every generated source compiled from here on, code cache hits
+    included, as {source: function name}."""
+    seen = {}
+    code = expr_mod._code
+
+    def spying(source, filename):
+        seen[source] = filename.removeprefix("<switchopt ").removesuffix(">")
+        return code(source, filename)
+
+    monkeypatch.setattr(expr_mod, "_code", spying)
+    return seen
+
+
 @pytest.mark.parametrize("mode", ["fixed", "switching", "averaged"])
-def test_one_lone_substep_compile_per_simulate_command(monkeypatch, mode, tmp_path):
+def test_one_lone_substep_compile_per_simulate_command(monkeypatch, mode, tmp_path, sources):
     # a simulate command runs one member on one model: its substep (the
     # functions lone_drift and lone_update) is generated once, for the run
     names, builds = [], []
@@ -427,7 +451,21 @@ def test_one_lone_substep_compile_per_simulate_command(monkeypatch, mode, tmp_pa
                      "--out-dir", str(tmp_path)]) == 0
     assert len(builds) == 1
     assert [n for n in names if n.startswith("lone")] == ["lone_drift", "lone_update"]
-    assert names.count("kernel") == 1
+    assert "kernel" not in names
+    # the lone substep pair, the total cost and the 8 expressions' own
+    # value_and_grad, which certify the candidate: the equilibrium takes its
+    # gradients from the certificate and compiles nothing
+    assert len(sources) == 11 and "kernel" not in sources.values()
+    assert sorted(set(sources.values())) == ["_value_and_grad", "cost", "lone_drift",
+                                             "lone_update"]
+
+
+def test_a_compare_command_compiles_four_sources(sources, tmp_path):
+    # 80 members in one batch: rounds on numpy, and jump-split rounds below
+    # BATCH_KERNEL_ROWS on the lone substep
+    assert cli.main(["compare", str(SCENARIO_DIR / "five_agent_switching.json"),
+                     "--ensemble", "20", "--horizon", "0.005", "--out-dir", str(tmp_path)]) == 0
+    assert sorted(sources.values()) == ["batch_kernel", "cost", "lone_drift", "lone_update"]
 
 
 def code_misses():
@@ -437,13 +475,13 @@ def code_misses():
 
 def compiled_functions(scenario):
     """Every generated function of a problem and model built afresh from
-    ``scenario``: the kernels, the total cost, the lone substep pair and
-    agent 1's ``value_and_grad``."""
+    ``scenario``: the numpy kernel, the total cost, the lone substep pair
+    and agent 1's ``value_and_grad``."""
     problem = scenario.build_problem()
     model = dynamics._Model(problem, scenario.build_network(), scenario.build_config().eta)
     f = problem.agents[0].f
     f.value_and_grad(X_INIT[0])
-    return [problem.kernel, inspect.unwrap(problem.batch_kernel), problem.cost,
+    return [inspect.unwrap(problem.batch_kernel), problem.cost,
             *model.lone[:2], f._value_and_grad]
 
 
@@ -510,14 +548,15 @@ def assert_batch_matches_scalar(problem, x, lam, nu):
     of each: within 4 ulp, or the same DomainError as the scalar kernel of
     the member it names.  Returns the floats reached (empty on an error)."""
     got = batch_outcome(problem, x, lam, nu)
-    scalar = [outcome(problem.kernel, *args) for args in zip(x, lam, nu)]
+    kernel = scalar_kernel(problem)
+    scalar = [outcome(kernel, *args) for args in zip(x, lam, nu)]
     raised = [m for m, out in enumerate(scalar) if isinstance(out[0], type)]
     if raised:
         assert got[0] is DomainError, (got, scalar)
         text, member = re.fullmatch(r"(.*) \(member (\d+)\)", got[1]).groups()
         assert scalar[int(member)] == (DomainError, text)
         return set()
-    want = [problem.kernel(*args) for args in zip(x, lam, nu)]
+    want = [kernel(*args) for args in zip(x, lam, nu)]
     for k, part in enumerate(got):
         assert within_ulps(part, [w[k] for w in want]), (k, part, [w[k] for w in want])
     return {float.hex(float(v)) for part in got for v in np.ravel(part)}
@@ -562,7 +601,7 @@ def test_batch_kernel_domain_errors_name_the_member(text, n, point):
     fine = [2.0] * n
     x = [[fine, fine], [list(point), list(point)], [fine, fine]]
     with pytest.raises(DomainError) as scalar_exc:
-        p.kernel(x[1], [1.0], [1.0])
+        scalar_kernel(p)(x[1], [1.0], [1.0])
     with pytest.raises(DomainError) as batch_exc:
         p.batch_kernel(np.array(x), np.ones((3, 1)), np.ones((3, 1)))
     assert str(batch_exc.value) == f"{scalar_exc.value} (member 1)"

@@ -299,20 +299,24 @@ def test_compare_bad_design_exits_1(extra, message, switching_scenario_path, tmp
      "horizon must be positive and finite, got -1.0"),
     (["simulate", "fixed", "--horizon", "nan"],
      "horizon must be positive and finite, got nan"),
-    (["simulate", "fixed", "--seed", "-1"], "non-negative"),
+    (["simulate", "fixed", "--seed", "-1"],
+     "error: --seed must be a nonnegative integer, got -1\n"),
+    (["compare", "switching", "--seed", "-1"],
+     "error: --seed must be a nonnegative integer, got -1\n"),
     (["compare", "switching", "--horizon", "-1"],
      "horizon must be positive and finite, got -1.0"),
     (["compare", "switching", "--horizon", "inf"],
      "horizon must be positive and finite, got inf"),
-    (["kkt", "fixed", "--x", "a,b"], "could not convert string to float: 'a'"),
+    (["kkt", "fixed", "--x", "a,b"], "error: --x entry 1 must be a number, got 'a'\n"),
+    (["kkt", "fixed", "--x", "1,,2"], "error: --x entry 2 must be a number, got ''\n"),
     (["kkt", "fixed", "--x", "1"], "expected a point of dimension 2, got 1"),
     (["kkt", "fixed", "--x", "nan,1"], "error: --x entry 1 must be finite, got nan\n"),
     (["kkt", "fixed", "--x", "1,-inf"], "error: --x entry 2 must be finite, got -inf\n"),
     (["kkt", "fixed", "--x", "1e200,1"],
      "error: agent 1 cost '4.0*x1^2.0 + 2.0*x2': power 1e+200^2.0 overflows\n"),
 ], ids=["simulate-horizon-neg", "simulate-horizon-nan", "simulate-seed-neg",
-        "compare-horizon-neg", "compare-horizon-inf", "kkt-x-str", "kkt-x-short",
-        "kkt-x-nan", "kkt-x-inf", "kkt-x-overflow"])
+        "compare-seed-neg", "compare-horizon-neg", "compare-horizon-inf", "kkt-x-str",
+        "kkt-x-empty", "kkt-x-short", "kkt-x-nan", "kkt-x-inf", "kkt-x-overflow"])
 def test_bad_flag_exits_1(argv, message, request, tmp_path, capsys):
     command, kind, *flags = argv
     scenario = request.getfixturevalue(f"{kind}_scenario_path")
