@@ -14,7 +14,7 @@ Core entry points are re-exported here; the submodules hold the full API:
 - ``cli``: the command-line front end
 """
 
-from .chain import Generator, StationaryDist, sample_path, stationary, validate_generator
+from .chain import Generator, sample_path, stationary, validate_generator
 from .dynamics import IntegratorConfig, SystemState, build_equilibrium, simulate
 from .expr import Expr, parse
 from .graph import Graph, Network, jointly_connected, lambda2, laplacian
@@ -33,7 +33,6 @@ __all__ = [
     "Network",
     "Problem",
     "Scenario",
-    "StationaryDist",
     "SystemState",
     "build_equilibrium",
     "derive_multipliers",

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import StationaryDist
-from .dynamics import Equilibrium, SystemState, Trajectory, _eta_vector
+from .dynamics import SystemState, Trajectory, _eta_vector
 from .problem import TOL_ACTIVE, KktCertificate, Problem, total_cost
 
 __all__ = [
@@ -69,7 +68,7 @@ class LyapunovReport:
     opt_error: float
 
 
-def _energy(x, pair, lam, nu, eq: Equilibrium, eta, omega: frozenset) -> dict:
+def _energy(x, pair, lam, nu, eq: SystemState, eta, omega: frozenset) -> dict:
     """Energy split and errors for K samples at once.
 
     ``x`` and ``pair`` are (K, N, n), ``lam`` (K, r) and ``nu`` (K, s).
@@ -116,7 +115,7 @@ def _energy(x, pair, lam, nu, eq: Equilibrium, eta, omega: frozenset) -> dict:
 
 
 def lyapunov(
-    state: SystemState, eq: Equilibrium, eta, omega: frozenset
+    state: SystemState, eq: SystemState, eta, omega: frozenset
 ) -> LyapunovReport:
     """Evaluate the composite energy at one state.
 
@@ -138,8 +137,8 @@ def hbar_fixed(c: float, kappa: float) -> float:
     return 0.5 * (c - 0.5 * c**2 * kappa**2)
 
 
-def hbar_switching(c: float, kappa: float, pi: StationaryDist) -> float:
-    return 0.5 * (c * pi.p_min - 1.5 * c**2 * kappa**2 * pi.p_max)
+def hbar_switching(c: float, kappa: float, pi: np.ndarray) -> float:
+    return 0.5 * (c * float(pi.min()) - 1.5 * c**2 * kappa**2 * float(pi.max()))
 
 
 def lagrangian_phi(
@@ -175,7 +174,7 @@ def lagrangian_phi(
 
 def convergence_metrics(
     trajectory: Trajectory,
-    eq: Equilibrium,
+    eq: SystemState,
     problem: Problem,
     eta,
     omega: frozenset,
@@ -191,7 +190,7 @@ def convergence_metrics(
 
 def saddle_point_samples(
     problem: Problem,
-    eq: Equilibrium,
+    eq: SystemState,
     hbar: float,
     L: np.ndarray,
     n_samples: int,
@@ -204,8 +203,7 @@ def saddle_point_samples(
     should be nonnegative up to roundoff.
     """
     x_star = eq.x[0]
-    center = eq.as_state()
-    phi_center = lagrangian_phi(center, problem, x_star, hbar, L)
+    phi_center = lagrangian_phi(eq, problem, x_star, hbar, L)
     min_left = math.inf
     min_right = math.inf
     for _ in range(n_samples):
@@ -230,7 +228,7 @@ def saddle_point_samples(
 
 def generator_bound_series(
     trajectories: list[Trajectory],
-    eq: Equilibrium,
+    eq: SystemState,
     problem: Problem,
     eta,
     omega: frozenset,

@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .chain import Generator, StationaryDist, sample_path, stationary, trajectory_seeds
+from .chain import Generator, sample_path, stationary, trajectory_seeds
 from .dynamics import IntegratorConfig, SystemState, Trajectory, simulate
 from .graph import Network
 from .problem import Problem, total_cost
@@ -62,13 +62,13 @@ def _diffusion_blocks(x: np.ndarray, wsq: np.ndarray):
 
 
 def averaged_diffusion_factor(
-    state: SystemState, network: Network, pi: StationaryDist
+    state: SystemState, network: Network, pi: np.ndarray
 ) -> np.ndarray:
     """Square (nN x nN) factor whose square reproduces the averaged squared
     diffusion at this state to FACTOR_TOL in Frobenius norm."""
     x = state.x
     N, n = x.shape
-    _, wsq = network.average(pi.pi)
+    _, wsq = network.average(pi)
     gamma, roots = _diffusion_blocks(x, wsq)
     out = np.zeros((N * n, N * n))
     for i in range(N):
@@ -87,7 +87,7 @@ def averaged_diffusion_factor(
 def simulate_averaged(
     problem: Problem,
     network: Network,
-    pi: StationaryDist,
+    pi: np.ndarray,
     cfg: IntegratorConfig,
     init: SystemState,
 ) -> Trajectory:

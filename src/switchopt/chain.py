@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "Generator",
-    "StationaryDist",
     "SwitchPath",
     "ChainError",
     "validate_generator",
@@ -84,19 +83,6 @@ def validate_generator(Q) -> Generator:
     return Generator(Q)
 
 
-@dataclass(frozen=True)
-class StationaryDist:
-    pi: np.ndarray
-
-    @property
-    def p_min(self) -> float:
-        return float(self.pi.min())
-
-    @property
-    def p_max(self) -> float:
-        return float(self.pi.max())
-
-
 def _strongly_connected(Q: np.ndarray) -> bool:
     """The digraph of positive rates must be strongly connected: every mode
     reaches every other in at most S - 1 jumps (an empty digraph is not)."""
@@ -105,16 +91,15 @@ def _strongly_connected(Q: np.ndarray) -> bool:
         np.linalg.matrix_power(np.eye(S, dtype=bool) | (Q > 0.0), S - 1).all())
 
 
-def stationary(gen: Generator) -> StationaryDist:
-    """Unique stationary distribution of an irreducible chain.
+def stationary(gen: Generator) -> np.ndarray:
+    """Unique stationary distribution of an irreducible chain, as a
+    read-only probability vector (one mode: [1.0]).
 
     Solved by replacing one row of the transposed generator with the
     normalization constraint; verified to machine accuracy afterwards.
     """
     Q = gen.Q
     S = Q.shape[0]
-    if S == 1:
-        return StationaryDist(np.array([1.0]))
     if not _strongly_connected(Q):
         raise ChainError(
             "no unique stationary distribution: rate digraph is not strongly connected"
@@ -130,7 +115,8 @@ def stationary(gen: Generator) -> StationaryDist:
         raise ChainError(f"stationary solve residual {resid:.3e} above tolerance")
     if np.any(pi <= 0.0):
         raise ChainError("stationary distribution has a nonpositive component")
-    return StationaryDist(pi)
+    pi.flags.writeable = False
+    return pi
 
 
 @dataclass(frozen=True)

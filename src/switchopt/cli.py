@@ -49,7 +49,7 @@ def cmd_validate(args) -> int:
     pi = None if scn.mode == "fixed" else chain.stationary(scn.build_generator())
 
     warnings = []
-    report = dynamics.check_assumptions(problem, network, pi)
+    report = dynamics.check_assumptions(network, pi)
     for c in report.checks:
         tag = "ok " if c.passed else "WARN"
         print(f"[{tag}] {c.name}: {c.detail}")
@@ -114,6 +114,8 @@ def cmd_kkt(args) -> int:
     problem = scn.build_problem()
     if args.x is not None:
         cand = np.array([_x_entry(k, text) for k, text in enumerate(args.x.split(","), 1)])
+        if len(cand) != problem.n:
+            raise ValueError(f"--x must have {problem.n} entries, got {len(cand)}")
     else:
         cand = scn.candidate()
     if cand is None:
@@ -185,6 +187,13 @@ def _root_seed(scn, seed) -> int:
     return scn.root_seed() if seed is None else seed
 
 
+def _horizon(value: float) -> float:
+    """A given --horizon flag, positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"--horizon must be positive and finite, got {value}")
+    return value
+
+
 def _multiplier_names(problem):
     lam_names = [f"lambda_{i + 1}_{j + 1}" for i, j, _ in problem.ineq_index()]
     nu_names = [f"nu_{i + 1}_{j + 1}" for i, j, _ in problem.eq_index()]
@@ -203,11 +212,9 @@ def cmd_simulate(args) -> int:
         )
     root_seed = _root_seed(scn, args.seed)
     chain_ss, noise_ss = chain.trajectory_seeds(root_seed, 0)
-    overrides = {}
+    overrides = {"strict": True} if args.strict else {}
     if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.strict:
-        overrides["strict"] = True
+        overrides["horizon"] = _horizon(args.horizon)
     cfg = scn.build_config(seed=noise_ss, **overrides)
     init = scn.build_init(problem)
     gen = None if mode == "fixed" else scn.build_generator()
@@ -290,7 +297,7 @@ def cmd_compare(args) -> int:
     scn = load_scenario(args.scenario)
     problem = scn.build_problem()
     cfg = scn.build_config()
-    horizon = cfg.horizon if args.horizon is None else args.horizon
+    horizon = cfg.horizon if args.horizon is None else _horizon(args.horizon)
     seed = _root_seed(scn, args.seed)
     with warnings.catch_warnings():
         # each one is in report["warnings"] too, printed once on stdout below

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .chain import StationaryDist, SwitchPath
+from .chain import SwitchPath
 from .expr import DomainError, Emitter
 from .graph import Network, connected, is_integer, lambda2
 from .problem import KktCertificate, Problem, domain_error_detail, emit_kernel
@@ -35,7 +35,6 @@ from .schedule import chunk, chunk_steps
 
 __all__ = [
     "SystemState",
-    "Equilibrium",
     "IntegratorConfig",
     "Trajectory",
     "Ensemble",
@@ -44,7 +43,6 @@ __all__ = [
     "AssumptionReport",
     "drift",
     "diffusion_matrix",
-    "apply_diffusion",
     "em_step",
     "simulate",
     "check_assumptions",
@@ -106,28 +104,6 @@ class SystemState:
             self.t, self.clamp_count,
         )
         return out
-
-
-@dataclass(frozen=True)
-class Equilibrium:
-    """Stationary point of the flow built from a KKT certificate.
-
-    theta per agent balances that agent's own gradient contributions, so the
-    drift vanishes blockwise; the agent-sum of theta equals minus the
-    stationarity residual of the certificate.
-    """
-
-    x: np.ndarray        # (N, n), every row the certified optimum
-    theta: np.ndarray    # (N, n)
-    lam: np.ndarray      # (r,)
-    nu: np.ndarray       # (s,)
-
-    def as_state(self, t=0.0) -> SystemState:
-        return SystemState(self.x, self.theta, self.lam, self.nu, t=t)
-
-    @property
-    def pair(self) -> np.ndarray:
-        return self.x + self.theta
 
 
 @dataclass
@@ -259,7 +235,7 @@ class _Model:
     coefficients sqrt(w), w = sum_s pi_s R_s^2 (see ``averaging``).
     """
 
-    def __init__(self, problem: Problem, network: Network, eta, pi: StationaryDist | None = None):
+    def __init__(self, problem: Problem, network: Network, eta, pi: np.ndarray | None = None):
         if network.n_nodes != problem.n_agents:
             raise ValueError(
                 f"network has {network.n_nodes} nodes but problem has "
@@ -275,7 +251,7 @@ class _Model:
         self.R = network.receive
         self.averaged = None
         if pi is not None:
-            L_pi, w = network.average(pi.pi)
+            L_pi, w = network.average(pi)
             self.L = np.concatenate([self.L, L_pi[None]])
             self.R = np.concatenate([self.R, np.sqrt(w)[None]])
             self.averaged = self.S
@@ -316,8 +292,11 @@ class _Model:
 
     def noise_term(self, x, mode, W):
         """c * M_mode(x) applied to the channel increments W (M, N, N),
-        W[m, i, j] being member m's increment on the channel carrying j to i."""
-        return _channel_noise(self.c, self.R[mode], x, W)
+        W[m, i, j] being member m's increment on the channel carrying j to i:
+        c * sum_j R[mode][..., i, j] W[m, i, j] (x[m, j] - x[m, i]) for each
+        receiver i of each member m of x (M, N, n)."""
+        diffs = x[:, None, :, :] - x[:, :, None, :]
+        return self.c * np.einsum("mij,mijk->mik", self.R[mode] * W, diffs)
 
     def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
         """One Euler-Maruyama substep; returns the new state and clamp count.
@@ -452,22 +431,6 @@ def _compile_lone(model: _Model):
     return drift, update, *(stack.reshape(len(stack), -1).tolist() for stack in (model.L, model.R))
 
 
-def _channel_noise(c, R, x, W):
-    """c * sum_j R[..., i, j] W[m, i, j] (x[m, j] - x[m, i]) for each
-    receiver i of each member m of x (M, N, n)."""
-    return c * np.einsum("mij,mijk->mik", R * W, x[:, None, :, :] - x[:, :, None, :])
-
-
-def _channel_increments(W, N: int) -> np.ndarray:
-    """Channel increments W as (N, N), given as (N, N) or flat (N^2,)."""
-    W = np.asarray(W, dtype=float)
-    if W.shape == (N * N,):
-        W = W.reshape(N, N)
-    if W.shape != (N, N):
-        raise ValueError(f"noise increment must have shape ({N},{N}) or ({N * N},)")
-    return W
-
-
 def drift(state: SystemState, mode: int, problem: Problem, network: Network, eta=1.0):
     """Drift blocks (dx, dtheta, dlam, dnu) of the switching dynamics, as
     the lone substep computes them."""
@@ -494,12 +457,6 @@ def diffusion_matrix(state: SystemState, mode: int, network: Network) -> np.ndar
     return M
 
 
-def apply_diffusion(state: SystemState, mode: int, network: Network, W) -> np.ndarray:
-    """c * M(x) @ w for channel increments W given as (N, N) or flat (N^2,)."""
-    W = _channel_increments(W, state.x.shape[0])
-    return _channel_noise(network.coupling, network.receive[mode], state.x[None], W[None])[0]
-
-
 def em_step(
     state: SystemState,
     mode: int,
@@ -514,10 +471,13 @@ def em_step(
     ``noise_increment`` is the vector of Wiener increments per ordered
     channel, shaped (N, N) or flat (N^2,), already scaled to variance h.
     """
-    W = _channel_increments(noise_increment, state.x.shape[0])
+    N = state.x.shape[0]
+    W = np.asarray(noise_increment, dtype=float)
+    if W.shape not in ((N, N), (N * N,)):
+        raise ValueError(f"noise increment must have shape ({N},{N}) or ({N * N},)")
     arrays = (state.x, state.pair, state.lam, state.nu)
     *new, clamped = _shared_model(problem, network, cfg.eta).step(
-        *_flat(arrays), state.t, h, mode, W, cfg.lambda_floor)
+        *_flat(arrays), state.t, h, mode, W.reshape(N, N), cfg.lambda_floor)
     return SystemState._from_pair(*(np.reshape(b, a.shape) for a, b in zip(arrays, new)),
                                   state.t + h, state.clamp_count + clamped)
 
@@ -558,11 +518,7 @@ def _flat(arrays):
 
 
 def check_assumptions(
-    problem: Problem,
-    network: Network,
-    pi: StationaryDist | None = None,
-    *,
-    switching: bool | None = None,
+    network: Network, pi: np.ndarray | None = None, *, switching: bool | None = None
 ) -> AssumptionReport:
     """Gate report for the convergence hypotheses.
 
@@ -584,7 +540,7 @@ def check_assumptions(
     # graph alone, with pi_min/pi_max = 1
     if switching:
         mode, gate, laplacians = "switching", "_switching", network.laplacians
-        ratio = None if pi is None else pi.p_min / pi.p_max
+        ratio = None if pi is None else float(pi.min()) / float(pi.max())
     else:
         mode, gate, laplacians, ratio = "fixed", "", network.laplacians[:1], 1.0
     summed = laplacians.sum(axis=0)
@@ -610,9 +566,12 @@ def check_assumptions(
     return AssumptionReport(mode=mode, checks=checks)
 
 
-def build_equilibrium(problem: Problem, cert: KktCertificate) -> Equilibrium:
-    """Stationary point from a certificate of ``problem`` with residuals
-    within ``EQUILIBRIUM_TOL``, summing the certificate's own gradients."""
+def build_equilibrium(problem: Problem, cert: KktCertificate) -> SystemState:
+    """Stationary point (x*, theta*, lambda*, nu*) of the flow from a
+    certificate of ``problem`` with residuals within ``EQUILIBRIUM_TOL``,
+    every row of x the certified optimum.  theta per agent balances that
+    agent's own gradient contributions, summed from the certificate's, so
+    the drift vanishes blockwise."""
     N, n, r, s = problem.n_agents, problem.n, problem.r, problem.s
     for what, got, want in (("dimension of x*", np.size(cert.x_star), n),
                             ("inequality multiplier count", np.size(cert.lambda_star), r),
@@ -632,8 +591,7 @@ def build_equilibrium(problem: Problem, cert: KktCertificate) -> Equilibrium:
     total = np.linalg.norm(terms.sum(axis=0))
     if total > 10.0 * max(EQUILIBRIUM_TOL, cert.residuals["stationarity"]) + 1e-12:
         raise ValueError(f"theta blocks do not balance: |sum theta| = {total:.3e}")
-    return Equilibrium(np.tile(np.asarray(cert.x_star, dtype=float), (N, 1)), -terms,
-                       cert.lambda_star.copy(), cert.nu_star.copy())
+    return SystemState(np.tile(cert.x_star, (N, 1)), -terms, cert.lambda_star, cert.nu_star)
 
 
 def simulate(
@@ -642,7 +600,7 @@ def simulate(
     chain_path: SwitchPath | list | None,
     cfg: IntegratorConfig,
     init: SystemState,
-    pi: StationaryDist | None = None,
+    pi: np.ndarray | None = None,
 ) -> Trajectory | Ensemble:
     """Integrate the switching dynamics over cfg.horizon.
 
@@ -655,9 +613,7 @@ def simulate(
     (see ``_integrate``).
     """
     model = _Model(problem, network, cfg.eta, pi)
-    report = check_assumptions(
-        problem, network, pi, switching=chain_path is not None
-    )
+    report = check_assumptions(network, pi, switching=chain_path is not None)
     return _integrate(model, chain_path, cfg, init, report)
 
 

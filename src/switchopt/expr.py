@@ -50,6 +50,7 @@ __all__ = [
     "ExprSyntaxError",
     "VariableRangeError",
     "DomainError",
+    "MAX_DEPTH",
     "parse",
 ]
 
@@ -487,11 +488,18 @@ def _tokenize(text):
     return tokens
 
 
+# The deepest an expression nests, a level per recursive call of the parser,
+# printer or compiler: a sum of k terms is k levels, k minus signs on a
+# variable k + 1, a group (parentheses, exp(, ln() five.  ``parse`` refuses more.
+MAX_DEPTH = 500
+
+
 class _Parser:
     def __init__(self, tokens, n):
         self.tokens = tokens
         self.i = 0
         self.n = n
+        self.groups = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -500,6 +508,17 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def group(self, pos):
+        """A group's expression and closing parenthesis, its opening one read."""
+        self.groups += 1
+        if 5 * self.groups > MAX_DEPTH:
+            raise ExprSyntaxError(f"groups nest {self.groups} deep, past "
+                                  f"MAX_DEPTH={MAX_DEPTH} at 5 levels each", pos)
+        node = self.parse_expr()
+        self.expect_op(")")
+        self.groups -= 1
+        return node
 
     def expect_op(self, op):
         kind, val, pos = self.peek()
@@ -530,14 +549,13 @@ class _Parser:
                 return node
 
     def parse_unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        if kind == "op" and val == "+":
-            self.advance()
-            return self.parse_unary()
-        return self.parse_power()
+        negations = 0  # a run of signs is read in a loop, not by recursion
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            negations += self.advance()[1] == "-"
+        node = self.parse_power()
+        for _ in range(negations):
+            node = Neg(node)
+        return node
 
     def parse_power(self):
         base = self.parse_atom()
@@ -565,14 +583,11 @@ class _Parser:
         if kind == "num":
             return Const(val)
         if kind == "op" and val == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
+            return self.group(pos)
         if kind == "ident":
             if val in ("exp", "ln"):
                 self.expect_op("(")
-                arg = self.parse_expr()
-                self.expect_op(")")
+                arg = self.group(pos)
                 return Exp(arg) if val == "exp" else Ln(arg)
             m = re.fullmatch(r"x(\d+)", val)
             if m is None:
@@ -589,8 +604,9 @@ class _Parser:
 def parse(text: str, n: int) -> Expr:
     """Parse ``text`` as a scalar function of ``x1 .. xn``.
 
-    Raises ExprSyntaxError with a character position on malformed input and
-    VariableRangeError when a variable index exceeds ``n``.
+    Raises ExprSyntaxError with a character position on malformed input or
+    input that nests deeper than ``MAX_DEPTH``, and VariableRangeError when a
+    variable index exceeds ``n``.
     """
     if n < 1:
         raise ExprError(f"dimension must be positive, got {n}")
@@ -599,4 +615,10 @@ def parse(text: str, n: int) -> Expr:
     kind, val, pos = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {val!r}", pos)
+    depth, level = 0, [root]  # level by level, so that a deep tree takes no recursion
+    while level:
+        depth, level = depth + 1, [v for node in level for v in vars(node).values()
+                                   if isinstance(v, _Node)]
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nests {depth} levels deep, past MAX_DEPTH={MAX_DEPTH}", 0)
     return Expr(root, n)

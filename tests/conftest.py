@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from switchopt import chain, dynamics
-from switchopt.expr import Expr, parse
+from switchopt.expr import MAX_DEPTH, Expr, parse
 from switchopt.graph import Graph, Network
 from switchopt.problem import AgentSpec, Problem, derive_multipliers
 from switchopt.scenario import load_scenario
@@ -41,6 +41,18 @@ def drift_of_one(model, x, pair, lam, nu, mode):
     state = [np.asarray(a, dtype=float) for a in (x, pair, lam, nu)]
     blocks = model.drift(*(a.ravel().tolist() for a in state), mode)
     return [np.reshape(b, a.shape) for a, b in zip(state, blocks)]
+
+
+def deep_expression(shape, past=False):
+    """An expression of x1 that nests ``expr.MAX_DEPTH`` levels deep, or one
+    step past it: a sum of k terms is k levels, k - 1 minus signs on x1 are
+    k, and each group of parentheses or exp( counts five."""
+    if shape == "sum":
+        return " + ".join(["x1"] * (MAX_DEPTH + past))
+    if shape == "signs":
+        return "-" * (MAX_DEPTH - 1 + past) + "x1"
+    groups = MAX_DEPTH // 5 + past
+    return {"parentheses": "(", "calls": "exp("}[shape] * groups + "x1" + ")" * groups
 
 
 def complete_graph(n):

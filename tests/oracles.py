@@ -351,7 +351,7 @@ def serial_weak_convergence(problem, network, gen, alphas, ensemble, T, seed, in
     }
 
 
-def check_assumptions_reference(problem, network, pi=None, *, switching=None):
+def check_assumptions_reference(network, pi=None, *, switching=None):
     """``dynamics.check_assumptions`` as it was with a fixed branch and a
     switching branch of its own, each building its Laplacians from the
     graphs.  The one-mode path must give the same report, except that one
@@ -384,7 +384,7 @@ def check_assumptions_reference(problem, network, pi=None, *, switching=None):
     else:
         mode = "switching"
         if pi is not None:
-            ratio = pi.p_min / pi.p_max
+            ratio = float(pi.min()) / float(pi.max())
             bound = math.inf if kappa == 0.0 else (2.0 / 3.0) * ratio / kappa**2
             checks.append(AssumptionCheck(
                 "coupling_bound_switching", 0.0 < c < bound,
@@ -408,7 +408,7 @@ def build_equilibrium_reference(problem, cert, tol=1e-6):
     """``dynamics.build_equilibrium`` as it was: theta per agent from each
     expression's own gradient, walking the stacked multiplier order with
     its own counters."""
-    from switchopt.dynamics import Equilibrium
+    from switchopt.dynamics import SystemState
 
     bad = {k: v for k, v in cert.residuals.items() if v > tol}
     if bad:
@@ -431,7 +431,7 @@ def build_equilibrium_reference(problem, cert, tol=1e-6):
     total = np.linalg.norm(theta.sum(axis=0))
     if total > 10.0 * max(tol, cert.residuals["stationarity"]) + 1e-12:
         raise ValueError(f"theta blocks do not balance: |sum theta| = {total:.3e}")
-    return Equilibrium(x=x, theta=theta, lam=cert.lambda_star.copy(), nu=cert.nu_star.copy())
+    return SystemState(x, theta, cert.lambda_star, cert.nu_star)
 
 
 def sample_path_reference(gen, s0, alpha, horizon, seed):

@@ -104,7 +104,7 @@ def test_criterion_03_switching_and_averaged_convergence(five_agent,
     # that keeps the 40-trajectory study inside the stated runtime bound
     T = 50.0
     pi = chain.stationary(six_mode_generator)
-    lambda2_pi = lambda2(six_mode_network.average(pi.pi)[0])
+    lambda2_pi = lambda2(six_mode_network.average(pi)[0])
     t0 = time.monotonic()
     # one batch over the mode-S stacks: 20 averaged members held in the
     # averaged mode S, then 20 switched ones, seed k driving both member k's
@@ -235,21 +235,21 @@ def test_criterion_07_trace_bound(six_mode_network):
 
 def test_criterion_08_stationary_distribution(six_mode_generator):
     dist = chain.stationary(six_mode_generator)
-    resid = float(np.max(np.abs(six_mode_generator.Q.T @ dist.pi)))
-    total = float(dist.pi.sum())
+    resid = float(np.max(np.abs(six_mode_generator.Q.T @ dist)))
+    total = float(dist.sum())
     mean_holding = 1.0 / float(np.mean(-np.diag(six_mode_generator.Q)))
     horizon = 1e4 * mean_holding
     path = chain.sample_path(six_mode_generator, 0, 1.0, horizon, seed=2024)
     occ = chain.occupation_fractions(path)
-    occ_err = float(np.max(np.abs(occ - dist.pi)))
+    occ_err = float(np.max(np.abs(occ - dist)))
     ok = (resid <= 1e-12 and abs(total - 1.0) <= 1e-14
-          and np.all(dist.pi > 0) and occ_err <= 0.02)
+          and np.all(dist > 0) and occ_err <= 0.02)
     verdict(8, "stationary-distribution", ok,
             f"residual={resid:.2e}, sum-1={total - 1.0:.2e}, "
             f"occupation err={occ_err:.4f} over {path.n_jumps} jumps")
     assert resid <= 1e-12
     assert abs(total - 1.0) <= 1e-14
-    assert np.all(dist.pi > 0)
+    assert np.all(dist > 0)
     assert occ_err <= 0.02
 
 

@@ -18,8 +18,7 @@ from switchopt.analysis import (
     omega_from_certificate,
     saddle_point_samples,
 )
-from switchopt.chain import StationaryDist
-from switchopt.dynamics import Equilibrium, IntegratorConfig, SystemState, Trajectory, simulate
+from switchopt.dynamics import IntegratorConfig, SystemState, Trajectory, simulate
 from switchopt.expr import parse
 from switchopt.graph import Network, laplacian
 from switchopt.problem import AgentSpec, Problem, total_cost
@@ -37,7 +36,7 @@ def test_omega_contains_only_active_multiplier(certificate, omega):
 
 
 def test_lyapunov_zero_at_equilibrium(five_agent, equilibrium, omega):
-    rep = lyapunov(equilibrium.as_state(), equilibrium, 1.0, omega)
+    rep = lyapunov(equilibrium, equilibrium, 1.0, omega)
     assert rep.V <= 1e-12
     assert rep.V1 == rep.V2 == rep.V4 == 0.0
     assert rep.consensus_error <= 1e-12
@@ -123,7 +122,7 @@ def test_lyapunov_requires_positive_multiplier_in_omega(equilibrium, omega):
 
 def test_hbar_values():
     assert hbar_fixed(1.0, 0.5) == pytest.approx(0.4375, abs=1e-15)
-    pi = StationaryDist(np.array([0.25, 0.75]))
+    pi = np.array([0.25, 0.75])
     # (c pi_min - 1.5 c^2 kappa^2 pi_max) / 2
     assert hbar_switching(1.0, 0.5, pi) == pytest.approx(
         0.5 * (0.25 - 1.5 * 0.25 * 0.75), rel=1e-14
@@ -133,7 +132,7 @@ def test_hbar_values():
 def test_phi_at_equilibrium_is_total_cost(five_agent, equilibrium):
     L = laplacian(complete_graph(5))
     hbar = hbar_fixed(1.0, 0.5)
-    phi = lagrangian_phi(equilibrium.as_state(), five_agent, X_STAR, hbar, L)
+    phi = lagrangian_phi(equilibrium, five_agent, X_STAR, hbar, L)
     assert phi == pytest.approx(172.4131591025766, rel=1e-12)
 
 
@@ -178,7 +177,7 @@ def test_convergence_metrics_at_equilibrium(five_agent, equilibrium, omega):
     net = Network(graphs=(complete_graph(5),), sigma=0.0, coupling=1.0, kappa=0.0)
     cfg = IntegratorConfig(h=1e-3, horizon=0.05, lambda_floor=0.0, output_stride=10)
     with pytest.warns(RuntimeWarning):
-        traj = simulate(five_agent, net, None, cfg, equilibrium.as_state())
+        traj = simulate(five_agent, net, None, cfg, equilibrium)
     m = convergence_metrics(traj, equilibrium, five_agent, 1.0, omega)
     assert np.max(m["V"]) <= 1e-10
     assert np.max(np.abs(m["cost_gap"])) <= 1e-8
@@ -236,11 +235,8 @@ def _energy_cases(draw):
         lam[..., cols] = np.exp(rng.normal(size=lam[..., cols].shape))
         return lam
 
-    eq = Equilibrium(
-        x=np.tile(scale * rng.normal(size=n), (N, 1)),
-        theta=scale * rng.normal(size=(N, n)),
-        lam=multipliers(r), nu=scale * rng.normal(size=s),
-    )
+    eq = SystemState(np.tile(scale * rng.normal(size=n), (N, 1)), scale * rng.normal(size=(N, n)),
+                     multipliers(r), scale * rng.normal(size=s))
     trajs = [
         Trajectory(
             times=0.1 * np.arange(K), x=scale * rng.normal(size=(K, N, n)),
@@ -312,7 +308,8 @@ def test_batched_energy_bit_identical_on_a_long_trajectory(five_agent, equilibri
     # 20000 divergence terms: enough to expose a vectorized log that differs
     # from math.log in the last bit (about 0.07% of V3 terms), which the
     # small random cases rarely reach
-    eq = dataclasses.replace(equilibrium, lam=np.array([1.7, 0.3]))
+    eq = equilibrium.copy()
+    eq.lam = np.array([1.7, 0.3])
     rng = np.random.default_rng(11)
     K = 10000
     traj = Trajectory(

@@ -158,7 +158,7 @@ def test_lone_run_peak_stays_near_its_chunk():
     model = dynamics._Model(problem, network, 1.0)
     cfg = dynamics.IntegratorConfig(h=1e-3, horizon=steps * 1e-3, seed=1)
     init = dynamics.SystemState(np.zeros((N, 1)), np.zeros((N, 1)), [], [])
-    report = dynamics.check_assumptions(problem, network)
+    report = dynamics.check_assumptions(network)
     # one untraced step compiles model.lone and loads the modules numpy
     # imports on first use
     dynamics._integrate(model, None, dataclasses.replace(cfg, horizon=1e-3), init, report)

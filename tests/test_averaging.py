@@ -20,8 +20,8 @@ from conftest import X_INIT, drift_of_one
 
 
 def test_single_mode_average_is_identity(k5_network):
-    pi = chain.StationaryDist(np.array([1.0]))
-    L_pi, _ = k5_network.average(pi.pi)
+    pi = np.array([1.0])
+    L_pi, _ = k5_network.average(pi)
     assert np.allclose(L_pi, laplacian(k5_network.graphs[0]), atol=1e-15)
 
 
@@ -32,8 +32,8 @@ def test_uniform_average_of_three_edges_is_scaled_triangle():
         Graph.from_edges(3, [(0, 2)]),
     )
     net = Network(graphs=graphs, sigma=0.1, coupling=1.0, kappa=0.2)
-    pi = chain.StationaryDist(np.full(3, 1.0 / 3.0))
-    L_pi, _ = net.average(pi.pi)
+    pi = np.full(3, 1.0 / 3.0)
+    L_pi, _ = net.average(pi)
     triangle = laplacian(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
     assert np.allclose(L_pi, triangle / 3.0, atol=1e-15)
     assert lambda2(L_pi) == pytest.approx(1.0, abs=1e-12)
@@ -43,8 +43,8 @@ def test_disconnected_modes_jointly_connected_average():
     g1 = Graph.from_edges(4, [(0, 1), (2, 3)])
     g2 = Graph.from_edges(4, [(0, 2), (1, 3)])
     net = Network(graphs=(g1, g2), sigma=0.1, coupling=1.0, kappa=0.2)
-    pi = chain.StationaryDist(np.array([0.5, 0.5]))
-    L_pi, _ = net.average(pi.pi)
+    pi = np.array([0.5, 0.5])
+    L_pi, _ = net.average(pi)
     assert lambda2(laplacian(g1)) == pytest.approx(0.0, abs=1e-12)
     assert lambda2(laplacian(g2)) == pytest.approx(0.0, abs=1e-12)
     assert lambda2(L_pi) > 0.4
@@ -52,7 +52,7 @@ def test_disconnected_modes_jointly_connected_average():
 
 def test_average_laplacian_structure(six_mode_network, six_mode_generator):
     pi = stationary(six_mode_generator)
-    L, _ = six_mode_network.average(pi.pi)
+    L, _ = six_mode_network.average(pi)
     assert np.max(np.abs(L - L.T)) == 0.0
     assert np.max(np.abs(L.sum(axis=1))) <= 1e-14
     assert np.linalg.eigvalsh(L)[0] >= -1e-12
@@ -71,7 +71,7 @@ def test_diffusion_factor_single_mode_reconstruction(k5_network):
     from switchopt.dynamics import diffusion_matrix
 
     rng = np.random.default_rng(8)
-    pi = chain.StationaryDist(np.array([1.0]))
+    pi = np.array([1.0])
     x = rng.normal(size=(5, 2))
     st = SystemState(x, np.zeros_like(x), [1.0, 1.0], [1.0])
     Mbar = averaged_diffusion_factor(st, k5_network, pi)
@@ -91,7 +91,7 @@ def test_diffusion_factor_random_states_reconstruction(six_mode_network, six_mod
         gamma = sum(
             p * diffusion_matrix(st, m, six_mode_network)
             @ diffusion_matrix(st, m, six_mode_network).T
-            for m, p in enumerate(pi.pi)
+            for m, p in enumerate(pi)
         )
         assert np.linalg.norm(Mbar @ Mbar.T - gamma, "fro") <= 1e-10
         # PSD, block-diagonal over the two coordinates of each agent
@@ -101,7 +101,7 @@ def test_diffusion_factor_random_states_reconstruction(six_mode_network, six_mod
 
 def test_averaged_drift_is_mode_mixture(five_agent, six_mode_network, six_mode_generator):
     pi = stationary(six_mode_generator)
-    L_pi, _ = six_mode_network.average(pi.pi)
+    L_pi, _ = six_mode_network.average(pi)
     rng = np.random.default_rng(4)
     from switchopt.dynamics import _Model
 
@@ -115,7 +115,7 @@ def test_averaged_drift_is_mode_mixture(five_agent, six_mode_network, six_mode_g
         nu = rng.normal(0.0, 1.0, 1)
         davg = drift_of_one(model, x, pair, lam, nu, model.averaged)
         mix = None
-        for m, p in enumerate(pi.pi):
+        for m, p in enumerate(pi):
             parts = drift_of_one(model, x, pair, lam, nu, m)
             if mix is None:
                 mix = [p * q for q in parts]
@@ -161,12 +161,12 @@ def test_simulate_averaged_sigma_zero_matches_switched_stepper(five_agent):
     # must reproduce it bit for bit at every sample
     g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     net = Network(graphs=(g, g), sigma=0.0, coupling=1.0, kappa=0.0)
-    pi = chain.StationaryDist(np.array([0.5, 0.5]))
+    pi = np.array([0.5, 0.5])
     cfg = IntegratorConfig(h=1e-3, horizon=0.5, seed=12, output_stride=100)
     init = SystemState(X_INIT, np.zeros_like(X_INIT), [3.0, 3.0], [3.0])
     t_avg = simulate_averaged(five_agent, net, pi, cfg, init.copy())
     t_fix = simulate(five_agent, net, None, cfg, init.copy())
-    assert np.array_equal(net.average(pi.pi)[0], laplacian(g))
+    assert np.array_equal(net.average(pi)[0], laplacian(g))
     assert len(t_avg.times) == 6
     assert np.array_equal(t_avg.x, t_fix.x)
     assert np.array_equal(t_avg.theta, t_fix.theta)
@@ -175,7 +175,7 @@ def test_simulate_averaged_sigma_zero_matches_switched_stepper(five_agent):
 def test_one_mode_averaged_run_equals_the_fixed_run(five_agent, k5_network, reference_init):
     # for one mode sqrt(w) is R and L_pi is L to the bit, so the averaged
     # run is the fixed run: same channel increments, same step
-    pi = chain.StationaryDist(pi=np.array([1.0]))
+    pi = np.array([1.0])
     cfg = IntegratorConfig(h=1e-3, horizon=0.3, seed=17, output_stride=10)
     t_avg = simulate_averaged(five_agent, k5_network, pi, cfg, reference_init.copy())
     t_fix = simulate(five_agent, k5_network, None, cfg, reference_init.copy())
@@ -194,7 +194,7 @@ def test_channel_factor_squares_to_the_averaged_diffusion(five_agent, six_mode_n
     pi = stationary(six_mode_generator)
     model = _Model(five_agent, six_mode_network, np.ones(2), pi)
     S = model.averaged
-    _, wsq = six_mode_network.average(pi.pi)
+    _, wsq = six_mode_network.average(pi)
     rng = np.random.default_rng(2026)
     for _ in range(200):
         x = rng.normal(0.0, 2.0, (5, 2))
@@ -218,7 +218,7 @@ def test_channel_factor_run_matches_the_psd_factor_run_in_law(five_agent, six_mo
 
     pi = stationary(six_mode_generator)
     model = _Model(five_agent, six_mode_network, np.ones(2), pi)
-    wsq = sum(p * six_mode_network.receive[m] ** 2 for m, p in enumerate(pi.pi))
+    wsq = sum(p * six_mode_network.receive[m] ** 2 for m, p in enumerate(pi))
     members, h, T = 200, 1e-3, 0.5
     ours = np.empty((members, 10))
     ref = np.empty((members, 10))
@@ -387,7 +387,7 @@ def test_weak_convergence_linear_problem_matrix_exponential_oracle():
     net = Network(graphs=(g1, g2), sigma=0.0, coupling=1.0, kappa=0.0)
     gen = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
     pi = stationary(gen)
-    assert np.allclose(pi.pi, 0.5)
+    assert np.allclose(pi, 0.5)
     L_pi = 0.5 * (laplacian(g1) + laplacian(g2))
 
     # averaged linear flow on (x, theta): dx = -(L_pi + K) x - theta,

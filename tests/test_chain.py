@@ -49,28 +49,35 @@ def test_validate_accepts_all_zero_but_stationary_rejects():
 
 def test_stationary_two_state_analytic():
     gen = validate_generator([[-1.0, 1.0], [2.0, -2.0]])
-    pi = stationary(gen).pi
+    pi = stationary(gen)
     assert np.allclose(pi, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
+
+
+def test_stationary_is_a_read_only_probability_vector():
+    # pi itself, from the same solve for one mode as for several
+    for Q, want in (([[0.0]], [1.0]), ([[-1.0, 1.0], [1.0, -1.0]], [0.5, 0.5])):
+        pi = stationary(validate_generator(Q))
+        assert type(pi) is np.ndarray and pi.tolist() == want and not pi.flags.writeable
 
 
 def test_stationary_symmetric_is_uniform():
     Q = np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
-    pi = stationary(validate_generator(Q)).pi
+    pi = stationary(validate_generator(Q))
     assert np.allclose(pi, 1.0 / 3.0, atol=1e-14)
 
 
 def test_stationary_six_mode_residual_and_occupation():
     gen = validate_generator(SIX_MODE_Q)
     dist = stationary(gen)
-    assert np.max(np.abs(gen.Q.T @ dist.pi)) <= 1e-12
-    assert abs(dist.pi.sum() - 1.0) <= 1e-14
-    assert np.all(dist.pi > 0)
+    assert np.max(np.abs(gen.Q.T @ dist)) <= 1e-12
+    assert abs(dist.sum() - 1.0) <= 1e-14
+    assert np.all(dist > 0)
     # cross-check with long-run occupation over ~1e6 jumps
     horizon = 4e5  # mean exit rate ~2.7 -> about 1.1e6 jumps
     path = sample_path(gen, 0, 1.0, horizon, seed=2024)
     assert path.n_jumps > 9e5
     occ = occupation_fractions(path)
-    assert np.max(np.abs(occ - dist.pi)) <= 1e-2
+    assert np.max(np.abs(occ - dist)) <= 1e-2
 
 
 def test_stationary_reducible_rejected():

@@ -19,7 +19,6 @@ from switchopt.dynamics import (
     build_equilibrium,
     check_assumptions,
     diffusion_matrix,
-    apply_diffusion,
     drift,
     em_step,
     simulate,
@@ -71,8 +70,7 @@ def model_step(model, path, x, pair, lam, nu, t, h, mode, W, floor):
 
 
 def test_drift_vanishes_at_equilibrium(five_agent, k5_network, equilibrium):
-    st = equilibrium.as_state()
-    dx, dth, dlam, dnu = drift(st, 0, five_agent, k5_network, 1.0)
+    dx, dth, dlam, dnu = drift(equilibrium, 0, five_agent, k5_network, 1.0)
     assert np.linalg.norm(dx) <= 1e-8
     assert np.linalg.norm(dth) <= 1e-8
     assert np.linalg.norm(dlam) <= 1e-8
@@ -136,15 +134,17 @@ def test_trace_bound_random_states(six_mode_network):
             assert tr <= kappa2 * float(xhat @ Lk @ xhat) + 1e-10
 
 
-def test_apply_diffusion_matches_explicit_matrix(six_mode_network):
+def test_apply_diffusion_matches_explicit_matrix(five_agent, six_mode_network):
+    # the channel-noise term the numpy path runs, on a batch of one
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 2))
     st = SystemState(x, np.zeros_like(x), [1.0, 1.0], [1.0])
+    model = _Model(five_agent, six_mode_network, 1.0)
     for mode in (0, 5):
         W = rng.normal(size=(5, 5))
         M = diffusion_matrix(st, mode, six_mode_network)
         via_matrix = (six_mode_network.coupling * (M @ W.ravel())).reshape(5, 2)
-        direct = apply_diffusion(st, mode, six_mode_network, W)
+        direct = model.noise_term(x[None], mode, W[None])[0]
         assert np.max(np.abs(via_matrix - direct)) <= 1e-14
 
 
@@ -152,8 +152,6 @@ def test_apply_diffusion_matches_explicit_matrix(six_mode_network):
 def test_helpers_reject_misshaped_increments(shape, five_agent, k5_network, reference_init):
     W = np.zeros(shape)
     message = re.escape("noise increment must have shape (5,5) or (25,)")
-    with pytest.raises(ValueError, match=message):
-        apply_diffusion(reference_init, 0, k5_network, W)
     with pytest.raises(ValueError, match=message):
         em_step(reference_init, 0, 1e-3, W, five_agent, k5_network, IntegratorConfig())
 
@@ -177,8 +175,6 @@ def test_public_helpers_equal_the_model_bit_for_bit(kind, request):
         core = drift_of_one(model, st.x, st.pair, st.lam, st.nu, mode)
         view = drift(st, mode, problem, network, cfg.eta)
         assert [a.tobytes() for a in view] == [a.tobytes() for a in core]
-        noise = model.noise_term(st.x[None], mode, W[None])[0]
-        assert apply_diffusion(st, mode, network, W).tobytes() == noise.tobytes()
         nxt = em_step(st, mode, cfg.h, W.ravel(), problem, network, cfg)
         for path in STEP_PATHS:
             *new, clamped = model_step(model, path, st.x, st.pair, st.lam, st.nu, st.t,
@@ -446,7 +442,7 @@ def _weighted_case():
                       coupling=1.3, kappa=0.5)
     problem = Problem(n=2, agents=tuple(AgentSpec(f=parse(f"{k + 1}*x1^2 + x2^2", 2),
                                                   g=(parse("x1 - 1", 2),)) for k in range(8)))
-    return problem, network, chain.StationaryDist(rng.dirichlet(np.ones(3)))
+    return problem, network, rng.dirichlet(np.ones(3))
 
 
 @pytest.mark.parametrize("kind", ["fixed", "switching", "no-multipliers", "weighted"])
@@ -462,7 +458,7 @@ def test_lone_substep_equals_a_batch_of_one_bit_for_bit(kind, request):
         problem, network = scn.build_problem(), scn.build_network()
         if kind == "no-multipliers":
             problem = _no_multiplier_problem()
-        pi = chain.StationaryDist(np.full(network.n_modes, 1.0 / network.n_modes))
+        pi = np.full(network.n_modes, 1.0 / network.n_modes)
     model = _Model(problem, network, np.linspace(0.5, 2.0, problem.r), pi)
     N, n, r, s = problem.n_agents, problem.n, problem.r, problem.s
     rng = np.random.default_rng(17)
@@ -495,7 +491,7 @@ def test_numpy_round_within_1e_12_of_the_lone_substeps(kind, request):
         problem, network = scn.build_problem(), scn.build_network()
         if kind == "no-multipliers":
             problem = _no_multiplier_problem()
-        pi = chain.StationaryDist(np.full(network.n_modes, 1.0 / network.n_modes))
+        pi = np.full(network.n_modes, 1.0 / network.n_modes)
     model = _Model(problem, network, np.linspace(0.5, 2.0, problem.r), pi)
     N, n, r, s, M = problem.n_agents, problem.n, problem.r, problem.s, BATCH_KERNEL_ROWS
     rng = np.random.default_rng(23)
@@ -589,7 +585,7 @@ def test_simulate_stays_at_equilibrium_without_noise(five_agent, equilibrium):
                            seed=1, output_stride=100)
     with pytest.warns(RuntimeWarning):
         # equilibrium has a zero inactive multiplier, which warns
-        traj = simulate(five_agent, net, None, cfg, equilibrium.as_state())
+        traj = simulate(five_agent, net, None, cfg, equilibrium)
     final = traj.final_state
     assert np.max(np.abs(final.x - equilibrium.x)) <= 1e-9
     assert np.max(np.abs(final.theta - equilibrium.theta)) <= 1e-9
@@ -703,9 +699,9 @@ def test_simulate_warns_on_gate_failure(five_agent):
 # ---------------------------------------------------------------------------
 
 
-def test_assumptions_published_parameters_fail_coupling(five_agent):
+def test_assumptions_published_parameters_fail_coupling():
     net = Network(graphs=(complete_graph(5),), sigma=1.0, coupling=2.0, kappa=1.0)
-    report = check_assumptions(five_agent, net)
+    report = check_assumptions(net)
     by_name = {c.name: c for c in report.checks}
     assert not by_name["coupling_bound"].passed  # needs c < 2/3
     assert by_name["noise_bound"].passed
@@ -713,36 +709,35 @@ def test_assumptions_published_parameters_fail_coupling(five_agent):
     assert not report.all_passed
 
 
-def test_assumptions_compliant_fixed(five_agent, k5_network):
-    report = check_assumptions(five_agent, k5_network)
+def test_assumptions_compliant_fixed(k5_network):
+    report = check_assumptions(k5_network)
     assert report.mode == "fixed"
     assert report.all_passed
 
 
-def test_assumptions_noise_free_limit(five_agent):
+def test_assumptions_noise_free_limit():
     net = Network(graphs=(complete_graph(5),), sigma=0.0, coupling=5.0, kappa=0.0)
-    report = check_assumptions(five_agent, net)
+    report = check_assumptions(net)
     assert report.all_passed  # kappa = 0 puts no bound on the coupling
 
 
-def test_assumptions_switching_gates(five_agent, six_mode_network, six_mode_generator):
+def test_assumptions_switching_gates(six_mode_network, six_mode_generator):
     pi = chain.stationary(six_mode_generator)
-    report = check_assumptions(five_agent, six_mode_network, pi)
+    report = check_assumptions(six_mode_network, pi)
     assert report.mode == "switching"
     assert report.all_passed
     # tighter noise bound with the same topology must trip the spectral gate
     loud = Network(graphs=six_mode_network.graphs, sigma=0.8, coupling=1.0, kappa=0.8)
-    report2 = check_assumptions(five_agent, loud, pi)
+    report2 = check_assumptions(loud, pi)
     names = {c.name: c.passed for c in report2.checks}
     assert not names["spectral_gate_switching"]  # 0.8 > sqrt(2)/2
 
 
 def test_one_agent_counts_as_connected_in_both_reports():
-    p = single_agent_problem()
     net = Network(graphs=(Graph(1), Graph(1)), sigma=0.0, coupling=1.0, kappa=0.0)
-    pi = chain.StationaryDist(pi=np.array([0.5, 0.5]))
-    fixed = check_assumptions(p, net, switching=False)
-    switching = check_assumptions(p, net, pi)
+    pi = np.array([0.5, 0.5])
+    fixed = check_assumptions(net, switching=False)
+    switching = check_assumptions(net, pi)
     assert fixed.checks[-1].name == "connected" and fixed.all_passed
     assert switching.checks[-1].name == "jointly_connected" and switching.all_passed
 
@@ -770,7 +765,7 @@ def _gate_grid(kind, scn):
     """Networks and gate arguments over kappa, c, pi and ``switching``."""
     base = scn.build_network()
     pi = (chain.stationary(scn.build_generator()) if kind == "switching"
-          else chain.StationaryDist(pi=np.array([1.0])))
+          else np.array([1.0]))
     for kappa in (base.kappa, 0.0, 5.0):
         for c in (base.coupling, 1e-3, 50.0):
             net = Network(graphs=base.graphs, sigma=base.sigma if kappa else 0.0,
@@ -783,12 +778,11 @@ def _gate_grid(kind, scn):
 @pytest.mark.parametrize("kind", ["fixed", "switching"])
 def test_gates_equal_the_two_branch_reference(kind, request):
     scn = request.getfixturevalue(f"{kind}_scenario")
-    problem = scn.build_problem()
     grid = list(_gate_grid(kind, scn))
     assert len(grid) == 54
     for net, pi, switching in grid:
-        got = check_assumptions(problem, net, pi, switching=switching).as_dict()
-        assert got == check_assumptions_reference(problem, net, pi, switching=switching).as_dict()
+        got = check_assumptions(net, pi, switching=switching).as_dict()
+        assert got == check_assumptions_reference(net, pi, switching=switching).as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +791,7 @@ def test_gates_equal_the_two_branch_reference(kind, request):
 
 
 def test_equilibrium_theta_blocks(five_agent, certificate, equilibrium):
+    assert type(equilibrium) is SystemState and equilibrium.t == 0.0
     e5 = math.exp(5.0)
     assert np.allclose(equilibrium.theta[4], [-3.0 * e5, -e5], rtol=1e-12)
     # agent 2 has only the inactive constraint: theta = -grad f2 = (0, -8)
@@ -827,7 +822,7 @@ def test_equilibrium_equals_the_per_expression_reference(fixed_scenario, switchi
     for problem, x in cases + [(pair, (0.0, 0.0))]:
         cert = derive_multipliers(problem, x)
         got, ref = build_equilibrium(problem, cert), build_equilibrium_reference(problem, cert)
-        for name in ("x", "theta", "lam", "nu"):
+        for name in ("x", "pair", "theta", "lam", "nu"):
             assert np.array_equal(getattr(got, name), getattr(ref, name))
 
 
@@ -1102,7 +1097,7 @@ def test_batch_failure_in_an_averaged_member_names_it():
     # members 0-2 hold the averaged mode S = 1 of a one-node network, 3-5
     # run mode 0; averaged member 2 starts outside the domain of ln
     p = single_agent_problem(cost="ln(x1)")
-    pi = chain.StationaryDist(np.array([1.0]))
+    pi = np.array([1.0])
     cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=list(range(6)))
     init = _member_axis_init([1.0, 2.0, -1.0, 3.0, 4.0, 5.0])
     with pytest.raises(IntegrationError, match=(
@@ -1170,7 +1165,7 @@ def test_held_mode_batch_retakes_a_failing_round_without_the_member(monkeypatch)
     monkeypatch.setattr(model, "step", step)
     cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=list(range(17)))
     with pytest.raises(IntegrationError) as info:
-        _integrate(model, None, cfg, _member_axis_init(x_rows), check_assumptions(p, net))
+        _integrate(model, None, cfg, _member_axis_init(x_rows), check_assumptions(net))
     assert str(info.value) == ("expression left its domain at t=0 (mode 0, member 5): "
                                "agent 1 cost 'ln(x1)': ln of nonpositive value -1.0")
     (x, t, mode, members, out), = calls  # the retake; the first try raised
@@ -1266,7 +1261,7 @@ def test_batch_failure_earliest_in_time_wins_across_rounds(case, five_agent, six
     model = _FailsAt(five_agent, six_mode_network, fail_at)
     cfg = IntegratorConfig(h=H, horizon=T, seed=[1, 2, 3])
     init = SystemState(X_INIT, np.zeros_like(X_INIT), [3.0, 3.0], [3.0])
-    report = check_assumptions(five_agent, six_mode_network, switching=True)
+    report = check_assumptions(six_mode_network, switching=True)
     with pytest.raises(IntegrationError, match="^" + re.escape(
             f"scripted failure at t={t} (mode {mode}, member {member}): test") + "$"):
         _integrate(model, paths, cfg, init, report)

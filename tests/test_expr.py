@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchopt.expr import (
+    MAX_DEPTH,
     DomainError,
     ExprSyntaxError,
     VariableRangeError,
     parse,
 )
 
+from conftest import deep_expression
 from oracles import fd_gradient
 
 
@@ -195,6 +197,26 @@ def test_variable_out_of_range():
 def test_unknown_identifier():
     with pytest.raises(ExprSyntaxError):
         parse("sin(x1)", 1)
+
+
+@pytest.mark.parametrize("shape, value, refusal", [
+    ("sum", 250.0, "expression nests 501 levels deep, past MAX_DEPTH=500 (at position 0)"),
+    ("signs", -0.5, "expression nests 501 levels deep, past MAX_DEPTH=500 (at position 0)"),
+    ("parentheses", 0.5,
+     "groups nest 101 deep, past MAX_DEPTH=500 at 5 levels each (at position 100)"),
+    ("calls", None,
+     "groups nest 101 deep, past MAX_DEPTH=500 at 5 levels each (at position 400)"),
+])
+def test_expressions_nest_up_to_max_depth(shape, value, refusal):
+    # at MAX_DEPTH levels an expression parses and evaluates; one step past,
+    # parse refuses it by the limit's name instead of overflowing the stack
+    assert MAX_DEPTH == 500
+    e = parse(deep_expression(shape), 2)
+    if value is not None:
+        assert e.value((0.5, 0.0)) == value
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(deep_expression(shape, past=True), 2)
+    assert str(exc.value) == refusal
 
 
 def test_exponent_must_be_literal():

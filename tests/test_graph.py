@@ -71,18 +71,14 @@ def test_jointly_connected_two_edges_make_a_path():
 
 
 def test_one_node_is_connected_by_the_graph_rule_and_the_assumption_report():
-    from switchopt.chain import StationaryDist
     from switchopt.dynamics import check_assumptions
-    from switchopt.expr import parse
-    from switchopt.problem import AgentSpec, Problem
 
     one = Graph(1)
     assert connected(laplacian(one))
     assert jointly_connected([one]) and jointly_connected([one, one])
-    p = Problem(n=1, agents=(AgentSpec(f=parse("x1^2", 1)),))
     net = Network(graphs=(one, one), sigma=0.0, coupling=1.0, kappa=0.0)
-    pi = StationaryDist(pi=np.array([0.5, 0.5]))
-    for report in (check_assumptions(p, net, switching=False), check_assumptions(p, net, pi)):
+    pi = np.array([0.5, 0.5])
+    for report in (check_assumptions(net, switching=False), check_assumptions(net, pi)):
         assert report.checks[-1].passed == jointly_connected(net.graphs)
 
 

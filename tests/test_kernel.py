@@ -263,7 +263,7 @@ def test_model_drift_bit_equal_to_tree_walk(switching_scenario):
     p = switching_scenario.build_problem()
     net = switching_scenario.build_network()
     pi = chain.stationary(switching_scenario.build_generator())
-    L_pi, _ = net.average(pi.pi)
+    L_pi, _ = net.average(pi)
     model = dynamics._Model(p, net, np.array([1.0, 0.5]), pi)
     rng = np.random.default_rng(11)
     for trial in range(60):
@@ -304,8 +304,7 @@ def test_coupling_within_1e_12_of_blas():
         network = Network(graphs=tuple(cubic_graph(rng, N) for _ in range(3)), sigma=0.0,
                           coupling=1.0, kappa=0.0)
         problem = Problem(n=n, agents=(AgentSpec(f=parse("x1^2", n)),) * N)
-        model = dynamics._Model(problem, network, 1.0, chain.StationaryDist(
-            rng.dirichlet(np.ones(3))))
+        model = dynamics._Model(problem, network, 1.0, rng.dirichlet(np.ones(3)))
         none = np.zeros(0)
         for mode in range(4):
             x = rng.normal(0.0, 3.0, (N, n))

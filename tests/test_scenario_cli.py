@@ -7,7 +7,10 @@ import pytest
 
 from switchopt import cli, dynamics
 from switchopt.cli import main
+from switchopt.expr import MAX_DEPTH
 from switchopt.scenario import Scenario, ScenarioError, load_scenario, scenario_hash
+
+from conftest import deep_expression
 
 
 def test_load_bundled_fixed_scenario(fixed_scenario):
@@ -296,20 +299,20 @@ def test_compare_bad_design_exits_1(extra, message, switching_scenario_path, tmp
 
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "fixed", "--horizon", "-1"],
-     "horizon must be positive and finite, got -1.0"),
+     "error: --horizon must be positive and finite, got -1.0\n"),
     (["simulate", "fixed", "--horizon", "nan"],
-     "horizon must be positive and finite, got nan"),
+     "error: --horizon must be positive and finite, got nan\n"),
     (["simulate", "fixed", "--seed", "-1"],
      "error: --seed must be a nonnegative integer, got -1\n"),
     (["compare", "switching", "--seed", "-1"],
      "error: --seed must be a nonnegative integer, got -1\n"),
     (["compare", "switching", "--horizon", "-1"],
-     "horizon must be positive and finite, got -1.0"),
+     "error: --horizon must be positive and finite, got -1.0\n"),
     (["compare", "switching", "--horizon", "inf"],
-     "horizon must be positive and finite, got inf"),
+     "error: --horizon must be positive and finite, got inf\n"),
     (["kkt", "fixed", "--x", "a,b"], "error: --x entry 1 must be a number, got 'a'\n"),
     (["kkt", "fixed", "--x", "1,,2"], "error: --x entry 2 must be a number, got ''\n"),
-    (["kkt", "fixed", "--x", "1"], "expected a point of dimension 2, got 1"),
+    (["kkt", "fixed", "--x", "1"], "error: --x must have 2 entries, got 1\n"),
     (["kkt", "fixed", "--x", "nan,1"], "error: --x entry 1 must be finite, got nan\n"),
     (["kkt", "fixed", "--x", "1,-inf"], "error: --x entry 2 must be finite, got -inf\n"),
     (["kkt", "fixed", "--x", "1e200,1"],
@@ -325,6 +328,27 @@ def test_bad_flag_exits_1(argv, message, request, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", ["sum", "signs", "parentheses"])
+def test_simulate_runs_at_max_depth_and_exits_1_past_it(shape, tmp_scenario_file, tmp_path,
+                                                       capsys):
+    # agent 3's cost nests MAX_DEPTH levels deep, then one step past it
+    def deep(past):
+        def mutate(d):
+            del d["candidate"]
+            d["problem"]["agents"][2]["cost"] = deep_expression(shape, past)
+            d["integrator"]["horizon"] = 0.01
+        return str(tmp_scenario_file(mutate))
+
+    assert main(["simulate", deep(False), "--out-dir", str(tmp_path / "at")]) == 0
+    capsys.readouterr()
+    for command in (["validate"], ["simulate", "--out-dir", str(tmp_path / "past")]):
+        assert main([command[0], deep(True), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"past MAX_DEPTH={MAX_DEPTH}" in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "past").exists()
 
 
 def test_simulate_wrong_candidate_writes_nothing(tmp_scenario_file, tmp_path, capsys):

@@ -29,6 +29,8 @@ WRONG = [
     None, "", "abc", [], [1], [[1, 2]], {}, True,
     0, -0.0, 0.0, 1.5, math.nan, math.inf, -math.inf, 1e-300, 1e-320, -1e-320, 2**70, -2**70,
     "x1 +", "ln(", "x3", "exp(x1", "x1^x2", "4*x1^2 ^ 2", "1e999", "2 * * x1",
+    # past expr.MAX_DEPTH: refused by name, not a RecursionError
+    " + ".join(["x1"] * 1000), "(" * 200 + "x1" + ")" * 200, "-" * 1000 + "x1",
 ]
 
 
