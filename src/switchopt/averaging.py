@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .chain import Generator, sample_path, stationary, trajectory_seeds
+from .chain import Generator, check_alpha, sample_path, stationary, trajectory_seeds
 from .dynamics import IntegratorConfig, SystemState, Trajectory, simulate
 from .graph import Network
 from .problem import Problem, total_cost
@@ -132,14 +132,13 @@ def weak_convergence_experiment(
 
     Only ``h``, ``eta`` and ``lambda_floor`` are read from ``cfg``.  The
     design and the horizon are checked before any trajectory runs:
-    ValueError unless the alphas are positive and strictly decreasing, the
-    ensemble holds at least 2 members and ``T`` is positive and finite.
+    ValueError unless the alphas are positive, finite and strictly
+    decreasing, the ensemble holds at least 2 members and ``T`` is positive
+    and finite.
     """
-    alphas = [float(a) for a in alphas]
+    alphas = [check_alpha(a) for a in alphas]
     if any(a <= b for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly decreasing")
-    if not all(a > 0.0 for a in alphas):
-        raise ValueError("alpha must be positive")
     if ensemble < 2:
         raise ValueError("ensemble must hold at least 2 members")
     if cfg is None:

@@ -9,6 +9,7 @@ discretization source downstream.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,6 +22,7 @@ __all__ = [
     "ChainError",
     "validate_generator",
     "stationary",
+    "check_alpha",
     "sample_path",
     "mode_at",
     "occupation_fractions",
@@ -140,6 +142,18 @@ class SwitchPath:
         return len(self.times) - 1
 
 
+def check_alpha(alpha) -> float:
+    """The time-scale ratio ``alpha`` as a float, refused unless positive
+    ("not > 0" also rejects nan, which would never reach the horizon) and
+    finite (an inf never jumps)."""
+    alpha = float(alpha)
+    if not alpha > 0.0:
+        raise ChainError("alpha must be positive")
+    if not math.isfinite(alpha):
+        raise ChainError(f"alpha must be finite, got {alpha}")
+    return alpha
+
+
 def sample_path(gen: Generator, s0: int, alpha: float, horizon: float, seed) -> SwitchPath:
     """Exact CTMC path over [0, horizon] in slow time.
 
@@ -147,10 +161,8 @@ def sample_path(gen: Generator, s0: int, alpha: float, horizon: float, seed) -> 
     Generator).  A mode with zero exit rate yields a single-segment path
     flagged as absorbed.
     """
-    # "not > 0" also rejects nan, which would never reach the horizon
-    if not alpha > 0.0:
-        raise ChainError("alpha must be positive")
-    if not horizon > 0.0:
+    alpha = check_alpha(alpha)
+    if not horizon > 0.0:  # "not > 0" also rejects nan
         raise ChainError("horizon must be positive")
     S = gen.n_modes
     if not 0 <= s0 < S:

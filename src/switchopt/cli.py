@@ -150,34 +150,50 @@ def cmd_kkt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+CSV_BLOCK = 128  # samples formatted at a time: a writer's temporaries span one block
+
+
+def _csv(header: str, cols, times, labels, values) -> str:
+    """The CSV text: ``header``, the column names ``cols``, then per sample
+    k one line per label j, ``repr(times[k]) + labels[j]`` and its cells.
+
+    ``values`` are arrays with the samples on axis 0, whose entries fill a
+    sample's lines in order, the same number on each.  Each label ends in
+    the comma before the cells, dropped when there are none.  A block of
+    CSV_BLOCK samples is formatted in one ``repr`` pass over its values.
+    """
+    parts = [header, ",".join(cols)]
+    L = len(labels)
+    widths = [math.prod(v.shape[1:]) // L for v in values]  # each array's cells per line
+    C = sum(widths)
+    if not C:
+        labels = [label[:-1] for label in labels]
+    for lo in range(0, len(times), CSV_BLOCK):
+        ts = times[lo:lo + CSV_BLOCK].tolist()
+        block = [np.reshape(v[lo:lo + CSV_BLOCK], (len(ts), L, w))
+                 for v, w in zip(values, widths)]
+        cells = list(map(repr, np.concatenate(block, axis=2).ravel().tolist()))
+        heads = [t + label for t in map(repr, ts) for label in labels]
+        parts.append("\n".join([head + ",".join(cells[i * C:i * C + C])
+                                for i, head in enumerate(heads)]))
+    return "\n".join(parts) + "\n"
+
+
 def _trajectory_csv(header: str, traj: dynamics.Trajectory, n: int) -> str:
-    lines = [header]
     cols = ["t", "agent"] + [f"x{k + 1}" for k in range(n)] + [
         f"theta{k + 1}" for k in range(n)
     ]
-    lines.append(",".join(cols))
-    for t, x, theta in zip(traj.times.tolist(), traj.x.tolist(), traj.theta.tolist()):
-        ts = repr(t)
-        for i, (xr, thr) in enumerate(zip(x, theta)):
-            lines.append(",".join([ts, str(i + 1), *map(repr, xr), *map(repr, thr)]))
-    return "\n".join(lines) + "\n"
+    labels = [f",{i + 1}," for i in range(traj.x.shape[1])]
+    return _csv(header, cols, traj.times, labels, (traj.x, traj.theta))
 
 
 def _multipliers_csv(header: str, traj: dynamics.Trajectory, lam_names, nu_names) -> str:
-    lines = [header]
-    lines.append(",".join(["t", *lam_names, *nu_names]))
-    for t, lam, nu in zip(traj.times.tolist(), traj.lam.tolist(), traj.nu.tolist()):
-        lines.append(",".join([repr(t), *map(repr, lam), *map(repr, nu)]))
-    return "\n".join(lines) + "\n"
+    return _csv(header, ["t", *lam_names, *nu_names], traj.times, [","], (traj.lam, traj.nu))
 
 
 def _metrics_csv(header: str, metrics: dict) -> str:
-    lines = [header]
     keys = ["t", "V", "V1", "V2", "V3", "V4", "consensus_error", "opt_error", "cost_gap"]
-    lines.append(",".join(keys))
-    for row in zip(*(metrics[key].tolist() for key in keys)):
-        lines.append(",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    return _csv(header, keys, metrics["t"], [","], [metrics[key] for key in keys[1:]])
 
 
 def _root_seed(scn, seed) -> int:

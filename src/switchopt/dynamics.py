@@ -639,9 +639,11 @@ def _integrate(
     end of the step raises the error of its earliest failing substep, the
     lowest member on a tie.  A lone member carries its state as flat float
     lists between substeps, on the compiled substep, and its draws as the
-    chunk's numpy array.  A path outside the model's modes, or a held mode
-    that is not an int, is refused before any step.  Warnings point at the
-    first caller outside this package.
+    chunk's numpy array.  The samples of a chunk are stored at its end, one
+    slice per sample array; the arrays are allocated before the first step.
+    A path outside the model's modes, or a held mode that is not an int, is
+    refused before any step.  Warnings point at the first caller outside
+    this package.
     """
     seeds = cfg.seed if isinstance(cfg.seed, (list, tuple)) else [cfg.seed]
     M = len(seeds)
@@ -703,15 +705,17 @@ def _integrate(
 
     stride = cfg.output_stride
     n_samples = n_steps // stride + 1
-    T = np.empty(n_samples)
-    X, P, LM, NU = (np.empty((n_samples, M, *shape)) for shape in shapes)
-
-    def record(slot, t):
-        T[slot] = t
-        for rec, a in zip((X, P, LM, NU), (x, pair, lam, nu)):
-            rec[slot].flat = a
-
-    record(0, 0.0)
+    try:  # before the first step: a run whose samples cannot be held does not start
+        T = np.empty(n_samples)
+        X, P, LM, NU = stored = [np.empty((n_samples, M, *shape)) for shape in shapes]
+    except (MemoryError, ValueError):
+        raise ValueError(f"{n_samples:.6g} samples at output_stride {stride} do not fit in "
+                         "memory; raise output_stride or shorten the horizon") from None
+    # the chunk's samples, kept as they are: a lone substep returns new lists
+    # and a batch's round 0 new arrays, its later rounds write rows in place
+    # before the step's sample is kept, and a retaken round 0, which writes
+    # the last sample, ends the run in an error
+    kept, filled = [(x, pair, lam, nu)], 0
     failures = []  # a batch's failures in the step under way
     span = chunk_steps(M, N)
     for k0 in range(0, n_steps, span):
@@ -744,7 +748,12 @@ def _integrate(
             if k_done and failures:  # the earliest start wins, the lowest member on a tie
                 raise min(failures, key=lambda f: (f.start, f.member)) from None
             if k_done and k_done % stride == 0:
-                record(k_done // stride, k_done * h)
+                kept.append((x, pair, lam, nu))
+        stop = filled + len(kept)  # store the chunk's samples, one slice per array
+        T[filled:stop] = np.arange(filled, stop) * stride * h
+        for rec, samples in zip(stored, zip(*kept)):
+            rec[filled:stop] = np.reshape(samples, rec[filled:stop].shape)
+        kept, filled = [], stop
 
     final = [np.reshape(a, (M, *shape)) for a, shape in zip((x, pair, lam, nu), shapes)]
     recorded = (X, P - X, LM, NU)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -145,9 +146,14 @@ class Network:
             np.fill_diagonal(sigma, 0.0)
         if sigma.shape != (N, N):
             raise ValueError(f"sigma must be scalar or {N}x{N}")
+        if not np.isfinite(sigma).all():
+            raise ValueError("noise intensities must be finite")
         if np.any(sigma < 0.0):
             raise ValueError("noise intensities must be nonnegative")
         object.__setattr__(self, "sigma", sigma)
+        for name in ("coupling", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.coupling <= 0.0:
             raise ValueError("coupling strength must be positive")
         if self.kappa < 0.0:

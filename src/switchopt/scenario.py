@@ -56,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import Generator, validate_generator
+from .chain import Generator, check_alpha, validate_generator
 from .dynamics import IntegratorConfig, SystemState
 from .expr import parse
 from .graph import Graph, Network
@@ -193,7 +193,7 @@ class Scenario:
         return validate_generator(np.asarray(section["generator"], dtype=float))
 
     def alpha(self) -> float:
-        return float(self.raw.get("chain", {}).get("alpha", 1.0))
+        return check_alpha(self.raw.get("chain", {}).get("alpha", 1.0))
 
     def initial_mode(self) -> int:
         return _integer(self.raw.get("chain", {}), "chain", "initial_mode", 1) - 1

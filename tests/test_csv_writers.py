@@ -1,9 +1,10 @@
 """The CSV writers against per-value reference loops.
 
 The reference writers format every value through ``repr(float(v))`` one
-numpy scalar at a time; the library writers format ``.tolist()`` rows.  Both
-must give the same bytes, including for signed zeros, subnormals, large
-integral floats, non-finite values and times off the step grid.
+numpy scalar at a time; the library writers format ``.tolist()`` values a
+block of ``CSV_BLOCK`` samples at a time.  Both must give the same bytes,
+including for signed zeros, subnormals, large integral floats, non-finite
+values, times off the step grid and block boundaries.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from switchopt import analysis, chain, dynamics
 from switchopt.cli import (
-    _metrics_csv, _multiplier_names, _multipliers_csv, _trajectory_csv, main,
+    CSV_BLOCK, _metrics_csv, _multiplier_names, _multipliers_csv, _trajectory_csv, main,
 )
 from switchopt.problem import derive_multipliers, total_cost
 from switchopt.scenario import load_scenario
@@ -87,6 +88,10 @@ def _awkward_trajectory(K, N, n, r, s, seed):
     (7, 5, 2, 2, 1, 1),
     (40, 3, 3, 4, 0, 2),
     (12, 7, 1, 0, 3, 3),
+    (CSV_BLOCK - 1, 2, 1, 1, 1, 4),
+    (CSV_BLOCK, 5, 2, 0, 0, 5),
+    (CSV_BLOCK + 1, 3, 2, 2, 1, 6),
+    (2 * CSV_BLOCK + 1, 1, 1, 0, 2, 7),
 ])
 def test_writers_byte_equal_to_reference_loops(K, N, n, r, s, seed, fixed_scenario):
     traj = _awkward_trajectory(K, N, n, r, s, seed)

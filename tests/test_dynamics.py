@@ -1055,6 +1055,28 @@ def test_averaged_batch_members_equal_their_serial_runs(five_agent, six_mode_net
         _assert_member_equals_serial(member, serial)
 
 
+@pytest.mark.parametrize("members", [None, BATCH_KERNEL_ROWS], ids=["lone", "batch"])
+def test_strided_samples_equal_the_stride_one_run_sliced(members, five_agent, six_mode_network,
+                                                         six_mode_generator):
+    # 600 steps span three chunks and are not a multiple of the stride; the
+    # batch's jump splits step some rows in place between two samples
+    h, T, stride = 1e-3, 0.6, 7
+    streams = [chain.trajectory_seeds(5, m) for m in range(members or 1)]
+    paths = [chain.sample_path(six_mode_generator, 0, 0.02, T + h, c) for c, _ in streams]
+    noise = [n for _, n in streams]
+    if members is None:
+        paths, noise = paths[0], noise[0]
+    init = SystemState(X_INIT, np.zeros_like(X_INIT), [3.0, 3.0], [3.0])
+    runs = [simulate(five_agent, six_mode_network, paths,
+                     IntegratorConfig(h=h, horizon=T, seed=noise, output_stride=k), init)
+            for k in (stride, 1)]
+    strided, every = ([run] if members is None else run.members for run in runs)
+    for a, b in zip(strided, every):
+        assert len(a.times) == 600 // stride + 1 and len(b.times) == 601
+        for name in ("times", "x", "theta", "lam", "nu"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)[::stride]), name
+
+
 def _member_axis_init(x_rows, lam=None):
     """Initial states of a one-agent, one-coordinate batch, one per row."""
     x = np.array(x_rows, dtype=float)[:, None, None]

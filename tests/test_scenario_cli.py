@@ -288,7 +288,8 @@ def test_compare_smoke(switching_scenario_path, tmp_path, capsys):
     (["--ensemble", "1"], "ensemble must hold at least 2 members"),
     (["--alpha", "0.5", "--alpha", "-0.1", "--ensemble", "2"], "alpha must be positive"),
     (["--alpha", "0.5", "--alpha", "nan", "--ensemble", "2"], "alpha must be positive"),
-], ids=["increasing", "repeated", "ensemble-1", "negative-alpha", "nan-alpha"])
+    (["--alpha", "inf", "--ensemble", "2"], "alpha must be finite, got inf"),
+], ids=["increasing", "repeated", "ensemble-1", "negative-alpha", "nan-alpha", "inf-alpha"])
 def test_compare_bad_design_exits_1(extra, message, switching_scenario_path, tmp_path, capsys):
     rc = main(["compare", str(switching_scenario_path), "--horizon", "0.01",
                "--out-dir", str(tmp_path), *extra])
@@ -615,9 +616,17 @@ def test_seed_that_is_not_a_nonnegative_integer_exits_1(command, seed, tmp_scena
     (("integrator", "eta"), math.inf, "integrator: eta entries must be finite and positive"),
     (("integrator", "lambda_floor"), math.nan, "integrator: lambda_floor must be finite"),
     (("integrator", "lambda_floor"), math.inf, "integrator: lambda_floor must be finite"),
+    (("chain", "alpha"), math.inf, "chain: alpha must be finite, got inf"),
+    (("chain", "alpha"), math.nan, "chain: alpha must be positive"),
+    (("network", "kappa"), math.inf, "network: kappa must be finite, got inf"),
+    (("network", "kappa"), math.nan, "network: kappa must be finite, got nan"),
+    (("network", "coupling"), math.inf, "network: coupling must be finite, got inf"),
+    (("network", "coupling"), math.nan, "network: coupling must be finite, got nan"),
+    (("network", "sigma"), math.nan, "network: noise intensities must be finite"),
 ], ids=["edge-fraction", "edge-bool", "stride-fraction", "dimension-fraction",
         "nodes-fraction", "nodes-bool", "initial-mode-fraction", "strict-string",
-        "strict-int", "eta-nan", "eta-inf", "floor-nan", "floor-inf"])
+        "strict-int", "eta-nan", "eta-inf", "floor-nan", "floor-inf", "alpha-inf",
+        "alpha-nan", "kappa-inf", "kappa-nan", "coupling-inf", "coupling-nan", "sigma-nan"])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_value_of_the_wrong_kind_exits_1(command, path, value, message, switching_scenario,
                                          tmp_path, capsys):
@@ -633,6 +642,19 @@ def test_value_of_the_wrong_kind_exits_1(command, path, value, message, switchin
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("horizon, samples", [("1e12", "1e+13"), ("1e300", "1e+301")])
+def test_samples_that_cannot_be_held_exit_1(horizon, samples, fixed_scenario_path, tmp_path,
+                                            capsys):
+    # the sample arrays exceed a 47-bit address space, whatever the machine's
+    # memory: refused before the first step, not a traceback or a run that never ends
+    assert main(["simulate", str(fixed_scenario_path), "--horizon", horizon,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {samples} samples at output_stride 100 do not fit in memory; "
+        "raise output_stride or shorten the horizon\n")
     assert not (tmp_path / "out").exists()
 
 
