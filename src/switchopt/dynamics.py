@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
+import textwrap
 import warnings as _warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -269,8 +270,9 @@ class _Model:
         """Drift blocks (dx, dtheta, dlam, dnu), theta being pair - x; only
         the coupling Laplacian depends on the mode."""
         if isinstance(x, list):  # a lone member
-            drift, _, laplacians, _ = self.lone
-            return drift(x, pair, lam, nu, laplacians[mode])
+            drift, _, coupling, _ = self.lone
+            branch, L = coupling[mode]
+            return drift(x, pair, lam, nu, branch, L)
         Lx = self.L[mode] @ x
         grad_terms, gvals, hvals = self.problem.batch_kernel(x, lam, nu)
         # a multiplier at -1/eta: inf or nan, and the round is rerun member
@@ -311,11 +313,12 @@ class _Model:
         docstring.
         """
         if isinstance(x, list):  # a lone member
-            _, update, _, receive = self.lone
+            _, update, _, channels = self.lone
+            branch, R = channels[mode]
             try:
-                blocks = self.drift(x, pair, lam, nu, mode)
-                return update(x, pair, lam, nu, *blocks, receive[mode], W.ravel().tolist(), h,
-                              clamp_floor)
+                dx, dtheta, dlam, dnu = self.drift(x, pair, lam, nu, mode)
+                return update(x, pair, lam, nu, dx, dtheta, dlam, dnu, branch, R,
+                              W.ravel().tolist(), h, clamp_floor)
             except DomainError as exc:
                 rows = np.reshape(x, (self.N, self.n)).tolist()
                 detail = domain_error_detail(self.problem, rows, exc)
@@ -368,23 +371,44 @@ def _compile_lone(model: _Model):
     once per model with ``expr.Emitter`` around ``emit_kernel``.  The state
     is four flat float lists: x and pair agent-major, lam, nu.
 
-    Returns ``(drift, update, laplacians, receive)``: ``drift(x, pair, lam,
-    nu, L)`` gives the blocks (dx, dtheta, dlam, dnu), summing L @ x over the
-    senders j left to right from 0.0; ``update(x, pair, lam, nu, dx, dtheta,
-    dlam, dnu, R, W, h, floor)`` the new state and the clamp count, summing
-    the channel noise over the senders in the same order;
-    ``laplacians[mode]`` and ``receive[mode]`` are the mode's L and R, flat.
-    Both sums leave out the senders whose entry is zero in every mode: at
-    finite states their terms are +-0.0, which leave a sum begun at 0.0
-    unchanged (a nonfinite x fails the step either way).  A nonfinite new
-    state, or a multiplier at exactly -1/eta, raises ArithmeticError.
+    Returns ``(drift, update, coupling, channels)``: ``drift(x, pair, lam,
+    nu, branch, L)`` gives the blocks (dx, dtheta, dlam, dnu), summing L @ x
+    over the senders j left to right from 0.0; ``update(x, pair, lam, nu,
+    dx, dtheta, dlam, dnu, branch, R, W, h, floor)`` the new state and the
+    clamp count, summing the channel noise over the senders in the same
+    order.  Only these two sums depend on the mode, and each reads only the
+    mode's nonzero entries: ``coupling[mode]`` is ``(branch, L)``, the
+    branch of the mode's pattern of nonzero Laplacian entries and those
+    entries, flat in the order the branch reads them, and ``channels[mode]``
+    the same for the channel coefficients R.  Modes of one pattern share a
+    branch; a one-pattern model (any fixed network) has no branch.  A
+    left-out term is +-0.0 at a finite state, which leaves a sum begun at
+    0.0 unchanged, so the bits are those of a sum over every sender (a
+    nonfinite x fails the step either way).  A nonfinite new state, or a
+    multiplier at exactly -1/eta, raises ArithmeticError.
     """
     N, n, r, s, c = model.N, model.n, model.r, model.s, float(model.c)
     cells = [(i, k, f"{i}_{k}") for i in range(N) for k in range(n)]
     flat, lams, nus = [v for _, _, v in cells], list(range(r)), list(range(s))
 
-    def senders(stack):  # per receiver i, the j with a nonzero entry in some mode
-        return [[j for j in range(N) if stack[:, i, j].any()] for i in range(N)]
+    def by_pattern(em, stack, write):
+        """``write(em, senders)`` once per distinct pattern of nonzero
+        entries among the modes of ``stack`` (senders per receiver), under
+        ``if b == <its index>:`` where there are several; returns per mode
+        its pattern's index and its nonzero entries, row-major."""
+        index, modes = {}, []
+        for a in stack:
+            nonzero = tuple(map(tuple, np.argwhere(a).tolist()))
+            modes.append((index.setdefault(nonzero, len(index)), a[a != 0.0].tolist()))
+        outer = em.lines
+        for b, pattern in enumerate(index):
+            em.lines = [] if len(index) > 1 else outer
+            write(em, [[j for i2, j in pattern if i2 == i] for i in range(N)])
+            if len(index) > 1:
+                test = "else" if b == len(index) - 1 else f"{'el' if b else ''}if b == {b}"
+                outer.append(f"{test}:\n" + textwrap.indent("\n".join(em.lines), "    "))
+        em.lines = outer
+        return modes
 
     def bind(em, *pairs):  # unpack each parameter ``name`` into name<v> locals
         for name, names in pairs:
@@ -394,27 +418,33 @@ def _compile_lone(model: _Model):
     def lists(*blocks):
         return ", ".join(f"[{', '.join(b)}]" for b in blocks)
 
-    em = Emitter()
-    G, gvals, hvals = emit_kernel(model.problem, em)
-    coupled = senders(model.L)
-    bind(em, ("p", flat), ("L", [f"{i}_{j}" for i in range(N) for j in range(N)]))
-    Lx = [em.left_sum([f"L{i}_{j} * x{j}_{k}" for j in coupled[i]]) for i, k, _ in cells]
-    dx = [f"({-c!r}) * {p} - (p{v} - x{v}) - {G[i][k]}" for (i, k, v), p in zip(cells, Lx)]
-    dtheta = [f"{c!r} * {p}" for p in Lx]
-    dlam = [f"lam{k} / (1.0 + {e!r} * lam{k}) * {g}"
-            for k, (e, g) in enumerate(zip(model.eta.tolist(), gvals))]
-    drift = em.compile("lone_drift", "x, p, lam, nu, L", lists(dx, dtheta, dlam, hvals))
+    def couple(em, senders):
+        bind(em, ("L", [f"{i}_{j}" for i in range(N) for j in senders[i]]))
+        for i, k, v in cells:
+            em.left_sum([f"L{i}_{j} * x{j}_{k}" for j in senders[i]], f"Lx{v}")
 
     em = Emitter()
-    heard = senders(model.R)
+    G, gvals, hvals = emit_kernel(model.problem, em)
+    bind(em, ("p", flat))
+    coupling = by_pattern(em, model.L, couple)
+    dx = [f"({-c!r}) * Lx{v} - (p{v} - x{v}) - {G[i][k]}" for i, k, v in cells]
+    dtheta = [f"{c!r} * Lx{v}" for v in flat]
+    dlam = [f"lam{k} / (1.0 + {e!r} * lam{k}) * {g}"
+            for k, (e, g) in enumerate(zip(model.eta.tolist(), gvals))]
+    drift = em.compile("lone_drift", "x, p, lam, nu, b, L", lists(dx, dtheta, dlam, hvals))
+
+    def hear(em, senders):
+        for e, (i, j) in enumerate((i, j) for i in range(N) for j in senders[i]):
+            em.line(f"q{i}_{j} = R[{e}] * W[{i * N + j}]")
+        for i, k, v in cells:
+            em.left_sum([f"q{i}_{j} * (x{j}_{k} - x{v})" for j in senders[i]], f"noise{v}")
+
+    em = Emitter()
     bind(em, ("x", flat), ("p", flat), ("l", lams), ("m", nus), ("dx", flat), ("dt", flat),
          ("dl", lams), ("dn", nus))
-    for i in range(N):
-        for j in heard[i]:
-            em.line(f"q{i}_{j} = R[{i * N + j}] * W[{i * N + j}]")
-    for i, k, v in cells:
-        noise = em.left_sum([f"q{i}_{j} * (x{j}_{k} - x{v})" for j in heard[i]])
-        em.line(f"xn{v} = x{v} + (h * dx{v} + {c!r} * {noise})")
+    channels = by_pattern(em, model.R, hear)
+    for v in flat:
+        em.line(f"xn{v} = x{v} + (h * dx{v} + {c!r} * noise{v})")
         em.line(f"pn{v} = p{v} + h * (dx{v} + dt{v})")
     em.line("clamped = 0")
     for k in lams:
@@ -426,9 +456,9 @@ def _compile_lone(model: _Model):
            [f"mn{k}" for k in nus])
     em.line(f"if not all(map(isfinite, ({''.join(f'{v}, ' for b in new for v in b)}))):\n"
             "    raise ArithmeticError")
-    update = em.compile("lone_update", "x, p, l, m, dx, dt, dl, dn, R, W, h, floor",
+    update = em.compile("lone_update", "x, p, l, m, dx, dt, dl, dn, b, R, W, h, floor",
                         f"{lists(*new)}, clamped")
-    return drift, update, *(stack.reshape(len(stack), -1).tolist() for stack in (model.L, model.R))
+    return drift, update, coupling, channels
 
 
 def drift(state: SystemState, mode: int, problem: Problem, network: Network, eta=1.0):
@@ -475,6 +505,8 @@ def em_step(
     W = np.asarray(noise_increment, dtype=float)
     if W.shape not in ((N, N), (N * N,)):
         raise ValueError(f"noise increment must have shape ({N},{N}) or ({N * N},)")
+    if not np.isfinite(W).all():  # the substep reads only the mode's channels
+        raise ValueError("noise increment must be finite")
     arrays = (state.x, state.pair, state.lam, state.nu)
     *new, clamped = _shared_model(problem, network, cfg.eta).step(
         *_flat(arrays), state.t, h, mode, W.reshape(N, N), cfg.lambda_floor)

@@ -302,13 +302,14 @@ class Emitter:
         self.lines.append(f"{name} = {code}")
         return name
 
-    def left_sum(self, terms) -> str:
-        """A fresh local holding the code ``terms`` added left to right from
-        0.0, written as a chain of partial sums of at most ``SUM_TERMS``
-        terms each: CPython's compiler recurses once per operator of one
-        expression, so a single sum of a few thousand terms would not
-        compile.  The chain adds in the same order, so the bits match."""
-        name, total = self.fresh(), "0.0"
+    def left_sum(self, terms, name=None) -> str:
+        """A local, ``name`` or a fresh one, holding the code ``terms`` added
+        left to right from 0.0, written as a chain of partial sums of at most
+        ``SUM_TERMS`` terms each: CPython's compiler recurses once per
+        operator of one expression, so a single sum of a few thousand terms
+        would not compile.  The chain adds in the same order, so the bits
+        match."""
+        name, total = name or self.fresh(), "0.0"
         for k in range(0, max(len(terms), 1), SUM_TERMS):
             self.line(f"{name} = {' + '.join([total, *terms[k:k + SUM_TERMS]])}")
             total = name

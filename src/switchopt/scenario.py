@@ -27,7 +27,7 @@ Schema (all node and mode indices in the file are 1-based)::
         "kappa": 0.5,
         "coupling": 1.0
       },
-      "chain": {                                # required unless fixed mode
+      "chain": {                                # required unless fixed mode, checked if given
         "generator": [[...], ...],              # S x S rate matrix
         "alpha": 0.01,
         "initial_mode": 1
@@ -124,6 +124,7 @@ class Scenario:
         )
         if scn.mode in ("switching", "averaged"):
             _require("chain" in data, f"{scn.mode} mode requires a chain section")
+        if "chain" in data:  # checked in fixed mode too, which a --mode flag can override
             gen = _section("chain", scn.build_generator)
             _section("chain", scn.alpha)
             _section("chain", scn.initial_mode)

@@ -17,7 +17,10 @@ gradients, the references for the one-mode gate path and the kernel-built
 equilibrium.  Chain paths have their per-call sampler, the reference for the
 jump tables each ``Generator`` builds once.  The substep schedule has its
 step-by-step splitter, the reference the one-table ``schedule.chunk`` must
-match bit for bit, in every draw and every round field.
+match bit for bit, in every draw and every round field.  The lone substep
+has its union-pattern form, which sums the coupling and the channel noise
+over every sender that some mode uses, the reference for the substep that
+reads only the active mode's entries.
 """
 
 import math
@@ -26,7 +29,9 @@ from dataclasses import replace
 import numpy as np
 
 from switchopt.chain import SwitchPath
-from switchopt.expr import Add, Const, Div, DomainError, Exp, Ln, Mul, Neg, Pow, Sub, Var
+from switchopt.expr import (Add, Const, Div, DomainError, Emitter, Exp, Ln, Mul, Neg, Pow, Sub,
+                            Var)
+from switchopt.problem import emit_kernel
 
 
 def tree_walk(node, xs, seeds):
@@ -545,3 +550,61 @@ def chunk_reference(paths, rngs, k0, k1, h, N):
             r += 1
     Z *= np.sqrt(lengths)[:, None, None]
     return Z, rounds
+
+
+def lone_union_reference(model):
+    """A lone member's substep generated with one sum per cell over every
+    sender whose entry is nonzero in some mode of ``model``: ``(drift,
+    update, laplacians, receive)``, with ``drift(x, pair, lam, nu,
+    laplacians[mode])`` and ``update(x, pair, lam, nu, dx, dtheta, dlam,
+    dnu, receive[mode], W, h, floor)``, W the (N, N) increments flat."""
+    N, n, r, s, c = model.N, model.n, model.r, model.s, float(model.c)
+    cells = [(i, k, f"{i}_{k}") for i in range(N) for k in range(n)]
+    flat, lams, nus = [v for _, _, v in cells], list(range(r)), list(range(s))
+
+    def senders(stack):  # per receiver i, the j with a nonzero entry in some mode
+        return [[j for j in range(N) if stack[:, i, j].any()] for i in range(N)]
+
+    def bind(em, *pairs):
+        for name, names in pairs:
+            if names:
+                em.line(f"{''.join(f'{name}{v}, ' for v in names)}= {name}")
+
+    def lists(*blocks):
+        return ", ".join(f"[{', '.join(b)}]" for b in blocks)
+
+    em = Emitter()
+    G, gvals, hvals = emit_kernel(model.problem, em)
+    coupled = senders(model.L)
+    bind(em, ("p", flat), ("L", [f"{i}_{j}" for i in range(N) for j in range(N)]))
+    Lx = [em.left_sum([f"L{i}_{j} * x{j}_{k}" for j in coupled[i]]) for i, k, _ in cells]
+    dx = [f"({-c!r}) * {p} - (p{v} - x{v}) - {G[i][k]}" for (i, k, v), p in zip(cells, Lx)]
+    dtheta = [f"{c!r} * {p}" for p in Lx]
+    dlam = [f"lam{k} / (1.0 + {e!r} * lam{k}) * {g}"
+            for k, (e, g) in enumerate(zip(model.eta.tolist(), gvals))]
+    drift = em.compile("lone_drift", "x, p, lam, nu, L", lists(dx, dtheta, dlam, hvals))
+
+    em = Emitter()
+    heard = senders(model.R)
+    bind(em, ("x", flat), ("p", flat), ("l", lams), ("m", nus), ("dx", flat), ("dt", flat),
+         ("dl", lams), ("dn", nus))
+    for i in range(N):
+        for j in heard[i]:
+            em.line(f"q{i}_{j} = R[{i * N + j}] * W[{i * N + j}]")
+    for i, k, v in cells:
+        noise = em.left_sum([f"q{i}_{j} * (x{j}_{k} - x{v})" for j in heard[i]])
+        em.line(f"xn{v} = x{v} + (h * dx{v} + {c!r} * {noise})")
+        em.line(f"pn{v} = p{v} + h * (dx{v} + dt{v})")
+    em.line("clamped = 0")
+    for k in lams:
+        em.line(f"ln{k} = l{k} + h * dl{k}")
+        em.line(f"if ln{k} < floor and l{k} >= floor:\n    ln{k} = floor\n    clamped += 1")
+    for k in nus:
+        em.line(f"mn{k} = m{k} + h * dn{k}")
+    new = ([f"xn{v}" for v in flat], [f"pn{v}" for v in flat], [f"ln{k}" for k in lams],
+           [f"mn{k}" for k in nus])
+    em.line(f"if not all(map(isfinite, ({''.join(f'{v}, ' for b in new for v in b)}))):\n"
+            "    raise ArithmeticError")
+    update = em.compile("lone_update", "x, p, l, m, dx, dt, dl, dn, R, W, h, floor",
+                        f"{lists(*new)}, clamped")
+    return drift, update, *(stack.reshape(len(stack), -1).tolist() for stack in (model.L, model.R))

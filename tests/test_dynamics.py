@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from switchopt import chain, schedule
+from switchopt import chain, expr, schedule
 from switchopt.averaging import simulate_averaged
 from switchopt.dynamics import (
     BATCH_KERNEL_ROWS,
@@ -29,7 +31,8 @@ from switchopt.problem import AgentSpec, Problem, derive_multipliers
 
 from conftest import (SIX_GRAPHS, SIX_MODE_Q, X_INIT, complete_graph, cubic_graph, drift_of_one,
                       make_five_agent_problem)
-from oracles import build_equilibrium_reference, check_assumptions_reference, rk4
+from oracles import (build_equilibrium_reference, check_assumptions_reference,
+                     lone_union_reference, rk4)
 
 
 def single_agent_problem(cost="0.5*x1^2", g=(), h=()):
@@ -154,6 +157,21 @@ def test_helpers_reject_misshaped_increments(shape, five_agent, k5_network, refe
     message = re.escape("noise increment must have shape (5,5) or (25,)")
     with pytest.raises(ValueError, match=message):
         em_step(reference_init, 0, 1e-3, W, five_agent, k5_network, IntegratorConfig())
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("channel", [(0, 0), (0, 1), (2, 3)],
+                         ids=["diagonal", "heard", "silent-in-mode-0"])
+def test_em_step_refuses_a_nonfinite_increment(channel, value, five_agent, six_mode_network,
+                                               reference_init):
+    # refused on every channel: mode 0 hears only (0, 1) and (1, 0), so a
+    # nonfinite value on another channel would otherwise step silently
+    W = np.zeros((5, 5))
+    W[channel] = value
+    for shape in ((5, 5), (25,)):
+        with pytest.raises(ValueError, match="^noise increment must be finite$"):
+            em_step(reference_init, 0, 1e-3, W.reshape(shape), five_agent, six_mode_network,
+                    IntegratorConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +314,112 @@ def test_lambda_clamp_counts_crossings():
     st = em_step(st, 0, cfg.h, np.zeros((1, 1)), p, net, cfg)
     assert st.lam[0] == cfg.lambda_floor
     assert st.clamp_count == 1
+
+
+# ---------------------------------------------------------------------------
+# the lone substep reads only the active mode's entries
+# ---------------------------------------------------------------------------
+
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def sparse_switching_cases(draw):
+    """A model of a random sparse switching network, with or without the
+    averaged mode S, and a lone member's state and channel increments: some
+    modes have no edge, some repeat an earlier mode's edges, and zero noise
+    intensities make the channel patterns differ from the edge patterns."""
+    N, n = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    graphs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if graphs and draw(st.booleans()):
+            graphs.append(draw(st.sampled_from(graphs)))
+        else:
+            edges = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+            graphs.append(Graph.from_edges(N, edges))
+    sigma = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]), min_size=N * N,
+                                   max_size=N * N))).reshape(N, N)
+    network = Network(graphs=tuple(graphs), sigma=sigma,
+                      coupling=draw(st.sampled_from([0.5, 1.0, 1.7])), kappa=0.5)
+    variables = [f"x{k + 1}" for k in range(n)]
+    agents = [AgentSpec(f=parse(" + ".join(f"{draw(st.sampled_from([0.5, 2.0]))}*{v}^2 - {v}"
+                                           for v in variables), n))
+              for _ in range(N)]
+    if draw(st.booleans()):  # multipliers: an inequality and an equality on agent 1
+        agents[0] = AgentSpec(f=agents[0].f, g=(parse(f"{variables[-1]} - 1", n),),
+                              h=(parse(" + ".join(variables), n),))
+    pi = None
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.sampled_from([1.0, 2.0, 5.0]), min_size=len(graphs),
+                                         max_size=len(graphs))))
+        pi = weights / weights.sum()
+    model = _Model(Problem(n=n, agents=tuple(agents)), network, 0.7, pi)
+    x, pair = (draw(st.lists(FLOATS, min_size=N * n, max_size=N * n)) for _ in range(2))
+    lam = draw(st.lists(st.floats(0.01, 5.0), min_size=model.r, max_size=model.r))
+    nu = draw(st.lists(FLOATS, min_size=model.s, max_size=model.s))
+    W = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.1, 0.1)),
+                               min_size=N * N, max_size=N * N))).reshape(N, N)
+    return model, x, pair, lam, nu, W
+
+
+def hexed(blocks):
+    """Each float of each block (a list of floats, or a clamp count) as its
+    hex form, which tells -0.0 from 0.0."""
+    return [[v.hex() for v in b] if isinstance(b, list) else b for b in blocks]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(sparse_switching_cases())
+def test_mode_sparse_substep_equals_the_union_reference_bit_for_bit(case):
+    model, x, pair, lam, nu, W = case
+    drift_ref, update_ref, laplacians, receive = lone_union_reference(model)
+    for mode in range(len(model.L)):
+        blocks = drift_ref(x, pair, lam, nu, laplacians[mode])
+        assert hexed(model.drift(x, pair, lam, nu, mode)) == hexed(blocks)
+        want = update_ref(x, pair, lam, nu, *blocks, receive[mode], W.ravel().tolist(), 1e-3,
+                          0.5)
+        got = model.step(x, pair, lam, nu, 0.0, 1e-3, mode, W, 0.5)
+        assert hexed(got) == hexed(want)
+
+
+def test_bundled_modes_read_their_own_coupling_terms_and_channels(switching_scenario):
+    # 5 agents, n = 2: one edge (two in mode 6) per mode; mode S reads the union
+    pi = chain.stationary(switching_scenario.build_generator())
+    model = _Model(switching_scenario.build_problem(), switching_scenario.build_network(),
+                   1.0, pi)
+    _, _, coupling, channels = model.lone
+    assert [len(L) * model.n for _, L in coupling] == [8, 8, 8, 8, 8, 16, 38]
+    assert [len(R) for _, R in channels] == [2, 2, 2, 2, 2, 4, 14]
+    assert [b for b, _ in coupling] == [b for b, _ in channels] == list(range(7))
+
+
+def test_modes_of_one_pattern_share_a_branch_and_one_pattern_has_none(monkeypatch,
+                                                                      five_agent):
+    sources = []
+    code = expr._code
+
+    def spying(source, filename):
+        sources.append(source)
+        return code(source, filename)
+
+    monkeypatch.setattr(expr, "_code", spying)
+    # modes 0 and 2 have one edge set, mode 1 another
+    graphs = (SIX_GRAPHS[0], SIX_GRAPHS[1], SIX_GRAPHS[0])
+    sigma = np.full((5, 5), 0.2)
+    sigma[1, 0] = 0.0  # mode 0's channel 1 -> 0 is silent: mode 0 hears 0 -> 1 alone
+    model = _Model(five_agent, Network(graphs=graphs, sigma=sigma, coupling=1.0, kappa=0.5),
+                   1.0)
+    _, _, coupling, channels = model.lone
+    assert [b for b, _ in coupling] == [0, 1, 0] and [b for b, _ in channels] == [0, 1, 0]
+    assert [len(R) for _, R in channels] == [1, 2, 1]
+    drift_source, update_source = sources
+    assert drift_source.count("b == ") == update_source.count("b == ") == 1
+    sources.clear()
+    k5 = _Model(five_agent, Network(graphs=(complete_graph(5),), sigma=0.3, coupling=1.0,
+                                    kappa=0.5), 1.0)
+    assert k5.lone[2] == [(0, k5.L[0][k5.L[0] != 0.0].tolist())]
+    assert len(sources) == 2 and not any("b == " in source for source in sources)
 
 
 def test_repeated_helper_calls_generate_the_lone_substep_once(monkeypatch):

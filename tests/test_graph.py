@@ -55,6 +55,24 @@ def test_lambda2_rejects_nonsymmetric():
         lambda2(np.array([[1.0, -1.0], [0.0, 1.0]]))
 
 
+def test_lambda2_refuses_a_small_asymmetry_at_unit_scale():
+    # the symmetry test is absolute (atol 1e-12), not relative to the entries
+    L = np.array([[1.0, -1.0], [-1.0 + 1e-6, 1.0 - 1e-6]])
+    with pytest.raises(ValueError, match="^Laplacian must be symmetric$"):
+        lambda2(L)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 2)])
+def test_lambda2_refuses_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ValueError, match="^Laplacian must be square$"):
+        lambda2(np.zeros(shape))
+
+
+def test_lambda2_of_one_node_is_exactly_zero():
+    value = lambda2([[0.0]])
+    assert value == 0.0 and type(value) is float
+
+
 def test_jointly_connected_bundled_six_graphs():
     assert jointly_connected(SIX_GRAPHS)
 
@@ -133,6 +151,22 @@ def test_graph_canonical_edges_and_validation():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
+
+
+@pytest.mark.parametrize("edge", [(3, 0), (0, 3), (3, 4), (-1, 0), (0, -1)])
+def test_an_endpoint_outside_the_nodes_is_refused(edge):
+    # n_nodes itself is the first index past the nodes, as either endpoint
+    i, j = edge
+    with pytest.raises(ValueError, match=rf"^edge \({i},{j}\) outside 0\.\.2$"):
+        Graph(3, frozenset([edge]))
+
+
+def test_graph_of_no_nodes_builds_and_a_negative_count_is_refused():
+    g = Graph(0)
+    assert g.n_nodes == 0 and g.edges == frozenset()
+    assert laplacian(g).shape == (0, 0)
+    with pytest.raises(ValueError, match=r"^n_nodes must be a nonnegative integer, got -1$"):
+        Graph(-1)
 
 
 def test_one_based_edge_lists():

@@ -645,6 +645,38 @@ def test_value_of_the_wrong_kind_exits_1(command, path, value, message, switchin
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("chain_section, message", [
+    ({"generator": [[0.0]], "alpha": math.inf}, "chain: alpha must be finite, got inf"),
+    ({"generator": [[0.0]], "alpha": -1.0}, "chain: alpha must be positive"),
+    ({"generator": [[0.0]], "initial_mode": 1.5}, "chain: initial_mode must be an integer"),
+    ({"generator": [[0.0, 1.0]]}, "chain: not a generator: matrix must be square"),
+    ({"generator": [[-1.0, 1.0], [1.0, -1.0]]}, "generator has 2 modes, network 1"),
+], ids=["alpha-inf", "alpha-negative", "initial-mode-fraction", "not-square", "two-modes"])
+@pytest.mark.parametrize("command", [["validate"], ["simulate", "--mode", "switching"]],
+                         ids=["validate", "simulate-switching"])
+def test_a_fixed_scenarios_chain_section_is_checked_at_load(command, chain_section, message,
+                                                            tmp_scenario_file, tmp_path,
+                                                            capsys):
+    # a fixed scenario needs no chain section, but one that it has is
+    # checked as a switching scenario's is: validate passed it, and
+    # simulate --mode switching failed on it without naming the section
+    path = tmp_scenario_file(_set(("chain",), chain_section))
+    argv = [command[0], str(path), *command[1:]]
+    if command[0] == "simulate":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_fixed_scenario_with_a_valid_chain_section_loads(tmp_scenario_file, tmp_path):
+    path = tmp_scenario_file(_set(("chain",), {"generator": [[0.0]], "alpha": 0.5}))
+    assert main(["validate", str(path)]) == 0
+    assert main(["simulate", str(path), "--mode", "switching", "--horizon", "0.01",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("horizon, samples", [("1e12", "1e+13"), ("1e300", "1e+301")])
 def test_samples_that_cannot_be_held_exit_1(horizon, samples, fixed_scenario_path, tmp_path,
                                             capsys):
