@@ -138,6 +138,8 @@ class IntegratorConfig:
             raise ValueError(f"lambda_floor must be finite, got {self.lambda_floor}")
         if self.lambda_floor < 0.0:
             raise ValueError("lambda_floor must be nonnegative")
+        if not is_integer(self.output_stride):
+            raise ValueError(f"output stride must be an int, got {self.output_stride!r}")
         if self.output_stride < 1:
             raise ValueError("output stride must be at least 1")
 
@@ -292,6 +294,12 @@ class _Model:
         err.start, err.member = t, member
         return err
 
+    def check_mode(self, mode, where=""):
+        """Refuse a mode that is not an int index of the stacks (0..S-1, and
+        S given pi): ValueError "<where>mode <mode> is outside 0..<last>"."""
+        if not (is_integer(mode) and mode in range(len(self.L))):
+            raise ValueError(f"{where}mode {mode!r} is outside 0..{len(self.L) - 1}")
+
     def noise_term(self, x, mode, W):
         """c * M_mode(x) applied to the channel increments W (M, N, N),
         W[m, i, j] being member m's increment on the channel carrying j to i:
@@ -300,7 +308,7 @@ class _Model:
         diffs = x[:, None, :, :] - x[:, :, None, :]
         return self.c * np.einsum("mij,mijk->mik", self.R[mode] * W, diffs)
 
-    def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
+    def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None, failures=None):
         """One Euler-Maruyama substep; returns the new state and clamp count.
 
         A lone member's state is four flat float lists, ``W`` its (N, N)
@@ -308,9 +316,9 @@ class _Model:
         (None: unnamed).  In a batch, ``t``, ``h``, ``mode`` and ``members``
         (the rows' names) are each shared or one per member, and broadcast;
         the clamp count is per member.  A round below ``BATCH_KERNEL_ROWS``
-        members, or whose numpy update fails, steps member by member.  The
-        pair-sum update deliberately contains no noise term; see the module
-        docstring.
+        members, or whose numpy update fails, steps member by member once
+        (``_each``, which fills ``failures``).  The pair-sum update
+        deliberately contains no noise term; see the module docstring.
         """
         if isinstance(x, list):  # a lone member
             _, update, _, channels = self.lone
@@ -326,7 +334,7 @@ class _Model:
                                    members) from exc
             except ArithmeticError:  # a multiplier at -1/eta, or a nonfinite state
                 raise self.failure("nonfinite state", _STIFF, t, h, mode, members) from None
-        args = (x, pair, lam, nu, t, h, mode, W, clamp_floor, members)
+        args = (x, pair, lam, nu, t, h, mode, W, clamp_floor, members, failures)
         if len(x) < BATCH_KERNEL_ROWS:
             return self._each(*args)
         try:
@@ -349,16 +357,24 @@ class _Model:
             return self._each(*args)
         return (*new, clamped)
 
-    def _each(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members):
-        """``step`` of a batch, member by member on the lone substep, the
-        state converted to flat float lists once for the round."""
+    def _each(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members, failures):
+        """``step`` of a batch, each member once on the lone substep, the state
+        converted to flat float lists once for the round.  A failing member
+        keeps its state; its error goes to ``failures``, or raises without it."""
         M = len(x)
         state = (x, pair, lam, nu)
         flat = [a.reshape(M, a[0].size).tolist() for a in state]
         # np.full broadcasts a shared value as np.broadcast_to does, at a quarter of its cost
         per = [np.full(M, v).tolist() for v in (t, h, mode, members)]
-        out = [self.step(xm, pm, lm, nm, tm, hm, mode_m, Wm, clamp_floor, m)
-               for xm, pm, lm, nm, Wm, tm, hm, mode_m, m in zip(*flat, W, *per)]
+        out = []
+        for xm, pm, lm, nm, Wm, tm, hm, mode_m, m in zip(*flat, W, *per):
+            try:
+                out.append(self.step(xm, pm, lm, nm, tm, hm, mode_m, Wm, clamp_floor, m))
+            except IntegrationError as err:
+                if failures is None:
+                    raise
+                failures.append(err)
+                out.append((xm, pm, lm, nm, 0))
         *new, clamped = zip(*out)
         return (*(np.reshape(b, a.shape) for a, b in zip(state, new)), np.array(clamped))
 
@@ -465,7 +481,7 @@ def drift(state: SystemState, mode: int, problem: Problem, network: Network, eta
     """Drift blocks (dx, dtheta, dlam, dnu) of the switching dynamics, as
     the lone substep computes them."""
     arrays = (state.x, state.pair, state.lam, state.nu)
-    blocks = _shared_model(problem, network, eta).drift(*_flat(arrays), mode)
+    blocks = _shared_model(problem, network, eta, mode).drift(*_flat(arrays), mode)
     return tuple(np.reshape(b, a.shape) for a, b in zip(arrays, blocks))
 
 
@@ -508,40 +524,25 @@ def em_step(
     if not np.isfinite(W).all():  # the substep reads only the mode's channels
         raise ValueError("noise increment must be finite")
     arrays = (state.x, state.pair, state.lam, state.nu)
-    *new, clamped = _shared_model(problem, network, cfg.eta).step(
+    *new, clamped = _shared_model(problem, network, cfg.eta, mode).step(
         *_flat(arrays), state.t, h, mode, W.reshape(N, N), cfg.lambda_floor)
     return SystemState._from_pair(*(np.reshape(b, a.shape) for a, b in zip(arrays, new)),
                                   state.t + h, state.clamp_count + clamped)
 
 
-def _shared_model(problem: Problem, network: Network, eta) -> _Model:
-    """The model of the public helpers: one per (problem, network, eta),
-    kept across calls (the 16 most recent), so that repeated calls generate
-    the lone substep once.  The problem keys by identity: its hash walks
-    every expression tree."""
-    return _cached_model(_ByIdentity(problem), network, float(eta) if np.ndim(eta) == 0
-                         else tuple(np.ravel(eta).tolist()))
+def _shared_model(problem: Problem, network: Network, eta, mode) -> _Model:
+    """The model of the public helpers, refusing a ``mode`` outside it: one
+    per (problem, network, eta), kept across calls (the 16 most recent), so
+    that repeated calls generate the lone substep once."""
+    model = _cached_model(problem, network, float(eta) if np.ndim(eta) == 0
+                          else tuple(np.ravel(eta).tolist()))
+    model.check_mode(mode)
+    return model
 
 
 @lru_cache(maxsize=16)
-def _cached_model(problem: _ByIdentity, network: Network, eta) -> _Model:
-    return _Model(problem.obj, network, eta)
-
-
-class _ByIdentity:
-    """An object that equals and hashes as itself alone.  A cache entry
-    holds it, so its id is not reused while the entry lives."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __eq__(self, other):
-        return self.obj is other.obj
-
-    def __hash__(self):
-        return id(self.obj)
+def _cached_model(problem: Problem, network: Network, eta) -> _Model:
+    return _Model(problem, network, eta)
 
 
 def _flat(arrays):
@@ -667,18 +668,21 @@ def _integrate(
     leading member axis), as if it ran alone: bit for bit while its rounds
     stay below ``BATCH_KERNEL_ROWS`` members, within a few ulp per step
     above (see ``_Model.step``).  A lone run raises at its failing substep;
-    a batch retakes a failing round without the failing member, and at the
-    end of the step raises the error of its earliest failing substep, the
-    lowest member on a tie.  A lone member carries its state as flat float
-    lists between substeps, on the compiled substep, and its draws as the
-    chunk's numpy array.  The samples of a chunk are stored at its end, one
-    slice per sample array; the arrays are allocated before the first step.
-    A path outside the model's modes, or a held mode that is not an int, is
-    refused before any step.  Warnings point at the first caller outside
-    this package.
+    a batch steps a failing round member by member once, each failing
+    member keeping its state, and at the end of the step raises the error
+    of its earliest failing substep, the lowest member on a tie.  A lone
+    member carries its state as flat float lists between substeps, on the
+    compiled substep, and its draws as the chunk's numpy array.  The
+    samples of a chunk are stored at its end, one slice per sample array;
+    the arrays are allocated before the first step.  An empty seed list, a
+    path outside the model's modes, or a held mode that is not an int
+    (``_Model.check_mode``), is refused before any step.  Warnings point at
+    the first caller outside this package.
     """
     seeds = cfg.seed if isinstance(cfg.seed, (list, tuple)) else [cfg.seed]
     M = len(seeds)
+    if not M:
+        raise ValueError("cfg.seed is an empty list: a batch needs at least one noise seed")
     paths = chain_path if isinstance(chain_path, (list, tuple)) else [chain_path] * M
     if len(paths) != M:
         raise ValueError(f"{len(paths)} chain paths for {M} members")
@@ -686,10 +690,8 @@ def _integrate(
         if isinstance(path, SwitchPath) and path.n_modes != model.S:
             raise ValueError(f"chain path of member {m} switches among {path.n_modes} "
                              f"modes; the network has {model.S} (modes 0..{model.S - 1})")
-        if not (path is None or isinstance(path, SwitchPath)
-                or is_integer(path) and path in range(len(model.L))):
-            raise ValueError(f"chain path of member {m}: mode {path!r} is outside "
-                             f"0..{len(model.L) - 1}")
+        if not (path is None or isinstance(path, SwitchPath)):
+            model.check_mode(path, f"chain path of member {m}: ")
     N, n = model.N, model.n
     shapes = ((N, n), (N, n), (model.r,), (model.s,))
     start = [np.broadcast_to(a, (M, *shape))
@@ -744,9 +746,8 @@ def _integrate(
         raise ValueError(f"{n_samples:.6g} samples at output_stride {stride} do not fit in "
                          "memory; raise output_stride or shorten the horizon") from None
     # the chunk's samples, kept as they are: a lone substep returns new lists
-    # and a batch's round 0 new arrays, its later rounds write rows in place
-    # before the step's sample is kept, and a retaken round 0, which writes
-    # the last sample, ends the run in an error
+    # and a batch's round 0 new arrays, and its later rounds write rows in
+    # place before the step's sample is kept
     kept, filled = [(x, pair, lam, nu)], 0
     failures = []  # a batch's failures in the step under way
     span = chunk_steps(M, N)
@@ -754,29 +755,15 @@ def _integrate(
         Z, rounds = chunk(paths, rngs, k0, min(k0 + span, n_steps), h, N)
         for t, h_sub, mode, rows, draws, k_done in rounds:
             W = Z[draws]
-            while True:  # a batch retakes a failing round without the failing member
-                try:
-                    if rows is None:
-                        x, pair, lam, nu, clamped = model.step(
-                            x, pair, lam, nu, t, h_sub, mode, W, clamp_floor, everyone)
-                        clamps += clamped
-                    else:
-                        *new, clamped = model.step(x[rows], pair[rows], lam[rows], nu[rows],
-                                                   t, h_sub, mode, W, clamp_floor, rows)
-                        x[rows], pair[rows], lam[rows], nu[rows] = new
-                        clamps[rows] += clamped
-                    break
-                except IntegrationError as err:
-                    if M == 1:
-                        raise
-                    failures.append(err)
-                    rows = everyone if rows is None else rows
-                    keep = rows != err.member
-                    if not keep.any():
-                        break
-                    rows, t, h_sub, mode = (np.full(len(keep), v)[keep]
-                                            for v in (rows, t, h_sub, mode))
-                    W = W[keep]
+            if rows is None:
+                x, pair, lam, nu, clamped = model.step(
+                    x, pair, lam, nu, t, h_sub, mode, W, clamp_floor, everyone, failures)
+                clamps += clamped
+            else:
+                *new, clamped = model.step(x[rows], pair[rows], lam[rows], nu[rows],
+                                           t, h_sub, mode, W, clamp_floor, rows, failures)
+                x[rows], pair[rows], lam[rows], nu[rows] = new
+                clamps[rows] += clamped
             if k_done and failures:  # the earliest start wins, the lowest member on a tie
                 raise min(failures, key=lambda f: (f.start, f.member)) from None
             if k_done and k_done % stride == 0:

@@ -338,41 +338,37 @@ class Emitter:
         return namespace[name]
 
 
-def _check_rows(cond, value, message):
-    """DomainError(message.format(value)) with the value at the first row
-    where ``cond`` holds (every row, for a test on constants alone), naming
-    that row as the member."""
-    if cond is False or cond is not True and not cond.any():
-        return
-    row = int(np.argmax(cond)) if np.ndim(cond) else 0
-    if value is not None:
-        value = float(value[row] if np.ndim(value) else value)
-    raise DomainError(f"{message.format(value)} (member {row})")
+def _check_rows(cond):
+    """DomainError where ``cond`` holds for some row (every row, for a test
+    on constants alone), naming no row: ``_Model.step`` reruns the round
+    member by member, and the failing member's substep names it."""
+    if cond is True or cond is not False and cond.any():
+        raise DomainError("a batch member left an expression's domain")
 
 
-def _power_rows(a, k, message):
+def _power_rows(a, k):
     """``a ** k`` on columns, where an overflow is a domain test."""
     v = np.power(a, k)
     if not math.isfinite(v.sum()):
-        _check_rows(np.isinf(v) & np.isfinite(a), a, message)
+        _check_rows(np.isinf(v) & np.isfinite(a))
     return v
 
 
 class BatchEmitter(Emitter):
     """The same statements on numpy columns, one entry per batch member:
     ``exp``, ``log`` and powers are numpy's, within a few ulp of libm's, and
-    a domain test fails if any member fails it.  Run the function with
-    numpy's floating-point warnings off (``exp`` overflows to ``inf``), as
-    Python floats raise none."""
+    a domain test fails if any member fails it, with no message of its own
+    (see ``_check_rows``).  Run the function with numpy's floating-point
+    warnings off (``exp`` overflows to ``inf``), as Python floats raise none."""
 
     namespace = {"exp": np.exp, "log": np.log, "inf": math.inf, "nan": math.nan,
                  "check": _check_rows, "power": _power_rows, "empty": np.empty}
 
     def check(self, cond, message, value="None"):
-        self.line(f"check({cond}, {value}, {message!r})")
+        self.line(f"check({cond})")
 
     def power(self, a, k, message):
-        return self.temp(f"power({a}, {_lit(k)}, {message!r})")
+        return self.temp(f"power({a}, {_lit(k)})")
 
 
 class Expr:

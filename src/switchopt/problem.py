@@ -53,9 +53,10 @@ class AgentSpec:
         object.__setattr__(self, "h", tuple(self.h))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
-    """N agents over a shared decision vector of dimension n."""
+    """N agents over a shared decision vector of dimension n.  It equals and
+    hashes as itself alone, as a ``Network`` does."""
 
     n: int
     agents: tuple[AgentSpec, ...]
@@ -105,8 +106,8 @@ class Problem:
         """``emit_kernel`` compiled over M members on numpy columns:
         ``batch_kernel(x, lam, nu) -> (grad_terms, gvals, hvals)`` on (M, N,
         n), (M, r) and (M, s) arrays, each within a few ulp of the lowering
-        on floats.  The first domain test that any member fails raises its
-        DomainError on floats plus " (member m)", m the first such member.
+        on floats.  A domain test that any member fails raises a DomainError
+        naming no member; ``_Model.step`` then reruns the round member by member.
         Compiled on first use.
         """
         N, n, r, s = self.n_agents, self.n, self.r, self.s

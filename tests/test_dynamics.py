@@ -1010,6 +1010,27 @@ def test_config_refuses_a_negative_lambda_floor():
         IntegratorConfig(lambda_floor=-1)
 
 
+@pytest.mark.parametrize("stride", [2.5, 2.0, True, "2"], ids=["float", "whole-float", "bool",
+                                                                "text"])
+def test_config_refuses_a_stride_that_is_not_an_int(stride):
+    # 2.5 failed in numpy's slicing, and True ran as stride 1
+    with pytest.raises(ValueError, match=f"^output stride must be an int, got {stride!r}$"):
+        IntegratorConfig(output_stride=stride)
+    with pytest.raises(ValueError, match="^output stride must be at least 1$"):
+        IntegratorConfig(output_stride=0)
+    assert IntegratorConfig(output_stride=np.int64(2)).output_stride == 2
+
+
+def test_an_empty_seed_list_is_refused_before_any_step(five_agent, k5_network, reference_init):
+    # assigned after construction, as a batch's seeds often are; it failed
+    # in the initial theta-sum check with max()'s message
+    cfg = IntegratorConfig(h=1e-3, horizon=0.01)
+    cfg.seed = []
+    with pytest.raises(ValueError, match="^cfg\\.seed is an empty list: a batch needs at "
+                                         "least one noise seed$"):
+        simulate(five_agent, k5_network, None, cfg, reference_init)
+
+
 @pytest.mark.parametrize("floor", [math.nan, math.inf], ids=["nan", "inf"])
 def test_config_refuses_a_nonfinite_lambda_floor(floor):
     # a nan or inf floor passes `< 0` and never clamps
@@ -1083,6 +1104,29 @@ def test_a_numpy_int_mode_runs_as_that_mode(five_agent, six_mode_network, refere
     held, plain = (simulate(five_agent, six_mode_network, mode, cfg, reference_init)
                    for mode in (np.int64(2), 2))
     assert held.x.tobytes() == plain.x.tobytes()
+
+
+@pytest.mark.parametrize("mode", [-1, True, 1.0, 6], ids=["minus-1", "bool", "float", "six"])
+@pytest.mark.parametrize("helper", ["drift", "em_step"])
+def test_helpers_refuse_a_mode_outside_the_model(helper, mode, five_agent, six_mode_network,
+                                                 reference_init):
+    # as _integrate does: -1 ran as mode 5 and True as mode 1, 1.0 and 6
+    # failed with bare indexing errors
+    cfg = IntegratorConfig(h=1e-3)
+
+    def call(m):
+        if helper == "drift":
+            return drift(reference_init, m, five_agent, six_mode_network)
+        return em_step(reference_init, m, cfg.h, np.full((5, 5), 0.01), five_agent,
+                       six_mode_network, cfg)
+
+    with pytest.raises(ValueError, match=f"^mode {re.escape(repr(mode))} is outside 0\\.\\.5$"):
+        call(mode)
+    want = call(5)
+    got = call(np.int64(5))
+    for a, b in zip(*((v.x, v.pair, v.lam, v.nu) if helper == "em_step" else v
+                      for v in (want, got))):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_batch_refusal_names_the_member(five_agent, six_mode_network, reference_init):
@@ -1291,36 +1335,42 @@ def test_batch_failure_ties_go_to_the_lowest_member(padded):
     assert ("batch_kernel" in vars(p)) == padded
 
 
-def test_held_mode_batch_retakes_a_failing_round_without_the_member(monkeypatch):
-    # 17 members hold mode 0 of a fixed network, and member 5 starts outside
-    # the domain of ln: round 0 fails, and its retake steps the other 16 on
-    # the numpy update before the step raises member 5's error
+def test_a_failing_held_round_steps_each_member_once(monkeypatch):
+    # 17 members hold mode 0 of a fixed network, and members 5 and 11 start
+    # outside the domain of ln: the numpy update fails, and one pass member
+    # by member steps the other 15 as their lone substeps, keeps 5 and 11
+    # where they are and collects their errors in row order
     p = single_agent_problem(cost="ln(x1)")
-    x_rows = [-1.0 if m == 5 else 1.0 + m for m in range(17)]
+    x_rows = [-1.0 if m == 5 else -2.0 if m == 11 else 1.0 + m for m in range(17)]
     net = single_node_network()
     model = _Model(p, net, np.ones(0))
-    calls, each = [], []
+    each = []
     monkeypatch.setattr(model, "_each", lambda *a: each.append(a) or _Model._each(model, *a))
-
-    def step(x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
-        out = _Model.step(model, x, pair, lam, nu, t, h, mode, W, clamp_floor, members)
-        if not isinstance(x, list):
-            calls.append((x, t, mode, members, out))
-        return out
-
-    monkeypatch.setattr(model, "step", step)
-    cfg = IntegratorConfig(h=1e-3, horizon=0.01, seed=list(range(17)))
+    init, h, W = _member_axis_init(x_rows), 1e-3, np.zeros((17, 1, 1))
+    failures = []
+    *new, clamped = model.step(init.x, init.pair, init.lam, init.nu, 0.0, h, 0, W, 1e-12,
+                               np.arange(17), failures)
+    assert len(each) == 1 and "batch_kernel" in vars(p)  # the numpy update ran first
+    assert [(f.member, f.start) for f in failures] == [(5, 0.0), (11, 0.0)]
+    assert [str(f) for f in failures] == [
+        f"expression left its domain at t=0 (mode 0, member {m}): agent 1 cost 'ln(x1)': "
+        f"ln of nonpositive value {x_rows[m]!r}" for m in (5, 11)]
+    assert clamped.tolist() == [0] * 17
+    for m, x0 in enumerate(x_rows):
+        if m in (5, 11):
+            want = [[x0], [x0]]
+        else:
+            want = _Model.step(model, [x0], [x0], [], [], 0.0, h, 0, W[m], 1e-12, m)[:2]
+        got = [new[0][m].ravel().tolist(), new[1][m].ravel().tolist()]
+        assert [[float.hex(v) for v in b] for b in got] == [[float.hex(v) for v in b]
+                                                            for b in want], m
+    # a run raises member 5's error at the end of its first step
+    cfg = IntegratorConfig(h=h, horizon=0.01, seed=list(range(17)))
     with pytest.raises(IntegrationError) as info:
-        _integrate(model, None, cfg, _member_axis_init(x_rows), check_assumptions(net))
+        _integrate(model, None, cfg, init, check_assumptions(net))
     assert str(info.value) == ("expression left its domain at t=0 (mode 0, member 5): "
                                "agent 1 cost 'ln(x1)': ln of nonpositive value -1.0")
-    (x, t, mode, members, out), = calls  # the retake; the first try raised
-    others = [m for m in range(17) if m != 5]
-    assert members.tolist() == others and x[:, 0, 0].tolist() == [x_rows[m] for m in others]
-    assert np.broadcast_to(t, 16).tolist() == [0.0] * 16
-    assert np.broadcast_to(mode, 16).tolist() == [0] * 16
-    assert len(each) == 1  # the first try, member by member after the numpy update failed
-    assert np.allclose(out[0][:, 0, 0], x[:, 0, 0] - 1e-3 / x[:, 0, 0], rtol=1e-15, atol=0.0)
+    assert len(each) == 2
 
 
 # cost, failing start, healthy start, jump and the exact message: one agent,
@@ -1368,10 +1418,10 @@ class _FailsAt(_Model):
         super().__init__(problem, network, np.ones(problem.r))
         self.fail_at = fail_at
 
-    def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None):
+    def step(self, x, pair, lam, nu, t, h, mode, W, clamp_floor, members=None, failures=None):
         if isinstance(x, list) and t in self.fail_at.get(members, ()):
             raise self.failure("scripted failure", "test", t, 0.0, mode, members)
-        return super().step(x, pair, lam, nu, t, h, mode, W, clamp_floor, members)
+        return super().step(x, pair, lam, nu, t, h, mode, W, clamp_floor, members, failures)
 
 
 # in step 3, member 0 splits once (at 3.5h), member 1 twice (3.1h, 3.2h) and
@@ -1383,10 +1433,10 @@ BATCH_FAILURES = {
     # 1's third (round 2, from 3.2h) is taken, yet member 1's failure is
     # the earlier in time
     "later-round-earlier-in-time": ({0: (3.5 * H,), 1: (3.2 * H,)}, 0.003125, 3, 1),
-    # member 1 fails in the first, full round; members 0 and 2 retake it
+    # member 1 fails in the first, full round; members 0 and 2 step on
     "first-round": ({0: (3.5 * H,), 1: (3 * H,)}, 0.00292969, 0, 1),
-    # the whole round fails: the lowest member wins, and no round of no
-    # members is stepped
+    # the whole round fails: every member keeps its state, and the lowest
+    # member wins
     "whole-round": ({0: (3 * H,), 1: (3 * H,), 2: (3 * H,)}, 0.00292969, 0, 0),
     # member 0 fails twice in the step, member 1 in between
     "twice-in-one-step": ({0: (3 * H, 3.5 * H), 1: (3.2 * H,)}, 0.00292969, 0, 0),
