@@ -141,13 +141,8 @@ def weak_convergence_experiment(
         raise ValueError("alphas must be strictly decreasing")
     if ensemble < 2:
         raise ValueError("ensemble must hold at least 2 members")
-    if cfg is None:
-        cfg = IntegratorConfig(h=1e-3, horizon=T, eta=1.0, lambda_floor=0.0)
-    member_cfg = IntegratorConfig(
-        h=cfg.h, horizon=T, eta=cfg.eta, lambda_floor=cfg.lambda_floor
-    )
-    # set once the constructor has checked T: round() fails on nan and inf
-    member_cfg.output_stride = max(1, int(round(T / cfg.h)))
+    # checks T first: the member stride rounds T / h, which fails on nan and inf
+    cfg = replace(cfg or IntegratorConfig(lambda_floor=0.0), horizon=T)
 
     # one batch: the averaged ensemble, held in the averaged mode S, then
     # each alpha's switched ensemble, member m of each on its own streams
@@ -158,7 +153,8 @@ def weak_convergence_experiment(
         streams = [trajectory_seeds(seed + 1 + a_idx, m) for m in range(ensemble)]
         paths += [sample_path(gen, 0, alpha, T + cfg.h, chain_ss) for chain_ss, _ in streams]
         noise += [noise_ss for _, noise_ss in streams]
-    run = simulate(problem, network, paths, replace(member_cfg, seed=noise), init, pi=pi)
+    member_cfg = replace(cfg, seed=noise, output_stride=cfg.n_steps, strict=False)
+    run = simulate(problem, network, paths, member_cfg, init, pi=pi)
     # each member's terminal observables: its stacked agent states, then the
     # total cost at its agent mean
     final = np.array([traj.x[-1] for traj in run.members])

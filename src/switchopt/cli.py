@@ -85,6 +85,10 @@ def cmd_validate(args) -> int:
     if theta_sum > 1e-9:
         warnings.append("initial_theta_sum_nonzero")
         print(f"[WARN] initial theta blocks sum to {theta_sum:.3e}, expected 0")
+    off_grid = scn.build_config().off_grid()
+    if off_grid:
+        warnings.append("horizon_off_grid")
+        print(f"[WARN] horizon_off_grid: {off_grid}")
 
     if warnings:
         print(f"validate: {len(warnings)} warning(s): {', '.join(warnings)}")

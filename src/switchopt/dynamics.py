@@ -31,7 +31,7 @@ import numpy as np
 from .chain import SwitchPath
 from .expr import DomainError, Emitter
 from .graph import Network, connected, is_integer, lambda2
-from .problem import KktCertificate, Problem, domain_error_detail, emit_kernel
+from .problem import KktCertificate, Problem, _evaluate, emit_kernel
 from .schedule import chunk, chunk_steps
 
 __all__ = [
@@ -107,11 +107,13 @@ class SystemState:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig:
     """Step size, horizon, multiplier parameters and seeding.
 
-    ``seed`` is one noise seed, or a list of them for a batch of members.
+    ``seed`` is one noise seed, or a nonempty list of them for a batch of
+    members.  Frozen, so each rule on the settings is checked here once: a
+    changed setting is a new config (``dataclasses.replace``).
     """
 
     h: float = 1e-3
@@ -127,11 +129,10 @@ class IntegratorConfig:
             raise ValueError(f"step size must be positive and finite, got {self.h}")
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        steps = self.horizon / self.h  # the integrator runs round(steps) steps
-        if not math.isfinite(steps):
+        if not math.isfinite(self.horizon / self.h):
             raise ValueError(f"step size {self.h} is too small for horizon {self.horizon}: "
                              "the step count overflows")
-        if round(steps) < 1:
+        if self.n_steps < 1:
             raise ValueError(f"step size {self.h} is too large for horizon {self.horizon}: "
                              "no step would run")
         if not math.isfinite(self.lambda_floor):
@@ -139,9 +140,25 @@ class IntegratorConfig:
         if self.lambda_floor < 0.0:
             raise ValueError("lambda_floor must be nonnegative")
         if not is_integer(self.output_stride):
-            raise ValueError(f"output stride must be an int, got {self.output_stride!r}")
+            raise ValueError(f"output_stride must be an integer, got {self.output_stride!r}")
         if self.output_stride < 1:
             raise ValueError("output stride must be at least 1")
+        if type(self.strict) is not bool:
+            raise ValueError(f"strict must be true or false, got {self.strict!r}")
+        if isinstance(self.seed, (list, tuple)) and not self.seed:
+            raise ValueError("cfg.seed is an empty list: a batch needs at least one noise seed")
+
+    @property
+    def n_steps(self) -> int:
+        """The steps a run takes: horizon / h, rounded (at least 1)."""
+        return round(self.horizon / self.h)
+
+    def off_grid(self) -> str | None:
+        """The warning of a horizon that is not a multiple of ``h``, None on the grid."""
+        if abs(self.n_steps * self.h - self.horizon) <= 1e-9 * max(1.0, self.horizon):
+            return None
+        return (f"horizon {self.horizon} is not a multiple of h={self.h}; "
+                f"running {self.n_steps} steps to t={self.n_steps * self.h:.6g}")
 
     def eta_vector(self, r: int) -> np.ndarray:
         return _eta_vector(self.eta, r)
@@ -317,8 +334,9 @@ class _Model:
         (the rows' names) are each shared or one per member, and broadcast;
         the clamp count is per member.  A round below ``BATCH_KERNEL_ROWS``
         members, or whose numpy update fails, steps member by member once
-        (``_each``, which fills ``failures``).  The pair-sum update
-        deliberately contains no noise term; see the module docstring.
+        (``_each``, which fills ``failures``); a lone member's failing
+        expression is named by certification's own pass.  The pair-sum
+        update deliberately contains no noise term; see the module docstring.
         """
         if isinstance(x, list):  # a lone member
             _, update, _, channels = self.lone
@@ -327,11 +345,12 @@ class _Model:
                 dx, dtheta, dlam, dnu = self.drift(x, pair, lam, nu, mode)
                 return update(x, pair, lam, nu, dx, dtheta, dlam, dnu, branch, R,
                               W.ravel().tolist(), h, clamp_floor)
-            except DomainError as exc:
-                rows = np.reshape(x, (self.N, self.n)).tolist()
-                detail = domain_error_detail(self.problem, rows, exc)
-                raise self.failure("expression left its domain", detail, t, 0.0, mode,
-                                   members) from exc
+            except DomainError:  # the same lowering: the pass fails on the same expression
+                try:
+                    _evaluate(self.problem, np.reshape(x, (self.N, self.n)).tolist())
+                except DomainError as exc:
+                    raise self.failure("expression left its domain", str(exc), t, 0.0, mode,
+                                       members) from exc
             except ArithmeticError:  # a multiplier at -1/eta, or a nonfinite state
                 raise self.failure("nonfinite state", _STIFF, t, h, mode, members) from None
         args = (x, pair, lam, nu, t, h, mode, W, clamp_floor, members, failures)
@@ -674,15 +693,14 @@ def _integrate(
     member carries its state as flat float lists between substeps, on the
     compiled substep, and its draws as the chunk's numpy array.  The
     samples of a chunk are stored at its end, one slice per sample array;
-    the arrays are allocated before the first step.  An empty seed list, a
-    path outside the model's modes, or a held mode that is not an int
-    (``_Model.check_mode``), is refused before any step.  Warnings point at
-    the first caller outside this package.
+    the arrays are allocated before the first step.  A path outside the
+    model's modes, or a held mode that is not an int
+    (``_Model.check_mode``), is refused before any step; the settings'
+    rules, and the off-grid horizon warning, are ``cfg``'s.  Warnings point
+    at the first caller outside this package.
     """
     seeds = cfg.seed if isinstance(cfg.seed, (list, tuple)) else [cfg.seed]
     M = len(seeds)
-    if not M:
-        raise ValueError("cfg.seed is an empty list: a batch needs at least one noise seed")
     paths = chain_path if isinstance(chain_path, (list, tuple)) else [chain_path] * M
     if len(paths) != M:
         raise ValueError(f"{len(paths)} chain paths for {M} members")
@@ -711,13 +729,8 @@ def _integrate(
         )
     for failed in report.failures():
         warnings.append(f"assumption {failed.name} failed: {failed.detail}")
-    h = cfg.h
-    n_steps = int(round(cfg.horizon / h))
-    if abs(n_steps * h - cfg.horizon) > 1e-9 * max(1.0, cfg.horizon):
-        warnings.append(
-            f"horizon {cfg.horizon} is not a multiple of h={h}; "
-            f"running {n_steps} steps to t={n_steps * h:.6g}"
-        )
+    if cfg.off_grid():
+        warnings.append(cfg.off_grid())
     if warnings and cfg.strict:
         raise IntegrationError("; ".join(warnings))
     caller, level = sys._getframe(1), 2  # the first frame outside this package
@@ -726,6 +739,7 @@ def _integrate(
     for w in warnings:
         _warnings.warn(w, TrajectoryWarning, stacklevel=level)
 
+    h, n_steps = cfg.h, cfg.n_steps
     if any(isinstance(p, SwitchPath) and p.horizon < n_steps * h - 1e-12 for p in paths):
         raise ValueError("chain path horizon shorter than the integration")
     rngs = [np.random.default_rng(s) for s in seeds]

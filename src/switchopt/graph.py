@@ -123,8 +123,10 @@ class Network:
     state j to receiver i; the two directions of an undirected edge are
     independent channels and may carry different intensities.  kappa is the
     certified upper bound on every intensity and coupling is the consensus
-    gain.  A network equals and hashes as itself alone (its sigma is an
-    array), so it can key a cache.
+    gain.  sigma is stored as a read-only copy, as ``laplacians`` and
+    ``receive`` are, so the checked intensities are the ones that run.  A
+    network equals and hashes as itself alone (its sigma is an array), so
+    it can key a cache.
     """
 
     graphs: tuple[Graph, ...]
@@ -140,7 +142,7 @@ class Network:
         N = graphs[0].n_nodes
         if any(g.n_nodes != N for g in graphs):
             raise ValueError("all switching modes must share the node count")
-        sigma = np.asarray(self.sigma, dtype=float)
+        sigma = np.array(self.sigma, dtype=float)  # its own copy: the caller's may change
         if sigma.ndim == 0:
             sigma = np.full((N, N), float(sigma))
             np.fill_diagonal(sigma, 0.0)
@@ -150,6 +152,7 @@ class Network:
             raise ValueError("noise intensities must be finite")
         if np.any(sigma < 0.0):
             raise ValueError("noise intensities must be nonnegative")
+        sigma.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
         for name in ("coupling", "kappa"):
             if not math.isfinite(getattr(self, name)):
@@ -195,6 +198,10 @@ class Network:
     def __getstate__(self):
         # the cached stacks derive from the fields: pickle the fields alone
         return {k: v for k, v in self.__dict__.items() if k not in ("laplacians", "receive")}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.sigma.flags.writeable = False  # numpy unpickles it writeable
 
 
 def _read_only(blocks) -> np.ndarray:

@@ -26,7 +26,6 @@ __all__ = [
     "check_licq",
     "derive_multipliers",
     "certify",
-    "domain_error_detail",
     "convexity_lint",
 ]
 
@@ -226,32 +225,31 @@ def check_slater(problem: Problem, x_probe) -> bool:
     return True
 
 
+def _expressions(problem: Problem):
+    """Every expression in kernel order, as lists of (agent, name, Expr) for
+    the costs, the inequalities in ``ineq_index`` order and the equalities
+    in ``eq_index`` order; the name counts agents and constraints from 1:
+    "agent 1 cost '<expr>'", "agent 2 equality 1 '<expr>'"."""
+    def named(i, label, e):
+        return i, f"agent {i + 1} {label} {str(e)!r}", e
+
+    return ([named(i, "cost", a.f) for i, a in enumerate(problem.agents)],
+            [named(i, f"inequality {j + 1}", e) for i, j, e in problem.ineq_index()],
+            [named(i, f"equality {j + 1}", e) for i, j, e in problem.eq_index()])
+
+
 def _evaluate(problem: Problem, rows):
     """The certification pass: each expression's ``value_and_grad`` once, at
     the agent points ``rows``, in kernel order.  Returns lists of (value,
-    grad) for the costs, the inequalities in ``ineq_index`` order and the
-    equalities in ``eq_index`` order.  An expression outside its domain
+    grad), grouped as ``_expressions``.  An expression outside its domain
     raises a DomainError that names it: "agent 1 cost '<expr>': <error>"."""
-    def evaluate(i, label, e):
+    def evaluate(i, name, e):
         try:
             return e.value_and_grad(rows[i])
         except DomainError as err:
-            raise DomainError(f"agent {i + 1} {label} {str(e)!r}: {err}") from err
+            raise DomainError(f"{name}: {err}") from err
 
-    return ([evaluate(i, "cost", a.f) for i, a in enumerate(problem.agents)],
-            [evaluate(i, f"inequality {j + 1}", e) for i, j, e in problem.ineq_index()],
-            [evaluate(i, f"equality {j + 1}", e) for i, j, e in problem.eq_index()])
-
-
-def domain_error_detail(problem: Problem, rows, exc: DomainError) -> str:
-    """``exc``'s message led by the first expression, in kernel order, that
-    leaves its domain at the agent points ``rows`` (see ``_evaluate``); the
-    bare message when every expression evaluates."""
-    try:
-        _evaluate(problem, rows)
-    except DomainError as err:
-        return str(err)
-    return str(exc)
+    return tuple([evaluate(*item) for item in group] for group in _expressions(problem))
 
 
 def _rank(mat: np.ndarray) -> int:
@@ -365,8 +363,13 @@ def convexity_lint(problem: Problem, rng):
     Second central differences of every cost and inequality constraint along
     random directions must not fall below ``CURVATURE_TOL``, and equality
     constraints must have (numerically) zero curvature.  Returns a list of
-    human-readable violations; empty means nothing was caught.
+    human-readable violations, each led by the expression's name as
+    certification gives it (``_expressions``); empty means nothing was
+    caught.
     """
+    costs, ineqs, eqs = _expressions(problem)
+    checks = [(name, e, False) for _, name, e in costs + ineqs]
+    checks += [(name, e, True) for _, name, e in eqs]
     out = []
     step = 1e-3
     for _ in range(LINT_POINTS):
@@ -374,27 +377,20 @@ def convexity_lint(problem: Problem, rng):
         for _ in range(LINT_DIRECTIONS):
             d = rng.normal(0.0, 1.0, problem.n)
             d /= np.linalg.norm(d)
-            for i, a in enumerate(problem.agents):
-                checks = [("f", a.f, False)] + [
-                    (f"g[{j}]", e, False) for j, e in enumerate(a.g)
-                ] + [(f"h[{j}]", e, True) for j, e in enumerate(a.h)]
-                for name, e, affine in checks:
-                    try:
-                        c2 = (
-                            e.value(x0 + step * d)
-                            - 2.0 * e.value(x0)
-                            + e.value(x0 - step * d)
-                        ) / step**2
-                    except ExprError:
-                        continue
-                    if affine and abs(c2) > 1e-4:
-                        out.append(
-                            f"agent {i} {name}: curvature {c2:.3g} != 0, "
-                            "equality constraint is not affine"
-                        )
-                    elif not affine and c2 < CURVATURE_TOL:
-                        out.append(
-                            f"agent {i} {name}: curvature {c2:.3g} < 0 "
-                            f"near {np.round(x0, 3).tolist()}"
-                        )
+            for name, e, affine in checks:
+                try:
+                    c2 = (e.value(x0 + step * d) - 2.0 * e.value(x0)
+                          + e.value(x0 - step * d)) / step**2
+                except ExprError:
+                    continue
+                if affine and abs(c2) > 1e-4:
+                    out.append(
+                        f"{name}: curvature {c2:.3g} != 0, "
+                        "equality constraint is not affine"
+                    )
+                elif not affine and c2 < CURVATURE_TOL:
+                    out.append(
+                        f"{name}: curvature {c2:.3g} < 0 "
+                        f"near {np.round(x0, 3).tolist()}"
+                    )
     return out

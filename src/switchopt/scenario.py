@@ -59,7 +59,7 @@ import numpy as np
 from .chain import Generator, check_alpha, validate_generator
 from .dynamics import IntegratorConfig, SystemState
 from .expr import parse
-from .graph import Graph, Network
+from .graph import Graph, Network, is_integer
 from .problem import AgentSpec, Problem
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "scenario_hash"]
@@ -77,12 +77,24 @@ def _require(cond, msg):
 
 
 def _integer(section: dict, name: str, key: str, default=None, nonnegative=False) -> int:
-    """``section[key]`` (``default`` if absent), which must be an int: a
+    """``section[key]`` (``default`` if absent), which must be an integer: a
     float or a bool would pass int() and run as another value."""
     value = section.get(key, default)
     kind = "a nonnegative integer" if nonnegative else "an integer"
-    _require(type(value) is int and not (nonnegative and value < 0),
+    _require(is_integer(value) and not (nonnegative and value < 0),
              f"{name}: {key} must be {kind}, got {value!r}")
+    return value
+
+
+def _point(raw: dict, key: str):
+    """The optional point ``raw[key]``, finite and of the problem's dimension."""
+    value = raw.get(key)
+    if value is None:
+        return None
+    value = np.asarray(value, dtype=float)
+    _require(value.shape == (raw["problem"]["dimension"],),
+             f"{key} dimension does not match the problem")
+    _require(np.isfinite(value).all(), f"{key} must be finite")
     return value
 
 
@@ -100,6 +112,11 @@ def _section(name, build, *args):
 
 @dataclass
 class Scenario:
+    """One experiment file, each field read one way.  The settings' rules
+    are ``IntegratorConfig``'s and the network's ``Network``'s, run under
+    ``_section``, which names the section; the loader checks only what no
+    constructor knows: integers, scalar init blocks and optional points."""
+
     name: str
     mode: str
     raw: dict
@@ -132,17 +149,12 @@ class Scenario:
                 gen.n_modes == network.n_modes,
                 f"generator has {gen.n_modes} modes, network {network.n_modes}",
             )
-        _section("integrator", lambda: scn.build_config().eta_vector(problem.r))
+        # the file's seed is root_seed's to check, as one nonnegative integer
+        _section("integrator", lambda: scn.build_config(seed=0).eta_vector(problem.r))
         _section("integrator", scn.root_seed)
         _section("init", scn.build_init, problem)
-        for key, point in (("candidate", scn.candidate), ("slater_probe", scn.slater_probe)):
-            value = _section(key, point)
-            if value is not None:
-                _require(
-                    value.shape == (problem.n,),
-                    f"{key} dimension does not match the problem",
-                )
-                _require(np.isfinite(value).all(), f"{key} must be finite")
+        _section("candidate", scn.candidate)
+        _section("slater_probe", scn.slater_probe)
         return scn
 
     # -- builders ----------------------------------------------------------
@@ -175,17 +187,12 @@ class Scenario:
                 graphs.append(Graph.from_edges(n_nodes, pairs, one_based=True))
             except ValueError as exc:
                 raise ScenarioError(f"network.graphs[{gi}]: {exc}") from exc
-        sigma = section["sigma"]
-        sigma = np.asarray(sigma, dtype=float)
-        try:
-            return Network(
-                graphs=tuple(graphs),
-                sigma=sigma,
-                coupling=float(section["coupling"]),
-                kappa=float(section["kappa"]),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"network: {exc}") from exc
+        return Network(
+            graphs=tuple(graphs),
+            sigma=section["sigma"],
+            coupling=float(section["coupling"]),
+            kappa=float(section["kappa"]),
+        )
 
     def build_generator(self) -> Generator:
         section = self.raw.get("chain")
@@ -204,16 +211,14 @@ class Scenario:
         section.update(overrides)
         for key in ("step", "horizon"):
             _require(key in section, f"integrator.{key} missing")
-        strict = section.get("strict", False)
-        _require(type(strict) is bool, f"integrator: strict must be true or false, got {strict!r}")
         return IntegratorConfig(
             h=float(section["step"]),
             horizon=float(section["horizon"]),
             eta=section.get("eta", 1.0),
             lambda_floor=float(section.get("lambda_floor", 1e-12)),
             seed=section.get("seed", 0),
-            output_stride=_integer(section, "integrator", "output_stride", 1),
-            strict=strict,
+            output_stride=section.get("output_stride", 1),
+            strict=section.get("strict", False),
         )
 
     def build_init(self, problem: Problem) -> SystemState:
@@ -224,33 +229,25 @@ class Scenario:
             x.shape == (problem.n_agents, problem.n),
             f"init.x must be {problem.n_agents} rows of dimension {problem.n}",
         )
-        theta = np.asarray(section.get("theta", 0.0), dtype=float)
-        if theta.ndim == 0:
-            theta = np.full_like(x, float(theta))
-        _require(theta.shape == x.shape, "init.theta must be scalar or match init.x")
-        lam = np.asarray(section.get("lambda", 1.0), dtype=float)
-        if lam.ndim == 0:
-            lam = np.full(problem.r, float(lam))
-        _require(lam.shape == (problem.r,), f"init.lambda must be scalar or length {problem.r}")
-        nu = np.asarray(section.get("nu", 0.0), dtype=float)
-        if nu.ndim == 0:
-            nu = np.full(problem.s, float(nu))
-        _require(nu.shape == (problem.s,), f"init.nu must be scalar or length {problem.s}")
+
+        def fill(key, default, shape, size):  # a scalar fills the block
+            value = np.asarray(section.get(key, default), dtype=float)
+            if value.ndim == 0:
+                value = np.full(shape, float(value))
+            _require(value.shape == shape, f"init.{key} must be scalar or {size}")
+            return value
+        theta = fill("theta", 0.0, x.shape, "match init.x")
+        lam = fill("lambda", 1.0, (problem.r,), f"length {problem.r}")
+        nu = fill("nu", 0.0, (problem.s,), f"length {problem.s}")
         for key, value in (("x", x), ("theta", theta), ("lambda", lam), ("nu", nu)):
             _require(np.isfinite(value).all(), f"init.{key} must be finite")
         return SystemState(x, theta, lam, nu)
 
     def candidate(self):
-        cand = self.raw.get("candidate")
-        if cand is None:
-            return None
-        return np.asarray(cand, dtype=float)
+        return _point(self.raw, "candidate")
 
     def slater_probe(self):
-        probe = self.raw.get("slater_probe")
-        if probe is None:
-            return None
-        return np.asarray(probe, dtype=float)
+        return _point(self.raw, "slater_probe")
 
     def root_seed(self) -> int:
         return _integer(self.raw["integrator"], "integrator", "seed", 0, nonnegative=True)

@@ -295,8 +295,8 @@ def serial_weak_convergence(problem, network, gen, alphas, ensemble, T, seed, in
 
     alphas = [float(a) for a in alphas]
     member_cfg = IntegratorConfig(h=cfg.h, horizon=T, eta=cfg.eta,
-                                  lambda_floor=cfg.lambda_floor)
-    member_cfg.output_stride = max(1, int(round(T / cfg.h)))
+                                  lambda_floor=cfg.lambda_floor,
+                                  output_stride=max(1, int(round(T / cfg.h))))
     pi = stationary(gen)
 
     clamp_total = 0

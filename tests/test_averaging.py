@@ -445,3 +445,11 @@ def test_factorization_error_detectable(monkeypatch, six_mode_network, six_mode_
     monkeypatch.setattr(avg_mod, "_diffusion_blocks", corrupted)
     with pytest.raises(FactorizationError):
         averaged_diffusion_factor(st, six_mode_network, pi)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
+def test_weak_convergence_refuses_a_horizon_that_is_not_positive_and_finite(
+        T, five_agent, six_mode_network, six_mode_generator, reference_init):
+    with pytest.raises(ValueError, match=f"^horizon must be positive and finite, got {T}$"):
+        weak_convergence_experiment(five_agent, six_mode_network, six_mode_generator,
+                                    [0.5, 0.1], ensemble=2, T=T, seed=0, init=reference_init)

@@ -304,3 +304,10 @@ def test_mode_at_property_random_queries(seed, frac):
     m = mode_at(path, t)
     k = int(np.searchsorted(path.times, t, side="right")) - 1
     assert m == path.modes[k]
+
+
+@pytest.mark.parametrize("s0", [-1, 2])
+def test_sample_path_refuses_an_initial_mode_outside_the_chain(s0):
+    gen = validate_generator([[-1.0, 1.0], [2.0, -2.0]])
+    with pytest.raises(ChainError, match=f"^initial mode {s0} outside 0..1$"):
+        sample_path(gen, s0, 1.0, 1.0, seed=0)

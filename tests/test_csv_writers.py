@@ -119,8 +119,7 @@ def test_stride_one_fixed_run_matches_the_reference_pipeline(tmp_scenario_file, 
 
     scn = load_scenario(path)
     problem = scn.build_problem()
-    cfg = scn.build_config(seed=3)
-    cfg.seed = chain.trajectory_seeds(3, 0)[1]
+    cfg = scn.build_config(seed=chain.trajectory_seeds(3, 0)[1])
     traj = dynamics.simulate(problem, scn.build_network(), None, cfg, scn.build_init(problem))
     assert len(traj.times) == 201
 

@@ -783,9 +783,9 @@ def test_simulate_off_grid_horizon_warns_and_strict_raises(five_agent, k5_networ
     with pytest.warns(RuntimeWarning, match="not a multiple of h"):
         traj = simulate(five_agent, k5_network, None, cfg, reference_init.copy())
     assert len(traj.times) == 11 and any("not a multiple" in w for w in traj.warnings)
-    cfg.strict = True
+    strict = dataclasses.replace(cfg, strict=True)
     with pytest.raises(IntegrationError, match="not a multiple of h"):
-        simulate(five_agent, k5_network, None, cfg, reference_init.copy())
+        simulate(five_agent, k5_network, None, strict, reference_init.copy())
 
 
 @pytest.mark.parametrize("view", ["simulate", "simulate_averaged"])
@@ -1014,21 +1014,45 @@ def test_config_refuses_a_negative_lambda_floor():
                                                                 "text"])
 def test_config_refuses_a_stride_that_is_not_an_int(stride):
     # 2.5 failed in numpy's slicing, and True ran as stride 1
-    with pytest.raises(ValueError, match=f"^output stride must be an int, got {stride!r}$"):
+    with pytest.raises(ValueError, match=f"^output_stride must be an integer, got {stride!r}$"):
         IntegratorConfig(output_stride=stride)
     with pytest.raises(ValueError, match="^output stride must be at least 1$"):
         IntegratorConfig(output_stride=0)
     assert IntegratorConfig(output_stride=np.int64(2)).output_stride == 2
 
 
-def test_an_empty_seed_list_is_refused_before_any_step(five_agent, k5_network, reference_init):
-    # assigned after construction, as a batch's seeds often are; it failed
-    # in the initial theta-sum check with max()'s message
+def test_an_empty_seed_list_is_refused_before_any_step():
+    # a run failed in the initial theta-sum check with max()'s message; the
+    # config refuses it, also when it replaces a config's seed
     cfg = IntegratorConfig(h=1e-3, horizon=0.01)
-    cfg.seed = []
     with pytest.raises(ValueError, match="^cfg\\.seed is an empty list: a batch needs at "
                                          "least one noise seed$"):
-        simulate(five_agent, k5_network, None, cfg, reference_init)
+        dataclasses.replace(cfg, seed=[])
+
+
+@pytest.mark.parametrize("field, value", [("output_stride", 0), ("h", -1e-3)])
+def test_config_is_frozen_and_a_replaced_setting_is_checked_again(field, value):
+    # assigned after construction, a stride of 0 divided by zero and a
+    # negative step ran "-9 samples" into the memory check
+    cfg = IntegratorConfig(h=1e-3, horizon=0.01)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, value)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, **{field: value})
+
+
+@pytest.mark.parametrize("strict", [0, "false", None])
+def test_config_refuses_a_strict_flag_that_is_not_a_bool(strict):
+    with pytest.raises(ValueError, match=f"^strict must be true or false, got {strict!r}$"):
+        IntegratorConfig(strict=strict)
+
+
+def test_config_off_grid_names_the_steps_a_run_takes():
+    assert IntegratorConfig(h=1e-3, horizon=0.01).off_grid() is None
+    cfg = IntegratorConfig(h=1e-3, horizon=0.0105)
+    assert cfg.n_steps == 10
+    assert cfg.off_grid() == ("horizon 0.0105 is not a multiple of h=0.001; "
+                              "running 10 steps to t=0.01")
 
 
 @pytest.mark.parametrize("floor", [math.nan, math.inf], ids=["nan", "inf"])
@@ -1402,7 +1426,7 @@ def test_failure_after_a_jump_split_keeps_its_message(kind, batch):
     cfg = IntegratorConfig(h=1e-3, horizon=1.0, seed=1, output_stride=11)
     paths, init = path(jump), SystemState([[x0]], [[0.0]], [], [])
     if batch:
-        cfg.seed, paths = [1, 2, 3], [path(), paths, path(0.5)]
+        cfg, paths = dataclasses.replace(cfg, seed=[1, 2, 3]), [path(), paths, path(0.5)]
         init = _member_axis_init([healthy, x0, healthy])
     with pytest.raises(IntegrationError, match="^" + re.escape(
             message.format(", member 1" if batch else "")) + "$"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from switchopt.expr import (
     MAX_DEPTH,
     DomainError,
+    ExprError,
     ExprSyntaxError,
     VariableRangeError,
     parse,
@@ -303,3 +304,8 @@ def test_expression_layer_raises_only_its_own_errors(text, n, data):
     except DomainError:
         return
     assert type(v) is float and len(g) == n and all(type(d) is float for d in g)
+
+
+def test_parse_refuses_a_dimension_below_one():
+    with pytest.raises(ExprError, match="^dimension must be positive, got 0$"):
+        parse("1", 0)

@@ -252,3 +252,42 @@ def test_network_equals_and_hashes_as_itself_alone():
     twin = Network(graphs=(PATH3,), sigma=0.2, coupling=1.0, kappa=0.5)
     assert net == net and net != twin and not (net == twin)
     assert len({net, twin, net}) == 2 and hash(net) == hash(net)
+
+
+def test_network_keeps_its_own_read_only_sigma():
+    # it stored the caller's float array: a write after construction ran a
+    # sigma the constructor refuses, and the report failed its noise bound
+    from switchopt.dynamics import check_assumptions
+
+    sig = np.full((3, 3), 0.2)
+    np.fill_diagonal(sig, 0.0)
+    net = Network(graphs=(PATH3,), sigma=sig, coupling=1.0, kappa=0.3)
+    report = check_assumptions(net).as_dict()
+    sig[0, 1] = 5.0
+    assert net.sigma[0, 1] == 0.2 and net.receive[0][1, 0] == 0.2
+    assert check_assumptions(net).as_dict() == report and report["all_passed"]
+    for copy in (net, pickle.loads(pickle.dumps(net))):
+        with pytest.raises(ValueError, match="read-only"):
+            copy.sigma[0, 1] = 5.0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"graphs": (PATH3,), "sigma": 0.0, "kappa": -0.5}, "^kappa must be nonnegative$"),
+    ({"graphs": (PATH3, Graph(4)), "sigma": 0.0, "kappa": 0.5},
+     "^all switching modes must share the node count$"),
+], ids=["negative-kappa", "node-counts"])
+def test_network_refusals(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        Network(coupling=1.0, **kwargs)
+
+
+def test_network_average_refuses_the_wrong_weight_count():
+    net = Network(graphs=(PATH3, Graph(3)), sigma=0.2, coupling=1.0, kappa=0.5)
+    with pytest.raises(ValueError, match="^3 mode weights for 2 modes$"):
+        net.average([0.2, 0.3, 0.5])
+
+
+def test_jointly_connected_on_no_graphs_and_on_mixed_node_counts():
+    assert jointly_connected([]) is False
+    with pytest.raises(ValueError, match="^all graphs must share the node count$"):
+        jointly_connected([PATH3, Graph(4)])

@@ -281,3 +281,34 @@ def test_certification_names_a_cost_that_leaves_its_domain(view):
                              AgentSpec(f=ln)))
     with pytest.raises(DomainError, match=re.escape(f"agent 2 cost {str(ln)!r}: ")):
         view(p, (-1.0,))
+
+
+@pytest.mark.parametrize("n, agents, message", [
+    (0, lambda: (AgentSpec(f=parse("x1", 1)),), "^decision dimension must be positive$"),
+    (2, lambda: (), "^a problem needs at least one agent$"),
+    (2, lambda: (AgentSpec(f=parse("x1", 2)), AgentSpec(f=parse("x1", 2),
+                                                          g=(parse("x3", 3),))),
+     "^agent 1: expression dimension 3 != problem n=2$"),
+], ids=["dimension", "no-agents", "expression-dimension"])
+def test_problem_refusals(n, agents, message):
+    with pytest.raises(ValueError, match=message):
+        Problem(n=n, agents=agents())
+
+
+def test_check_slater_counts_a_probe_outside_a_domain_as_infeasible():
+    p = Problem(n=1, agents=(AgentSpec(f=parse("x1^2", 1), g=(parse("ln(x1) - 1", 1),)),))
+    assert check_slater(p, (1.0,))
+    with pytest.raises(DomainError):
+        p.agents[0].g[0].value((-1.0,))
+    assert check_slater(p, (-1.0,)) is False
+
+
+def test_convexity_lint_names_expressions_as_certification_does():
+    # it counted agents and constraints from 0 ("agent 0 f", "agent 1 h[0]")
+    p = Problem(n=2, agents=(
+        AgentSpec(f=parse("x1^2", 2)),
+        AgentSpec(f=parse("-x1^2 + x2", 2), g=(parse("-x2^2", 2),), h=(parse("x1*x2", 2),)),
+    ))
+    names = {line.split(":")[0] for line in convexity_lint(p, np.random.default_rng(0))}
+    assert names == {"agent 2 cost '-x1^2.0 + x2'", "agent 2 inequality 1 '-x2^2.0'",
+                     "agent 2 equality 1 'x1*x2'"}

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -839,3 +840,46 @@ def test_validate_names_a_cost_outside_its_domain_at_the_candidate(tmp_scenario_
         assert main([command, str(path)]) == 1
         assert capsys.readouterr().err == (
             "error: agent 3 cost 'ln(x1 - 2.0)': ln of nonpositive value -1.0\n")
+
+
+def test_validate_warns_on_an_off_grid_horizon_that_strict_simulate_refuses(
+        tmp_scenario_file, tmp_path, capsys):
+    # validate passed it, and only simulate --strict refused it
+    path = tmp_scenario_file(_set(("integrator", "horizon"), 0.0105))
+    rule = "horizon 0.0105 is not a multiple of h=0.001; running 10 steps to t=0.01"
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert f"[WARN] horizon_off_grid: {rule}\n" in out
+    assert out.endswith("validate: 1 warning(s): horizon_off_grid\n")
+    assert main(["simulate", str(path), "--strict", "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {rule}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_prints_ten_lint_findings_and_their_count_and_exits_0(tmp_scenario_file,
+                                                                      capsys):
+    # a concave cost is advisory: the findings alone leave validate passing
+    path = tmp_scenario_file(_set(("problem", "agents", 3, "cost"), "2*x2 - x1^2"))
+    assert main(["validate", str(path)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("[lint]")]
+    assert len(lines) == 11
+    assert all(line.startswith("[lint] agent 4 cost '2.0*x2 - x1^2.0': curvature ")
+               for line in lines[:10])
+    assert lines[-1] == "[lint] 100 curvature finding(s); advisory only"
+
+
+def test_kkt_prints_a_negative_multiplier_warning(tmp_scenario_file, capsys):
+    # the first inequality negated: active at the candidate, with the wrong sign
+    path = tmp_scenario_file(_set(("problem", "agents", 0, "inequalities"),
+                                  ["x2 - 1 - (x1 - 2)^2"]))
+    assert main(["kkt", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "warning: negative inequality multiplier -194.516: candidate fails dual feasibility\n")
+
+
+def test_load_scenario_refuses_a_path_it_cannot_read(tmp_path):
+    path = tmp_path / "missing.json"
+    with pytest.raises(ScenarioError, match="^cannot read scenario file " + re.escape(
+            f"{path}: [Errno 2] No such file or directory: '{path}'") + "$"):
+        load_scenario(path)
