@@ -17,7 +17,7 @@ Core entry points are re-exported here; the submodules hold the full API:
 from .chain import Generator, sample_path, stationary, validate_generator
 from .dynamics import IntegratorConfig, SystemState, build_equilibrium, simulate
 from .expr import Expr, parse
-from .graph import Graph, Network, jointly_connected, lambda2, laplacian
+from .graph import Graph, Network, lambda2, laplacian
 from .problem import AgentSpec, KktCertificate, Problem, derive_multipliers, total_cost
 from .scenario import Scenario, load_scenario
 
@@ -36,7 +36,6 @@ __all__ = [
     "SystemState",
     "build_equilibrium",
     "derive_multipliers",
-    "jointly_connected",
     "lambda2",
     "laplacian",
     "load_scenario",

@@ -7,19 +7,20 @@ part for the equality multipliers.  The divergence part uses the potential
 whose derivative cancels the (1 + eta*lambda) factor of the multiplier
 flow, so the energy dissipates along trajectories; for multipliers that are
 active at the optimum this is the x*ln(x) Bregman divergence with the
-equilibrium value as the first argument.
+equilibrium value as the first argument, D(a, b) = a ln(a/b) - a + b.
+``convergence_metrics`` evaluates the split over a whole trajectory, and
+``lyapunov`` at one state.
 
 The relaxed Lagrangian adds a consensus quadratic to the raw Lagrangian,
 weighted by a coupling/noise constant: hbar = (c - c^2 kappa^2 / 2) / 2 for
-a fixed topology and hbar = (c pi_min - (3/2) c^2 kappa^2 pi_max) / 2 under
-switching.  Its saddle structure around the certified optimum is what the
-sampled inequality checks exercise.
+a fixed topology (``hbar_fixed``) and hbar = (c pi_min - (3/2) c^2 kappa^2
+pi_max) / 2 under switching.  Its saddle structure around the certified
+optimum is what the sampled inequality checks exercise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,25 +28,13 @@ from .dynamics import SystemState, Trajectory, _eta_vector
 from .problem import TOL_ACTIVE, KktCertificate, Problem, total_cost
 
 __all__ = [
-    "LyapunovReport",
-    "bregman_divergence",
     "omega_from_certificate",
     "lyapunov",
     "hbar_fixed",
-    "hbar_switching",
     "lagrangian_phi",
     "convergence_metrics",
     "saddle_point_samples",
-    "generator_bound_series",
 ]
-
-
-def bregman_divergence(a: float, b: float) -> float:
-    """D(a, b) = a*ln(a/b) - a + b from the potential x*ln(x); nonnegative,
-    zero exactly at a = b."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"divergence needs positive arguments, got {a}, {b}")
-    return a * math.log(a / b) - a + b
 
 
 def omega_from_certificate(cert: KktCertificate) -> frozenset:
@@ -54,18 +43,6 @@ def omega_from_certificate(cert: KktCertificate) -> frozenset:
     return frozenset(
         int(k) for k, v in enumerate(cert.lambda_star) if v > TOL_ACTIVE
     )
-
-
-@dataclass
-class LyapunovReport:
-    V1: float
-    V2: float
-    V3: float
-    V4: float
-    V: float
-    bregman_terms: dict
-    consensus_error: float
-    opt_error: float
 
 
 def _energy(x, pair, lam, nu, eq: SystemState, eta, omega: frozenset) -> dict:
@@ -114,31 +91,22 @@ def _energy(x, pair, lam, nu, eq: SystemState, eta, omega: frozenset) -> dict:
     }
 
 
-def lyapunov(
-    state: SystemState, eq: SystemState, eta, omega: frozenset
-) -> LyapunovReport:
-    """Evaluate the composite energy at one state.
+def lyapunov(state: SystemState, eq: SystemState, eta, omega: frozenset) -> dict:
+    """The energy split at one state: ``_energy``'s row for it, as a dict of
+    floats (``V``, ``V1``-``V4``, ``consensus_error``, ``opt_error``).
 
     ``omega`` selects the inequality indices treated with the divergence
-    potential (positive equilibrium multiplier); the rest contribute plain
-    squared deviations.  Multipliers in omega must be positive here.
-    ``bregman_terms`` maps each k in omega to its term of V3, D(lam*_k, lam_k).
+    potential (positive equilibrium multiplier), each adding its
+    D(lam*_k, lam_k) to V3; the rest contribute plain squared deviations.
+    Multipliers in omega must be positive here.
     """
     e = _energy(state.x[None], state.pair[None], state.lam[None], state.nu[None],
                 eq, eta, omega)
-    bregman = {
-        k: bregman_divergence(float(eq.lam[k]), float(state.lam[k]))
-        for k in range(state.lam.shape[0]) if k in omega
-    }
-    return LyapunovReport(bregman_terms=bregman, **{k: float(v[0]) for k, v in e.items()})
+    return {k: float(v[0]) for k, v in e.items()}
 
 
 def hbar_fixed(c: float, kappa: float) -> float:
     return 0.5 * (c - 0.5 * c**2 * kappa**2)
-
-
-def hbar_switching(c: float, kappa: float, pi: np.ndarray) -> float:
-    return 0.5 * (c * float(pi.min()) - 1.5 * c**2 * kappa**2 * float(pi.max()))
 
 
 def lagrangian_phi(
@@ -152,7 +120,8 @@ def lagrangian_phi(
 
     The consensus quadratic uses the (N x N) Laplacian ``L`` applied
     blockwise; callers pick the fixed-topology constant and Laplacian or the
-    switching variants (summed Laplacian, switching hbar).  The value is
+    switching variants (summed Laplacian, the switching hbar of the module
+    docstring).  The value is
     relative to the certified optimum through the (x - x*)' theta term, so a
     certificate is required before any evaluation.
     """
@@ -225,49 +194,3 @@ def saddle_point_samples(
         "min_right_slack": min_right,
     }
 
-
-def generator_bound_series(
-    trajectories: list[Trajectory],
-    eq: SystemState,
-    problem: Problem,
-    eta,
-    omega: frozenset,
-    hbar: float,
-    L: np.ndarray,
-    lam2: float,
-) -> dict:
-    """Ensemble estimate of the energy dissipation against its bound.
-
-    The left side is a finite difference of the ensemble-mean energy; the
-    right side averages, over members, the saddle gap minus the coercive
-    quadratic.  Both are Monte-Carlo estimates with visible noise, so the
-    series is reported for inspection, never asserted.
-    """
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    times = trajectories[0].times
-    K = len(times)
-    V = np.zeros((len(trajectories), K))
-    rhs = np.zeros((len(trajectories), K))
-    x_star = eq.x[0]
-    for m, traj in enumerate(trajectories):
-        V[m] = _energy(traj.x, traj.x + traj.theta, traj.lam, traj.nu,
-                       eq, eta, omega)["V"]
-        for k in range(K):
-            left_state = SystemState(eq.x, traj.theta[k], traj.lam[k], traj.nu[k])
-            right_state = SystemState(traj.x[k], eq.theta, eq.lam, eq.nu)
-            gap = lagrangian_phi(
-                left_state, problem, x_star, hbar, L
-            ) - lagrangian_phi(right_state, problem, x_star, hbar, L)
-            dx2 = float(np.sum((traj.x[k] - eq.x) ** 2))
-            rhs[m, k] = gap - (hbar * lam2 - 1.0) * dx2
-    mean_V = V.mean(axis=0)
-    dt = np.diff(times)
-    dissipation = np.diff(mean_V) / dt
-    return {
-        "t": times,
-        "mean_V": mean_V,
-        "dissipation_estimate": dissipation,
-        "bound_mean": rhs.mean(axis=0),
-        "n_members": len(trajectories),
-    }

@@ -24,7 +24,6 @@ __all__ = [
     "stationary",
     "check_alpha",
     "sample_path",
-    "mode_at",
     "occupation_fractions",
     "trajectory_seeds",
 ]
@@ -200,14 +199,6 @@ def sample_path(gen: Generator, s0: int, alpha: float, horizon: float, seed) -> 
         n_modes=S,
         absorbed=absorbed,
     )
-
-
-def mode_at(path: SwitchPath, t: float) -> int:
-    """Right-continuous lookup: at a jump instant the new mode applies."""
-    if t < 0.0 or t > path.horizon:
-        raise ChainError(f"time {t} outside [0, {path.horizon}]")
-    idx = bisect_right(path.times, t) - 1
-    return int(path.modes[idx])
 
 
 def occupation_fractions(path: SwitchPath) -> np.ndarray:

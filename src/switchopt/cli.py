@@ -78,17 +78,9 @@ def cmd_validate(args) -> int:
         print(f"[lint] {len(lint)} curvature finding(s); advisory only")
 
     init = scn.build_init(problem)
-    if init.lam.size and init.lam.min() <= 0.0:
-        warnings.append("initial_multipliers_nonpositive")
-        print("[WARN] initial multipliers must be positive")
-    theta_sum = float(np.linalg.norm(init.theta.sum(axis=0)))
-    if theta_sum > 1e-9:
-        warnings.append("initial_theta_sum_nonzero")
-        print(f"[WARN] initial theta blocks sum to {theta_sum:.3e}, expected 0")
-    off_grid = scn.build_config().off_grid()
-    if off_grid:
-        warnings.append("horizon_off_grid")
-        print(f"[WARN] horizon_off_grid: {off_grid}")
+    for name, text in dynamics.start_warnings(init.x, init.pair, init.lam, scn.build_config()):
+        warnings.append(name)
+        print(f"[WARN] {name}: {text}")
 
     if warnings:
         print(f"validate: {len(warnings)} warning(s): {', '.join(warnings)}")

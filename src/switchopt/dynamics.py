@@ -47,6 +47,7 @@ __all__ = [
     "em_step",
     "simulate",
     "check_assumptions",
+    "start_warnings",
     "build_equilibrium",
 ]
 
@@ -669,6 +670,26 @@ def simulate(
     return _integrate(model, chain_path, cfg, init, report)
 
 
+def start_warnings(x, pair, lam, cfg: IntegratorConfig) -> list[tuple[str, str]]:
+    """A run's warnings about its start, as (name, text) pairs: a
+    nonpositive initial multiplier, initial theta blocks that do not sum to
+    zero, and a horizon off the step grid.  ``x``, ``pair`` and ``lam`` may
+    carry a leading member axis; the worst member is reported."""
+    out = []
+    if lam.size and lam.min() <= 0.0:
+        out.append(("initial_multipliers_nonpositive",
+                    f"initial multiplier min {lam.min():.6g} is not positive"))
+    thetas = (pair - x).reshape(-1, *x.shape[-2:])
+    theta_sum = max(np.linalg.norm(th.sum(axis=0)) for th in thetas)
+    if theta_sum > 1e-9:
+        out.append(("initial_theta_sum_nonzero",
+                    f"initial theta blocks sum to {theta_sum:.3e}, not zero; the "
+                    "convergence guarantees assume a zero sum"))
+    if cfg.off_grid():
+        out.append(("horizon_off_grid", cfg.off_grid()))
+    return out
+
+
 def _integrate(
     model: _Model,
     chain_path: SwitchPath | list | None,
@@ -716,21 +737,9 @@ def _integrate(
              for a, shape in zip((init.x, init.pair, init.lam, init.nu), shapes)]
     x, pair, lam, nu = start
 
-    warnings: list[str] = []
-    if lam.size and lam.min() <= 0.0:
-        warnings.append(
-            f"initial multiplier min {lam.min():.6g} is not positive"
-        )
-    theta_sum = max(np.linalg.norm(th.sum(axis=0)) for th in pair - x)
-    if theta_sum > 1e-9:
-        warnings.append(
-            f"initial theta blocks sum to {theta_sum:.3e}, not zero; the "
-            "convergence guarantees assume a zero sum"
-        )
-    for failed in report.failures():
-        warnings.append(f"assumption {failed.name} failed: {failed.detail}")
-    if cfg.off_grid():
-        warnings.append(cfg.off_grid())
+    warnings = [text for _, text in start_warnings(x, pair, lam, cfg)]
+    warnings += [f"assumption {failed.name} failed: {failed.detail}"
+                 for failed in report.failures()]
     if warnings and cfg.strict:
         raise IntegrationError("; ".join(warnings))
     caller, level = sys._getframe(1), 2  # the first frame outside this package

@@ -15,7 +15,6 @@ __all__ = [
     "adjacency",
     "lambda2",
     "connected",
-    "jointly_connected",
     "stack",
 ]
 
@@ -96,18 +95,6 @@ def connected(L: np.ndarray) -> bool:
     """Whether the graph of Laplacian ``L`` is connected: a single node is,
     and otherwise the second eigenvalue must exceed ``CONNECTIVITY_TOL``."""
     return len(L) == 1 or lambda2(L) > CONNECTIVITY_TOL
-
-
-def jointly_connected(graphs) -> bool:
-    """True when the union of the graphs is connected (see ``connected``,
-    on the summed Laplacian)."""
-    graphs = list(graphs)
-    if not graphs:
-        return False
-    n = graphs[0].n_nodes
-    if any(g.n_nodes != n for g in graphs):
-        raise ValueError("all graphs must share the node count")
-    return connected(sum(laplacian(g) for g in graphs))
 
 
 def stack(L: np.ndarray, n: int) -> np.ndarray:

@@ -22,7 +22,6 @@ __all__ = [
     "KktCertificate",
     "total_cost",
     "check_slater",
-    "active_set",
     "check_licq",
     "derive_multipliers",
     "certify",
@@ -70,7 +69,7 @@ class Problem:
             for e in (a.f, *a.g, *a.h):
                 if e.n != self.n:
                     raise ValueError(
-                        f"agent {idx}: expression dimension {e.n} != problem n={self.n}"
+                        f"agent {idx + 1}: expression dimension {e.n} != problem n={self.n}"
                     )
 
     @property
@@ -323,11 +322,6 @@ class _Certification:
         }
         return KktCertificate(self.x, lam, nu, self.active_sets(), residuals, gradients,
                               warnings)
-
-
-def active_set(problem: Problem, x):
-    """Per-agent indices j with |g_ij(x)| <= TOL_ACTIVE."""
-    return _Certification(problem, x).active_sets()
 
 
 def check_licq(problem: Problem, x) -> bool:

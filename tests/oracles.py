@@ -20,15 +20,20 @@ step-by-step splitter, the reference the one-table ``schedule.chunk`` must
 match bit for bit, in every draw and every round field.  The lone substep
 has its union-pattern form, which sums the coupling and the channel noise
 over every sender that some mode uses, the reference for the substep that
-reads only the active mode's entries.
+reads only the active mode's entries.  The ensemble energy dissipation
+series and the right-continuous mode lookup of a chain path, which no
+command reports, live here as test helpers over the library's own code.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
 
-from switchopt.chain import SwitchPath
+from switchopt.analysis import _energy, lagrangian_phi
+from switchopt.chain import ChainError, SwitchPath
+from switchopt.dynamics import SystemState
 from switchopt.expr import (Add, Const, Div, DomainError, Emitter, Exp, Ln, Mul, Neg, Pow, Sub,
                             Var)
 from switchopt.problem import emit_kernel
@@ -216,7 +221,10 @@ def rk4(f, y0, t1, n_steps):
 
 def lyapunov_reference(state, eq, eta, omega):
     """Energy split, consensus error and distance to the optimum of one
-    state, as a dict with the fields of ``analysis.LyapunovReport``."""
+    state, as a dict with the keys of ``analysis.lyapunov``'s, and
+    ``bregman_terms``: each k in omega mapped to its term of V3,
+    D(lam*_k, lam_k) = lam*_k ln(lam*_k / lam_k) - lam*_k + lam_k, by the
+    second formula."""
     r = state.lam.shape[0]
     eta = np.asarray(eta, dtype=float)
     if eta.ndim == 0:
@@ -255,6 +263,45 @@ def lyapunov_reference(state, eq, eta, omega):
         V1=V1, V2=V2, V3=V3, V4=V4, V=V1 + V2 + V3 + V4,
         bregman_terms=bregman, consensus_error=consensus, opt_error=opt,
     )
+
+
+def generator_bound_series(trajectories, eq, problem, eta, omega, hbar, L, lam2):
+    """Ensemble estimate of the energy dissipation against its bound.
+
+    The left side is a finite difference of the ensemble-mean energy
+    (``analysis._energy`` per member); the right side averages, over
+    members, the saddle gap minus the coercive quadratic.  Both are
+    Monte-Carlo estimates with visible noise, so the series is reported for
+    inspection, never asserted.
+    """
+    if not trajectories:
+        raise ValueError("need at least one trajectory")
+    times = trajectories[0].times
+    K = len(times)
+    V = np.zeros((len(trajectories), K))
+    rhs = np.zeros((len(trajectories), K))
+    x_star = eq.x[0]
+    for m, traj in enumerate(trajectories):
+        V[m] = _energy(traj.x, traj.x + traj.theta, traj.lam, traj.nu,
+                       eq, eta, omega)["V"]
+        for k in range(K):
+            left_state = SystemState(eq.x, traj.theta[k], traj.lam[k], traj.nu[k])
+            right_state = SystemState(traj.x[k], eq.theta, eq.lam, eq.nu)
+            gap = lagrangian_phi(
+                left_state, problem, x_star, hbar, L
+            ) - lagrangian_phi(right_state, problem, x_star, hbar, L)
+            dx2 = float(np.sum((traj.x[k] - eq.x) ** 2))
+            rhs[m, k] = gap - (hbar * lam2 - 1.0) * dx2
+    mean_V = V.mean(axis=0)
+    dt = np.diff(times)
+    dissipation = np.diff(mean_V) / dt
+    return {
+        "t": times,
+        "mean_V": mean_V,
+        "dissipation_estimate": dissipation,
+        "bound_mean": rhs.mean(axis=0),
+        "n_members": len(trajectories),
+    }
 
 
 def psd_factor_averaged_run(drift, c, wsq, x, theta, lam, nu, h, n_steps, rng):
@@ -464,6 +511,14 @@ def sample_path_reference(gen, s0, alpha, horizon, seed):
         times.append(t)
         modes.append(s)
     return np.array(times), np.array(modes, dtype=np.int64), absorbed
+
+
+def mode_at(path, t):
+    """Right-continuous lookup: at a jump instant the new mode applies."""
+    if t < 0.0 or t > path.horizon:
+        raise ChainError(f"time {t} outside [0, {path.horizon}]")
+    idx = bisect_right(path.times, t) - 1
+    return int(path.modes[idx])
 
 
 def _split_step_reference(times, modes, j, cur, t_end):

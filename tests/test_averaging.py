@@ -284,6 +284,20 @@ def test_weak_convergence_single_mode_control_is_null(five_agent):
     assert report["monotone_within_2sem"]
 
 
+def test_weak_convergence_noise_free_one_mode_study_has_zero_err_and_sem():
+    # no noise and one mode: every member, switched or averaged, runs the same
+    # path, so err is exactly 0 and sem takes its fallback, the mean
+    # component variance, also 0
+    p = Problem(n=1, agents=(AgentSpec(f=parse("x1^2", 1)), AgentSpec(f=parse("(x1 - 1)^2", 1))))
+    net = Network(graphs=(Graph.from_edges(2, [(0, 1)]),), sigma=0.0, coupling=1.0, kappa=0.0)
+    init = SystemState([[1.0], [-1.0]], [[0.0], [0.0]], [], [])
+    report = weak_convergence_experiment(p, net, validate_generator([[0.0]]), [0.5, 0.1],
+                                         ensemble=2, T=0.1, seed=0, init=init,
+                                         cfg=IntegratorConfig(h=1e-2, lambda_floor=0.0))
+    assert [(e["alpha"], e["err"], e["sem"]) for e in report["per_alpha"]] == [
+        (0.5, 0.0, 0.0), (0.1, 0.0, 0.0)]
+
+
 @pytest.mark.parametrize("floor", [0.0, 2.999])
 def test_batched_study_equals_the_serial_loop(monkeypatch, floor, five_agent,
                                               six_mode_network, six_mode_generator):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from switchopt.chain import (
     ChainError,
     _strongly_connected,
-    mode_at,
     occupation_fractions,
     sample_path,
     stationary,
@@ -17,7 +16,7 @@ from switchopt.chain import (
 )
 
 from conftest import SIX_MODE_Q
-from oracles import sample_path_reference
+from oracles import mode_at, sample_path_reference
 
 
 def test_validate_accepts_two_state():
@@ -83,6 +82,14 @@ def test_stationary_six_mode_residual_and_occupation():
 def test_stationary_reducible_rejected():
     Q = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ChainError, match="stationary"):
+        stationary(validate_generator(Q))
+
+
+def test_stationary_refuses_a_solve_whose_residual_is_above_tolerance():
+    # rates near 1e17: the rounding of the solve leaves a residual of order 0.1
+    Q = [[-1.59006331775578e17, 1.59006331775578e17],
+         [3961875800513736.5, -3961875800513736.5]]
+    with pytest.raises(ChainError, match=r"^stationary solve residual \S+ above tolerance$"):
         stationary(validate_generator(Q))
 
 

@@ -15,16 +15,19 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def _defines(node) -> list[str]:
+    """The names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def _private(node) -> list[str]:
     """The private (``_x``, not ``__x__``) names a top-level statement defines."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = [node.name]
-    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        names = [t.id for t in targets if isinstance(t, ast.Name)]
-    else:
-        names = []
-    return [name for name in names if _is_private(name)]
+    return [name for name in _defines(node) if _is_private(name)]
 
 
 def _reads(node) -> set[str]:

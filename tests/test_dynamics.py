@@ -32,7 +32,7 @@ from switchopt.problem import AgentSpec, Problem, derive_multipliers
 from conftest import (SIX_GRAPHS, SIX_MODE_Q, X_INIT, complete_graph, cubic_graph, drift_of_one,
                       make_five_agent_problem)
 from oracles import (build_equilibrium_reference, check_assumptions_reference,
-                     lone_union_reference, rk4)
+                     lone_union_reference, mode_at, rk4)
 
 
 def single_agent_problem(cost="0.5*x1^2", g=(), h=()):
@@ -770,7 +770,7 @@ def test_substep_alignment_replicates_manual_stepping(five_agent, six_mode_netwo
     grid = [k * 1e-3 for k in range(11)]
     cuts = sorted(set(grid) | set(boundaries))
     for a, b in zip(cuts, cuts[1:]):
-        mode = chain.mode_at(path, a)
+        mode = mode_at(path, a)
         W = rng.standard_normal((5, 5)) * math.sqrt(b - a)
         st = em_step(st, mode, b - a, W, five_agent, six_mode_network, cfg)
     assert np.max(np.abs(st.x - traj.final_state.x)) <= 1e-12

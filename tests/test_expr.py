@@ -309,3 +309,9 @@ def test_expression_layer_raises_only_its_own_errors(text, n, data):
 def test_parse_refuses_a_dimension_below_one():
     with pytest.raises(ExprError, match="^dimension must be positive, got 0$"):
         parse("1", 0)
+
+
+def test_equal_expressions_hash_equal():
+    # spacing is not part of an expression: equal trees, one set entry
+    a, b = parse("x1 + 1", 1), parse("x1+1", 1)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1

@@ -8,7 +8,6 @@ from switchopt.graph import (
     Network,
     adjacency,
     connected,
-    jointly_connected,
     lambda2,
     laplacian,
     stack,
@@ -73,6 +72,17 @@ def test_lambda2_of_one_node_is_exactly_zero():
     assert value == 0.0 and type(value) is float
 
 
+def jointly_connected(graphs) -> bool:
+    """The ``jointly_connected`` check of the switching assumption report of
+    a noise-free network over ``graphs``: the summed Laplacian's ``connected``."""
+    from switchopt.dynamics import check_assumptions
+
+    net = Network(graphs=tuple(graphs), sigma=0.0, coupling=1.0, kappa=0.0)
+    check, = (c for c in check_assumptions(net, switching=True).checks
+              if c.name == "jointly_connected")
+    return check.passed
+
+
 def test_jointly_connected_bundled_six_graphs():
     assert jointly_connected(SIX_GRAPHS)
 
@@ -97,7 +107,7 @@ def test_one_node_is_connected_by_the_graph_rule_and_the_assumption_report():
     net = Network(graphs=(one, one), sigma=0.0, coupling=1.0, kappa=0.0)
     pi = np.array([0.5, 0.5])
     for report in (check_assumptions(net, switching=False), check_assumptions(net, pi)):
-        assert report.checks[-1].passed == jointly_connected(net.graphs)
+        assert report.checks[-1].passed
 
 
 def test_jointly_connected_permutation_invariant():
@@ -288,6 +298,8 @@ def test_network_average_refuses_the_wrong_weight_count():
 
 
 def test_jointly_connected_on_no_graphs_and_on_mixed_node_counts():
-    assert jointly_connected([]) is False
-    with pytest.raises(ValueError, match="^all graphs must share the node count$"):
+    # the network refuses both before any connectivity check
+    with pytest.raises(ValueError, match="^network needs at least one graph$"):
+        jointly_connected([])
+    with pytest.raises(ValueError, match="^all switching modes must share the node count$"):
         jointly_connected([PATH3, Graph(4)])

@@ -782,8 +782,9 @@ def test_validate_warns_on_the_initial_conditions(tmp_scenario_file, capsys):
 
     assert main(["validate", str(tmp_scenario_file(mutate))]) == 2
     assert capsys.readouterr().out.splitlines()[-3:] == [
-        "[WARN] initial multipliers must be positive",
-        "[WARN] initial theta blocks sum to 3.536e+00, expected 0",
+        "[WARN] initial_multipliers_nonpositive: initial multiplier min 0 is not positive",
+        "[WARN] initial_theta_sum_nonzero: initial theta blocks sum to 3.536e+00, not zero; "
+        "the convergence guarantees assume a zero sum",
         "validate: 2 warning(s): initial_multipliers_nonpositive, initial_theta_sum_nonzero",
     ]
 
