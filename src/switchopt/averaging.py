@@ -27,7 +27,7 @@ import numpy as np
 
 from .chain import Generator, check_alpha, sample_path, stationary, trajectory_seeds
 from .dynamics import IntegratorConfig, SystemState, Trajectory, simulate
-from .graph import Network
+from .graph import Network, is_integer
 from .problem import Problem, total_cost
 
 __all__ = [
@@ -133,13 +133,14 @@ def weak_convergence_experiment(
     Only ``h``, ``eta`` and ``lambda_floor`` are read from ``cfg``.  The
     design and the horizon are checked before any trajectory runs:
     ValueError unless the alphas are positive, finite and strictly
-    decreasing, the ensemble holds at least 2 members and ``T`` is positive
-    and finite.
+    decreasing, the ensemble holds at least 2 members (an integer count)
+    and ``T`` is positive and finite; ChainError on a seed that
+    ``trajectory_seeds`` refuses.
     """
     alphas = [check_alpha(a) for a in alphas]
     if any(a <= b for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly decreasing")
-    if ensemble < 2:
+    if not (is_integer(ensemble) and ensemble >= 2):
         raise ValueError("ensemble must hold at least 2 members")
     # checks T first: the member stride rounds T / h, which fails on nan and inf
     cfg = replace(cfg or IntegratorConfig(lambda_floor=0.0), horizon=T)

@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .graph import is_integer
+
 __all__ = [
     "Generator",
     "SwitchPath",
@@ -164,7 +166,7 @@ def sample_path(gen: Generator, s0: int, alpha: float, horizon: float, seed) -> 
     if not horizon > 0.0:  # "not > 0" also rejects nan
         raise ChainError("horizon must be positive")
     S = gen.n_modes
-    if not 0 <= s0 < S:
+    if not (is_integer(s0) and 0 <= s0 < S):  # a bool or a float is no mode
         raise ChainError(f"initial mode {s0} outside 0..{S - 1}")
     exit_rates, cum = gen.jump_tables
     # at most horizon * (the largest exit rate) / alpha jumps are expected; past
@@ -217,7 +219,12 @@ def trajectory_seeds(root_seed: int, index: int):
     SeedSequence([root_seed, index]), spawn keys (0,) and (1,), exactly
     what its ``spawn(2)`` returns, built without the parent.  Members can
     run in any order or concurrently and reproduce bit-identical results.
+    ChainError unless both are nonnegative integers: a float or a bool would
+    run as another member's seeds.
     """
+    for what, v in (("root seed", root_seed), ("member index", index)):
+        if not (is_integer(v) and v >= 0):
+            raise ChainError(f"{what} {v!r} is not a nonnegative integer")
     entropy = [int(root_seed), int(index)]
     chain_ss, noise_ss = (np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(2))
     return chain_ss, noise_ss

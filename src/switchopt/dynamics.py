@@ -312,12 +312,6 @@ class _Model:
         err.start, err.member = t, member
         return err
 
-    def check_mode(self, mode, where=""):
-        """Refuse a mode that is not an int index of the stacks (0..S-1, and
-        S given pi): ValueError "<where>mode <mode> is outside 0..<last>"."""
-        if not (is_integer(mode) and mode in range(len(self.L))):
-            raise ValueError(f"{where}mode {mode!r} is outside 0..{len(self.L) - 1}")
-
     def noise_term(self, x, mode, W):
         """c * M_mode(x) applied to the channel increments W (M, N, N),
         W[m, i, j] being member m's increment on the channel carrying j to i:
@@ -400,6 +394,14 @@ class _Model:
 
 
 _STIFF = "step size too large for this problem's stiffness"
+
+
+def _check_mode(mode, count: int, where=""):
+    """Refuse a mode that is not an int index of ``count`` stacked modes
+    (0..S-1, and S given pi): ValueError "<where>mode <mode> is outside
+    0..<count - 1>"."""
+    if not (is_integer(mode) and mode in range(count)):
+        raise ValueError(f"{where}mode {mode!r} is outside 0..{count - 1}")
 
 
 def _compile_lone(model: _Model):
@@ -510,8 +512,10 @@ def diffusion_matrix(state: SystemState, mode: int, network: Network) -> np.ndar
 
     Block-diagonal over agents: block i has N columns, column j holding the
     channel coefficient times (x_j - x_i).  Column i*N + j matches the
-    flattened channel increment W[i, j].
+    flattened channel increment W[i, j].  A mode outside the network's
+    raises ValueError, as in ``drift``.
     """
+    _check_mode(mode, network.n_modes)
     x = state.x
     N, n = x.shape
     R = network.receive[mode]
@@ -556,7 +560,7 @@ def _shared_model(problem: Problem, network: Network, eta, mode) -> _Model:
     that repeated calls generate the lone substep once."""
     model = _cached_model(problem, network, float(eta) if np.ndim(eta) == 0
                           else tuple(np.ravel(eta).tolist()))
-    model.check_mode(mode)
+    _check_mode(mode, len(model.L))
     return model
 
 
@@ -716,7 +720,7 @@ def _integrate(
     samples of a chunk are stored at its end, one slice per sample array;
     the arrays are allocated before the first step.  A path outside the
     model's modes, or a held mode that is not an int
-    (``_Model.check_mode``), is refused before any step; the settings'
+    (``_check_mode``), is refused before any step; the settings'
     rules, and the off-grid horizon warning, are ``cfg``'s.  Warnings point
     at the first caller outside this package.
     """
@@ -730,7 +734,7 @@ def _integrate(
             raise ValueError(f"chain path of member {m} switches among {path.n_modes} "
                              f"modes; the network has {model.S} (modes 0..{model.S - 1})")
         if not (path is None or isinstance(path, SwitchPath)):
-            model.check_mode(path, f"chain path of member {m}: ")
+            _check_mode(path, len(model.L), f"chain path of member {m}: ")
     N, n = model.N, model.n
     shapes = ((N, n), (N, n), (model.r,), (model.s,))
     start = [np.broadcast_to(a, (M, *shape))

@@ -81,8 +81,12 @@ class DomainError(ExprError):
 # to the local names ``xs``, and returns the code of its value and of its
 # tangents, one per coordinate (local names or literals).  Without ``grad``
 # the tangents are absent, an empty tuple: only the value is computed and no
-# derivative is checked.
+# derivative is checked.  An operator node runs its operands' passes first,
+# left to right, then its own rule, ``_apply``, on their codes.
 # ---------------------------------------------------------------------------
+
+# rendering precedence levels
+_P_ADD, _P_MUL, _P_NEG, _P_POW = 1, 2, 3, 4
 
 
 @dataclass(frozen=True)
@@ -115,76 +119,69 @@ class Var(_Node):
 
 
 @dataclass(frozen=True)
-class Add(_Node):
+class _Infix(_Node):
+    """``lhs <sep> rhs`` at precedence ``prec``."""
+
     lhs: _Node
     rhs: _Node
 
     def _emit(self, em, xs, grad):
         a, ta = self.lhs._emit(em, xs, grad)
         b, tb = self.rhs._emit(em, xs, grad)
-        return em.temp(f"{a} + {b}"), tuple(em.temp(f"{u} + {v}") for u, v in zip(ta, tb))
+        return self._apply(em, a, ta, b, tb)
+
+    def _apply(self, em, a, ta, b, tb):
+        # linear: the same operator on the value and on each tangent
+        return em.temp(f"{a}{self.sep}{b}"), tuple(em.temp(f"{u}{self.sep}{v}")
+                                                   for u, v in zip(ta, tb))
 
     def _render(self, prec):
-        # right operand one level tighter so tree shape survives reparsing
-        s = f"{self.lhs._render(_P_ADD)} + {self.rhs._render(_P_ADD + 1)}"
-        return f"({s})" if prec > _P_ADD else s
+        # right operand one level tighter so tree shape survives reparsing:
+        # a - (b - c) and a/(b*c) keep their parentheses
+        s = f"{self.lhs._render(self.prec)}{self.sep}{self.rhs._render(self.prec + 1)}"
+        return f"({s})" if prec > self.prec else s
 
 
-@dataclass(frozen=True)
-class Sub(_Node):
-    lhs: _Node
-    rhs: _Node
-
-    def _emit(self, em, xs, grad):
-        a, ta = self.lhs._emit(em, xs, grad)
-        b, tb = self.rhs._emit(em, xs, grad)
-        return em.temp(f"{a} - {b}"), tuple(em.temp(f"{u} - {v}") for u, v in zip(ta, tb))
-
-    def _render(self, prec):
-        # right operand needs one level more to keep a - (b - c) unambiguous
-        s = f"{self.lhs._render(_P_ADD)} - {self.rhs._render(_P_ADD + 1)}"
-        return f"({s})" if prec > _P_ADD else s
+class Add(_Infix):
+    sep, prec = " + ", _P_ADD
 
 
-@dataclass(frozen=True)
-class Mul(_Node):
-    lhs: _Node
-    rhs: _Node
+class Sub(_Infix):
+    sep, prec = " - ", _P_ADD
 
-    def _emit(self, em, xs, grad):
-        a, ta = self.lhs._emit(em, xs, grad)
-        b, tb = self.rhs._emit(em, xs, grad)
+
+class Mul(_Infix):
+    sep, prec = "*", _P_MUL
+
+    def _apply(self, em, a, ta, b, tb):
         val = em.temp(f"{a} * {b}")
         return val, tuple(em.temp(f"{a} * {v} + {b} * {u}") for u, v in zip(ta, tb))
 
-    def _render(self, prec):
-        s = f"{self.lhs._render(_P_MUL)}*{self.rhs._render(_P_MUL + 1)}"
-        return f"({s})" if prec > _P_MUL else s
 
+class Div(_Infix):
+    sep, prec = "/", _P_MUL
 
-@dataclass(frozen=True)
-class Div(_Node):
-    lhs: _Node
-    rhs: _Node
-
-    def _emit(self, em, xs, grad):
-        a, ta = self.lhs._emit(em, xs, grad)
-        b, tb = self.rhs._emit(em, xs, grad)
+    def _apply(self, em, a, ta, b, tb):
         em.check(f"{b} == 0.0", "division by zero")
         val = em.temp(f"{a} / {b}")
         return val, tuple(em.temp(f"({u} - {val} * {v}) / {b}") for u, v in zip(ta, tb))
 
-    def _render(self, prec):
-        s = f"{self.lhs._render(_P_MUL)}/{self.rhs._render(_P_MUL + 1)}"
-        return f"({s})" if prec > _P_MUL else s
-
 
 @dataclass(frozen=True)
-class Neg(_Node):
+class _Unary(_Node):
+    """A function of one operand, printed as the call ``name(...)``."""
+
     operand: _Node
 
     def _emit(self, em, xs, grad):
-        a, ta = self.operand._emit(em, xs, grad)
+        return self._apply(em, *self.operand._emit(em, xs, grad))
+
+    def _render(self, prec):
+        return f"{self.name}({self.operand._render(0)})"
+
+
+class Neg(_Unary):
+    def _apply(self, em, a, ta):
         return em.temp(f"-{a}"), tuple(em.temp(f"-{u}") for u in ta)
 
     def _render(self, prec):
@@ -223,36 +220,22 @@ class Pow(_Node):
         return f"({s})" if prec > _P_POW else s
 
 
-@dataclass(frozen=True)
-class Exp(_Node):
-    operand: _Node
+class Exp(_Unary):
+    name = "exp"
 
-    def _emit(self, em, xs, grad):
-        a, ta = self.operand._emit(em, xs, grad)
+    def _apply(self, em, a, ta):
         val = em.fresh()
         em.line(f"try:\n    {val} = exp({a})\nexcept OverflowError:\n    {val} = inf")
         return val, tuple(em.temp(f"{val} * {u}") for u in ta)
 
-    def _render(self, prec):
-        return f"exp({self.operand._render(0)})"
 
+class Ln(_Unary):
+    name = "ln"
 
-@dataclass(frozen=True)
-class Ln(_Node):
-    operand: _Node
-
-    def _emit(self, em, xs, grad):
-        a, ta = self.operand._emit(em, xs, grad)
+    def _apply(self, em, a, ta):
         em.check(f"{a} <= 0.0", "ln of nonpositive value {!r}", a)
         val = em.temp(f"log({a})")
         return val, tuple(em.temp(f"{u} / {a}") for u in ta)
-
-    def _render(self, prec):
-        return f"ln({self.operand._render(0)})"
-
-
-# rendering precedence levels
-_P_ADD, _P_MUL, _P_NEG, _P_POW = 1, 2, 3, 4
 
 
 def _lit(v):
@@ -491,6 +474,10 @@ def _tokenize(text):
 MAX_DEPTH = 500
 
 
+# the infix operators by level, loosest first
+_INFIX = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
+
+
 class _Parser:
     def __init__(self, tokens, n):
         self.tokens = tokens
@@ -523,27 +510,18 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", pos)
         self.advance()
 
-    def parse_expr(self):
-        node = self.parse_term()
+    def parse_expr(self, level=0):
+        """Operands joined left to right by the operators of one infix
+        level: at level 0 terms by ``+ -``, at level 1 unary operands by
+        ``* /``."""
+        ops, op = _INFIX[level], None
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
-            else:
+            rhs = self.parse_expr(level + 1) if level + 1 < len(_INFIX) else self.parse_unary()
+            node = rhs if op is None else ops[op](node, rhs)
+            kind, op, _ = self.peek()
+            if kind != "op" or op not in ops:
                 return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.parse_unary()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
-            else:
-                return node
+            self.advance()
 
     def parse_unary(self):
         negations = 0  # a run of signs is read in a loop, not by recursion

@@ -86,12 +86,29 @@ def _integer(section: dict, name: str, key: str, default=None, nonnegative=False
     return value
 
 
+def _real(section: dict, name: str, key: str, default=None, array=False):
+    """``section[key]`` (``default`` if absent), which must be a JSON number,
+    or with ``array`` a number or nested lists of numbers: float() and numpy
+    would read the string "0.3" or a bool as a number.  Returned as read."""
+    _require(isinstance(section, dict), f"{name} must be a JSON object")
+    value = section.get(key, default)
+    kind = "a number or nested lists of numbers" if array else "a number"
+    entries = [value]  # a loop, not recursion, however deep the lists nest
+    while entries:
+        v = entries.pop()
+        if array and isinstance(v, list):
+            entries.extend(v)
+        else:
+            _require(isinstance(v, (float, np.floating)) or is_integer(v),
+                     f"{name}: {key} must be {kind}, got {v!r}")
+    return value
+
+
 def _point(raw: dict, key: str):
     """The optional point ``raw[key]``, finite and of the problem's dimension."""
-    value = raw.get(key)
-    if value is None:
+    if raw.get(key) is None:
         return None
-    value = np.asarray(value, dtype=float)
+    value = np.asarray(_real(raw, key, key, array=True), dtype=float)
     _require(value.shape == (raw["problem"]["dimension"],),
              f"{key} dimension does not match the problem")
     _require(np.isfinite(value).all(), f"{key} must be finite")
@@ -115,7 +132,8 @@ class Scenario:
     """One experiment file, each field read one way.  The settings' rules
     are ``IntegratorConfig``'s and the network's ``Network``'s, run under
     ``_section``, which names the section; the loader checks only what no
-    constructor knows: integers, scalar init blocks and optional points."""
+    constructor knows: JSON types (``_integer``, ``_real``), scalar init
+    blocks and optional points."""
 
     name: str
     mode: str
@@ -189,19 +207,20 @@ class Scenario:
                 raise ScenarioError(f"network.graphs[{gi}]: {exc}") from exc
         return Network(
             graphs=tuple(graphs),
-            sigma=section["sigma"],
-            coupling=float(section["coupling"]),
-            kappa=float(section["kappa"]),
+            sigma=_real(section, "network", "sigma", array=True),
+            coupling=float(_real(section, "network", "coupling")),
+            kappa=float(_real(section, "network", "kappa")),
         )
 
     def build_generator(self) -> Generator:
         section = self.raw.get("chain")
         _require(section is not None, "chain section missing")
         _require("generator" in section, "chain.generator missing")
-        return validate_generator(np.asarray(section["generator"], dtype=float))
+        return validate_generator(np.asarray(_real(section, "chain", "generator", array=True),
+                                             dtype=float))
 
     def alpha(self) -> float:
-        return check_alpha(self.raw.get("chain", {}).get("alpha", 1.0))
+        return check_alpha(_real(self.raw.get("chain", {}), "chain", "alpha", 1.0))
 
     def initial_mode(self) -> int:
         return _integer(self.raw.get("chain", {}), "chain", "initial_mode", 1) - 1
@@ -212,10 +231,10 @@ class Scenario:
         for key in ("step", "horizon"):
             _require(key in section, f"integrator.{key} missing")
         return IntegratorConfig(
-            h=float(section["step"]),
-            horizon=float(section["horizon"]),
-            eta=section.get("eta", 1.0),
-            lambda_floor=float(section.get("lambda_floor", 1e-12)),
+            h=float(_real(section, "integrator", "step")),
+            horizon=float(_real(section, "integrator", "horizon")),
+            eta=_real(section, "integrator", "eta", 1.0, array=True),
+            lambda_floor=float(_real(section, "integrator", "lambda_floor", 1e-12)),
             seed=section.get("seed", 0),
             output_stride=section.get("output_stride", 1),
             strict=section.get("strict", False),
@@ -224,14 +243,14 @@ class Scenario:
     def build_init(self, problem: Problem) -> SystemState:
         section = self.raw["init"]
         _require("x" in section, "init.x missing")
-        x = np.asarray(section["x"], dtype=float)
+        x = np.asarray(_real(section, "init", "x", array=True), dtype=float)
         _require(
             x.shape == (problem.n_agents, problem.n),
             f"init.x must be {problem.n_agents} rows of dimension {problem.n}",
         )
 
         def fill(key, default, shape, size):  # a scalar fills the block
-            value = np.asarray(section.get(key, default), dtype=float)
+            value = np.asarray(_real(section, "init", key, default, array=True), dtype=float)
             if value.ndim == 0:
                 value = np.full(shape, float(value))
             _require(value.shape == shape, f"init.{key} must be scalar or {size}")

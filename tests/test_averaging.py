@@ -443,6 +443,22 @@ def test_weak_convergence_requires_decreasing_alphas(five_agent, six_mode_networ
             )
 
 
+@pytest.mark.parametrize("ensemble, seed, error, text", [
+    (2.5, 0, ValueError, "^ensemble must hold at least 2 members$"),
+    (True, 0, ValueError, "^ensemble must hold at least 2 members$"),
+    (2, 2.5, chain.ChainError, "^root seed 2.5 is not a nonnegative integer$"),
+    (2, True, chain.ChainError, "^root seed True is not a nonnegative integer$")],
+    ids=["ensemble-float", "ensemble-bool", "seed-float", "seed-bool"])
+def test_weak_convergence_refuses_a_count_or_seed_that_is_not_an_integer(
+        ensemble, seed, error, text, five_agent, six_mode_network, six_mode_generator,
+        reference_init):
+    # seed 2.5 ran as seed 2 and True as 1; ensemble 2.5 ended in a bare TypeError
+    with pytest.raises(error, match=text):
+        weak_convergence_experiment(five_agent, six_mode_network, six_mode_generator,
+                                    [0.5, 0.1], ensemble=ensemble, T=0.01, seed=seed,
+                                    init=reference_init)
+
+
 def test_factorization_error_detectable(monkeypatch, six_mode_network, six_mode_generator):
     # force a residual failure by corrupting the block square roots
     import switchopt.averaging as avg_mod

@@ -257,7 +257,18 @@ def test_trajectory_seeds_order_independent():
     assert c_chain.entropy != a_chain.entropy or c_chain.spawn_key != a_chain.spawn_key
 
 
-@pytest.mark.parametrize("root_seed, k", [(0, 0), (42, 3), (20260801, 19), (2**40 + 7, 12345)])
+@pytest.mark.parametrize("root_seed, k, refused", [
+    (2.5, 0, "root seed 2.5"), (True, 0, "root seed True"), (-1, 0, "root seed -1"),
+    (2, 1.0, "member index 1.0"), (2, False, "member index False"), (2, -3, "member index -3")])
+def test_trajectory_seeds_refuse_a_seed_that_is_not_a_nonnegative_integer(root_seed, k,
+                                                                          refused):
+    # a float or a bool was truncated through int() into another member's seeds
+    with pytest.raises(ChainError, match=f"^{refused} is not a nonnegative integer$"):
+        trajectory_seeds(root_seed, k)
+
+
+@pytest.mark.parametrize("root_seed, k", [(0, 0), (42, 3), (20260801, 19), (2**40 + 7, 12345),
+                                          (np.int64(42), np.int64(3)), (2**70, 0)])
 def test_trajectory_seeds_are_the_spawn_children(root_seed, k):
     children = np.random.SeedSequence([root_seed, k]).spawn(2)
     for got, want in zip(trajectory_seeds(root_seed, k), children, strict=True):
@@ -313,8 +324,16 @@ def test_mode_at_property_random_queries(seed, frac):
     assert m == path.modes[k]
 
 
-@pytest.mark.parametrize("s0", [-1, 2])
+@pytest.mark.parametrize("s0", [-1, 2, True, 1.5])
 def test_sample_path_refuses_an_initial_mode_outside_the_chain(s0):
+    # True ran as mode 1 and 1.5 failed with a bare TypeError
     gen = validate_generator([[-1.0, 1.0], [2.0, -2.0]])
     with pytest.raises(ChainError, match=f"^initial mode {s0} outside 0..1$"):
         sample_path(gen, s0, 1.0, 1.0, seed=0)
+
+
+def test_sample_path_runs_a_numpy_int_initial_mode_as_that_mode():
+    gen = validate_generator(SIX_MODE_Q)
+    held, plain = (sample_path(gen, s0, 0.1, 10.0, seed=5) for s0 in (np.int64(2), 2))
+    assert held.n_jumps > 0 and held.times.tobytes() == plain.times.tobytes()
+    assert held.modes.tobytes() == plain.modes.tobytes()

@@ -111,7 +111,7 @@ def test_every_private_member_is_read():
     # the scan sees the package's private members, so an empty result says something
     assert {name for _, name, _ in private_members(trees)} == {
         "_from_pair", "_each", "_count", "_compile", "_text", "_value", "_value_and_grad",
-        "_emit", "_render"}
+        "_emit", "_apply", "_render"}
     assert dead_members(sources) == []
 
 

@@ -1131,16 +1131,19 @@ def test_a_numpy_int_mode_runs_as_that_mode(five_agent, six_mode_network, refere
 
 
 @pytest.mark.parametrize("mode", [-1, True, 1.0, 6], ids=["minus-1", "bool", "float", "six"])
-@pytest.mark.parametrize("helper", ["drift", "em_step"])
+@pytest.mark.parametrize("helper", ["drift", "em_step", "diffusion_matrix"])
 def test_helpers_refuse_a_mode_outside_the_model(helper, mode, five_agent, six_mode_network,
                                                  reference_init):
-    # as _integrate does: -1 ran as mode 5 and True as mode 1, 1.0 and 6
-    # failed with bare indexing errors
+    # as _integrate does: -1 ran as mode 5 and True as mode 1 (diffusion_matrix:
+    # True failed on an ambiguous truth value), 1.0 and 6 failed with bare
+    # indexing errors
     cfg = IntegratorConfig(h=1e-3)
 
     def call(m):
         if helper == "drift":
             return drift(reference_init, m, five_agent, six_mode_network)
+        if helper == "diffusion_matrix":
+            return (diffusion_matrix(reference_init, m, six_mode_network),)
         return em_step(reference_init, m, cfg.h, np.full((5, 5), 0.01), five_agent,
                        six_mode_network, cfg)
 

@@ -554,7 +554,7 @@ def test_nonfinite_literal_exits_1(cost, position, tmp_scenario_file, capsys):
 @pytest.mark.parametrize("path, value, message", [
     (("network", "graphs"), 5, "network: "),
     (("network", "sigma"), "a", "network: "),
-    (("integrator", "step"), "nan", "integrator: step size must be positive and finite"),
+    (("integrator", "step"), "nan", "integrator: step must be a number, got 'nan'"),
     (("integrator", "output_stride"), 0, "integrator: output stride must be at least 1"),
     (("init", "x"), [[-2, 4], [-3], [1, -2], [4, 2], [-3, -4]], "init: "),
     (("integrator", "horizon"), -1, "integrator: horizon must be positive and finite"),
@@ -624,15 +624,32 @@ def test_seed_that_is_not_a_nonnegative_integer_exits_1(command, seed, tmp_scena
     (("network", "coupling"), math.inf, "network: coupling must be finite, got inf"),
     (("network", "coupling"), math.nan, "network: coupling must be finite, got nan"),
     (("network", "sigma"), math.nan, "network: noise intensities must be finite"),
+    (("integrator", "step"), "0.001", "integrator: step must be a number, got '0.001'\n"),
+    (("integrator", "horizon"), "2", "integrator: horizon must be a number, got '2'\n"),
+    (("integrator", "lambda_floor"), "0",
+     "integrator: lambda_floor must be a number, got '0'\n"),
+    (("network", "coupling"), "1.0", "network: coupling must be a number, got '1.0'\n"),
+    (("chain", "alpha"), "0.5", "chain: alpha must be a number, got '0.5'\n"),
+    (("integrator", "eta"), "1.0",
+     "integrator: eta must be a number or nested lists of numbers, got '1.0'\n"),
+    (("network", "sigma"), "0.3",
+     "network: sigma must be a number or nested lists of numbers, got '0.3'\n"),
+    (("network", "sigma"), [[0.0] * 5] * 4 + [[0.0, 0.3, "0.3", 0.0, 0.0]],
+     "network: sigma must be a number or nested lists of numbers, got '0.3'\n"),
+    (("integrator", "step"), True, "integrator: step must be a number, got True\n"),
+    (("network", "kappa"), True, "network: kappa must be a number, got True\n"),
 ], ids=["edge-fraction", "edge-bool", "stride-fraction", "dimension-fraction",
         "nodes-fraction", "nodes-bool", "initial-mode-fraction", "strict-string",
         "strict-int", "eta-nan", "eta-inf", "floor-nan", "floor-inf", "alpha-inf",
-        "alpha-nan", "kappa-inf", "kappa-nan", "coupling-inf", "coupling-nan", "sigma-nan"])
+        "alpha-nan", "kappa-inf", "kappa-nan", "coupling-inf", "coupling-nan", "sigma-nan",
+        "step-string", "horizon-string", "floor-string", "coupling-string", "alpha-string",
+        "eta-string", "sigma-string", "sigma-string-entry", "step-bool", "kappa-bool"])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_value_of_the_wrong_kind_exits_1(command, path, value, message, switching_scenario,
                                          tmp_path, capsys):
-    # each ran as another value (int() truncates, bool("false") is True), or
-    # ended in a traceback (edge 1.5) or a misleading step-size error (eta nan)
+    # each ran as another value (int() truncates, bool("false") is True,
+    # float() reads "0.001" and True), or ended in a traceback (edge 1.5) or a
+    # misleading step-size error (eta nan)
     data = json.loads(json.dumps(switching_scenario.raw))
     _set(path, value)(data)
     scenario = tmp_path / "scenario.json"
