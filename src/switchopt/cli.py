@@ -33,8 +33,11 @@ EXIT_WARN = 2
 
 
 def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -49,27 +52,21 @@ def cmd_validate(args) -> int:
     pi = None if scn.mode == "fixed" else chain.stationary(scn.build_generator())
 
     warnings = []
-    report = dynamics.check_assumptions(network, pi)
-    for c in report.checks:
-        tag = "ok " if c.passed else "WARN"
-        print(f"[{tag}] {c.name}: {c.detail}")
-        if not c.passed:
-            warnings.append(c.name)
 
+    def gate(name, passed, detail):
+        print(f"[{'ok ' if passed else 'WARN'}] {name}: {detail}")
+        if not passed:
+            warnings.append(name)
+
+    for c in dynamics.check_assumptions(network, pi)["checks"]:
+        gate(**c)
     cand = scn.candidate()
     if cand is not None:
-        licq = check_licq(problem, cand)
-        print(f"[{'ok ' if licq else 'WARN'}] licq_at_candidate: {cand.tolist()}")
-        if not licq:
-            warnings.append("licq_at_candidate")
-
+        gate("licq_at_candidate", check_licq(problem, cand), cand.tolist())
     probe = scn.slater_probe()
     if probe is not None:
         slater = check_slater(problem, probe)
-        print(f"[{'ok ' if slater else 'WARN'}] slater_probe: {probe.tolist()} "
-              f"strictly feasible: {slater}")
-        if not slater:
-            warnings.append("slater_probe")
+        gate("slater_probe", slater, f"{probe.tolist()} strictly feasible: {slater}")
 
     lint = convexity_lint(problem, np.random.default_rng(0))
     for line in lint[:10]:
@@ -79,8 +76,7 @@ def cmd_validate(args) -> int:
 
     init = scn.build_init(problem)
     for name, text in dynamics.start_warnings(init.x, init.pair, init.lam, scn.build_config()):
-        warnings.append(name)
-        print(f"[WARN] {name}: {text}")
+        gate(name, False, text)
 
     if warnings:
         print(f"validate: {len(warnings)} warning(s): {', '.join(warnings)}")
@@ -259,7 +255,7 @@ def cmd_simulate(args) -> int:
         "mode": mode,
         "clamp_count": traj.clamp_count,
         "warnings": traj.warnings,
-        "assumptions": traj.assumptions.as_dict(),
+        "assumptions": traj.assumptions,
         "final": {
             "t": final.t,
             "x": [[float(v) for v in row] for row in final.x],

@@ -41,7 +41,6 @@ __all__ = [
     "Ensemble",
     "IntegrationError",
     "TrajectoryWarning",
-    "AssumptionReport",
     "drift",
     "diffusion_matrix",
     "em_step",
@@ -189,7 +188,7 @@ class Trajectory:
     clamp_count: int
     warnings: list[str] = field(default_factory=list)
     final_state: SystemState | None = None
-    assumptions: AssumptionReport | None = None
+    assumptions: dict | None = None  # check_assumptions' report
 
 
 @dataclass
@@ -204,36 +203,6 @@ class Ensemble:
     def clamp_count(self) -> int:
         """Multiplier clamps summed over the members."""
         return sum(traj.clamp_count for traj in self.members)
-
-
-@dataclass
-class AssumptionCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass
-class AssumptionReport:
-    mode: str
-    checks: list[AssumptionCheck]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-    def as_dict(self):
-        return {
-            "mode": self.mode,
-            "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
 
 
 # A batch round of at least this many members steps as one numpy update,
@@ -576,8 +545,10 @@ def _flat(arrays):
 
 def check_assumptions(
     network: Network, pi: np.ndarray | None = None, *, switching: bool | None = None
-) -> AssumptionReport:
-    """Gate report for the convergence hypotheses.
+) -> dict:
+    """Gate report for the convergence hypotheses, in the form meta.json
+    holds: ``{"mode", "all_passed", "checks": [{"name", "passed",
+    "detail"}, ...]}``.
 
     Fixed mode: noise bound, coupling bound c < (2/3) / kappa^2, and
     kappa <= sqrt(lambda2(L)) / 2 for the single graph.  Switching mode:
@@ -602,25 +573,27 @@ def check_assumptions(
         mode, gate, laplacians, ratio = "fixed", "", network.laplacians[:1], 1.0
     summed = laplacians.sum(axis=0)
     lam2 = lambda2(summed)
-    checks = [AssumptionCheck("noise_bound", sig_max <= kappa + 1e-15,
-                              f"max sigma {sig_max:.6g} vs kappa {kappa:.6g}")]
+    checks = [("noise_bound", sig_max <= kappa + 1e-15,
+               f"max sigma {sig_max:.6g} vs kappa {kappa:.6g}")]
     if ratio is None:
-        checks.append(AssumptionCheck(
+        checks.append((
             "coupling_bound_switching", c > 0.0,
             f"stationary distribution not supplied; only positivity of c={c:.6g} checked"))
     else:
         bound = math.inf if kappa == 0.0 else (2.0 / 3.0) * ratio / kappa**2
         note = f" (pi_min/pi_max={ratio:.6g})" if switching else ""
-        checks.append(AssumptionCheck("coupling_bound" + gate, 0.0 < c < bound,
-                                      f"c={c:.6g} must lie in (0, {bound:.6g}){note}"))
+        checks.append(("coupling_bound" + gate, 0.0 < c < bound,
+                       f"c={c:.6g} must lie in (0, {bound:.6g}){note}"))
     root = math.sqrt(max(lam2, 0.0)) / 2.0
     name = "lambda2_bar" if switching else "lambda2"
-    checks.append(AssumptionCheck("spectral_gate" + gate, kappa <= root,
-                                  f"kappa={kappa:.6g} vs sqrt({name}={lam2:.6g})/2={root:.6g}"))
-    checks.append(AssumptionCheck(
+    checks.append(("spectral_gate" + gate, kappa <= root,
+                   f"kappa={kappa:.6g} vs sqrt({name}={lam2:.6g})/2={root:.6g}"))
+    checks.append((
         "jointly_connected" if switching else "connected", connected(summed),
         f"lambda2 of the {'summed Laplacian' if switching else 'fixed graph'} is {lam2:.6g}"))
-    return AssumptionReport(mode=mode, checks=checks)
+    checks = [{"name": name, "passed": bool(passed), "detail": detail}
+              for name, passed, detail in checks]
+    return {"mode": mode, "all_passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 def build_equilibrium(problem: Problem, cert: KktCertificate) -> SystemState:
@@ -699,7 +672,7 @@ def _integrate(
     chain_path: SwitchPath | list | None,
     cfg: IntegratorConfig,
     init: SystemState,
-    report: AssumptionReport,
+    report: dict,
 ) -> Trajectory | Ensemble:
     """Euler-Maruyama core shared by every view of the dynamics.
 
@@ -742,8 +715,8 @@ def _integrate(
     x, pair, lam, nu = start
 
     warnings = [text for _, text in start_warnings(x, pair, lam, cfg)]
-    warnings += [f"assumption {failed.name} failed: {failed.detail}"
-                 for failed in report.failures()]
+    warnings += [f"assumption {c['name']} failed: {c['detail']}"
+                 for c in report["checks"] if not c["passed"]]
     if warnings and cfg.strict:
         raise IntegrationError("; ".join(warnings))
     caller, level = sys._getframe(1), 2  # the first frame outside this package

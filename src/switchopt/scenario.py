@@ -65,6 +65,7 @@ from .problem import AgentSpec, Problem
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "scenario_hash"]
 
 MODES = ("fixed", "switching", "averaged")
+NAME_BYTES = 200  # a Linux file name holds 255 bytes
 
 
 class ScenarioError(ValueError):
@@ -141,6 +142,15 @@ class Scenario:
 
     def __post_init__(self):
         _require(self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}")
+        # the name starts every output file name: one file name of its own,
+        # with room for the longest suffix, ".switching.multipliers.csv"; a
+        # lone surrogate has no UTF-8 form
+        shown = repr(self.name[:40]) + ("..." if len(self.name) > 40 else "")
+        _require(self.name not in ("", ".", "..")
+                 and not any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in self.name)
+                 and len(self.name.encode()) <= NAME_BYTES,
+                 f"name must be a file name of at most {NAME_BYTES} bytes in UTF-8, not . "
+                 f"or .., without /, \\ or NUL, got {shown}")
 
     # -- constructors ------------------------------------------------------
 
@@ -270,14 +280,6 @@ class Scenario:
 
     def root_seed(self) -> int:
         return _integer(self.raw["integrator"], "integrator", "seed", 0, nonnegative=True)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return json.loads(canonical_json(self.raw))
-
-    def dumps(self) -> str:
-        return canonical_json(self.raw)
 
     @property
     def hash(self) -> str:

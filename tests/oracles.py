@@ -408,8 +408,10 @@ def check_assumptions_reference(network, pi=None, *, switching=None):
     switching branch of its own, each building its Laplacians from the
     graphs.  The one-mode path must give the same report, except that one
     agent now counts as connected in the switching report too."""
-    from switchopt.dynamics import AssumptionCheck, AssumptionReport
     from switchopt.graph import lambda2, laplacian
+
+    def check(name, passed, detail):
+        return {"name": name, "passed": passed, "detail": detail}
 
     if switching is None:
         switching = pi is not None
@@ -419,41 +421,41 @@ def check_assumptions_reference(network, pi=None, *, switching=None):
     N = network.n_nodes
     off = network.sigma[~np.eye(N, dtype=bool)]
     sig_max = float(off.max()) if off.size else 0.0
-    checks.append(AssumptionCheck("noise_bound", sig_max <= kappa + 1e-15,
-                                  f"max sigma {sig_max:.6g} vs kappa {kappa:.6g}"))
+    checks.append(check("noise_bound", sig_max <= kappa + 1e-15,
+                        f"max sigma {sig_max:.6g} vs kappa {kappa:.6g}"))
     if not switching:
         mode = "fixed"
         bound = math.inf if kappa == 0.0 else (2.0 / 3.0) / kappa**2
-        checks.append(AssumptionCheck("coupling_bound", 0.0 < c < bound,
-                                      f"c={c:.6g} must lie in (0, {bound:.6g})"))
+        checks.append(check("coupling_bound", 0.0 < c < bound,
+                            f"c={c:.6g} must lie in (0, {bound:.6g})"))
         lam2 = lambda2(laplacian(network.graphs[0]))
-        checks.append(AssumptionCheck(
+        checks.append(check(
             "spectral_gate", kappa <= math.sqrt(max(lam2, 0.0)) / 2.0,
             f"kappa={kappa:.6g} vs sqrt(lambda2={lam2:.6g})/2="
             f"{math.sqrt(max(lam2, 0.0)) / 2.0:.6g}"))
-        checks.append(AssumptionCheck("connected", lam2 > 1e-9 or N == 1,
-                                      f"lambda2 of the fixed graph is {lam2:.6g}"))
+        checks.append(check("connected", lam2 > 1e-9 or N == 1,
+                            f"lambda2 of the fixed graph is {lam2:.6g}"))
     else:
         mode = "switching"
         if pi is not None:
             ratio = float(pi.min()) / float(pi.max())
             bound = math.inf if kappa == 0.0 else (2.0 / 3.0) * ratio / kappa**2
-            checks.append(AssumptionCheck(
+            checks.append(check(
                 "coupling_bound_switching", 0.0 < c < bound,
                 f"c={c:.6g} must lie in (0, {bound:.6g}) (pi_min/pi_max={ratio:.6g})"))
         else:
-            checks.append(AssumptionCheck(
+            checks.append(check(
                 "coupling_bound_switching", c > 0.0,
                 "stationary distribution not supplied; only positivity "
                 f"of c={c:.6g} checked"))
         lam2_bar = lambda2(sum(laplacian(g) for g in network.graphs))
-        checks.append(AssumptionCheck(
+        checks.append(check(
             "spectral_gate_switching", kappa <= math.sqrt(max(lam2_bar, 0.0)) / 2.0,
             f"kappa={kappa:.6g} vs sqrt(lambda2_bar={lam2_bar:.6g})/2="
             f"{math.sqrt(max(lam2_bar, 0.0)) / 2.0:.6g}"))
-        checks.append(AssumptionCheck("jointly_connected", lam2_bar > 1e-9,
-                                      f"lambda2 of the summed Laplacian is {lam2_bar:.6g}"))
-    return AssumptionReport(mode=mode, checks=checks)
+        checks.append(check("jointly_connected", lam2_bar > 1e-9,
+                            f"lambda2 of the summed Laplacian is {lam2_bar:.6g}"))
+    return {"mode": mode, "all_passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 def build_equilibrium_reference(problem, cert, tol=1e-6):

@@ -826,34 +826,34 @@ def test_simulate_warns_on_gate_failure(five_agent):
 def test_assumptions_published_parameters_fail_coupling():
     net = Network(graphs=(complete_graph(5),), sigma=1.0, coupling=2.0, kappa=1.0)
     report = check_assumptions(net)
-    by_name = {c.name: c for c in report.checks}
-    assert not by_name["coupling_bound"].passed  # needs c < 2/3
-    assert by_name["noise_bound"].passed
-    assert by_name["spectral_gate"].passed  # 1 <= sqrt(5)/2
-    assert not report.all_passed
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert not by_name["coupling_bound"]["passed"]  # needs c < 2/3
+    assert by_name["noise_bound"]["passed"]
+    assert by_name["spectral_gate"]["passed"]  # 1 <= sqrt(5)/2
+    assert not report["all_passed"]
 
 
 def test_assumptions_compliant_fixed(k5_network):
     report = check_assumptions(k5_network)
-    assert report.mode == "fixed"
-    assert report.all_passed
+    assert report["mode"] == "fixed"
+    assert report["all_passed"]
 
 
 def test_assumptions_noise_free_limit():
     net = Network(graphs=(complete_graph(5),), sigma=0.0, coupling=5.0, kappa=0.0)
     report = check_assumptions(net)
-    assert report.all_passed  # kappa = 0 puts no bound on the coupling
+    assert report["all_passed"]  # kappa = 0 puts no bound on the coupling
 
 
 def test_assumptions_switching_gates(six_mode_network, six_mode_generator):
     pi = chain.stationary(six_mode_generator)
     report = check_assumptions(six_mode_network, pi)
-    assert report.mode == "switching"
-    assert report.all_passed
+    assert report["mode"] == "switching"
+    assert report["all_passed"]
     # tighter noise bound with the same topology must trip the spectral gate
     loud = Network(graphs=six_mode_network.graphs, sigma=0.8, coupling=1.0, kappa=0.8)
     report2 = check_assumptions(loud, pi)
-    names = {c.name: c.passed for c in report2.checks}
+    names = {c["name"]: c["passed"] for c in report2["checks"]}
     assert not names["spectral_gate_switching"]  # 0.8 > sqrt(2)/2
 
 
@@ -862,8 +862,8 @@ def test_one_agent_counts_as_connected_in_both_reports():
     pi = np.array([0.5, 0.5])
     fixed = check_assumptions(net, switching=False)
     switching = check_assumptions(net, pi)
-    assert fixed.checks[-1].name == "connected" and fixed.all_passed
-    assert switching.checks[-1].name == "jointly_connected" and switching.all_passed
+    assert fixed["checks"][-1]["name"] == "connected" and fixed["all_passed"]
+    assert switching["checks"][-1]["name"] == "jointly_connected" and switching["all_passed"]
 
 
 def test_repeated_helper_calls_do_not_hash_the_expressions(five_agent, k5_network,
@@ -905,8 +905,8 @@ def test_gates_equal_the_two_branch_reference(kind, request):
     grid = list(_gate_grid(kind, scn))
     assert len(grid) == 54
     for net, pi, switching in grid:
-        got = check_assumptions(net, pi, switching=switching).as_dict()
-        assert got == check_assumptions_reference(net, pi, switching=switching).as_dict()
+        got = check_assumptions(net, pi, switching=switching)
+        assert got == check_assumptions_reference(net, pi, switching=switching)
 
 
 # ---------------------------------------------------------------------------

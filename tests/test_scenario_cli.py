@@ -36,14 +36,14 @@ def test_load_bundled_switching_scenario(switching_scenario):
 
 
 def test_round_trip_identity(fixed_scenario):
-    data = fixed_scenario.to_dict()
+    data = json.loads(json.dumps(fixed_scenario.raw))
     again = Scenario.from_dict(data)
-    assert again.to_dict() == data
+    assert again.raw == data
     assert again.hash == fixed_scenario.hash
 
 
 def test_hash_changes_with_content(fixed_scenario):
-    data = fixed_scenario.to_dict()
+    data = json.loads(json.dumps(fixed_scenario.raw))
     h0 = scenario_hash(data)
     data["integrator"]["seed"] = 999
     assert scenario_hash(data) != h0
@@ -114,7 +114,7 @@ def test_validate_warns_on_published_coupling(tmp_scenario_file, capsys):
 
 def test_validate_rejects_bad_generator(tmp_scenario_file, switching_scenario, capsys):
     def mutate(d):
-        d.update(json.loads(switching_scenario.dumps()))
+        d.update(json.loads(json.dumps(switching_scenario.raw)))
         d["chain"]["generator"][0][1] = -5.0
 
     path = tmp_scenario_file(mutate)
@@ -253,7 +253,7 @@ def test_simulate_builds_one_assumption_report(scenario, mode, request, monkeypa
     assert rc == 0 and len(calls) == 1
     meta = json.loads((tmp_path / f"five_agent_{scenario}.{mode}.meta.json").read_text())
     args, kwargs = calls[0]
-    assert meta["assumptions"] == check(*args, **kwargs).as_dict()
+    assert meta["assumptions"] == check(*args, **kwargs)
 
 
 def test_simulate_strict_gate(tmp_scenario_file):
@@ -901,3 +901,130 @@ def test_load_scenario_refuses_a_path_it_cannot_read(tmp_path):
     with pytest.raises(ScenarioError, match="^cannot read scenario file " + re.escape(
             f"{path}: [Errno 2] No such file or directory: '{path}'") + "$"):
         load_scenario(path)
+
+
+VALIDATE_PINS = {
+    "fixed": (0, """\
+[ok ] noise_bound: max sigma 0.3 vs kappa 0.5
+[ok ] coupling_bound: c=1 must lie in (0, 2.66667)
+[ok ] spectral_gate: kappa=0.5 vs sqrt(lambda2=5)/2=1.11803
+[ok ] connected: lambda2 of the fixed graph is 5
+[ok ] licq_at_candidate: [1.0, 2.0]
+[ok ] slater_probe: [2.0, 4.0] strictly feasible: True
+validate: all checks passed
+"""),
+    "switching": (0, """\
+[ok ] noise_bound: max sigma 0.15 vs kappa 0.5
+[ok ] coupling_bound_switching: c=1 must lie in (0, 1.24444) (pi_min/pi_max=0.466667)
+[ok ] spectral_gate_switching: kappa=0.5 vs sqrt(lambda2_bar=2)/2=0.707107
+[ok ] jointly_connected: lambda2 of the summed Laplacian is 2
+[ok ] licq_at_candidate: [1.0, 2.0]
+[ok ] slater_probe: [2.0, 4.0] strictly feasible: True
+validate: all checks passed
+"""),
+    "every_gate": (2, """\
+[ok ] noise_bound: max sigma 0.3 vs kappa 0.5
+[WARN] coupling_bound: c=5 must lie in (0, 2.66667)
+[ok ] spectral_gate: kappa=0.5 vs sqrt(lambda2=5)/2=1.11803
+[ok ] connected: lambda2 of the fixed graph is 5
+[WARN] licq_at_candidate: [1.0, 2.0]
+[WARN] slater_probe: [0.5, 1.0] strictly feasible: False
+[lint] agent 4 cost '2.0*x2 - x1^2.0': curvature -1.95 < 0 near [0.126, -0.132]
+[lint] agent 4 cost '2.0*x2 - x1^2.0': curvature -1.37 < 0 near [0.126, -0.132]
+[lint] agent 4 cost '2.0*x2 - x1^2.0': curvature -1.31 < 0 near [0.126, -0.132]
+[lint] agent 4 cost '2.0*x2 - x1^2.0': curvature -0.472 < 0 near [0.126, -0.132]
+[lint] agent 4 cost '2.0*x2 - x1^2.0': curvature -1.99 < 0 near [0.126, -0.132]
+[lint] agent 4 cost '2.0*x2 - x1^2.0': curvature -1.49 < 0 near [-2.325, -0.219]
+[lint] agent 4 cost '2.0*x2 - x1^2.0': curvature -1.5 < 0 near [-2.325, -0.219]
+[lint] agent 4 cost '2.0*x2 - x1^2.0': curvature -0.27 < 0 near [-2.325, -0.219]
+[lint] agent 4 cost '2.0*x2 - x1^2.0': curvature -0.0175 < 0 near [-2.325, -0.219]
+[lint] agent 4 cost '2.0*x2 - x1^2.0': curvature -1.56 < 0 near [-2.325, -0.219]
+[lint] 100 curvature finding(s); advisory only
+[WARN] initial_multipliers_nonpositive: initial multiplier min 0 is not positive
+[WARN] horizon_off_grid: horizon 0.0105 is not a multiple of h=0.001; running 10 steps \
+to t=0.01
+validate: 5 warning(s): coupling_bound, licq_at_candidate, slater_probe, \
+initial_multipliers_nonpositive, horizon_off_grid
+"""),
+}
+
+
+def _fail_every_gate(d):
+    # the coupling above its bound (2/3) / kappa^2, LICQ failing at the
+    # candidate, an infeasible probe, two start warnings and a concave cost
+    d["network"]["coupling"] = 5.0
+    _duplicate_agent_1_inequality(d)
+    d["slater_probe"] = [0.5, 1.0]
+    d["init"]["lambda"] = 0.0
+    d["integrator"]["horizon"] = 0.0105
+    d["problem"]["agents"][3]["cost"] = "2*x2 - x1^2"
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_PINS))
+def test_validate_prints_each_gate_in_one_form(case, request, tmp_scenario_file, capsys):
+    # the texts and exit codes validate printed before its gate lines shared one rule
+    if case == "every_gate":
+        path = tmp_scenario_file(_fail_every_gate)
+    else:
+        path = request.getfixturevalue(f"{case}_scenario_path")
+    code, text = VALIDATE_PINS[case]
+    assert main(["validate", str(path)]) == code
+    assert capsys.readouterr().out == text
+
+
+# each command's flags beside the scenario: a short run, whose output files
+# start with the scenario's name
+OUTPUT_COMMANDS = {
+    "simulate": ["--horizon", "0.01"],
+    "kkt": [],
+    "compare": ["--alpha", "0.5", "--alpha", "0.1", "--ensemble", "2", "--horizon", "0.01"],
+}
+
+
+@pytest.mark.parametrize("name", [
+    "", ".", "..", "../escaped", "a/b", "a\\b", "a\0b", "x" * 3000, "é" * 101,
+], ids=["empty", "dot", "dot-dot", "escape", "slash", "backslash", "nul", "3000-chars",
+        "201-bytes"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_a_name_that_is_not_one_file_name_exits_1(command, name, switching_scenario, tmp_path,
+                                                  capsys):
+    # "../escaped" wrote its files beside --out-dir, "a/b" into a
+    # subdirectory of it, and 3000 characters ended in OSError
+    data = json.loads(json.dumps(switching_scenario.raw))
+    data["name"] = name
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main([command, str(path), *OUTPUT_COMMANDS[command], "--out-dir", str(out)]) == 1
+    shown = repr(name[:40]) + ("..." if len(name) > 40 else "")
+    assert capsys.readouterr().err == (
+        "error: name must be a file name of at most 200 bytes in UTF-8, not . or .., "
+        f"without /, \\ or NUL, got {shown}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
+def test_names_of_up_to_200_bytes_load(fixed_scenario, switching_scenario):
+    assert (fixed_scenario.name, switching_scenario.name) == ("five_agent_fixed",
+                                                              "five_agent_switching")
+    for name in ("x" * 200, "é" * 100, "a b.c", "-"):
+        assert Scenario.from_dict({**fixed_scenario.raw, "name": name}).name == name
+    with pytest.raises(ScenarioError, match="at most 200 bytes"):
+        Scenario.from_dict({**fixed_scenario.raw, "name": "x" * 201})
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_an_output_directory_that_cannot_be_written_exits_1(command, under,
+                                                            switching_scenario_path, tmp_path,
+                                                            capsys):
+    # FileExistsError, or NotADirectoryError under a file, ended in a traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    flags = OUTPUT_COMMANDS[command]
+    assert main([command, str(switching_scenario_path), *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    reason = "Not a directory" if under else "File exists"
+    assert re.fullmatch(rf"error: cannot write {re.escape(str(out))}/five_agent_switching\.\S+: "
+                        rf"\[Errno \d+\] {reason}: '{re.escape(str(out))}'\n", err), err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"] and blocker.read_text() == ""
