@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .chain import SwitchPath
-from .expr import DomainError, Emitter
+from .expr import ONE, DomainError, Emitter, _add, _lit, _mul, _sub
 from .graph import Network, connected, is_integer, lambda2
 from .problem import KktCertificate, Problem, _evaluate, emit_kernel
 from .schedule import chunk, chunk_steps
@@ -434,9 +434,10 @@ def _compile_lone(model: _Model):
     G, gvals, hvals = emit_kernel(model.problem, em)
     bind(em, ("p", flat))
     coupling = by_pattern(em, model.L, couple)
-    dx = [f"({-c!r}) * Lx{v} - (p{v} - x{v}) - {G[i][k]}" for i, k, v in cells]
-    dtheta = [f"{c!r} * Lx{v}" for v in flat]
-    dlam = [f"lam{k} / (1.0 + {e!r} * lam{k}) * {g}"
+    # the products with c and eta, and the sum with G, by expr's rule table
+    dx = [_sub(f"{_mul(_lit(-c), f'Lx{v}')} - (p{v} - x{v})", G[i][k]) for i, k, v in cells]
+    dtheta = [_mul(_lit(c), f"Lx{v}") for v in flat]
+    dlam = [_mul(f"lam{k} / ({_add(ONE, _mul(_lit(e), f'lam{k}'))})", g)
             for k, (e, g) in enumerate(zip(model.eta.tolist(), gvals))]
     drift = em.compile("lone_drift", "x, p, lam, nu, b, L", lists(dx, dtheta, dlam, hvals))
 
@@ -451,7 +452,7 @@ def _compile_lone(model: _Model):
          ("dl", lams), ("dn", nus))
     channels = by_pattern(em, model.R, hear)
     for v in flat:
-        em.line(f"xn{v} = x{v} + (h * dx{v} + {c!r} * noise{v})")
+        em.line(f"xn{v} = x{v} + (h * dx{v} + {_mul(_lit(c), f'noise{v}')})")
         em.line(f"pn{v} = p{v} + h * (dx{v} + dt{v})")
     em.line("clamped = 0")
     for k in lams:
@@ -714,7 +715,8 @@ def _integrate(
              for a, shape in zip((init.x, init.pair, init.lam, init.nu), shapes)]
     x, pair, lam, nu = start
 
-    warnings = [text for _, text in start_warnings(x, pair, lam, cfg)]
+    # the start as given: a start broadcast over the members is checked once
+    warnings = [text for _, text in start_warnings(init.x, init.pair, init.lam, cfg)]
     warnings += [f"assumption {c['name']} failed: {c['detail']}"
                  for c in report["checks"] if not c["passed"]]
     if warnings and cfg.strict:

@@ -1,11 +1,32 @@
 """Scalar expressions of a vector variable: parsing, evaluation, exact gradients.
 
-Expressions are parsed once into an immutable AST and evaluated as parsed
-(no simplification pass), so repeated evaluation at the same point is
-bit-for-bit reproducible.  Gradients are computed by forward-mode dual
-arithmetic: every node propagates a value together with one tangent per
-coordinate, seeded with the canonical basis.  This is exact differentiation,
-not finite differencing.
+Expressions are parsed once into an immutable AST and evaluated as parsed,
+so repeated evaluation at the same point is bit-for-bit reproducible.
+Gradients are computed by forward-mode dual arithmetic: every node
+propagates a value together with one tangent per coordinate, seeded with the
+canonical basis.  This is exact differentiation, not finite differencing.
+
+The lowering writes no code for arithmetic whose result it knows (sparse
+forward mode).  A tangent that is zero by construction (a constant's, a
+variable's off its own coordinate, that of ``x^0``) is carried as the
+symbol ``ZERO``, and every operation that builds code follows one table::
+
+    ZERO * u,  u * ZERO,  ZERO / u       ->  ZERO
+    ZERO + u,  u + ZERO,  u - ZERO       ->  u
+    ZERO - u,  -ZERO                     ->  -u,  ZERO
+    literal (+ - *) literal,  -literal   ->  the literal of the result
+    (1.0) * u,  u * (1.0)                ->  u
+
+The last two rows are IEEE-exact, so every value, domain test and
+DomainError message is the one the plain pass gives; no rule depends on
+libm or on a value being finite (``x ** 1.0`` and ``x * 0.0`` on a value
+are computed).  The ZERO rows change a partial in two edge classes only:
+a partial that is zero by construction is ``+0.0``, and a zero partial has
+the sign of its own arithmetic (the skipped ``u + 0.0`` turned ``-0.0``
+into ``+0.0``); and a partial that was ``nan`` only because an infinite or
+``nan`` factor met a structural zero is the exact partial (the gradient of
+``exp(x1) - x2`` at ``x1 = 1000`` is ``(inf, -1.0)``, not ``(inf, nan)``).
+Where code needs a float, ``ZERO`` is written ``0.0``.
 
 The package has one evaluator.  Each node lowers its forward pass into
 generated straight-line Python (``_emit`` into an ``Emitter``: forward mode by
@@ -37,6 +58,7 @@ overflows to ``inf``.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import textwrap
 from dataclasses import dataclass
@@ -76,13 +98,95 @@ class DomainError(ExprError):
 
 
 # ---------------------------------------------------------------------------
+# Codes and the rule table
+# ---------------------------------------------------------------------------
+
+def _lit(v):
+    """Python source of a float literal; ``inf`` and ``nan`` are names bound
+    in the namespace of the compiled code."""
+    return f"({float(v)!r})"
+
+
+def _literal(code):
+    """The float that a literal's code (``_lit``'s) stands for, else None."""
+    if code[:1] == "(" and code[-1:] == ")":
+        try:
+            return float(code[1:-1])
+        except ValueError:
+            pass
+    return None
+
+
+class _Zero(str):
+    """The type of ``ZERO``: code that reads ``0.0``, told apart by identity."""
+
+    __slots__ = ()
+
+
+# A tangent that is zero by construction, and the literal 1.0.  Each rule
+# below writes the code of one operation by the module docstring's table.
+# Its operands are names, literals or ZERO, with three exceptions: a left
+# operand may be a product (code that ``_mul``, ``_div`` or ``_neg``
+# returns), the left operand of ``_add`` and ``_sub`` a sum, and their right
+# operand a product.  ``Emitter.local`` names a result that is none of the
+# first three kinds.
+ZERO, ONE = _Zero("0.0"), _lit(1.0)
+
+
+def _fold(a, b, sep, op):
+    """``a <sep> b``, or on two literals the literal of ``op(a, b)``: at
+    generation, float arithmetic gives the bits the compiled code would."""
+    x, y = _literal(a), _literal(b)
+    return f"{a}{sep}{b}" if x is None or y is None else _lit(op(x, y))
+
+
+def _add(a, b):
+    return b if a is ZERO else a if b is ZERO else _fold(a, b, " + ", operator.add)
+
+
+def _sub(a, b):
+    if b is ZERO:
+        return a
+    return _neg(b) if a is ZERO else _fold(a, b, " - ", operator.sub)
+
+
+def _mul(a, b):
+    if a is ZERO or b is ZERO:
+        return ZERO
+    return b if a == ONE else a if b == ONE else _fold(a, b, " * ", operator.mul)
+
+
+def _neg(a):
+    if a is ZERO:
+        return ZERO
+    x = _literal(a)
+    if x is not None:
+        return _lit(-x)
+    return f"-{a}" if a.isidentifier() else f"-({a})"
+
+
+def _div(a, b):
+    """``a / b``, not folded: the table folds ``+ - *`` alone."""
+    if a is ZERO:
+        return ZERO
+    return f"{a} / {b}" if _atom(a) else f"({a}) / {b}"
+
+
+def _atom(code):
+    """Whether ``code`` is a name, a literal or ZERO."""
+    return code is ZERO or code.isidentifier() or _literal(code) is not None
+
+
+# ---------------------------------------------------------------------------
 # AST nodes.  ``_emit(em, xs, grad)`` writes the node's forward pass as
 # straight-line Python statements into an Emitter, with the variables bound
 # to the local names ``xs``, and returns the code of its value and of its
-# tangents, one per coordinate (local names or literals).  Without ``grad``
+# tangents, one per coordinate (local names, literals or ZERO).  Without ``grad``
 # the tangents are absent, an empty tuple: only the value is computed and no
 # derivative is checked.  An operator node runs its operands' passes first,
-# left to right, then its own rule, ``_apply``, on their codes.
+# left to right, then its own rule, ``_apply``, on their codes, each
+# arithmetic operation through the rule table (``_add``, ``_sub``, ``_mul``,
+# ``_neg``, ``_div``).
 # ---------------------------------------------------------------------------
 
 # rendering precedence levels
@@ -99,7 +203,7 @@ class Const(_Node):
     value: float
 
     def _emit(self, em, xs, grad):
-        return _lit(self.value), ("0.0",) * len(xs) if grad else ()
+        return _lit(self.value), (ZERO,) * len(xs) if grad else ()
 
     def _render(self, prec):
         s = repr(self.value)
@@ -111,7 +215,7 @@ class Var(_Node):
     index: int
 
     def _emit(self, em, xs, grad):
-        seed = tuple("1.0" if k == self.index else "0.0" for k in range(len(xs)))
+        seed = tuple(ONE if k == self.index else ZERO for k in range(len(xs)))
         return xs[self.index], seed if grad else ()
 
     def _render(self, prec):
@@ -132,8 +236,7 @@ class _Infix(_Node):
 
     def _apply(self, em, a, ta, b, tb):
         # linear: the same operator on the value and on each tangent
-        return em.temp(f"{a}{self.sep}{b}"), tuple(em.temp(f"{u}{self.sep}{v}")
-                                                   for u, v in zip(ta, tb))
+        return em.local(self.op(a, b)), tuple(em.local(self.op(u, v)) for u, v in zip(ta, tb))
 
     def _render(self, prec):
         # right operand one level tighter so tree shape survives reparsing:
@@ -143,19 +246,19 @@ class _Infix(_Node):
 
 
 class Add(_Infix):
-    sep, prec = " + ", _P_ADD
+    sep, prec, op = " + ", _P_ADD, staticmethod(_add)
 
 
 class Sub(_Infix):
-    sep, prec = " - ", _P_ADD
+    sep, prec, op = " - ", _P_ADD, staticmethod(_sub)
 
 
 class Mul(_Infix):
     sep, prec = "*", _P_MUL
 
     def _apply(self, em, a, ta, b, tb):
-        val = em.temp(f"{a} * {b}")
-        return val, tuple(em.temp(f"{a} * {v} + {b} * {u}") for u, v in zip(ta, tb))
+        return em.local(_mul(a, b)), tuple(em.local(_add(_mul(a, v), _mul(b, u)))
+                                           for u, v in zip(ta, tb))
 
 
 class Div(_Infix):
@@ -164,7 +267,7 @@ class Div(_Infix):
     def _apply(self, em, a, ta, b, tb):
         em.check(f"{b} == 0.0", "division by zero")
         val = em.temp(f"{a} / {b}")
-        return val, tuple(em.temp(f"({u} - {val} * {v}) / {b}") for u, v in zip(ta, tb))
+        return val, tuple(em.local(_div(_sub(u, _mul(val, v)), b)) for u, v in zip(ta, tb))
 
 
 @dataclass(frozen=True)
@@ -182,7 +285,7 @@ class _Unary(_Node):
 
 class Neg(_Unary):
     def _apply(self, em, a, ta):
-        return em.temp(f"-{a}"), tuple(em.temp(f"-{u}") for u in ta)
+        return em.local(_neg(a)), tuple(em.local(_neg(u)) for u in ta)
 
     def _render(self, prec):
         s = f"-{self.operand._render(_P_NEG)}"
@@ -209,11 +312,11 @@ class Pow(_Node):
         if k < 1.0 and k != 0.0:
             em.check(f"{a} == 0.0", f"derivative of x^{k!r} undefined at 0")
         if k == 0.0:
-            dcoef = "0.0"
+            dcoef = ZERO
         else:
             slope = em.power(a, k - 1.0, f"derivative of x^{k!r} overflows at {{!r}}")
-            dcoef = em.temp(f"{_lit(k)} * {slope}")
-        return val, tuple(em.temp(f"{dcoef} * {u}") for u in ta)
+            dcoef = em.local(_mul(_lit(k), slope))
+        return val, tuple(em.local(_mul(dcoef, u)) for u in ta)
 
     def _render(self, prec):
         s = f"{self.base._render(_P_POW + 1)}^{self.exponent!r}"
@@ -226,7 +329,7 @@ class Exp(_Unary):
     def _apply(self, em, a, ta):
         val = em.fresh()
         em.line(f"try:\n    {val} = exp({a})\nexcept OverflowError:\n    {val} = inf")
-        return val, tuple(em.temp(f"{val} * {u}") for u in ta)
+        return val, tuple(em.local(_mul(val, u)) for u in ta)
 
 
 class Ln(_Unary):
@@ -235,13 +338,7 @@ class Ln(_Unary):
     def _apply(self, em, a, ta):
         em.check(f"{a} <= 0.0", "ln of nonpositive value {!r}", a)
         val = em.temp(f"log({a})")
-        return val, tuple(em.temp(f"{u} / {a}") for u in ta)
-
-
-def _lit(v):
-    """Python source of a float literal; ``inf`` and ``nan`` are names bound
-    in the namespace of the compiled code."""
-    return f"({float(v)!r})"
+        return val, tuple(em.local(_div(u, a)) for u in ta)
 
 
 # the most terms that ``Emitter.left_sum`` writes into one expression
@@ -284,6 +381,11 @@ class Emitter:
         name = self.fresh()
         self.lines.append(f"{name} = {code}")
         return name
+
+    def local(self, code: str) -> str:
+        """``code`` itself where it is a name, a literal or ZERO, else the
+        name of a fresh local holding it."""
+        return code if _atom(code) else self.temp(code)
 
     def left_sum(self, terms, name=None) -> str:
         """A local, ``name`` or a fresh one, holding the code ``terms`` added
@@ -400,7 +502,7 @@ class Expr:
         """Write the value-and-gradient pass (the value pass, without
         ``grad``) into ``em`` with the variables bound to the local names
         ``xs``; return the code of the value and of each gradient entry
-        (local names or literals; none without ``grad``)."""
+        (local names, literals or ZERO; none without ``grad``)."""
         return self.root._emit(em, tuple(xs), grad)
 
     def __str__(self):

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import BatchEmitter, DomainError, Emitter, Expr, ExprError, coerce
+from .expr import BatchEmitter, DomainError, Emitter, Expr, ExprError, _add, _mul, coerce
 
 __all__ = [
     "AgentSpec",
@@ -148,7 +148,13 @@ def emit_kernel(problem: Problem, em: Emitter):
     ``lam`` and ``nu``.  Returns the code of grad_terms (per agent, grad f_i
     plus lam_k grad g_k over its inequalities, then nu_k grad h_k over its
     equalities, in stacked order), gvals and hvals; on floats, bit for bit
-    each expression's own ``value_and_grad``, the same lowering."""
+    each expression's own ``value_and_grad``, the same lowering.  The sums
+    ``acc + lam_k * d`` follow ``expr``'s rule table: an entry zero by
+    construction adds no code, and a grad_terms entry that stays so is
+    ``ZERO``, written ``0.0``.  Against the plain sums, only two edge
+    classes differ: a zero entry has the sign of its own arithmetic (``+0.0``
+    for a structural zero), and one that was ``nan`` only because an
+    infinite or ``nan`` factor met a structural zero is exact."""
     def unpack(names):
         return "".join(f"{name}, " for name in names)
 
@@ -166,7 +172,8 @@ def emit_kernel(problem: Problem, em: Emitter):
         for k, (i, _, e) in enumerate(index):
             v, g = e.emit(em, xs[i])
             values.append(v)
-            grads[i] = [em.temp(f"{acc} + {mult}{k} * {d}") for acc, d in zip(grads[i], g)]
+            grads[i] = [em.local(_add(acc, _mul(f"{mult}{k}", d)))
+                        for acc, d in zip(grads[i], g)]
         return values
 
     return grads, accumulate(problem.ineq_index(), "lam"), accumulate(problem.eq_index(), "nu")

@@ -141,6 +141,9 @@ class Scenario:
     raw: dict
 
     def __post_init__(self):
+        for key in ("name", "mode"):  # not str(), which reads null as the name "None"
+            value = getattr(self, key)
+            _require(isinstance(value, str), f"{key} must be a string, got {value!r:.40}")
         _require(self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}")
         # the name starts every output file name: one file name of its own,
         # with room for the longest suffix, ".switching.multipliers.csv"; a
@@ -159,7 +162,7 @@ class Scenario:
         _require(isinstance(data, dict), "scenario must be a JSON object")
         for key in ("name", "mode", "problem", "network", "integrator", "init"):
             _require(key in data, f"missing scenario field {key!r}")
-        scn = cls(name=str(data["name"]), mode=str(data["mode"]), raw=data)
+        scn = cls(name=data["name"], mode=data["mode"], raw=data)
         # build everything once so malformed input fails at load time
         problem = _section("problem", scn.build_problem)
         network = _section("network", scn.build_network)

@@ -11,7 +11,8 @@ the reference in law for the library's channel factor.  The weak-convergence
 study has its one-member-at-a-time loop, the reference the batched study
 must match on every field bit for bit.  Expressions have the tree walk,
 the reference the compiled evaluator of ``switchopt.expr`` must match bit
-for bit, domain errors included.  The assumption gates keep their separate
+for bit, domain errors included, a tangent zero by construction carried as
+the symbol ZERO by both.  The assumption gates keep their separate
 fixed and switching branches, and the equilibrium its per-expression
 gradients, the references for the one-mode gate path and the kernel-built
 equilibrium.  Chain paths have their per-call sampler, the reference for the
@@ -42,13 +43,35 @@ from switchopt.problem import emit_kernel
 def tree_walk(node, xs, seeds):
     """(value, tangents) of an expression node at the float tuple ``xs`` by
     forward-mode dual arithmetic, one recursive call per node.  ``seeds``
-    holds one tangent tuple per coordinate (the canonical basis), or is None
-    for the value alone: then no tangent is made and no derivative checked."""
+    holds one tangent tuple per coordinate (the canonical basis, ZERO off
+    the diagonal), or is None for the value alone: then no tangent is made
+    and no derivative checked.  A tangent that is zero by construction is
+    ZERO, and the arithmetic on tangents follows the symbolic-zero rule of
+    ``switchopt.expr`` (``times``, ``plus``, ``minus``)."""
     return _WALK[type(node)](node, xs, seeds)
 
 
+# the symbolic zero of a tangent: a product with it is ZERO, a sum with it
+# its other operand, ZERO - v is -v
+ZERO = None
+
+
+def times(a, u):
+    return ZERO if a is ZERO or u is ZERO else a * u
+
+
+def plus(u, v):
+    return v if u is ZERO else u if v is ZERO else u + v
+
+
+def minus(u, v):
+    if v is ZERO:
+        return u
+    return -v if u is ZERO else u - v
+
+
 def _const(node, xs, seeds):
-    return node.value, (None if seeds is None else (0.0,) * len(xs))
+    return node.value, (None if seeds is None else (ZERO,) * len(xs))
 
 
 def _var(node, xs, seeds):
@@ -60,7 +83,7 @@ def _add(node, xs, seeds):
     b, tb = tree_walk(node.rhs, xs, seeds)
     if seeds is None:
         return a + b, None
-    return a + b, tuple(u + v for u, v in zip(ta, tb))
+    return a + b, tuple(plus(u, v) for u, v in zip(ta, tb))
 
 
 def _sub(node, xs, seeds):
@@ -68,7 +91,7 @@ def _sub(node, xs, seeds):
     b, tb = tree_walk(node.rhs, xs, seeds)
     if seeds is None:
         return a - b, None
-    return a - b, tuple(u - v for u, v in zip(ta, tb))
+    return a - b, tuple(minus(u, v) for u, v in zip(ta, tb))
 
 
 def _mul(node, xs, seeds):
@@ -76,7 +99,7 @@ def _mul(node, xs, seeds):
     b, tb = tree_walk(node.rhs, xs, seeds)
     if seeds is None:
         return a * b, None
-    return a * b, tuple(a * v + b * u for u, v in zip(ta, tb))
+    return a * b, tuple(plus(times(a, v), times(b, u)) for u, v in zip(ta, tb))
 
 
 def _div(node, xs, seeds):
@@ -87,14 +110,15 @@ def _div(node, xs, seeds):
     val = a / b
     if seeds is None:
         return val, None
-    return val, tuple((u - val * v) / b for u, v in zip(ta, tb))
+    return val, tuple(ZERO if d is ZERO else d / b
+                      for d in (minus(u, times(val, v)) for u, v in zip(ta, tb)))
 
 
 def _neg(node, xs, seeds):
     a, ta = tree_walk(node.operand, xs, seeds)
     if seeds is None:
         return -a, None
-    return -a, tuple(-u for u in ta)
+    return -a, tuple(minus(ZERO, u) for u in ta)
 
 
 def _pow(node, xs, seeds):
@@ -114,10 +138,10 @@ def _pow(node, xs, seeds):
     if a == 0.0 and k < 1.0 and k != 0.0:
         raise DomainError(f"derivative of x^{k!r} undefined at 0")
     try:
-        dcoef = 0.0 if k == 0.0 else k * a ** (k - 1.0)
+        dcoef = ZERO if k == 0.0 else k * a ** (k - 1.0)
     except OverflowError:
         raise DomainError(f"derivative of x^{k!r} overflows at {a!r}") from None
-    return val, tuple(dcoef * u for u in ta)
+    return val, tuple(times(dcoef, u) for u in ta)
 
 
 def _exp(node, xs, seeds):
@@ -128,7 +152,7 @@ def _exp(node, xs, seeds):
         val = math.inf
     if seeds is None:
         return val, None
-    return val, tuple(val * u for u in ta)
+    return val, tuple(times(val, u) for u in ta)
 
 
 def _ln(node, xs, seeds):
@@ -138,7 +162,7 @@ def _ln(node, xs, seeds):
     val = math.log(a)
     if seeds is None:
         return val, None
-    return val, tuple(u / a for u in ta)
+    return val, tuple(ZERO if u is ZERO else u / a for u in ta)
 
 
 _WALK = {Const: _const, Var: _var, Add: _add, Sub: _sub, Mul: _mul, Div: _div,
@@ -150,11 +174,18 @@ def tree_value(e, x):
     return tree_walk(e.root, tuple(float(v) for v in x), None)[0]
 
 
-def tree_value_and_grad(e, x):
-    """``Expr.value_and_grad`` by the tree walk."""
+def tree_partials(e, x):
+    """The value and the tangents of ``e`` at ``x`` by the tree walk, each
+    tangent zero by construction as ZERO."""
     xs = tuple(float(v) for v in x)
-    basis = tuple(tuple(1.0 if i == k else 0.0 for i in range(e.n)) for k in range(e.n))
+    basis = tuple(tuple(1.0 if i == k else ZERO for i in range(e.n)) for k in range(e.n))
     return tree_walk(e.root, xs, basis)
+
+
+def tree_value_and_grad(e, x):
+    """``Expr.value_and_grad`` by the tree walk: ZERO is written as 0.0."""
+    value, partials = tree_partials(e, x)
+    return value, tuple(0.0 if u is ZERO else u for u in partials)
 
 
 def fd_gradient(fun, x, step=1e-6):

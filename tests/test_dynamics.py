@@ -802,6 +802,30 @@ def test_run_warnings_point_at_the_caller(view, five_agent, six_mode_network,
     assert {w.filename for w in record} == {__file__}
 
 
+def test_a_broadcast_start_warns_as_the_same_start_per_member(five_agent, k5_network,
+                                                             monkeypatch):
+    # a start shared by 40 members is checked once, and warns as the same
+    # start given once per member
+    cfg = IntegratorConfig(h=1e-3, horizon=2e-3, seed=list(range(40)))
+    theta = np.ones_like(X_INIT)
+    broadcast = SystemState(X_INIT, theta, [3.0, -0.5], [3.0])
+    per = SystemState._from_pair(*(np.stack([a] * 40) for a in
+                                   (broadcast.x, broadcast.pair, broadcast.lam, broadcast.nu)),
+                                 0.0, 0)
+    norms, norm = [], np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(1) or norm(*a, **k))
+    texts = []
+    for init in (broadcast, per):
+        norms.clear()
+        with pytest.warns(TrajectoryWarning) as record:
+            ensemble = simulate(five_agent, k5_network, None, cfg, init)
+        texts.append((ensemble.warnings, [str(w.message) for w in record], len(norms)))
+    assert texts[0][:2] == texts[1][:2]
+    assert any("initial theta blocks sum to 7.071e+00" in w for w in texts[0][0])
+    assert any("initial multiplier min -0.5 " in w for w in texts[0][0])
+    assert (texts[0][2], texts[1][2]) == (1, 40)
+
+
 def test_simulate_strict_mode_rejects_bad_init(five_agent, k5_network):
     cfg = IntegratorConfig(h=1e-3, horizon=0.1, strict=True)
     bad = SystemState(X_INIT, np.ones_like(X_INIT), [3.0, 3.0], [3.0])

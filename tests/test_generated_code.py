@@ -100,4 +100,4 @@ def test_generated_sources_match_their_digest(monkeypatch, fixed_scenario, switc
         recorded.append(str(e))
     assert len(recorded) == 940  # 2 x 20 scenario sources, 300 x 3 from the corpus
     assert hashlib.sha256("\0".join(recorded).encode()).hexdigest() == (
-        "925f7e0e9a3e6d772d7fbdabca81877d51bf344ce87705fa06e9254e70c0f49f")
+        "5f0b3f2ac09f1ca7c7c6b3e70b0a795d24ba46da329c1e3135a4d5733188f40b")

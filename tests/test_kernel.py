@@ -13,6 +13,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from switchopt.problem import AgentSpec, Problem
 from switchopt.scenario import load_scenario
 
 from conftest import SCENARIO_DIR, X_INIT, cubic_graph, drift_of_one, make_five_agent_problem
-from oracles import tree_value, tree_value_and_grad
+from oracles import ZERO, plus, times, tree_partials, tree_value, tree_value_and_grad
 from test_expr import SPECIAL_POINTS, random_expr_text
 
 
@@ -44,19 +45,20 @@ def scalar_kernel(problem):
 
 
 def tree_kernel(problem, rows, lam, nu):
-    """Reference of ``scalar_kernel``: every tree walked in drift order."""
-    grads = [list(tree_value_and_grad(a.f, rows[i])[1]) for i, a in enumerate(problem.agents)]
+    """Reference of ``scalar_kernel``: every tree walked in drift order,
+    the sums by the symbolic-zero rule."""
+    grads = [list(tree_partials(a.f, rows[i])[1]) for i, a in enumerate(problem.agents)]
     gvals = []
     for k, (i, _, e) in enumerate(problem.ineq_index()):
-        v, g = tree_value_and_grad(e, rows[i])
+        v, g = tree_partials(e, rows[i])
         gvals.append(v)
-        grads[i] = [acc + lam[k] * d for acc, d in zip(grads[i], g)]
+        grads[i] = [plus(acc, times(lam[k], d)) for acc, d in zip(grads[i], g)]
     hvals = []
     for k, (i, _, e) in enumerate(problem.eq_index()):
-        v, g = tree_value_and_grad(e, rows[i])
+        v, g = tree_partials(e, rows[i])
         hvals.append(v)
-        grads[i] = [acc + nu[k] * d for acc, d in zip(grads[i], g)]
-    return grads, gvals, hvals
+        grads[i] = [plus(acc, times(nu[k], d)) for acc, d in zip(grads[i], g)]
+    return [[0.0 if d is ZERO else d for d in g] for g in grads], gvals, hvals
 
 
 def outcome(fn, *args):
@@ -200,7 +202,7 @@ def test_exp_overflow_is_inf_in_both():
     rows = [[1000.0, 1.0]] * 2
     got = outcome(scalar_kernel(p), rows, [1.0], [0.0])
     assert got == outcome(tree_kernel, p, rows, [1.0], [0.0])
-    assert got[1] == ["inf"] and got[0][0] == ["inf", "nan"]  # inf * 0.0 kept
+    assert got[1] == ["inf"] and got[0][0] == ["inf", float.hex(-1.0)]  # no inf * 0.0
 
 
 @pytest.mark.parametrize("name", ["five_agent_fixed.json", "five_agent_switching.json"])
@@ -614,7 +616,7 @@ def test_batch_kernel_exp_overflow_is_inf():
     x = np.array([[[1000.0, 1.0]] * 2, [[1.0, 1.0]] * 2])
     G, gv, _ = p.batch_kernel(x, np.ones((2, 1)), np.zeros((2, 1)))
     assert gv[0].tolist() == [math.inf] and G[0, 0].tolist()[0] == math.inf
-    assert math.isnan(G[0, 0, 1])  # inf * 0.0 kept, as in the scalar kernel
+    assert G[0, 0, 1] == -1.0  # no inf * 0.0, as in the scalar kernel
     assert np.isfinite(G[1]).all()
 
 
@@ -629,3 +631,61 @@ def test_numpy_kernel_compiled_only_for_a_large_round(k5_network, reference_init
     big = dataclasses.replace(small, seed=list(range(dynamics.BATCH_KERNEL_ROWS)))
     dynamics.simulate(five_agent, k5_network, None, big, reference_init)
     assert "batch_kernel" in vars(five_agent)
+
+
+# ---------------------------------------------------------------------------
+# symbolic zeros, checked without the tree walk
+# ---------------------------------------------------------------------------
+
+
+def test_a_variable_absent_from_the_expression_has_partial_plus_zero():
+    # on the seeded corpus at finite points, in Expr.grad, the
+    # scalar kernel and the numpy kernel alike
+    rng = np.random.default_rng(33)
+    absent = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        e = parse(random_expr_text(rng, n), n)
+        present = {int(k) - 1 for k in re.findall(r"x(\d+)", str(e))}
+        point = rng.uniform(-2.0, 2.0, n).tolist()
+        p = probe_problem(e)
+        try:
+            grads = [e.grad(point), scalar_kernel(p)([point, point], [1.0], [1.0])[0][0],
+                     p.batch_kernel(np.array([[point, point]]), np.ones((1, 1)),
+                                    np.ones((1, 1)))[0][0, 0].tolist()]
+        except DomainError:
+            continue
+        for k in set(range(n)) - present:
+            absent += 1
+            assert [float.hex(g[k]) for g in grads] == ["0x0.0p+0"] * 3, (str(e), k)
+    assert absent > 100
+
+
+def test_an_infinite_factor_meets_no_structural_zero():
+    # exp(x1) overflows to inf at 1000; d/dx2 is exactly -1.0, not inf * 0.0
+    e = parse("exp(x1) - x2", 2)
+    assert e.value_and_grad((1000.0, 1.0)) == (math.inf, (math.inf, -1.0))
+    p = Problem(n=2, agents=(AgentSpec(f=e),))
+    assert scalar_kernel(p)([[1000.0, 1.0]], [], [])[0] == [[math.inf, -1.0]]
+    G = p.batch_kernel(np.array([[[1000.0, 1.0]]]), np.zeros((1, 0)), np.zeros((1, 0)))[0]
+    assert G.tolist() == [[[math.inf, -1.0]]]
+
+
+# a product with the literal 0.0 or 1.0, (-1.0) and powers aside
+TRIVIAL_PRODUCT = re.compile(r"(?<![-\w.*])\(?[01]\.0\)? \*(?!\*)|(?<!\*)\* \(?[01]\.0\)?(?![\w.])")
+
+
+def test_bundled_sources_multiply_nothing_by_zero_or_one(monkeypatch, fixed_scenario,
+                                                        switching_scenario):
+    recorded, code = [], expr_mod._code
+    monkeypatch.setattr(expr_mod, "_code",
+                        lambda source, filename: recorded.append(source) or code(source, filename))
+    for scenario in (fixed_scenario, switching_scenario):
+        problem, network = scenario.build_problem(), scenario.build_network()
+        pi = chain.stationary(scenario.build_generator()) if network.n_modes > 1 else None
+        dynamics._Model(problem, network, scenario.build_config(seed=0).eta, pi).lone
+        problem.batch_kernel
+    assert len(recorded) == 6  # per scenario, the lone substep pair and the batch kernel
+    assert [TRIVIAL_PRODUCT.findall(source) for source in recorded] == [[]] * 6
+    assert TRIVIAL_PRODUCT.findall("a * 0.0 + (1.0) * b - x ** (1.0) - (-1.0) * c + 1.05 * d") == [
+        "* 0.0", "(1.0) *"]

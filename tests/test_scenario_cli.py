@@ -1028,3 +1028,19 @@ def test_an_output_directory_that_cannot_be_written_exits_1(command, under,
     assert re.fullmatch(rf"error: cannot write {re.escape(str(out))}/five_agent_switching\.\S+: "
                         rf"\[Errno \d+\] {reason}: '{re.escape(str(out))}'\n", err), err
     assert [p.name for p in tmp_path.iterdir()] == ["taken"] and blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("value", [None, [1], {}, 1], ids=["null", "list", "object", "number"])
+@pytest.mark.parametrize("key", ["name", "mode"])
+def test_a_name_or_mode_that_is_not_a_string_exits_1(key, value, switching_scenario, tmp_path,
+                                                     capsys):
+    # str() read a null name as "None": kkt wrote out/None.kkt.json and exited 0
+    data = json.loads(json.dumps(switching_scenario.raw))
+    data[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["kkt", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be a string, got {value!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+    with pytest.raises(ScenarioError, match=f"^{key} must be a string"):
+        Scenario.from_dict(data)

@@ -16,11 +16,16 @@ The command set: ``simulate`` in fixed, switching and averaged mode with
 seeds 1-3 and ``--horizon 5`` on both bundled scenarios (fixed mode on the
 switching one is a refusal, compared as well), the README's ``kkt``,
 ``simulate`` and ``compare`` commands, and ``validate`` and ``kkt`` on both
-bundled scenarios.
+bundled scenarios.  Both bundled scenarios couple with 1.0 and set eta to
+1.0, so the set also runs ``simulate`` in switching and averaged mode with
+seeds 1-3 and ``kkt`` on a scenario derived from the switching one with
+coupling 0.8 and eta (0.5, 2.0), written into each working directory
+beside the copied ones.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -31,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXED = "scenarios/five_agent_fixed.json"
 SWITCHING = "scenarios/five_agent_switching.json"
+NONUNIT = "scenarios/nonunit_switching.json"
 
 COMMANDS = [
     *(["simulate", scenario, "--mode", mode, "--seed", str(seed), "--horizon", "5",
@@ -46,7 +52,22 @@ COMMANDS = [
     ["validate", FIXED],
     ["validate", SWITCHING],
     ["kkt", SWITCHING, "--out-dir", "out"],
+    *(["simulate", NONUNIT, "--mode", mode, "--seed", str(seed), "--horizon", "5",
+       "--out-dir", "out"]
+      for mode in ("switching", "averaged")
+      for seed in (1, 2, 3)),
+    ["kkt", NONUNIT, "--out-dir", "out"],
 ]
+
+
+def write_nonunit(scenarios: Path):
+    """Write ``NONUNIT`` into ``scenarios``: the switching scenario there with
+    a non-unit coupling and one eta per inequality."""
+    data = json.loads((scenarios / Path(SWITCHING).name).read_text())
+    data["name"] = Path(NONUNIT).stem
+    data["network"]["coupling"] = 0.8
+    data["integrator"]["eta"] = [0.5, 2.0]
+    (scenarios / Path(NONUNIT).name).write_text(json.dumps(data, indent=2))
 
 
 def run(tree: Path, argv: list[str]) -> dict:
@@ -54,6 +75,7 @@ def run(tree: Path, argv: list[str]) -> dict:
     run on ``tree``'s package from a fresh working directory, keyed by name."""
     with tempfile.TemporaryDirectory() as cwd:
         shutil.copytree(tree / "scenarios", Path(cwd) / "scenarios")
+        write_nonunit(Path(cwd) / "scenarios")
         proc = subprocess.run([sys.executable, "-m", "switchopt.cli", *argv], cwd=cwd,
                               env={**os.environ, "PYTHONPATH": str(tree / "src")},
                               capture_output=True)
